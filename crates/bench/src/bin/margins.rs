@@ -146,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             jobs,
             lanes,
         };
-        let (estimates, _) = wer::monte_carlo_wer_grid_with(&nominal, &points, &opts);
+        let (estimates, _) = wer::monte_carlo_wer_grid(&nominal, &points, &opts);
         estimates.iter().map(|e| e.failures as u64).collect()
     };
     for (&(_, pulse), &fails) in points.iter().zip(&failures) {

@@ -74,7 +74,7 @@ pub fn jobs_from_args() -> usize {
 
 /// Extracts the `--lanes <L>` argument from the process command line —
 /// the SIMD lane count of the lane-batched Monte-Carlo kernels.
-/// Returns `0` (auto: `NVFF_LANES` or the built-in default) when
+/// Returns `0` (auto: the built-in default width) when
 /// absent; `--lanes 1` selects the scalar reference kernel. The lane
 /// count never changes results, only throughput.
 ///

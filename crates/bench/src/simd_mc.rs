@@ -212,7 +212,7 @@ fn time_config(
     let mut workers = 1;
     for _ in 0..opts.repeats.max(1) {
         let t0 = Instant::now();
-        let (estimates, summary) = wer::monte_carlo_wer_grid_with(params, points, &grid_opts);
+        let (estimates, summary) = wer::monte_carlo_wer_grid(params, points, &grid_opts);
         let dt = t0.elapsed().as_secs_f64();
         if dt < best {
             best = dt;
@@ -268,7 +268,7 @@ pub fn check(trials: usize, seed: u64, points: usize) -> Vec<String> {
             jobs: 1,
             lanes: 1,
         };
-        let (est, _) = wer::monte_carlo_wer_grid_with(&params, &grid, &o);
+        let (est, _) = wer::monte_carlo_wer_grid(&params, &grid, &o);
         est
     };
     let mut mismatches = Vec::new();
@@ -280,7 +280,7 @@ pub fn check(trials: usize, seed: u64, points: usize) -> Vec<String> {
                 jobs,
                 lanes,
             };
-            let (est, _) = wer::monte_carlo_wer_grid_with(&params, &grid, &o);
+            let (est, _) = wer::monte_carlo_wer_grid(&params, &grid, &o);
             if est != reference {
                 mismatches.push(format!(
                     "lanes={lanes} jobs={jobs}: failure counts diverge from scalar serial"

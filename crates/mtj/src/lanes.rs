@@ -31,8 +31,7 @@ use crate::wer::trial_step_plan;
 /// Lane widths the runtime dispatcher accepts.
 pub const SUPPORTED_LANE_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Lane width used when the caller asks for auto (`0`) and `NVFF_LANES`
-/// is unset.
+/// Lane width used when the caller asks for auto (`0`).
 ///
 /// 64 keeps a full `u64` of trial masks in flight; with 512-bit
 /// vectors that is eight RNG register groups per round, enough
@@ -41,8 +40,7 @@ pub const SUPPORTED_LANE_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// this width — pass an explicit narrower lane count there.
 pub const DEFAULT_LANES: usize = 64;
 
-/// Resolves a requested lane count to a supported width: `0` consults
-/// the `NVFF_LANES` environment variable and falls back to
+/// Resolves a requested lane count to a supported width: `0` selects
 /// [`DEFAULT_LANES`]; any other value is rounded **down** to the
 /// nearest supported width. The resolved width never changes results —
 /// only throughput.
@@ -54,15 +52,12 @@ pub const DEFAULT_LANES: usize = 64;
 /// assert_eq!(mtj::lanes::resolve_lanes(7), 4);
 /// assert_eq!(mtj::lanes::resolve_lanes(1000), 64);
 /// assert_eq!(mtj::lanes::resolve_lanes(1), 1);
+/// assert_eq!(mtj::lanes::resolve_lanes(0), mtj::lanes::DEFAULT_LANES);
 /// ```
 #[must_use]
 pub fn resolve_lanes(requested: usize) -> usize {
     let requested = if requested == 0 {
-        std::env::var("NVFF_LANES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_LANES)
+        DEFAULT_LANES
     } else {
         requested
     };
@@ -117,7 +112,7 @@ pub fn count_write_failures_batched(
 ///
 /// Panics if `LANES` is 0 or exceeds 64 (lane masks are `u64`).
 #[must_use]
-pub fn count_write_failures_lanes<const LANES: usize>(
+fn count_write_failures_lanes<const LANES: usize>(
     params: &MtjParams,
     current: Current,
     pulse: Time,
@@ -270,10 +265,6 @@ mod tests {
         assert_eq!(resolve_lanes(32), 32);
         assert_eq!(resolve_lanes(63), 32);
         assert_eq!(resolve_lanes(usize::MAX), 64);
-        // `0` resolves through the environment; with NVFF_LANES unset
-        // in the test harness it lands on the built-in default.
-        if std::env::var("NVFF_LANES").is_err() {
-            assert_eq!(resolve_lanes(0), DEFAULT_LANES);
-        }
+        assert_eq!(resolve_lanes(0), DEFAULT_LANES);
     }
 }

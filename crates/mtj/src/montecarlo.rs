@@ -9,9 +9,9 @@
 //! Sampling is **counter-seeded**: draw `i` perturbs its device with a
 //! private `StdRng` seeded by [`sweep::point_seed`]`(seed, i)` rather
 //! than walking one shared generator. Any draw can therefore be
-//! computed independently — which is what lets [`run_parallel`] fan the
-//! campaign out over a worker pool and still return results
-//! bit-identical to the serial [`run`].
+//! computed independently — which is what lets [`run`] fan the campaign
+//! out over a worker pool and still return results bit-identical for
+//! every worker count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,49 +20,15 @@ use crate::params::MtjParams;
 use crate::variation::{MtjSample, VariationModel};
 
 /// Runs `metric` over `n` Monte-Carlo device samples drawn with a
-/// deterministic seed, returning every metric value.
+/// deterministic seed, fanned out over a [`sweep`] worker pool, and
+/// returns every metric value in draw order together with the pool's
+/// [`sweep::RunSummary`] accounting.
 ///
 /// The metric receives the full [`MtjSample`] so it can correlate outputs
 /// with the underlying multipliers. Draw `i` uses its own counter-derived
-/// seed, so the value at index `i` does not depend on `n` or on any other
-/// draw.
-///
-/// # Examples
-///
-/// ```
-/// use mtj::{MtjParams, VariationModel, montecarlo};
-///
-/// let nominal = MtjParams::date2018();
-/// let spread = montecarlo::run(&nominal, &VariationModel::default(), 256, 7, |s| {
-///     s.params.resistance_antiparallel().ohms() - s.params.resistance_parallel().ohms()
-/// });
-/// let stats = montecarlo::Statistics::from_values(&spread);
-/// // The nominal Rap − Rp = 6 kΩ read window is preserved on average.
-/// assert!((stats.mean() - 6000.0).abs() < 200.0);
-/// ```
-pub fn run<T>(
-    nominal: &MtjParams,
-    variation: &VariationModel,
-    n: usize,
-    seed: u64,
-    mut metric: impl FnMut(&MtjSample) -> T,
-) -> Vec<T> {
-    (0..n)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, i as u64));
-            let sample = variation.sample(nominal, &mut rng);
-            metric(&sample)
-        })
-        .collect()
-}
-
-/// The parallel form of [`run`]: the same draws, fanned out over a
-/// [`sweep`] worker pool.
-///
-/// Because each draw owns a counter-derived seed, the returned metric
-/// values are **bit-identical** to `run(nominal, variation, n, seed, …)`
-/// for every `jobs` value (`0` = auto, `1` = serial on the calling
-/// thread). Also returns the pool's [`sweep::RunSummary`] accounting.
+/// seed, so the value at index `i` does not depend on `n`, on any other
+/// draw, or on `jobs` (`0` = auto, `1` = serial on the calling thread):
+/// results are **bit-identical** for every worker count.
 ///
 /// # Examples
 ///
@@ -71,14 +37,15 @@ pub fn run<T>(
 ///
 /// let nominal = MtjParams::date2018();
 /// let v = VariationModel::default();
-/// let serial = montecarlo::run(&nominal, &v, 64, 7, |s| s.tmr_multiplier);
-/// let (parallel, summary) = montecarlo::run_parallel(&nominal, &v, 64, 7, 4, |s| {
-///     s.tmr_multiplier
+/// let (spread, summary) = montecarlo::run(&nominal, &v, 256, 7, 0, |s| {
+///     s.params.resistance_antiparallel().ohms() - s.params.resistance_parallel().ohms()
 /// });
-/// assert_eq!(parallel, serial);
-/// assert_eq!(summary.points, 64);
+/// let stats = montecarlo::Statistics::from_values(&spread);
+/// // The nominal Rap − Rp = 6 kΩ read window is preserved on average.
+/// assert!((stats.mean() - 6000.0).abs() < 200.0);
+/// assert_eq!(summary.points, 256);
 /// ```
-pub fn run_parallel<T: Send>(
+pub fn run<T: Send>(
     nominal: &MtjParams,
     variation: &VariationModel,
     n: usize,
@@ -95,100 +62,6 @@ pub fn run_parallel<T: Send>(
     let outcome = sweep::run(&grid, &opts, |ctx, ()| {
         let mut rng = StdRng::seed_from_u64(ctx.seed);
         metric(&variation.sample(nominal, &mut rng))
-    });
-    (outcome.results, outcome.summary)
-}
-
-/// The lane-batched form of [`run`]: draws arrive at the metric in
-/// contiguous blocks of up to `lanes` samples, for metrics that
-/// evaluate a whole block in lockstep (SIMD structure-of-arrays
-/// kernels).
-///
-/// Sample `i` is drawn exactly as [`run`] draws it — a private `StdRng`
-/// seeded by [`sweep::point_seed`]`(seed, i)` — so for a metric that
-/// maps each sample independently the flattened results are
-/// **bit-identical** to `run(...)` for every `lanes` value. The metric
-/// must return one value per sample, in block order.
-///
-/// # Panics
-///
-/// Panics if the metric returns a value count different from its
-/// block's length.
-///
-/// # Examples
-///
-/// ```
-/// use mtj::{MtjParams, VariationModel, montecarlo};
-///
-/// let nominal = MtjParams::date2018();
-/// let v = VariationModel::default();
-/// let pointwise = montecarlo::run(&nominal, &v, 64, 7, |s| s.tmr_multiplier);
-/// let blocked = montecarlo::run_blocked(&nominal, &v, 64, 7, 8, |block| {
-///     block.iter().map(|s| s.tmr_multiplier).collect()
-/// });
-/// assert_eq!(blocked, pointwise);
-/// ```
-pub fn run_blocked<T>(
-    nominal: &MtjParams,
-    variation: &VariationModel,
-    n: usize,
-    seed: u64,
-    lanes: usize,
-    mut metric: impl FnMut(&[MtjSample]) -> Vec<T>,
-) -> Vec<T> {
-    let lanes = lanes.max(1);
-    let mut out = Vec::with_capacity(n);
-    let mut block = Vec::with_capacity(lanes);
-    for start in (0..n).step_by(lanes) {
-        block.clear();
-        for i in start..(start + lanes).min(n) {
-            let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, i as u64));
-            block.push(variation.sample(nominal, &mut rng));
-        }
-        let results = metric(&block);
-        assert_eq!(
-            results.len(),
-            block.len(),
-            "blocked metric returned {} values for a block of {}",
-            results.len(),
-            block.len()
-        );
-        out.extend(results);
-    }
-    out
-}
-
-/// The parallel form of [`run_blocked`]: lane-sized blocks fanned out
-/// over a [`sweep`] worker pool (lanes × workers composed via
-/// [`sweep::run_blocked`]).
-///
-/// Per-sample seeds are identical to [`run`]'s, so for an
-/// independent-per-sample metric the results are bit-identical to the
-/// serial pointwise run for every `jobs` **and** `lanes` combination.
-pub fn run_parallel_blocked<T: Send>(
-    nominal: &MtjParams,
-    variation: &VariationModel,
-    n: usize,
-    seed: u64,
-    jobs: usize,
-    lanes: usize,
-    metric: impl Fn(&[MtjSample]) -> Vec<T> + Sync,
-) -> (Vec<T>, sweep::RunSummary) {
-    let grid = sweep::Grid::samples(n, seed);
-    let opts = sweep::SweepOptions {
-        jobs,
-        span_label: "mtj.mc_block",
-        ..sweep::SweepOptions::default()
-    };
-    let outcome = sweep::run_blocked(&grid, &opts, lanes, |ctxs, _| {
-        let samples: Vec<MtjSample> = ctxs
-            .iter()
-            .map(|ctx| {
-                let mut rng = StdRng::seed_from_u64(ctx.seed);
-                variation.sample(nominal, &mut rng)
-            })
-            .collect();
-        metric(&samples)
     });
     (outcome.results, outcome.summary)
 }
@@ -299,85 +172,35 @@ pub fn yield_fraction(values: &[f64], mut pass: impl FnMut(f64) -> bool) -> f64 
 mod tests {
     use super::*;
 
+    /// The metric values of a serial (`jobs = 1`) run.
+    fn serial<T: Send>(n: usize, seed: u64, metric: impl Fn(&MtjSample) -> T + Sync) -> Vec<T> {
+        run(
+            &MtjParams::date2018(),
+            &VariationModel::default(),
+            n,
+            seed,
+            1,
+            metric,
+        )
+        .0
+    }
+
     #[test]
     fn run_is_deterministic_per_seed() {
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let a = run(&nominal, &v, 64, 11, |s| {
-            s.params.resistance_parallel().ohms()
-        });
-        let b = run(&nominal, &v, 64, 11, |s| {
-            s.params.resistance_parallel().ohms()
-        });
-        let c = run(&nominal, &v, 64, 12, |s| {
-            s.params.resistance_parallel().ohms()
-        });
+        let rp = |s: &MtjSample| s.params.resistance_parallel().ohms();
+        let a = serial(64, 11, rp);
+        let b = serial(64, 11, rp);
+        let c = serial(64, 12, rp);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let serial = run(&nominal, &v, 300, 5, |s| {
-            s.params.resistance_parallel().ohms()
-        });
-        for jobs in [1, 3, 8] {
-            let (parallel, summary) = run_parallel(&nominal, &v, 300, 5, jobs, |s| {
-                s.params.resistance_parallel().ohms()
-            });
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-            assert_eq!(summary.points, 300);
-            assert_eq!(summary.resumed, 0);
-        }
-    }
-
-    #[test]
-    fn blocked_runs_are_bit_identical_to_pointwise() {
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let pointwise = run(&nominal, &v, 100, 19, |s| {
-            s.params.resistance_parallel().ohms()
-        });
-        for lanes in [1, 3, 8, 128] {
-            let blocked = run_blocked(&nominal, &v, 100, 19, lanes, |block| {
-                block
-                    .iter()
-                    .map(|s| s.params.resistance_parallel().ohms())
-                    .collect()
-            });
-            assert_eq!(blocked, pointwise, "lanes = {lanes}");
-            for jobs in [1, 4] {
-                let (parallel, summary) =
-                    run_parallel_blocked(&nominal, &v, 100, 19, jobs, lanes, |block| {
-                        block
-                            .iter()
-                            .map(|s| s.params.resistance_parallel().ohms())
-                            .collect()
-                    });
-                assert_eq!(parallel, pointwise, "lanes = {lanes}, jobs = {jobs}");
-                assert_eq!(summary.points, 100);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "blocked metric returned")]
-    fn blocked_metric_must_cover_its_block() {
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let _ = run_blocked(&nominal, &v, 8, 1, 4, |_| Vec::<f64>::new());
     }
 
     #[test]
     fn draw_i_is_independent_of_n() {
         // Counter seeding: shrinking the campaign must not change the
         // draws that remain.
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let long = run(&nominal, &v, 50, 13, |s| s.tmr_multiplier);
-        let short = run(&nominal, &v, 20, 13, |s| s.tmr_multiplier);
+        let long = serial(50, 13, |s| s.tmr_multiplier);
+        let short = serial(20, 13, |s| s.tmr_multiplier);
         assert_eq!(&long[..20], &short[..]);
     }
 
@@ -424,9 +247,7 @@ mod tests {
     fn gaussian_quantiles_match_the_normal_table() {
         // The sampled TMR multiplier is N(1, 0.05²): its 97.7 % quantile
         // sits near +2σ.
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let draws = run(&nominal, &v, 8000, 21, |s| s.tmr_multiplier);
+        let draws = serial(8000, 21, |s| s.tmr_multiplier);
         let q977 = quantile(&draws, 0.977);
         assert!((q977 - 1.10).abs() < 0.01, "q97.7 = {q977}");
     }
@@ -442,9 +263,7 @@ mod tests {
     fn read_window_yield_is_high_at_default_variation() {
         // Yield criterion: Rap − Rp window at least 4 kΩ (two thirds of
         // nominal). With 4–5 % sigmas this should pass essentially always.
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let windows = run(&nominal, &v, 2000, 3, |s| {
+        let windows = serial(2000, 3, |s| {
             s.params.resistance_antiparallel().ohms() - s.params.resistance_parallel().ohms()
         });
         let y = yield_fraction(&windows, |w| w > 4000.0);

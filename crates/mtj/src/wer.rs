@@ -221,7 +221,7 @@ pub fn write_trial_with_model<R: Rng + ?Sized>(
 }
 
 /// Counts stochastic write failures over `trials` attempted writes —
-/// the kernel shared by [`monte_carlo_wer`] and the grid runner.
+/// the scalar reference kernel.
 ///
 /// Trial `t` draws from a private `StdRng` seeded by
 /// [`sweep::point_seed`]`(seed, t)`, so any trial's outcome is
@@ -244,19 +244,6 @@ pub fn count_write_failures(
         }
     }
     failures
-}
-
-/// Monte-Carlo estimate of the single-device WER by repeated stochastic
-/// writes — the empirical cross-check of the analytic rate.
-#[must_use]
-pub fn monte_carlo_wer(
-    params: &MtjParams,
-    current: Current,
-    pulse: Time,
-    trials: usize,
-    seed: u64,
-) -> f64 {
-    count_write_failures(params, current, pulse, trials, seed) as f64 / trials as f64
 }
 
 /// One Monte-Carlo WER estimate at a `(current, pulse)` grid point.
@@ -372,7 +359,7 @@ impl ConfidenceInterval {
     }
 }
 
-/// Options for [`monte_carlo_wer_grid_with`].
+/// Options for [`monte_carlo_wer_grid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WerGridOptions {
     /// Attempted writes per grid point.
@@ -381,8 +368,8 @@ pub struct WerGridOptions {
     pub seed: u64,
     /// Worker count (`0` = auto, `1` = serial on the calling thread).
     pub jobs: usize,
-    /// SIMD lane count of the batched kernel (`0` = auto: `NVFF_LANES`
-    /// or the built-in default, `1` = the scalar reference kernel).
+    /// SIMD lane count of the batched kernel (`0` = the built-in
+    /// [`crate::lanes::DEFAULT_LANES`], `1` = the scalar reference kernel).
     /// Results are bit-identical for every value.
     pub lanes: usize,
 }
@@ -407,7 +394,23 @@ impl Default for WerGridOptions {
 /// so the returned estimates are **bit-identical for every
 /// `jobs` value and every `lanes` value**. Results come back in grid
 /// order alongside the pool's [`sweep::RunSummary`].
-pub fn monte_carlo_wer_grid_with(
+///
+/// # Examples
+///
+/// ```
+/// use mtj::{wer, MtjParams};
+/// use units::{Current, Time};
+///
+/// let p = MtjParams::date2018();
+/// let points = vec![
+///     (p.nominal_write_current(), Time::from_nano_seconds(2.0)),
+///     (p.nominal_write_current(), Time::from_nano_seconds(6.0)),
+/// ];
+/// let opts = wer::WerGridOptions { trials: 200, seed: 17, jobs: 2, lanes: 0 };
+/// let (estimates, _) = wer::monte_carlo_wer_grid(&p, &points, &opts);
+/// assert!(estimates[1].wer() <= estimates[0].wer());
+/// ```
+pub fn monte_carlo_wer_grid(
     params: &MtjParams,
     points: &[(Current, Time)],
     opts: &WerGridOptions,
@@ -429,42 +432,6 @@ pub fn monte_carlo_wer_grid_with(
         ),
     });
     (outcome.results, outcome.summary)
-}
-
-/// Monte-Carlo WER over a `(current, pulse)` grid — the auto-lane form
-/// of [`monte_carlo_wer_grid_with`].
-///
-/// # Examples
-///
-/// ```
-/// use mtj::{wer, MtjParams};
-/// use units::{Current, Time};
-///
-/// let p = MtjParams::date2018();
-/// let points = vec![
-///     (p.nominal_write_current(), Time::from_nano_seconds(2.0)),
-///     (p.nominal_write_current(), Time::from_nano_seconds(6.0)),
-/// ];
-/// let (estimates, _) = wer::monte_carlo_wer_grid(&p, &points, 200, 17, 2);
-/// assert!(estimates[1].wer() <= estimates[0].wer());
-/// ```
-pub fn monte_carlo_wer_grid(
-    params: &MtjParams,
-    points: &[(Current, Time)],
-    trials: usize,
-    seed: u64,
-    jobs: usize,
-) -> (Vec<WerEstimate>, sweep::RunSummary) {
-    monte_carlo_wer_grid_with(
-        params,
-        points,
-        &WerGridOptions {
-            trials,
-            seed,
-            jobs,
-            lanes: 0,
-        },
-    )
 }
 
 /// One row of a WER-vs-pulse characterization sweep.
@@ -634,7 +601,7 @@ mod tests {
         let (p, m) = setup();
         let i = p.nominal_write_current();
         let pulse = m.mean_switching_time(i); // WER = e⁻¹ ≈ 0.368
-        let empirical = monte_carlo_wer(&p, i, pulse, 2000, 17);
+        let empirical = count_write_failures(&p, i, pulse, 2000, 17) as f64 / 2000.0;
         let analytic = write_error_rate(&m, i, pulse);
         assert!(
             (empirical - analytic).abs() < 0.04,
@@ -667,9 +634,15 @@ mod tests {
         let points: Vec<(Current, Time)> = (1..=6)
             .map(|k| (i, m.mean_switching_time(i) * f64::from(k) * 0.5))
             .collect();
-        let (serial, _) = monte_carlo_wer_grid(&p, &points, 150, 23, 1);
+        let opts = |jobs| WerGridOptions {
+            trials: 150,
+            seed: 23,
+            jobs,
+            lanes: 0,
+        };
+        let (serial, _) = monte_carlo_wer_grid(&p, &points, &opts(1));
         for jobs in [2, 4] {
-            let (parallel, summary) = monte_carlo_wer_grid(&p, &points, 150, 23, jobs);
+            let (parallel, summary) = monte_carlo_wer_grid(&p, &points, &opts(jobs));
             assert_eq!(parallel, serial, "jobs = {jobs}");
             assert_eq!(summary.points, 6);
         }

@@ -49,7 +49,6 @@ use crate::error::SpiceError;
 use crate::result::TransientResult;
 
 mod assembly;
-pub mod lanes;
 mod newton;
 pub mod reference;
 mod session;

@@ -6,12 +6,8 @@
 //! the MNA matrix, RHS and iterate vectors per Newton solve, and clones
 //! the flattened capacitor list per time step. It is deliberately
 //! self-contained (its own assembler, Newton loop and transient loop)
-//! so it can serve two jobs:
-//!
-//! * **correctness oracle** — the equivalence tests check the session
-//!   engine produces bit-for-bit identical waveforms;
-//! * **benchmark baseline** — the criterion benches measure the
-//!   session's workspace reuse against this engine.
+//! so it can serve as a **correctness oracle**: the equivalence tests
+//! check the session engine produces bit-for-bit identical waveforms.
 //!
 //! Results carry zeroed [`SolverStats`](super::SolverStats); only the
 //! session engine counts work. New code should use the session engine

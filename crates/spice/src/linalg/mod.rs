@@ -19,12 +19,6 @@
 //! A guard compares each refactored pivot against its magnitude at
 //! freeze time and transparently re-pivots from scratch when values have
 //! drifted enough to make the frozen order unsafe.
-//!
-//! The [`lanes`] submodule replicates the sparse path across `LANES`
-//! value sets sharing one pattern — one symbolic factorization, `LANES`
-//! lockstep numeric factorizations — for batched Monte-Carlo solves.
-
-pub mod lanes;
 
 /// A dense, row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]

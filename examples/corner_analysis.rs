@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Monte-Carlo on the MTJ read window -------------------------
     let nominal = MtjParams::date2018();
     let variation = VariationModel::default();
-    let windows = montecarlo::run(&nominal, &variation, 2000, 42, |sample| {
+    let (windows, _) = montecarlo::run(&nominal, &variation, 2000, 42, 0, |sample| {
         (sample.params.resistance_antiparallel() - sample.params.resistance_parallel()).kilo_ohms()
     });
     let stats = montecarlo::Statistics::from_values(&windows);
@@ -49,7 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Restore correctness across sampled devices -----------------
     println!("\nrestore correctness over 20 sampled MTJ parameter sets:");
     let mut failures = 0;
-    for (k, sample) in montecarlo::run(&nominal, &variation, 20, 7, |s| s.params.clone())
+    for (k, sample) in montecarlo::run(&nominal, &variation, 20, 7, 0, |s| s.params.clone())
+        .0
         .into_iter()
         .enumerate()
     {

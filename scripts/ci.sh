@@ -43,6 +43,13 @@ echo "==> cargo test (workspace)"
 export PROPTEST_SEED=0x9e3779b97f4a7c15
 cargo test --offline --workspace -q
 
+echo "==> perfbench: build and test the benchmark against the library API"
+# perfbench/ is a package of its own (not a workspace member), so the
+# workspace build above does not see it. Building it here makes a cut
+# to the public library surface that breaks the benchmark fail the
+# gate; --locked keeps its lock file unchanged.
+cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke: table2 --quick --json --jobs 2"
 smoke_json="target/ci_smoke_report.json"
 smoke_trace="target/ci_smoke_trace.jsonl"
@@ -254,10 +261,8 @@ fi
 
 echo "==> step-control bench: adaptive_transient recorded in BENCH_report.json"
 # The report binary times the proposed-latch restore under both step
-# policies and records the step-count ratio; the criterion bench
-# (cargo bench -p nvff-bench --bench adaptive_transient) measures the
-# same workload interactively. CI runs the report so BENCH_report.json
-# always carries the adaptive_transient section.
+# policies and records the step-count ratio. CI runs the report so
+# BENCH_report.json always carries the adaptive_transient section.
 cargo run --offline -q --release -p nvff-bench --bin report -- --json target/BENCH_report.json \
     >/dev/null
 cargo run --offline -q -p telemetry --example validate -- target/BENCH_report.json

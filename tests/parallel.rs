@@ -2,7 +2,9 @@
 //! stack: the same grid must produce bit-identical results — and
 //! identical aggregated solver accounting — for every worker count.
 
-use mtj::{montecarlo, wer, MtjParams, VariationModel};
+use mtj::{montecarlo, wer, MtjParams, MtjSample, VariationModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use spintronic_ff::prelude::*;
 use units::{Current, Temperature, Time};
 
@@ -18,10 +20,16 @@ fn wer_grid_is_bit_identical_at_jobs_1_4_8() {
     let points: Vec<(Current, Time)> = (1..=8).map(|k| (drive, tau * f64::from(k))).collect();
     let trials = 120;
 
-    let (serial, serial_summary) = wer::monte_carlo_wer_grid(&params, &points, trials, 99, 1);
+    let opts = |jobs| wer::WerGridOptions {
+        trials,
+        seed: 99,
+        jobs,
+        lanes: 0,
+    };
+    let (serial, serial_summary) = wer::monte_carlo_wer_grid(&params, &points, &opts(1));
     assert_eq!(serial_summary.workers, 1);
     for jobs in [4, 8] {
-        let (parallel, summary) = wer::monte_carlo_wer_grid(&params, &points, trials, 99, jobs);
+        let (parallel, summary) = wer::monte_carlo_wer_grid(&params, &points, &opts(jobs));
         assert_eq!(parallel, serial, "jobs = {jobs}");
         assert_eq!(summary.points, points.len());
         // Aggregated sample counts are exact, not approximate: every
@@ -31,20 +39,28 @@ fn wer_grid_is_bit_identical_at_jobs_1_4_8() {
     }
 }
 
-/// Monte-Carlo device sampling: parallel fan-out equals the serial walk
-/// draw-for-draw, because draw `i` owns the counter seed `(seed, i)`.
+/// Monte-Carlo device sampling: every worker count equals a hand-written
+/// serial walk draw-for-draw, because draw `i` owns the counter seed
+/// `(seed, i)`.
 #[test]
 fn device_montecarlo_is_bit_identical_across_worker_counts() {
     let nominal = MtjParams::date2018();
     let variation = VariationModel::default();
-    let serial = montecarlo::run(&nominal, &variation, 400, 31, |s| {
+    let (n, seed) = (400, 31);
+    let window = |s: &MtjSample| {
         s.params.resistance_antiparallel().ohms() - s.params.resistance_parallel().ohms()
-    });
-    for jobs in [1, 4, 8] {
-        let (parallel, _) = montecarlo::run_parallel(&nominal, &variation, 400, 31, jobs, |s| {
-            s.params.resistance_antiparallel().ohms() - s.params.resistance_parallel().ohms()
-        });
-        assert_eq!(parallel, serial, "jobs = {jobs}");
+    };
+    let oracle: Vec<f64> = (0..n)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, i as u64));
+            window(&variation.sample(&nominal, &mut rng))
+        })
+        .collect();
+    for jobs in [1, 2, 3, 4, 8] {
+        let (values, summary) = montecarlo::run(&nominal, &variation, n, seed, jobs, window);
+        assert_eq!(values, oracle, "jobs = {jobs}");
+        assert_eq!(summary.points, n);
+        assert_eq!(summary.resumed, 0);
     }
 }
 
@@ -169,7 +185,13 @@ fn checkpointed_wer_campaign_resumes_bit_identically() {
     )
     .expect("full run");
     // The uncheckpointed engine agrees with the checkpointed one.
-    let (direct, _) = wer::monte_carlo_wer_grid(&params, &points, trials, seed, 1);
+    let direct_opts = wer::WerGridOptions {
+        trials,
+        seed,
+        jobs: 1,
+        lanes: 0,
+    };
+    let (direct, _) = wer::monte_carlo_wer_grid(&params, &points, &direct_opts);
     let direct_failures: Vec<u64> = direct.iter().map(|e| e.failures as u64).collect();
     assert_eq!(full.results, direct_failures);
 

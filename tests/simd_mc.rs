@@ -38,12 +38,14 @@ fn every_lane_width_and_worker_count_matches_scalar_serial() {
             jobs: 1,
             lanes: 1,
         };
-        wer::monte_carlo_wer_grid_with(&params, &points, &opts).0
+        wer::monte_carlo_wer_grid(&params, &points, &opts).0
     };
     assert!(reference.iter().any(|e| e.failures > 0));
     assert!(reference.iter().any(|e| e.failures < trials));
 
-    for &lanes in &SUPPORTED_LANE_COUNTS {
+    // `0` is auto: the built-in default width.
+    assert_eq!(lanes::resolve_lanes(0), lanes::DEFAULT_LANES);
+    for lanes in std::iter::once(0).chain(SUPPORTED_LANE_COUNTS) {
         for jobs in [1usize, 2, 4] {
             let opts = WerGridOptions {
                 trials,
@@ -51,7 +53,7 @@ fn every_lane_width_and_worker_count_matches_scalar_serial() {
                 jobs,
                 lanes,
             };
-            let (estimates, _) = wer::monte_carlo_wer_grid_with(&params, &points, &opts);
+            let (estimates, _) = wer::monte_carlo_wer_grid(&params, &points, &opts);
             assert_eq!(
                 estimates, reference,
                 "lanes={lanes} jobs={jobs} diverged from scalar serial"
