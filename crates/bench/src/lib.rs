@@ -228,6 +228,8 @@ pub fn push_solver_stats(
     section.push(&format!("{prefix}rejected_steps"), stats.rejected_steps);
     section.push(&format!("{prefix}step_halvings"), stats.step_halvings);
     section.push(&format!("{prefix}pattern_reuses"), stats.pattern_reuses);
+    section.push(&format!("{prefix}symbolic_builds"), stats.symbolic_builds);
+    section.push(&format!("{prefix}repivots"), stats.repivots);
     section.push(&format!("{prefix}lte_rejections"), stats.lte_rejections);
     section.push(&format!("{prefix}source_steps"), stats.source_steps);
 }

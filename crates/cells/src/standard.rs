@@ -206,6 +206,25 @@ impl StandardLatch {
         Ok((result, controls))
     }
 
+    /// Builds the fully-stimulated restore circuit and its control
+    /// schedule without simulating — the raw input of
+    /// [`StandardLatch::restore_traces`], exposed so external tooling
+    /// (engine-comparison tests and benchmarks) can drive the circuit
+    /// through an engine of its choice.
+    ///
+    /// # Errors
+    ///
+    /// [`CellError::Simulation`] if the circuit cannot be built.
+    pub fn restore_circuit(
+        &self,
+        stored: [bool; 1],
+    ) -> Result<(Circuit, StandardRestoreControls), CellError> {
+        let vdd = self.config.vdd();
+        let controls = control::standard_restore(&self.config.timing, vdd);
+        let ckt = self.build(&IdleControls::from_restore(&controls, vdd), stored)?;
+        Ok((ckt, controls))
+    }
+
     /// Simulates the store (write) phase: the MTJ pair starts holding
     /// `initial` and the write drivers push `data`.
     ///

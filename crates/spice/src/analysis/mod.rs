@@ -370,6 +370,8 @@ mod tests {
             rejected_steps: 30,
             step_halvings: 40,
             pattern_reuses: 50,
+            symbolic_builds: 3,
+            repivots: u64::MAX - 1,
             lte_rejections: 60,
             source_steps: 70,
         };
@@ -380,6 +382,8 @@ mod tests {
             rejected_steps: 8,
             step_halvings: u64::MAX,
             pattern_reuses: 9,
+            symbolic_builds: 4,
+            repivots: 2,
             lte_rejections: 10,
             source_steps: 11,
         };
@@ -390,6 +394,8 @@ mod tests {
         assert_eq!(a.rejected_steps, 38);
         assert_eq!(a.step_halvings, u64::MAX, "saturates, no wrap");
         assert_eq!(a.pattern_reuses, 59);
+        assert_eq!(a.symbolic_builds, 7);
+        assert_eq!(a.repivots, u64::MAX, "saturates, no wrap");
         assert_eq!(a.lte_rejections, 70);
         assert_eq!(a.source_steps, 81);
         // `+` delegates to accumulate, so the two stay consistent.
@@ -409,6 +415,8 @@ mod tests {
             rejected_steps: 0,
             step_halvings: 1,
             pattern_reuses: 4,
+            symbolic_builds: 2,
+            repivots: 1,
             lte_rejections: 2,
             source_steps: 5,
         };
@@ -421,12 +429,16 @@ mod tests {
             rejected_steps: 0,
             step_halvings: 0,
             pattern_reuses: 0,
+            symbolic_builds: 1,
+            repivots: 0,
             lte_rejections: 1,
             source_steps: 0,
         });
         let delta = after - before;
         assert_eq!(delta.newton_iterations, 0, "pegged counter yields 0");
         assert_eq!(delta.accepted_steps, 2);
+        assert_eq!(delta.symbolic_builds, 1);
+        assert_eq!(delta.repivots, 0);
         // The pathological direction (rhs larger) also saturates rather
         // than underflowing.
         let zero = SolverStats::default() - before;

@@ -65,6 +65,15 @@ impl SolverBufs<'_> {
     }
 }
 
+/// Records the time since `start` into the `name` histogram and returns
+/// the next lap's start; `None` (telemetry off) records nothing.
+fn lap(start: Option<std::time::Instant>, name: &'static str) -> Option<std::time::Instant> {
+    let start = start?;
+    let now = std::time::Instant::now();
+    telemetry::histogram(name, (now - start).as_secs_f64());
+    Some(now)
+}
+
 /// Newton–Raphson solve at a fixed time, iterating `bufs.x` in place.
 ///
 /// `src_scale` multiplies every independent source value (1.0 in normal
@@ -95,7 +104,8 @@ pub(super) fn newton(
     for _iter in 0..max_iter {
         bufs.stats.newton_iterations += 1;
         bufs.stats.lu_factorizations += 1;
-        let lu_timer = tel.then(std::time::Instant::now);
+        let assemble_timer = tel.then(std::time::Instant::now);
+        let lu_timer;
         let solved = match &mut bufs.engine {
             EngineBufs::Dense { a, lu } => {
                 let mut target = MatrixRef::Dense(a);
@@ -109,6 +119,7 @@ pub(super) fn newton(
                     &mut target,
                     bufs.z,
                 );
+                lu_timer = lap(assemble_timer, "spice.assemble_s");
                 // `assemble` rebuilds the matrix next iteration anyway,
                 // so let the factorization consume it in place instead
                 // of paying an n² working-copy memcpy per solve.
@@ -129,6 +140,7 @@ pub(super) fn newton(
                     &mut target,
                     bufs.z,
                 );
+                lu_timer = lap(assemble_timer, "spice.assemble_s");
                 match symbolic.factor_and_solve(&plan.sparse, values, bufs.z, bufs.x_new) {
                     None => false,
                     Some(outcome) => {
@@ -137,6 +149,7 @@ pub(super) fn newton(
                                 bufs.stats.pattern_reuses += 1;
                             }
                             SparseSolveOutcome::Built => {
+                                bufs.stats.symbolic_builds += 1;
                                 telemetry::counter("spice.symbolic_builds", 1);
                                 if tel {
                                     telemetry::histogram("spice.csr_nnz", plan.sparse.nnz() as f64);
@@ -151,6 +164,7 @@ pub(super) fn newton(
                                 }
                             }
                             SparseSolveOutcome::Repivoted => {
+                                bufs.stats.repivots += 1;
                                 telemetry::counter("spice.repivots", 1);
                                 if tel {
                                     telemetry::histogram("spice.lu_nnz", symbolic.lu_nnz() as f64);
@@ -179,9 +193,7 @@ pub(super) fn newton(
             }
             return Err(SpiceError::SingularMatrix { analysis, time: t });
         }
-        if let Some(start) = lu_timer {
-            telemetry::histogram("spice.lu_solve_s", start.elapsed().as_secs_f64());
-        }
+        lap(lu_timer, "spice.lu_solve_s");
         let mut converged = true;
         let mut max_delta = 0.0_f64;
         for i in 0..n {

@@ -25,11 +25,11 @@ use super::{newton, transient, OpResult, TransientOptions};
 /// Which LU engine a session's Newton solves run on.
 ///
 /// [`SolverKind::Sparse`] is the default: a static symbolic
-/// factorization with a frozen pivot order, refactored in-pattern every
-/// iteration. [`SolverKind::Dense`] is the partial-pivoted dense LU the
-/// engine grew up on, kept as the correctness oracle and for
-/// pathological matrices where re-pivoting every iteration is worth its
-/// cost. The `NVFF_SOLVER=dense` environment variable flips the
+/// factorization in a fill-reducing pivot order frozen once per
+/// analysis, refactored in-pattern every iteration. [`SolverKind::Dense`]
+/// is the partial-pivoted dense LU the engine grew up on, kept as the
+/// correctness oracle and for pathological matrices where re-pivoting
+/// every iteration is worth its cost. The `NVFF_SOLVER=dense` environment variable flips the
 /// process-wide default, which is how the CI cross-checks the two paths
 /// on identical workloads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,7 +63,7 @@ impl SolverKind {
 pub struct SolverStats {
     /// Newton–Raphson iterations performed.
     pub newton_iterations: u64,
-    /// Dense LU factorizations (one per Newton iteration).
+    /// LU factorizations, dense or sparse (one per Newton iteration).
     pub lu_factorizations: u64,
     /// Transient time steps accepted.
     pub accepted_steps: u64,
@@ -77,6 +77,12 @@ pub struct SolverStats {
     /// engine only; always 0 on the dense path). The gap between this
     /// and `lu_factorizations` counts symbolic builds and re-pivots.
     pub pattern_reuses: u64,
+    /// Sparse pivot-order freezes at the start of an analysis (sparse
+    /// engine only; the `spice.symbolic_builds` counter).
+    pub symbolic_builds: u64,
+    /// Sparse re-pivots after a frozen pivot decayed (sparse engine
+    /// only; the `spice.repivots` counter).
+    pub repivots: u64,
     /// Converged transient steps rejected because the estimated local
     /// truncation error exceeded `abstol + reltol·|x|` (adaptive
     /// stepping only; a subset of `rejected_steps`).
@@ -103,6 +109,8 @@ impl SolverStats {
         self.rejected_steps = self.rejected_steps.saturating_add(other.rejected_steps);
         self.step_halvings = self.step_halvings.saturating_add(other.step_halvings);
         self.pattern_reuses = self.pattern_reuses.saturating_add(other.pattern_reuses);
+        self.symbolic_builds = self.symbolic_builds.saturating_add(other.symbolic_builds);
+        self.repivots = self.repivots.saturating_add(other.repivots);
         self.lte_rejections = self.lte_rejections.saturating_add(other.lte_rejections);
         self.source_steps = self.source_steps.saturating_add(other.source_steps);
     }
@@ -143,6 +151,8 @@ impl Sub for SolverStats {
             rejected_steps: self.rejected_steps.saturating_sub(rhs.rejected_steps),
             step_halvings: self.step_halvings.saturating_sub(rhs.step_halvings),
             pattern_reuses: self.pattern_reuses.saturating_sub(rhs.pattern_reuses),
+            symbolic_builds: self.symbolic_builds.saturating_sub(rhs.symbolic_builds),
+            repivots: self.repivots.saturating_sub(rhs.repivots),
             lte_rejections: self.lte_rejections.saturating_sub(rhs.lte_rejections),
             source_steps: self.source_steps.saturating_sub(rhs.source_steps),
         }
@@ -391,6 +401,16 @@ impl SimulationSession {
         self.ws.stats
     }
 
+    /// Structural nonzeros of the sparse `L + U` factor (fill included)
+    /// the last analysis solved with — read against
+    /// [`matrix_pattern`](super::matrix_pattern)'s CSR count to see the
+    /// fill the pivot order costs. 0 on the dense engine and before the
+    /// first analysis.
+    #[must_use]
+    pub fn lu_nnz(&self) -> usize {
+        self.ws.symbolic.lu_nnz()
+    }
+
     /// Zeroes the cumulative work counters.
     pub fn reset_stats(&mut self) {
         self.ws.stats = SolverStats::default();
@@ -431,6 +451,8 @@ impl SimulationSession {
                 ("rejected_steps", s.rejected_steps),
                 ("step_halvings", s.step_halvings),
                 ("pattern_reuses", s.pattern_reuses),
+                ("symbolic_builds", s.symbolic_builds),
+                ("repivots", s.repivots),
                 ("lte_rejections", s.lte_rejections),
                 ("source_steps", s.source_steps),
             ];

@@ -162,6 +162,8 @@ fn forced_nonconvergence_dumps_a_postmortem() {
         "rejected_steps",
         "step_halvings",
         "pattern_reuses",
+        "symbolic_builds",
+        "repivots",
         "lte_rejections",
         "source_steps",
     ] {

@@ -12,8 +12,8 @@
 //! Every session here is pinned to [`SolverKind::Dense`]: the reference
 //! engine *is* the dense partial-pivoted LU, and this suite isolates
 //! the workspace-reuse refactor from the solver engine choice. The
-//! sparse engine is held to the dense oracle (at tolerance, plus
-//! bit-identity where the frozen pivot order provably coincides) in
+//! sparse engine, which factors in its own fill-reducing pivot order,
+//! is held to the dense oracle at roundoff tolerance in
 //! `sparse_equivalence.rs`.
 
 use mtj::{Mtj, MtjParams, MtjState, WritePolarity};

@@ -3,13 +3,12 @@
 //! correctness oracle that `session_equivalence.rs` has already pinned
 //! bit-for-bit to the straight-line reference engine.
 //!
-//! The sparse refactorization freezes the pivot order chosen by a dense
-//! partial-pivoted elimination of the first system, then replays the
-//! same multiply/subtract/divide sequence in pattern order. On these
-//! fixtures the frozen order keeps matching the dense per-solve choice,
-//! so values agree to well within the 1e-9 relative budget asserted
-//! here; the step-control decisions (halvings, breakpoints) must then
-//! coincide too, which is why the time axes are compared exactly.
+//! The sparse engine factors in its own fill-reducing pivot order
+//! (structural Markowitz columns, threshold-pivoted rows), so it agrees
+//! with the dense oracle to roundoff rather than bit for bit — well
+//! within the 1e-9 relative budget asserted here. The step-control
+//! decisions (halvings, breakpoints) must then coincide too, which is
+//! why the time axes are compared exactly.
 //!
 //! Also hosts the session lifecycle tests that want both solver kinds:
 //! plan rebuild after a structural circuit edit, and singular-matrix

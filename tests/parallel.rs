@@ -106,6 +106,8 @@ fn solver_stats_fold_is_order_independent() {
             rejected_steps: k % 3,
             step_halvings: k % 2,
             pattern_reuses: k * 7 + 3,
+            symbolic_builds: k % 4 + 1,
+            repivots: k % 2,
             lte_rejections: k % 5,
             source_steps: k % 7,
         })
