@@ -1,21 +1,15 @@
 //! Rare-event shmoo driver: the WER-vs-pulse-width-vs-σ(Isw)(-vs-T)
 //! surface from the importance-sampled tail engine.
 //!
-//! Usage: `shmoo [--quick] [--jobs <N>] [--lanes <L>] [--json <path>]
-//! [--check]`.
+//! Usage: `shmoo [--quick] [--jobs <N>] [--lanes <L>] [--json <path>]`.
 //!
 //! Default mode runs the full surface (deepest point: typical-die WER
 //! 1e-11, i.e. population WER ≤ 1e-9 at ≤ 1e4 samples/point) plus the
 //! shallow-regime brute-force cross-check, prints the table and — with
 //! `--json` — writes the run report whose `rare_event` section backs
 //! the committed `BENCH_report.json` baseline. `--quick` shrinks the
-//! surface to the two headline points.
-//!
-//! `--check` runs the differential suite instead: cross-check
-//! agreement, deep-tail resolution inside the sample budget, and
-//! jobs × lanes bit-identity of the tilted sampler; any failure is
-//! printed and the process exits nonzero. This is the mode `ci.sh`
-//! runs (with `--quick`).
+//! surface to the two headline points. The process exits nonzero when
+//! the brute-force cross-check falls outside the IS confidence interval.
 
 use nvff_bench::shmoo;
 
@@ -29,24 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     opts.jobs = nvff_bench::jobs_from_args();
     opts.lanes = nvff_bench::lanes_from_args();
-
-    if std::env::args().skip(1).any(|a| a == "--check") {
-        println!(
-            "differential check: {}-point surface, cross-check + jobs x lanes bit-identity",
-            opts.wer_targets.len()
-                * opts.sigma_switching_currents.len()
-                * opts.temperatures_c.len()
-        );
-        let failures = shmoo::check(&opts);
-        if failures.is_empty() {
-            println!("ok: IS agrees with brute force and is bit-identical across jobs/lanes");
-            return Ok(());
-        }
-        for f in &failures {
-            eprintln!("FAIL {f}");
-        }
-        return Err(format!("{} rare-event checks failed", failures.len()).into());
-    }
 
     let json_path = nvff_bench::json_path_from_args();
     if json_path.is_some() {

@@ -15,9 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chserve;
 pub mod shmoo;
-pub mod simd_mc;
 
 /// Extracts the `--json <path>` argument from the process command line
 /// (the machine-readable run-report mode shared by the bench binaries).

@@ -23,10 +23,9 @@
 //!   outspend the tilted sampler to match its variance.
 //!
 //! The [`ShmooReport::section`] output lands in `BENCH_report.json` as
-//! the `rare_event` section; `ci.sh` additionally runs the `shmoo`
-//! binary's `--check` mode, which re-runs the cross-check differential
-//! and the jobs × lanes bit-identity sweep and exits nonzero on any
-//! failure.
+//! the `rare_event` section. The differential suite behind these
+//! verdicts — cross-check, deep-tail budget, jobs × lanes bit-identity
+//! of the tilted sampler — is `tests/rare_event.rs`.
 
 use std::time::Instant;
 
@@ -368,71 +367,6 @@ pub fn run(opts: &ShmooOptions) -> ShmooReport {
     }
 }
 
-/// Differential check behind `shmoo --check`: the shallow-regime
-/// cross-check must agree, the deep tail must resolve inside its sample
-/// budget, and the tilted sampler must be bit-identical across a
-/// jobs × lanes sweep. Returns human-readable failures (empty = pass).
-#[must_use]
-pub fn check(opts: &ShmooOptions) -> Vec<String> {
-    let mut failures = Vec::new();
-    let report = run(opts);
-
-    let c = &report.crosscheck;
-    if !c.agrees {
-        failures.push(format!(
-            "cross-check: brute force {:.3e} outside IS 99% CI [{:.2e}, {:.2e}]",
-            c.brute_wer, c.ci_lo, c.ci_hi
-        ));
-    }
-    match report.deepest() {
-        None => failures.push("no surface point resolved a nonzero WER".into()),
-        Some(row) => {
-            let e = &row.estimate;
-            if !(e.wer.is_finite() && e.ci.lo > 0.0 && e.ci.hi.is_finite()) {
-                failures.push(format!(
-                    "deep tail unresolved: wer {:.3e}, ci [{:.2e}, {:.2e}]",
-                    e.wer, e.ci.lo, e.ci.hi
-                ));
-            }
-            if e.samples as usize > opts.samples {
-                failures.push(format!(
-                    "deep tail overspent its budget: {} > {}",
-                    e.samples, opts.samples
-                ));
-            }
-        }
-    }
-
-    // Bit-identity of one tail point across jobs × lanes, adaptive tilt
-    // search included.
-    let params = MtjParams::date2018();
-    let env = TailEnv::new(
-        &params,
-        VariationModel::default(),
-        params.nominal_write_current(),
-    );
-    let pulse = wer::pulse_for_wer(&env.reference_model(), env.current(), 1e-5);
-    let point_opts = |jobs: usize, lanes: usize| TailOptions {
-        samples: 600,
-        seed: opts.seed,
-        jobs,
-        lanes,
-        pilot_rounds: 2,
-        pilot_samples: 128,
-        ..TailOptions::default()
-    };
-    let reference = rare::estimate_tail(&env, pulse, &point_opts(1, 1));
-    for (jobs, lanes) in [(2, 8), (4, 64), (1, 16)] {
-        let got = rare::estimate_tail(&env, pulse, &point_opts(jobs, lanes));
-        if got.estimate != reference.estimate || got.tilt != reference.tilt {
-            failures.push(format!(
-                "tilted sampler diverges from serial scalar at jobs={jobs} lanes={lanes}"
-            ));
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,11 +400,6 @@ mod tests {
         let md = report.markdown();
         assert!(md.contains("bf-equivalent"));
         assert!(md.contains("agrees"));
-    }
-
-    #[test]
-    fn the_differential_check_passes_on_the_tiny_configuration() {
-        assert!(check(&tiny()).is_empty());
     }
 
     #[test]

@@ -197,8 +197,7 @@ pub struct LatchConfig {
     /// Control-phase timing.
     pub timing: Timing,
     /// Nominal simulation time step: the adaptive controller's seed and
-    /// resolution floor (and the uniform step under
-    /// `NVFF_TRANSIENT=fixed`).
+    /// resolution floor.
     pub time_step: Time,
     /// Transient accuracy targets.
     pub tolerances: Tolerances,
@@ -236,8 +235,7 @@ impl LatchConfig {
 
     /// Transient options for a latch simulation starting from `start`,
     /// carrying this config's accuracy tolerances. Step policy and
-    /// integrator stay at the engine defaults (adaptive LTE control
-    /// unless `NVFF_TRANSIENT=fixed`).
+    /// integrator stay at the engine defaults (adaptive LTE control).
     #[must_use]
     pub fn transient_options(
         &self,

@@ -111,9 +111,7 @@ impl StandardLatch {
     /// paper counts 11 per bit, 22 for the two-cell baseline.
     #[must_use]
     pub fn read_path_transistors(&self) -> usize {
-        let ckt = self
-            .build(&IdleControls::restore_idle(&self.config), [false])
-            .expect("reference build is valid");
+        let ckt = self.idle_circuit().expect("reference build is valid");
         ckt.devices()
             .iter()
             .filter(|d| d.is_transistor() && !d.name().starts_with('I'))
@@ -123,9 +121,7 @@ impl StandardLatch {
     /// Total transistor count including the write drivers.
     #[must_use]
     pub fn total_transistors(&self) -> usize {
-        let ckt = self
-            .build(&IdleControls::restore_idle(&self.config), [false])
-            .expect("reference build is valid");
+        let ckt = self.idle_circuit().expect("reference build is valid");
         ckt.transistor_count()
     }
 
@@ -223,6 +219,34 @@ impl StandardLatch {
         let controls = control::standard_restore(&self.config.timing, vdd);
         let ckt = self.build(&IdleControls::from_restore(&controls, vdd), stored)?;
         Ok((ckt, controls))
+    }
+
+    /// Builds the fully-stimulated store circuit and its control
+    /// schedule without simulating (see
+    /// [`StandardLatch::restore_circuit`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CellError::Simulation`] if the circuit cannot be built.
+    pub fn store_circuit(
+        &self,
+        data: [bool; 1],
+        initial: [bool; 1],
+    ) -> Result<(Circuit, StoreControls), CellError> {
+        let vdd = self.config.vdd();
+        let controls = control::store(&self.config.timing, vdd);
+        let ckt = self.build(&IdleControls::from_store(&controls, vdd, data[0]), initial)?;
+        Ok((ckt, controls))
+    }
+
+    /// Builds the idle circuit used for the leakage operating point (see
+    /// [`StandardLatch::restore_circuit`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CellError::Simulation`] if the circuit cannot be built.
+    pub fn idle_circuit(&self) -> Result<Circuit, CellError> {
+        self.build(&IdleControls::restore_idle(&self.config), [false])
     }
 
     /// Simulates the store (write) phase: the MTJ pair starts holding

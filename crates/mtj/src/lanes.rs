@@ -16,8 +16,8 @@
 //! draws harmless because every trial's stream starts from its own
 //! seed. The failure count is therefore **bit-identical to the scalar
 //! reference** [`crate::wer::count_write_failures`] for every lane
-//! count — the property the differential suite in `tests/simd_mc.rs`
-//! pins.
+//! count — the property the workspace-root differential suite
+//! `tests/simd_mc.rs` pins for every supported lane count × worker count.
 
 use rand::rngs::StdRngLanes;
 use units::{Current, Time};

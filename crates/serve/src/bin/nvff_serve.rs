@@ -11,8 +11,8 @@
 //!
 //! `--addr-file` writes the bound address to a file once listening —
 //! the hand-rolled analogue of systemd socket activation for scripts
-//! that bind port 0 and need to discover the real port (the CI smoke
-//! test and the `chserve` bench both use it).
+//! that bind port 0 and need to discover the real port (the
+//! `scripts/ci.sh` service smoke uses it).
 //!
 //! Service sizing comes from the environment: `NVFF_CACHE_DIR` enables
 //! the on-disk result cache, `NVFF_SERVE_WORKERS` / `NVFF_SERVE_QUEUE`

@@ -32,7 +32,7 @@
 //! * [`session`](SimulationSession) — ties a circuit to its plan and
 //!   workspace, and accumulates [`SolverStats`];
 //! * [`reference`] — the original per-call engine, frozen as a
-//!   correctness oracle and benchmark baseline.
+//!   correctness oracle.
 //!
 //! The free functions below ([`op`], [`dc_sweep`], [`transient`],
 //! [`transient_with_options`]) keep the historical one-shot API: each
@@ -98,28 +98,6 @@ pub enum StepControl {
     Fixed,
 }
 
-impl StepControl {
-    /// Resolves the process default: `NVFF_TRANSIENT=fixed` selects
-    /// uniform stepping, anything else (including unset) the adaptive
-    /// controller. Read once and cached — the per-transient env lookup
-    /// would otherwise show up in the warm-session allocation/latency
-    /// profile.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static CACHE: std::sync::OnceLock<StepControl> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("NVFF_TRANSIENT") {
-            Ok(v) if v.eq_ignore_ascii_case("fixed") => Self::Fixed,
-            _ => Self::Adaptive,
-        })
-    }
-}
-
-impl Default for StepControl {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 /// Tunable transient-analysis options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
@@ -133,7 +111,7 @@ pub struct TransientOptions {
     /// Also sets the adaptive controller's smallest step:
     /// `step · 0.5^max_step_halvings`.
     pub max_step_halvings: usize,
-    /// Time-step policy ([`StepControl::from_env`] by default).
+    /// Time-step policy ([`StepControl::Adaptive`] by default).
     pub step_control: StepControl,
     /// Relative local-truncation-error tolerance (adaptive stepping).
     pub reltol: f64,
@@ -152,17 +130,9 @@ pub const LTE_RELTOL: f64 = 1e-3;
 pub const LTE_ABSTOL: f64 = 1e-6;
 
 impl Default for TransientOptions {
-    /// SPICE-conventional defaults. The integrator follows the step
-    /// policy: LTE-controlled stepping pairs with the trapezoidal
-    /// corrector (as in Berkeley SPICE — a first-order corrector under
-    /// LTE control would pin `dt` to its `h²·x''` error on every
-    /// settling curve), while `NVFF_TRANSIENT=fixed` restores the
-    /// legacy uniform-grid backward-Euler engine bit-for-bit.
+    /// SPICE-conventional defaults: [`TransientOptions::adaptive`].
     fn default() -> Self {
-        match StepControl::from_env() {
-            StepControl::Adaptive => Self::adaptive(),
-            StepControl::Fixed => Self::fixed(),
-        }
+        Self::adaptive()
     }
 }
 
@@ -180,16 +150,19 @@ impl TransientOptions {
         }
     }
 
-    /// The legacy engine pinned regardless of `NVFF_TRANSIENT`: uniform
-    /// stepping with the L-stable backward-Euler corrector — what the
-    /// bit-exactness suites and the frozen reference comparisons run on.
+    /// The legacy uniform-grid engine, kept as the step-policy oracle:
+    /// uniform stepping with the L-stable backward-Euler corrector —
+    /// what the bit-exactness suites and the frozen reference
+    /// comparisons run on.
     #[must_use]
     pub fn fixed() -> Self {
         Self::base(StepControl::Fixed, Integrator::BackwardEuler)
     }
 
-    /// LTE-controlled stepping pinned regardless of `NVFF_TRANSIENT`,
-    /// with the order-matched trapezoidal corrector.
+    /// LTE-controlled stepping with the order-matched trapezoidal
+    /// corrector (as in Berkeley SPICE — a first-order corrector under
+    /// LTE control would pin `dt` to its `h²·x''` error on every
+    /// settling curve). The default.
     #[must_use]
     pub fn adaptive() -> Self {
         Self::base(StepControl::Adaptive, Integrator::Trapezoidal)
@@ -261,7 +234,7 @@ impl OpResult {
 /// shunt.
 pub fn op(ckt: &mut Circuit) -> Result<OpResult, SpiceError> {
     let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::from_env());
+    let mut ws = Workspace::for_plan(&plan, SolverKind::Sparse);
     newton::op_core(&plan, ckt, &mut ws)
 }
 
@@ -283,7 +256,7 @@ pub fn dc_sweep(
     values: &[f64],
 ) -> Result<Vec<OpResult>, SpiceError> {
     let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::from_env());
+    let mut ws = Workspace::for_plan(&plan, SolverKind::Sparse);
     newton::run_dc_sweep(&plan, ckt, &mut ws, source, values)
 }
 
@@ -322,7 +295,7 @@ pub fn transient_with_options(
     options: TransientOptions,
 ) -> Result<TransientResult, SpiceError> {
     let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::from_env());
+    let mut ws = Workspace::for_plan(&plan, SolverKind::Sparse);
     transient::run(&plan, ckt, &mut ws, stop, step, options)
 }
 
@@ -1220,9 +1193,8 @@ mod tests {
         }
     }
 
-    /// `NVFF_TRANSIENT=fixed` must reproduce the historical uniform
-    /// grid exactly; options pinned via `TransientOptions::fixed()` are
-    /// the in-process equivalent.
+    /// `TransientOptions::fixed()` must reproduce the historical uniform
+    /// grid exactly.
     #[test]
     fn fixed_mode_reproduces_uniform_grid() {
         let mut ckt = Circuit::new();

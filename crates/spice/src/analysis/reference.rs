@@ -1,4 +1,4 @@
-//! The original per-call analysis engine, kept as a frozen baseline.
+//! The original per-call analysis engine, kept as a frozen oracle.
 //!
 //! This module is the SPICE engine as it existed before the
 //! [`SimulationSession`](super::SimulationSession) rearchitecture:
@@ -427,9 +427,8 @@ pub fn dc_sweep(
 /// backward Euler) using the per-call engine.
 ///
 /// This module is the frozen oracle: it pins
-/// [`TransientOptions::fixed`] rather than the process default, so its
-/// behaviour never shifts with `NVFF_TRANSIENT` or with the adaptive
-/// controller's defaults.
+/// [`TransientOptions::fixed`] rather than the default options, so its
+/// behaviour never shifts with the adaptive controller's defaults.
 ///
 /// # Errors
 ///

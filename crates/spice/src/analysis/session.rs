@@ -24,14 +24,12 @@ use super::{newton, transient, OpResult, TransientOptions};
 
 /// Which LU engine a session's Newton solves run on.
 ///
-/// [`SolverKind::Sparse`] is the default: a static symbolic
-/// factorization in a fill-reducing pivot order frozen once per
-/// analysis, refactored in-pattern every iteration. [`SolverKind::Dense`]
-/// is the partial-pivoted dense LU the engine grew up on, kept as the
-/// correctness oracle and for pathological matrices where re-pivoting
-/// every iteration is worth its cost. The `NVFF_SOLVER=dense` environment variable flips the
-/// process-wide default, which is how the CI cross-checks the two paths
-/// on identical workloads.
+/// [`SolverKind::Sparse`] is the engine every production path runs: a
+/// static symbolic factorization in a fill-reducing pivot order frozen
+/// once per analysis, refactored in-pattern every iteration.
+/// [`SolverKind::Dense`] is the partial-pivoted dense LU the engine grew
+/// up on, kept only as the correctness oracle the equivalence tests pin
+/// through [`SimulationSession::with_solver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolverKind {
     /// Static-pattern sparse LU (symbolic factorization reused across
@@ -40,18 +38,6 @@ pub enum SolverKind {
     Sparse,
     /// Dense LU with partial pivoting on every factorization.
     Dense,
-}
-
-impl SolverKind {
-    /// Resolves the process default: `NVFF_SOLVER=dense` selects the
-    /// dense oracle, anything else (including unset) the sparse engine.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("NVFF_SOLVER") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => Self::Dense,
-            _ => Self::Sparse,
-        }
-    }
 }
 
 /// Cumulative solver work counters.
@@ -326,17 +312,15 @@ pub struct SimulationSession {
 }
 
 impl SimulationSession {
-    /// Builds a session for `ckt` with the process-default solver
-    /// engine ([`SolverKind::from_env`]): resolves the stamp plan and
-    /// allocates the solver workspace.
+    /// Builds a session for `ckt` on the sparse LU engine: resolves the
+    /// stamp plan and allocates the solver workspace.
     #[must_use]
     pub fn new(ckt: Circuit) -> Self {
-        Self::with_solver(ckt, SolverKind::from_env())
+        Self::with_solver(ckt, SolverKind::Sparse)
     }
 
-    /// Builds a session for `ckt` pinned to a specific solver engine,
-    /// ignoring the environment — how the equivalence tests hold the
-    /// dense oracle fixed while the sparse path evolves.
+    /// Builds a session for `ckt` on a specific solver engine — how the
+    /// equivalence tests run the dense oracle beside the sparse path.
     #[must_use]
     pub fn with_solver(ckt: Circuit, solver: SolverKind) -> Self {
         let plan = StampPlan::build(&ckt);

@@ -268,8 +268,8 @@ fn check_fixture(make: fn() -> Fixture) {
         reference::transient(&mut ref_ckt, fx_ref.stop, fx_ref.step).expect("reference");
 
     // A throwaway dense session, standing in for the one-shot free
-    // functions (which follow the process-default engine and are pinned
-    // against the oracle in `sparse_equivalence.rs`). The reference
+    // functions (which run the sparse engine and are pinned against the
+    // oracle in `sparse_equivalence.rs`). The reference
     // engine is frozen at uniform stepping, so these comparisons pin
     // `StepControl::Fixed`; adaptive-vs-fixed agreement is covered (at
     // tolerance, not bit-exactly) by `adaptive_equivalence.rs`.

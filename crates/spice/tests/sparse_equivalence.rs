@@ -1,5 +1,5 @@
 //! Sparse-engine oracle suite: the static-symbolic sparse LU (the
-//! process default) is held against the dense partial-pivoted LU — the
+//! production engine) is held against the dense partial-pivoted LU — the
 //! correctness oracle that `session_equivalence.rs` has already pinned
 //! bit-for-bit to the straight-line reference engine.
 //!

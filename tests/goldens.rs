@@ -5,17 +5,21 @@
 //! `mtj_read_b`) sampled at uniform times, plus the tolerance band the
 //! comparison runs at. The band is derived from the step controller's
 //! accept threshold (`trtol · reltol` of VDD), so the goldens hold
-//! under both the adaptive default and `NVFF_TRANSIENT=fixed`, and
-//! under either solver engine — they pin the physics, not one engine's
-//! discretization.
+//! under both the adaptive default and the uniform grid of
+//! [`TransientOptions::fixed`], and under either solver engine — they
+//! pin the physics, not one engine's discretization. Each golden is
+//! checked under both step policies.
 //!
-//! Regenerate after an intentional waveform change with:
+//! Regenerate (from the adaptive default) after an intentional waveform
+//! change with:
 //!
 //! ```text
 //! NVFF_UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
 use cells::{LatchConfig, ProposedLatch};
+use spice::analysis::StartCondition;
+use spice::{SimulationSession, TransientOptions};
 use telemetry::JsonValue;
 
 /// Sample count per trace. Uniform in time over the control window.
@@ -45,22 +49,48 @@ fn sample(result: &spice::TransientResult, stop: f64) -> Waveforms {
     Waveforms { stop, traces }
 }
 
-/// Runs one Fig. 6 workload and returns its sampled waveforms.
-fn run_workload(name: &str) -> Waveforms {
-    let latch = ProposedLatch::new(LatchConfig::default());
-    match name {
+/// Step policy a golden is checked under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// `LatchConfig::transient_options`, as the cell harness runs.
+    Adaptive,
+    /// The same start condition and tolerances on the uniform grid.
+    Fixed,
+}
+
+/// Runs one Fig. 6 workload under `policy` and returns its sampled
+/// waveforms.
+fn run_workload(name: &str, policy: Policy) -> Waveforms {
+    let config = LatchConfig::default();
+    let latch = ProposedLatch::new(config.clone());
+    let (ckt, stop, step, start) = match name {
         "proposed_restore_10" => {
-            let (result, controls) = latch.restore_traces([true, false]).expect("restore");
-            sample(&result, controls.total.seconds())
+            let (ckt, controls) = latch.restore_circuit([true, false]).expect("restore");
+            (ckt, controls.total, config.time_step, StartCondition::Zero)
         }
         "proposed_store_01" => {
-            let (result, controls) = latch
-                .store_traces([false, true], [true, false])
+            let (ckt, controls) = latch
+                .store_circuit([false, true], [true, false])
                 .expect("store");
-            sample(&result, controls.total.seconds())
+            let step = config.time_step * 5.0;
+            (ckt, controls.total, step, StartCondition::OperatingPoint)
         }
         other => panic!("unknown workload {other}"),
-    }
+    };
+    let adaptive = config.transient_options(start);
+    let options = match policy {
+        Policy::Adaptive => adaptive,
+        Policy::Fixed => TransientOptions {
+            start,
+            reltol: adaptive.reltol,
+            abstol: adaptive.abstol,
+            ..TransientOptions::fixed()
+        },
+    };
+    let result = SimulationSession::new(ckt)
+        .transient_with_options(stop, step, options)
+        .unwrap_or_else(|e| panic!("{name} under {policy:?}: {e}"));
+    sample(&result, stop.seconds())
 }
 
 /// Tolerance band: 10× the per-step error the controller may accept on
@@ -100,11 +130,10 @@ fn to_golden(name: &str, w: &Waveforms) -> JsonValue {
 }
 
 fn check_workload(name: &str) {
-    let got = run_workload(name);
     let path = golden_path(name);
 
     if std::env::var("NVFF_UPDATE_GOLDENS").is_ok() {
-        let json = to_golden(name, &got).to_json();
+        let json = to_golden(name, &run_workload(name, Policy::Adaptive)).to_json();
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir goldens");
         std::fs::write(&path, json + "\n").expect("write golden");
         eprintln!("regenerated {}", path.display());
@@ -127,29 +156,33 @@ fn check_workload(name: &str) {
         .get("stop_s")
         .and_then(JsonValue::as_f64)
         .expect("stop_s");
-    assert!(
-        (stop - got.stop).abs() < 1e-15,
-        "control window changed: golden stop {stop}, got {}; regenerate if intentional",
-        got.stop
-    );
     let tol = golden
         .get("band_v")
         .and_then(JsonValue::as_f64)
         .expect("band_v");
     let nodes = golden.get("nodes").expect("nodes object");
-    for (node, samples) in &got.traces {
-        let want = nodes
-            .get(node)
-            .and_then(JsonValue::as_array)
-            .unwrap_or_else(|| panic!("golden lacks node {node}"));
-        assert_eq!(want.len(), samples.len(), "sample count for {node}");
-        for (k, (w, &g)) in want.iter().zip(samples).enumerate() {
-            let w = w.as_f64().expect("sample is a number");
-            let t = stop * k as f64 / (SAMPLES - 1) as f64;
-            assert!(
-                (w - g).abs() <= tol,
-                "{name}: node {node} off golden at t = {t:.3e}: golden {w}, got {g} (band {tol:.3e})"
-            );
+    for policy in [Policy::Adaptive, Policy::Fixed] {
+        let got = run_workload(name, policy);
+        assert!(
+            (stop - got.stop).abs() < 1e-15,
+            "control window changed: golden stop {stop}, got {}; regenerate if intentional",
+            got.stop
+        );
+        for (node, samples) in &got.traces {
+            let want = nodes
+                .get(node)
+                .and_then(JsonValue::as_array)
+                .unwrap_or_else(|| panic!("golden lacks node {node}"));
+            assert_eq!(want.len(), samples.len(), "sample count for {node}");
+            for (k, (w, &g)) in want.iter().zip(samples).enumerate() {
+                let w = w.as_f64().expect("sample is a number");
+                let t = stop * k as f64 / (SAMPLES - 1) as f64;
+                assert!(
+                    (w - g).abs() <= tol,
+                    "{name} under {policy:?}: node {node} off golden at t = {t:.3e}: \
+                     golden {w}, got {g} (band {tol:.3e})"
+                );
+            }
         }
     }
 }

@@ -102,7 +102,7 @@ fn smooth_is_and_brute_force_agree_within_pooled_error() {
 }
 
 /// The tilted sampler is bit-identical for jobs ∈ {1, 2, 4} × lanes ∈
-/// {1, 4, 64} — the adaptive tilt search included (its pilots are
+/// {1, 4, 8, 64} — the adaptive tilt search included (its pilots are
 /// internally serial and counter-seeded).
 #[test]
 fn tilted_sampler_is_bit_identical_across_jobs_and_lanes() {
@@ -120,7 +120,7 @@ fn tilted_sampler_is_bit_identical_across_jobs_and_lanes() {
     let reference = rare::estimate_tail(&e, pulse, &opts(1, 1));
     assert!(reference.estimate.wer > 0.0);
     for jobs in [1, 2, 4] {
-        for lanes in [1, 4, 64] {
+        for lanes in [1, 4, 8, 64] {
             let got = rare::estimate_tail(&e, pulse, &opts(jobs, lanes));
             assert_eq!(got.tilt, reference.tilt, "jobs={jobs} lanes={lanes}");
             assert_eq!(
