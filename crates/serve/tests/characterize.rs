@@ -11,7 +11,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serve::{CharacterizeService, MetricsServer, ServiceOptions};
 
@@ -129,15 +129,27 @@ fn characterize_service_end_to_end() {
     assert_eq!(counter_value(&scrape, "nvff_serve_cache_hits_total"), 2);
 
     // --- Single-flight coalescing under real concurrency. ---
-    // A deliberately slow point (fine time step) holds the in-flight
-    // window open for ~half a second; followers posted mid-flight must
-    // coalesce rather than simulate again.
-    let slow = r#"{"variant":"nv_word_2","overrides":{"time_step_ps":0.2}}"#;
+    // Followers posted while the leader computes must coalesce rather
+    // than compute again. They are posted as soon as the leader is in
+    // flight: the misses counter moves under the same lock that
+    // registers the in-flight entry. The leader is a 200k-sample
+    // `wer_tail` point, whose work is importance sampling with no
+    // circuit solve, so solver speedups do not shrink it. It computes
+    // for about 90 ms in release and 280 ms in debug (2-vCPU x86 box),
+    // against a few milliseconds for a follower to reach the queue.
+    let slow = r#"{"variant":"standard","analysis":"wer_tail","wer":{"samples":200000}}"#;
     let leader = {
         let slow = slow.to_owned();
         std::thread::spawn(move || post(addr, "/v1/characterize", &slow))
     };
-    std::thread::sleep(Duration::from_millis(100));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while counter_value(&get(addr, "/metrics").2, "nvff_serve_cache_misses_total") < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the leader never reached the queue"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let followers: Vec<_> = (0..3)
         .map(|_| {
             let slow = slow.to_owned();

@@ -1,25 +1,47 @@
-//! MNA system assembly: the [`Stamp`] trait, the pre-resolved
-//! [`StampPlan`], and the shared [`assemble`] routine.
+//! MNA system assembly: the [`StampPlan`] stamp table and the walks
+//! that stamp it.
 //!
-//! A `StampPlan` is built once per circuit topology. It resolves every
-//! device's unknown indices (node voltage rows/columns, branch-current
-//! rows) ahead of time, flattens the capacitor list (explicit capacitors
-//! plus MOSFET parasitics) into companion descriptors, and records the
-//! side tables the analyses need each step: MTJ terminal indices, the
-//! devices carrying source waveforms, and a name-sorted branch-current
-//! table. Assembling the system at an iterate then walks the plan's
-//! stamps — no per-iteration device matching, index resolution, or
-//! allocation.
+//! A `StampPlan` is built once per circuit topology and solver engine.
+//! It turns every device into an [`Entry`] of a concrete kind and
+//! resolves each matrix add the entry makes to an offset into the
+//! engine's value array: a CSR slot for the sparse engine, `row·n + col`
+//! for the dense oracle. The structural pattern is the set of positions
+//! those adds name, so the check that every stamp lands inside it runs
+//! once, at build. The plan also flattens the capacitor list (explicit
+//! capacitors plus MOSFET parasitics) into companion descriptors and
+//! records the side tables the analyses need each step: MTJ terminal
+//! indices, the devices carrying source waveforms, and a name-sorted
+//! branch-current table.
 //!
-//! Stamps read *live* device parameters (waveforms, MTJ resistance,
-//! MOSFET bias point) through the circuit on every call, so mutations
-//! made between runs via [`Circuit::devices_mut`] or the snapshot API
-//! are always honoured.
+//! Both engines walk the same table:
+//!
+//! * the dense oracle re-stamps the whole system every Newton iteration
+//!   ([`StampPlan::assemble`]) in the original order — gmin diagonal,
+//!   devices in insertion order, capacitor companions — so its sums
+//!   match [`super::reference`] bit for bit;
+//! * the sparse engine splits it. Gmin, resistors, sources and the
+//!   companions are fixed for one Newton solve, so
+//!   [`StampPlan::stamp_static`] sums them into a base once per solve;
+//!   each iteration copies the base and adds only the bias-dependent
+//!   MOSFETs and MTJs ([`StampPlan::stamp_dynamic`]).
+//!
+//! Entries read *live* device values (resistances, waveforms, MTJ
+//! state, MOSFET bias point) through the circuit on every stamp. What
+//! the plan freezes — each device's kind, its terminals and the
+//! companion capacitances it contributes — is recorded, and
+//! [`StampPlan::is_stale`] compares it with the circuit. Sessions run
+//! that compare at the start of every analysis and rebuild the plan on
+//! any difference, so edits made between analyses through
+//! [`Circuit::devices_mut`] or the snapshot API are honoured; an edit
+//! made during an analysis is not seen by it.
+
+use std::mem::Discriminant;
 
 use crate::circuit::Circuit;
 use crate::device::Device;
-use crate::linalg::{DenseMatrix, SparsePattern};
+use crate::linalg::SparsePattern;
 
+use super::session::SolverKind;
 use super::{Integrator, GMIN_FLOOR};
 
 /// Computes a node voltage from the unknown vector (`None` = ground).
@@ -27,251 +49,246 @@ pub(super) fn vof(x: &[f64], idx: Option<usize>) -> f64 {
     idx.map_or(0.0, |i| x[i])
 }
 
-/// The assembly target a stamp writes its matrix entries into: the
-/// dense MNA matrix, the CSR value array of a frozen [`SparsePattern`],
-/// or a structure probe that records which `(row, col)` pairs a stamp
-/// *could* touch (used once at plan-build time to freeze the pattern).
-///
-/// An enum rather than a generic keeps [`Stamp`] object-safe — the plan
-/// stores `Box<dyn Stamp>` — at the cost of one predictable branch per
-/// matrix add.
-pub(super) enum MatrixRef<'a> {
-    /// Stamp into a dense matrix (the oracle path).
-    Dense(&'a mut DenseMatrix),
-    /// Stamp into the CSR values backing a frozen pattern.
-    Sparse {
-        pattern: &'a SparsePattern,
-        values: &'a mut Vec<f64>,
-    },
-    /// Record structural positions only; values are ignored.
-    Probe(&'a mut Vec<(u32, u32)>),
-}
-
-impl MatrixRef<'_> {
-    /// Adds `value` at (`row`, `col`) — the stamp primitive.
-    #[inline]
-    pub(super) fn add(&mut self, row: usize, col: usize, value: f64) {
-        match self {
-            MatrixRef::Dense(a) => a.add(row, col, value),
-            MatrixRef::Sparse { pattern, values } => pattern.add_into(values, row, col, value),
-            MatrixRef::Probe(entries) => entries.push((row as u32, col as u32)),
-        }
-    }
-
-    /// Resets every entry to zero, keeping allocations (no-op for the
-    /// probe, which accumulates positions).
-    fn clear(&mut self) {
-        match self {
-            MatrixRef::Dense(a) => a.clear(),
-            MatrixRef::Sparse { values, .. } => values.fill(0.0),
-            MatrixRef::Probe(_) => {}
-        }
-    }
-}
-
-/// Conductance stamp between two (possibly ground) nodes.
-pub(super) fn stamp_conductance(
-    a: &mut MatrixRef<'_>,
-    ia: Option<usize>,
-    ib: Option<usize>,
-    g: f64,
-) {
-    if let Some(i) = ia {
-        a.add(i, i, g);
-        if let Some(j) = ib {
-            a.add(i, j, -g);
-        }
-    }
-    if let Some(j) = ib {
-        a.add(j, j, g);
-        if let Some(i) = ia {
-            a.add(j, i, -g);
-        }
-    }
-}
-
-/// Evaluation context shared by every stamp in one assembly pass.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct EvalCtx {
+/// What one Newton solve holds fixed, shared by every stamp in it.
+#[derive(Clone, Copy)]
+pub(super) struct EvalCtx<'a> {
     /// Simulation time the waveforms are evaluated at.
     pub t: f64,
     /// Scale applied to every independent source value — 1.0 in normal
     /// operation, ramped 0 → 1 by the source-stepping recovery ladder.
     pub src_scale: f64,
+    /// Shunt from every node to ground (floored at [`GMIN_FLOOR`]).
+    pub gmin: f64,
+    /// Capacitor companions (transient solves only).
+    pub companions: Option<&'a Companions<'a>>,
 }
 
-impl EvalCtx {
-    pub(super) fn at(t: f64) -> Self {
-        Self { t, src_scale: 1.0 }
+/// Up to `N` matrix adds of one stamp, in stamping order. Each add is a
+/// value-array offset plus the index of the coefficient it adds from
+/// the stamp's coefficient list. Adds a grounded terminal would make
+/// are left out at build time, so applying the list takes no branches.
+#[derive(Debug, Clone, Copy)]
+struct Adds<const N: usize> {
+    at: [usize; N],
+    coef: [u8; N],
+    len: u8,
+}
+
+impl<const N: usize> Adds<N> {
+    fn new() -> Self {
+        Self {
+            at: [0; N],
+            coef: [0; N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, at: usize, coef: u8) {
+        let k = usize::from(self.len);
+        self.at[k] = at;
+        self.coef[k] = coef;
+        self.len += 1;
+    }
+
+    fn offsets_mut(&mut self) -> &mut [usize] {
+        &mut self.at[..usize::from(self.len)]
+    }
+
+    /// `values[at] += coefs[coef]` for every add, in order.
+    #[inline]
+    fn apply(&self, values: &mut [f64], coefs: &[f64]) {
+        for (&at, &k) in self.at.iter().zip(&self.coef).take(usize::from(self.len)) {
+            values[at] += coefs[usize::from(k)];
+        }
     }
 }
 
-/// One device's contribution to the linearized MNA system, with its
-/// unknown indices resolved at plan-build time.
+/// The adds of a two-terminal conductance `g` between `ia` and `ib`,
+/// as dense offsets of an `n × n` system: `(a,a) += g`, `(a,b) -= g`,
+/// `(b,b) += g`, `(b,a) -= g`. Coefficients: `[g, -g]`.
+fn conductance_adds(ia: Option<usize>, ib: Option<usize>, n: usize) -> Adds<4> {
+    let mut adds = Adds::new();
+    if let Some(i) = ia {
+        adds.push(i * n + i, 0);
+        if let Some(j) = ib {
+            adds.push(i * n + j, 1);
+        }
+    }
+    if let Some(j) = ib {
+        adds.push(j * n + j, 0);
+        if let Some(i) = ia {
+            adds.push(j * n + i, 1);
+        }
+    }
+    adds
+}
+
+/// One device's stamp, with its terminal unknowns and matrix-add
+/// offsets resolved at plan build.
 ///
-/// `dev` on each implementor is the device's index in
-/// [`Circuit::devices`]; parameters that can change between runs are
-/// read through it on every call.
-pub(super) trait Stamp: std::fmt::Debug + Send + Sync {
+/// `dev` is the device's index in [`Circuit::devices`]; values that can
+/// change between runs are read through it on every stamp.
+#[derive(Debug)]
+enum Entry {
+    /// Linear resistor: conductance `1/ohms`.
+    Resistor { dev: usize, adds: Adds<4> },
+    /// MTJ: the conductance at its present bias and state.
+    Mtj {
+        dev: usize,
+        ia: Option<usize>,
+        ib: Option<usize>,
+        adds: Adds<4>,
+    },
+    /// Voltage source: `±1` incidence entries plus the branch RHS.
+    /// Coefficients: `[1, -1]`.
+    VoltageSource {
+        dev: usize,
+        br: usize,
+        adds: Adds<4>,
+    },
+    /// Current source: RHS only.
+    CurrentSource {
+        dev: usize,
+        ip: Option<usize>,
+        in_: Option<usize>,
+    },
+    /// MOSFET linearized at the iterate. Coefficients:
+    /// `[∂i/∂vg, ∂i/∂vd, ∂i/∂vs]` on the drain row, negated on the
+    /// source row.
+    Mosfet {
+        dev: usize,
+        id: Option<usize>,
+        ig: Option<usize>,
+        is_: Option<usize>,
+        adds: Adds<6>,
+    },
+}
+
+impl Entry {
+    /// Whether the stamp depends on the iterate (re-stamped every
+    /// Newton iteration) rather than only on the solve's context.
+    fn is_dynamic(&self) -> bool {
+        matches!(self, Entry::Mosfet { .. } | Entry::Mtj { .. })
+    }
+
+    fn offsets_mut(&mut self) -> &mut [usize] {
+        match self {
+            Entry::Resistor { adds, .. }
+            | Entry::Mtj { adds, .. }
+            | Entry::VoltageSource { adds, .. } => adds.offsets_mut(),
+            Entry::CurrentSource { .. } => &mut [],
+            Entry::Mosfet { adds, .. } => adds.offsets_mut(),
+        }
+    }
+
     /// Adds this device's linearized equations at iterate `x`, in the
     /// time/scale context `ctx`.
-    fn stamp(&self, ckt: &Circuit, x: &[f64], ctx: EvalCtx, a: &mut MatrixRef<'_>, z: &mut [f64]);
-}
-
-#[derive(Debug)]
-struct ResistorStamp {
-    dev: usize,
-    ia: Option<usize>,
-    ib: Option<usize>,
-}
-
-impl Stamp for ResistorStamp {
-    fn stamp(
-        &self,
-        ckt: &Circuit,
-        _x: &[f64],
-        _ctx: EvalCtx,
-        a: &mut MatrixRef<'_>,
-        _z: &mut [f64],
-    ) {
-        let Device::Resistor { ohms, .. } = &ckt.devices()[self.dev] else {
-            unreachable!("stamp plan out of sync with circuit");
-        };
-        stamp_conductance(a, self.ia, self.ib, 1.0 / ohms);
-    }
-}
-
-#[derive(Debug)]
-struct VoltageSourceStamp {
-    dev: usize,
-    ip: Option<usize>,
-    in_: Option<usize>,
-    br: usize,
-}
-
-impl Stamp for VoltageSourceStamp {
-    fn stamp(&self, ckt: &Circuit, _x: &[f64], ctx: EvalCtx, a: &mut MatrixRef<'_>, z: &mut [f64]) {
-        let Device::VoltageSource { wave, .. } = &ckt.devices()[self.dev] else {
-            unreachable!("stamp plan out of sync with circuit");
-        };
-        if let Some(ip) = self.ip {
-            a.add(ip, self.br, 1.0);
-            a.add(self.br, ip, 1.0);
-        }
-        if let Some(in_) = self.in_ {
-            a.add(in_, self.br, -1.0);
-            a.add(self.br, in_, -1.0);
-        }
-        z[self.br] = ctx.src_scale * wave.value_at(ctx.t);
-    }
-}
-
-#[derive(Debug)]
-struct CurrentSourceStamp {
-    dev: usize,
-    ip: Option<usize>,
-    in_: Option<usize>,
-}
-
-impl Stamp for CurrentSourceStamp {
-    fn stamp(
-        &self,
-        ckt: &Circuit,
-        _x: &[f64],
-        ctx: EvalCtx,
-        _a: &mut MatrixRef<'_>,
-        z: &mut [f64],
-    ) {
-        let Device::CurrentSource { wave, .. } = &ckt.devices()[self.dev] else {
-            unreachable!("stamp plan out of sync with circuit");
-        };
-        let i = ctx.src_scale * wave.value_at(ctx.t);
-        if let Some(ip) = self.ip {
-            z[ip] -= i;
-        }
-        if let Some(in_) = self.in_ {
-            z[in_] += i;
-        }
-    }
-}
-
-#[derive(Debug)]
-struct MosfetStamp {
-    dev: usize,
-    id: Option<usize>,
-    ig: Option<usize>,
-    is_: Option<usize>,
-}
-
-impl Stamp for MosfetStamp {
-    fn stamp(&self, ckt: &Circuit, x: &[f64], _ctx: EvalCtx, a: &mut MatrixRef<'_>, z: &mut [f64]) {
-        let Device::Mosfet { model, w, l, .. } = &ckt.devices()[self.dev] else {
-            unreachable!("stamp plan out of sync with circuit");
-        };
-        let (id_, ig, is_) = (self.id, self.ig, self.is_);
-        let vg = vof(x, ig);
-        let vd = vof(x, id_);
-        let vs = vof(x, is_);
-        let op = model.evaluate(vg, vd, vs, *w, *l);
-        // Channel current leaves the drain, enters the source:
-        //   i_d = id0 + ∂i/∂vg·Δvg + ∂i/∂vd·Δvd + ∂i/∂vs·Δvs
-        let ieq = op.id - op.di_dvg * vg - op.di_dvd * vd - op.di_dvs * vs;
-        if let Some(r) = id_ {
-            if let Some(c) = ig {
-                a.add(r, c, op.di_dvg);
-            }
-            a.add(r, r, op.di_dvd);
-            if let Some(c) = is_ {
-                a.add(r, c, op.di_dvs);
-            }
-            z[r] -= ieq;
-        }
-        if let Some(r) = is_ {
-            if let Some(c) = ig {
-                a.add(r, c, -op.di_dvg);
-            }
-            if let Some(c) = id_ {
-                a.add(r, c, -op.di_dvd);
-            }
-            a.add(r, r, -op.di_dvs);
-            z[r] += ieq;
-        }
-    }
-}
-
-#[derive(Debug)]
-struct MtjStamp {
-    dev: usize,
-    ia: Option<usize>,
-    ib: Option<usize>,
-}
-
-impl Stamp for MtjStamp {
+    #[inline]
     fn stamp(
         &self,
         ckt: &Circuit,
         x: &[f64],
-        _ctx: EvalCtx,
-        a: &mut MatrixRef<'_>,
-        _z: &mut [f64],
+        ctx: &EvalCtx<'_>,
+        values: &mut [f64],
+        z: &mut [f64],
     ) {
-        let Device::Mtj { device, .. } = &ckt.devices()[self.dev] else {
-            unreachable!("stamp plan out of sync with circuit");
-        };
-        let bias = vof(x, self.ia) - vof(x, self.ib);
-        let r = device.resistance(units::Voltage::from_volts(bias));
-        stamp_conductance(a, self.ia, self.ib, 1.0 / r.ohms());
+        const OUT_OF_SYNC: &str = "stamp plan out of sync with circuit";
+        let device = &ckt.devices()[self.dev()];
+        match self {
+            Entry::Resistor { adds, .. } => {
+                let Device::Resistor { ohms, .. } = device else {
+                    unreachable!("{OUT_OF_SYNC}");
+                };
+                let g = 1.0 / ohms;
+                adds.apply(values, &[g, -g]);
+            }
+            Entry::Mtj { ia, ib, adds, .. } => {
+                let Device::Mtj { device, .. } = device else {
+                    unreachable!("{OUT_OF_SYNC}");
+                };
+                let bias = vof(x, *ia) - vof(x, *ib);
+                let g = 1.0 / device.resistance(units::Voltage::from_volts(bias)).ohms();
+                adds.apply(values, &[g, -g]);
+            }
+            Entry::VoltageSource { br, adds, .. } => {
+                let Device::VoltageSource { wave, .. } = device else {
+                    unreachable!("{OUT_OF_SYNC}");
+                };
+                adds.apply(values, &[1.0, -1.0]);
+                z[*br] = ctx.src_scale * wave.value_at(ctx.t);
+            }
+            Entry::CurrentSource { ip, in_, .. } => {
+                let Device::CurrentSource { wave, .. } = device else {
+                    unreachable!("{OUT_OF_SYNC}");
+                };
+                let i = ctx.src_scale * wave.value_at(ctx.t);
+                if let Some(ip) = *ip {
+                    z[ip] -= i;
+                }
+                if let Some(in_) = *in_ {
+                    z[in_] += i;
+                }
+            }
+            Entry::Mosfet {
+                id, ig, is_, adds, ..
+            } => {
+                let Device::Mosfet { model, w, l, .. } = device else {
+                    unreachable!("{OUT_OF_SYNC}");
+                };
+                let vg = vof(x, *ig);
+                let vd = vof(x, *id);
+                let vs = vof(x, *is_);
+                let op = model.evaluate(vg, vd, vs, *w, *l);
+                // Channel current leaves the drain, enters the source:
+                //   i_d = id0 + ∂i/∂vg·Δvg + ∂i/∂vd·Δvd + ∂i/∂vs·Δvs
+                let ieq = op.id - op.di_dvg * vg - op.di_dvd * vd - op.di_dvs * vs;
+                adds.apply(
+                    values,
+                    &[
+                        op.di_dvg, op.di_dvd, op.di_dvs, -op.di_dvg, -op.di_dvd, -op.di_dvs,
+                    ],
+                );
+                if let Some(r) = *id {
+                    z[r] -= ieq;
+                }
+                if let Some(r) = *is_ {
+                    z[r] += ieq;
+                }
+            }
+        }
+    }
+
+    fn dev(&self) -> usize {
+        match *self {
+            Entry::Resistor { dev, .. }
+            | Entry::Mtj { dev, .. }
+            | Entry::VoltageSource { dev, .. }
+            | Entry::CurrentSource { dev, .. }
+            | Entry::Mosfet { dev, .. } => dev,
+        }
     }
 }
 
-/// A flattened capacitor with resolved terminals (transient companion
-/// stamping); the geometry never changes, only the per-step history in
+/// A flattened capacitor with resolved terminals and companion-add
+/// offsets; the geometry never changes, only the per-step history in
 /// [`CapState`].
 #[derive(Debug, Clone, Copy)]
 pub(super) struct CapDescriptor {
     pub ia: Option<usize>,
     pub ib: Option<usize>,
     pub farads: f64,
+    adds: Adds<4>,
+}
+
+impl CapDescriptor {
+    fn new(ia: Option<usize>, ib: Option<usize>, farads: f64, n: usize) -> Self {
+        Self {
+            ia,
+            ib,
+            farads,
+            adds: conductance_adds(ia, ib, n),
+        }
+    }
 }
 
 /// Per-capacitor integration history, stored in the workspace.
@@ -298,12 +315,62 @@ pub(super) struct MtjSlot {
     pub ib: Option<usize>,
 }
 
+/// What a plan froze of one device: its kind, its terminal unknowns (a
+/// voltage source's branch row included) and the companion capacitances
+/// it contributes. A circuit whose devices no longer match their
+/// records needs a new plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Frozen {
+    kind: Discriminant<Device>,
+    terminals: [Option<usize>; 3],
+    farads: [f64; 2],
+}
+
+impl Frozen {
+    fn of(ckt: &Circuit, device: &Device) -> Self {
+        let vidx = |node| ckt.voltage_index(node);
+        let (terminals, farads) = match device {
+            Device::Resistor { a, b, .. } | Device::Mtj { a, b, .. } => {
+                ([vidx(*a), vidx(*b), None], [0.0; 2])
+            }
+            Device::Capacitor { a, b, farads, .. } => ([vidx(*a), vidx(*b), None], [*farads, 0.0]),
+            Device::VoltageSource {
+                pos, neg, branch, ..
+            } => (
+                [vidx(*pos), vidx(*neg), Some(ckt.branch_index(*branch))],
+                [0.0; 2],
+            ),
+            Device::CurrentSource { pos, neg, .. } => ([vidx(*pos), vidx(*neg), None], [0.0; 2]),
+            Device::Mosfet {
+                d,
+                g,
+                s,
+                model,
+                w,
+                l,
+                ..
+            } => (
+                [vidx(*d), vidx(*g), vidx(*s)],
+                [model.cgs(*w, *l), model.cjunction(*w)],
+            ),
+        };
+        Self {
+            kind: std::mem::discriminant(device),
+            terminals,
+            farads,
+        }
+    }
+}
+
 /// Everything an analysis needs that depends only on circuit *topology*,
 /// resolved once and reused across Newton iterations, time steps, sweep
 /// points and repeated runs.
 #[derive(Debug)]
 pub(crate) struct StampPlan {
-    stamps: Vec<Box<dyn Stamp>>,
+    /// One entry per non-capacitor device, in insertion order.
+    entries: Vec<Entry>,
+    /// Offsets of the gmin shunt on every node row's diagonal.
+    gmin_at: Vec<usize>,
     pub(super) caps: Vec<CapDescriptor>,
     pub(super) mtjs: Vec<MtjSlot>,
     /// Device indices of waveform-carrying sources (breakpoint scan).
@@ -312,196 +379,253 @@ pub(crate) struct StampPlan {
     pub(super) branches: Vec<(String, usize)>,
     pub(super) n_nodes: usize,
     pub(super) n_unknowns: usize,
-    device_count: usize,
-    /// Structural nonzero pattern of the assembled matrix, frozen at
-    /// plan-build time by a probe assembly pass with companions armed —
-    /// a superset shared by op, DC and transient assembly (companion
-    /// slots simply hold exact zeros outside transients). Building it
-    /// also computes the fill-reducing column order every sparse
-    /// analysis of this plan eliminates in.
+    /// The engine whose value array the adds are addressed for.
+    pub(super) solver: SolverKind,
+    /// What the plan froze of each device, in device order.
+    frozen: Vec<Frozen>,
+    /// Structural nonzero pattern of the assembled matrix: every
+    /// position the gmin, device and companion adds name — a superset
+    /// shared by op, DC and transient assembly (companion slots simply
+    /// hold exact zeros outside transients). Building it also computes
+    /// the fill-reducing column order every sparse analysis of this
+    /// plan eliminates in.
     pub(super) sparse: SparsePattern,
 }
 
 impl StampPlan {
-    /// Resolves every device of `ckt` into stamps and side tables.
-    pub(crate) fn build(ckt: &Circuit) -> Self {
+    /// Resolves every device of `ckt` into stamp entries and side
+    /// tables, with matrix adds addressed for `solver`'s value array.
+    pub(crate) fn build(ckt: &Circuit, solver: SolverKind) -> Self {
         let n_nodes = ckt.node_count() - 1;
-        let mut stamps: Vec<Box<dyn Stamp>> = Vec::with_capacity(ckt.devices().len());
+        let n = ckt.unknown_count();
+        let mut entries = Vec::with_capacity(ckt.devices().len());
         let mut caps = Vec::new();
         let mut mtjs = Vec::new();
         let mut wave_devs = Vec::new();
         let mut branches = Vec::new();
-        let vidx = |node| ckt.voltage_index(node);
+        let mut frozen = Vec::with_capacity(ckt.devices().len());
 
         for (dev, d) in ckt.devices().iter().enumerate() {
+            let record = Frozen::of(ckt, d);
+            frozen.push(record);
+            let [t0, t1, t2] = record.terminals;
             match d {
-                Device::Resistor { a, b, .. } => {
-                    stamps.push(Box::new(ResistorStamp {
-                        dev,
-                        ia: vidx(*a),
-                        ib: vidx(*b),
-                    }));
+                Device::Resistor { .. } => entries.push(Entry::Resistor {
+                    dev,
+                    adds: conductance_adds(t0, t1, n),
+                }),
+                Device::Capacitor { .. } => {
+                    caps.push(CapDescriptor::new(t0, t1, record.farads[0], n));
                 }
-                Device::Capacitor { a, b, farads, .. } => {
-                    caps.push(CapDescriptor {
-                        ia: vidx(*a),
-                        ib: vidx(*b),
-                        farads: *farads,
-                    });
-                }
-                Device::VoltageSource {
-                    name,
-                    pos,
-                    neg,
-                    branch,
-                    ..
-                } => {
-                    let br = ckt.branch_index(*branch);
-                    stamps.push(Box::new(VoltageSourceStamp {
-                        dev,
-                        ip: vidx(*pos),
-                        in_: vidx(*neg),
-                        br,
-                    }));
+                Device::VoltageSource { name, .. } => {
+                    let br = t2.expect("voltage sources freeze their branch row");
+                    let mut adds = Adds::new();
+                    if let Some(ip) = t0 {
+                        adds.push(ip * n + br, 0);
+                        adds.push(br * n + ip, 0);
+                    }
+                    if let Some(in_) = t1 {
+                        adds.push(in_ * n + br, 1);
+                        adds.push(br * n + in_, 1);
+                    }
+                    entries.push(Entry::VoltageSource { dev, br, adds });
                     branches.push((name.clone(), br));
                     wave_devs.push(dev);
                 }
-                Device::CurrentSource { pos, neg, .. } => {
-                    stamps.push(Box::new(CurrentSourceStamp {
+                Device::CurrentSource { .. } => {
+                    entries.push(Entry::CurrentSource {
                         dev,
-                        ip: vidx(*pos),
-                        in_: vidx(*neg),
-                    }));
+                        ip: t0,
+                        in_: t1,
+                    });
                     wave_devs.push(dev);
                 }
-                Device::Mosfet {
-                    d,
-                    g,
-                    s,
-                    model,
-                    w,
-                    l,
-                    ..
-                } => {
-                    let (di, gi, si) = (vidx(*d), vidx(*g), vidx(*s));
-                    stamps.push(Box::new(MosfetStamp {
+                Device::Mosfet { .. } => {
+                    let (id, ig, is_) = (t0, t1, t2);
+                    let mut adds = Adds::new();
+                    if let Some(r) = id {
+                        if let Some(c) = ig {
+                            adds.push(r * n + c, 0);
+                        }
+                        adds.push(r * n + r, 1);
+                        if let Some(c) = is_ {
+                            adds.push(r * n + c, 2);
+                        }
+                    }
+                    if let Some(r) = is_ {
+                        if let Some(c) = ig {
+                            adds.push(r * n + c, 3);
+                        }
+                        if let Some(c) = id {
+                            adds.push(r * n + c, 4);
+                        }
+                        adds.push(r * n + r, 5);
+                    }
+                    entries.push(Entry::Mosfet {
                         dev,
-                        id: di,
-                        ig: gi,
-                        is_: si,
-                    }));
+                        id,
+                        ig,
+                        is_,
+                        adds,
+                    });
                     // Parasitics, flattened in the same order the seed
                     // engine used: gate-source, gate-drain, junctions.
-                    let cgs = model.cgs(*w, *l);
-                    let cj = model.cjunction(*w);
-                    caps.push(CapDescriptor {
-                        ia: gi,
-                        ib: si,
-                        farads: cgs,
-                    });
-                    caps.push(CapDescriptor {
-                        ia: gi,
-                        ib: di,
-                        farads: cgs,
-                    });
-                    caps.push(CapDescriptor {
-                        ia: di,
-                        ib: None,
-                        farads: cj,
-                    });
-                    caps.push(CapDescriptor {
-                        ia: si,
-                        ib: None,
-                        farads: cj,
-                    });
+                    let [cgs, cj] = record.farads;
+                    caps.push(CapDescriptor::new(ig, is_, cgs, n));
+                    caps.push(CapDescriptor::new(ig, id, cgs, n));
+                    caps.push(CapDescriptor::new(id, None, cj, n));
+                    caps.push(CapDescriptor::new(is_, None, cj, n));
                 }
-                Device::Mtj { a, b, .. } => {
-                    let (ia, ib) = (vidx(*a), vidx(*b));
-                    stamps.push(Box::new(MtjStamp { dev, ia, ib }));
-                    mtjs.push(MtjSlot { dev, ia, ib });
+                Device::Mtj { .. } => {
+                    entries.push(Entry::Mtj {
+                        dev,
+                        ia: t0,
+                        ib: t1,
+                        adds: conductance_adds(t0, t1, n),
+                    });
+                    mtjs.push(MtjSlot {
+                        dev,
+                        ia: t0,
+                        ib: t1,
+                    });
                 }
             }
         }
         branches.sort_by(|l, r| l.0.cmp(&r.0));
         let mut plan = Self {
-            stamps,
+            entries,
+            // Voltage-source branch rows have no diagonal, so the shunt
+            // spans node rows only.
+            gmin_at: (0..n_nodes).map(|i| i * n + i).collect(),
             caps,
             mtjs,
             wave_devs,
             branches,
             n_nodes,
-            n_unknowns: ckt.unknown_count(),
-            device_count: ckt.devices().len(),
+            n_unknowns: n,
+            solver,
+            frozen,
             sparse: SparsePattern::default(),
         };
-        // Probe pass: run one assembly with a position-recording target
-        // to freeze the structural pattern. Companions are armed (any
-        // positive dt works — values are discarded) so the pattern
-        // covers transient assembly too; `x = 0` is safe because stamp
-        // *structure* is bias-independent. Voltage-source branch rows
-        // have no diagonal, so the gmin loop must span only node rows,
-        // exactly as `assemble` stamps it.
-        let x = vec![0.0; plan.n_unknowns];
-        let mut z = vec![0.0; plan.n_unknowns];
-        let states = vec![CapState::default(); plan.caps.len()];
-        let companions = Companions {
-            states: &states,
-            integrator: Integrator::BackwardEuler,
-            dt: 1.0,
-        };
-        let mut entries = Vec::new();
-        assemble(
-            &plan,
-            ckt,
-            &x,
-            EvalCtx::at(0.0),
-            GMIN_FLOOR,
-            Some(&companions),
-            &mut MatrixRef::Probe(&mut entries),
-            &mut z,
-        );
-        plan.sparse = SparsePattern::from_entries(plan.n_unknowns, entries);
+        // Every add is addressed `row·n + col` so far; the positions
+        // they name are the pattern.
+        let mut positions = Vec::new();
+        plan.for_each_offset(|at| positions.push(((*at / n) as u32, (*at % n) as u32)));
+        let pattern = SparsePattern::from_entries(n, positions);
+        if solver == SolverKind::Sparse {
+            plan.for_each_offset(|at| {
+                let (row, col) = (*at / n, *at % n);
+                *at = pattern.slot(row, col).unwrap_or_else(|| {
+                    panic!("stamp at ({row}, {col}) outside the frozen pattern")
+                });
+            });
+        }
+        plan.sparse = pattern;
         plan
     }
 
-    /// Whether the circuit's topology no longer matches this plan
-    /// (devices or unknowns were added since the plan was built).
+    /// Visits every matrix-add offset of the plan.
+    fn for_each_offset(&mut self, mut f: impl FnMut(&mut usize)) {
+        self.gmin_at.iter_mut().for_each(&mut f);
+        for entry in &mut self.entries {
+            entry.offsets_mut().iter_mut().for_each(&mut f);
+        }
+        for cap in &mut self.caps {
+            cap.adds.offsets_mut().iter_mut().for_each(&mut f);
+        }
+    }
+
+    /// Whether the circuit no longer matches what this plan froze: its
+    /// unknown or device count, or any device's kind, terminals or
+    /// companion capacitances. O(devices); sessions call it once per
+    /// analysis.
     pub(crate) fn is_stale(&self, ckt: &Circuit) -> bool {
-        self.device_count != ckt.devices().len() || self.n_unknowns != ckt.unknown_count()
-    }
-}
-
-/// Stamps every device's linearized equation at iterate `x` and time
-/// `t`, walking the pre-resolved plan. The stamping order — gmin
-/// diagonal, devices in insertion order, capacitor companions — matches
-/// the original single-pass assembler exactly, so accumulated
-/// floating-point sums are bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn assemble(
-    plan: &StampPlan,
-    ckt: &Circuit,
-    x: &[f64],
-    ctx: EvalCtx,
-    gmin: f64,
-    companions: Option<&Companions<'_>>,
-    a: &mut MatrixRef<'_>,
-    z: &mut [f64],
-) {
-    a.clear();
-    z.fill(0.0);
-
-    // gmin shunts keep otherwise-floating nodes weakly grounded.
-    for i in 0..plan.n_nodes {
-        a.add(i, i, gmin.max(GMIN_FLOOR));
+        self.n_unknowns != ckt.unknown_count()
+            || self.frozen.len() != ckt.devices().len()
+            || ckt
+                .devices()
+                .iter()
+                .zip(&self.frozen)
+                .any(|(d, record)| Frozen::of(ckt, d) != *record)
     }
 
-    for stamp in &plan.stamps {
-        stamp.stamp(ckt, x, ctx, a, z);
+    /// The full system at iterate `x`, stamped from zero in the original
+    /// single-pass order — gmin diagonal, devices in insertion order,
+    /// capacitor companions — so accumulated floating-point sums are
+    /// bit-identical to [`super::reference`]. The dense oracle's
+    /// per-iteration assembly.
+    pub(super) fn assemble(
+        &self,
+        ckt: &Circuit,
+        x: &[f64],
+        ctx: &EvalCtx<'_>,
+        values: &mut [f64],
+        z: &mut [f64],
+    ) {
+        values.fill(0.0);
+        z.fill(0.0);
+        self.stamp_gmin(ctx.gmin, values);
+        for entry in &self.entries {
+            entry.stamp(ckt, x, ctx, values, z);
+        }
+        self.stamp_companions(ctx.companions, values, z);
     }
 
-    // Capacitor companions (transient only).
-    if let Some(c) = companions {
-        for (cap, state) in plan.caps.iter().zip(c.states.iter()) {
+    /// The part of the system fixed for one Newton solve — gmin,
+    /// resistors, sources and capacitor companions — stamped from zero
+    /// into `values`/`z`. The sparse engine's per-solve base.
+    pub(super) fn stamp_static(
+        &self,
+        ckt: &Circuit,
+        ctx: &EvalCtx<'_>,
+        values: &mut [f64],
+        z: &mut [f64],
+    ) {
+        values.fill(0.0);
+        z.fill(0.0);
+        self.stamp_gmin(ctx.gmin, values);
+        for entry in self.entries.iter().filter(|e| !e.is_dynamic()) {
+            // Static stamps never read the iterate.
+            entry.stamp(ckt, &[], ctx, values, z);
+        }
+        self.stamp_companions(ctx.companions, values, z);
+    }
+
+    /// Adds the bias-dependent stamps — MOSFETs and MTJs — at iterate
+    /// `x` on top of a copied [`StampPlan::stamp_static`] base. The
+    /// sparse engine's per-iteration assembly.
+    pub(super) fn stamp_dynamic(
+        &self,
+        ckt: &Circuit,
+        x: &[f64],
+        ctx: &EvalCtx<'_>,
+        values: &mut [f64],
+        z: &mut [f64],
+    ) {
+        for entry in self.entries.iter().filter(|e| e.is_dynamic()) {
+            entry.stamp(ckt, x, ctx, values, z);
+        }
+    }
+
+    /// gmin shunts keep otherwise-floating nodes weakly grounded.
+    fn stamp_gmin(&self, gmin: f64, values: &mut [f64]) {
+        let g = gmin.max(GMIN_FLOOR);
+        for &at in &self.gmin_at {
+            values[at] += g;
+        }
+    }
+
+    /// Capacitor companions (transient only).
+    fn stamp_companions(
+        &self,
+        companions: Option<&Companions<'_>>,
+        values: &mut [f64],
+        z: &mut [f64],
+    ) {
+        let Some(c) = companions else {
+            return;
+        };
+        for (cap, state) in self.caps.iter().zip(c.states.iter()) {
             let (geq, ieq) = match c.integrator {
                 Integrator::BackwardEuler => {
                     let geq = cap.farads / c.dt;
@@ -512,12 +636,141 @@ pub(super) fn assemble(
                     (geq, geq * state.v_prev + state.i_prev)
                 }
             };
-            stamp_conductance(a, cap.ia, cap.ib, geq);
+            cap.adds.apply(values, &[geq, -geq]);
             if let Some(i) = cap.ia {
                 z[i] += ieq;
             }
             if let Some(i) = cap.ib {
                 z[i] -= ieq;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::session::{Engine, Workspace};
+    use crate::deck::{self, DeckContext};
+
+    /// The proposed latch's restore circuit (provenance in its header).
+    const PROPOSED_RESTORE: &str = include_str!("testdata/proposed_restore.sp");
+
+    /// SplitMix64 stream mapped to uniform draws.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            lo + (hi - lo) * (z >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `sparse` and `dense` agree to 1e-14 relative to the larger of
+    /// their magnitudes and `floor`.
+    fn assert_close(case: usize, what: &str, sparse: f64, dense: f64, floor: f64) {
+        let scale = sparse.abs().max(dense.abs()).max(floor);
+        assert!(
+            (sparse - dense).abs() <= 1e-14 * scale,
+            "solve {case}: {what}: sparse {sparse:e} vs dense {dense:e}"
+        );
+    }
+
+    /// The sparse engine's split assembly — a per-solve static base plus
+    /// per-iteration MOSFET/MTJ stamps — equals the dense oracle's full
+    /// re-stamp, matrix and RHS, entry by entry, at seeded random
+    /// iterates and capacitor histories. The solves run back to back on
+    /// one workspace per engine, over the gmin ladder, source stepping
+    /// and both integrators at several step sizes, at two times; a base
+    /// carried over from the previous solve would fail.
+    #[test]
+    fn split_assembly_matches_full_restamp_on_the_proposed_latch() {
+        let ckt = deck::parse(PROPOSED_RESTORE, &DeckContext::default()).expect("fixture parses");
+        let sparse_plan = StampPlan::build(&ckt, SolverKind::Sparse);
+        let dense_plan = StampPlan::build(&ckt, SolverKind::Dense);
+        let (n, n_nodes) = (sparse_plan.n_unknowns, sparse_plan.n_nodes);
+        assert_eq!(n, 46, "fixture is the 46-unknown restore circuit");
+        let mut sparse_ws = Workspace::for_plan(&sparse_plan);
+        let mut dense_ws = Workspace::for_plan(&dense_plan);
+
+        // (t, src_scale, gmin, companion integrator and dt) per solve.
+        let mut solves = Vec::new();
+        for t in [0.3e-9, 1.1e-9] {
+            for gmin in [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, GMIN_FLOOR] {
+                solves.push((t, 1.0, gmin, None));
+            }
+            for src_scale in [1.0 / 64.0, 0.3, 0.75] {
+                solves.push((t, src_scale, GMIN_FLOOR, None));
+            }
+            for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
+                for dt in [1e-14, 2e-12, 3e-11] {
+                    solves.push((t, 1.0, GMIN_FLOOR, Some((integrator, dt))));
+                }
+            }
+        }
+
+        let mut rng = SplitMix(0x5eed);
+        let mut states = vec![CapState::default(); sparse_plan.caps.len()];
+        let mut x = vec![0.0; n];
+        for (case, &(t, src_scale, gmin, companion)) in solves.iter().enumerate() {
+            for state in &mut states {
+                state.v_prev = rng.uniform(-1.2, 1.2);
+                state.i_prev = rng.uniform(-1e-4, 1e-4);
+            }
+            let companions = companion.map(|(integrator, dt)| Companions {
+                states: &states,
+                integrator,
+                dt,
+            });
+            let ctx = EvalCtx {
+                t,
+                src_scale,
+                gmin,
+                companions: companions.as_ref(),
+            };
+            sparse_ws.engine.begin_solve(&sparse_plan, &ckt, &ctx);
+            dense_ws.engine.begin_solve(&dense_plan, &ckt, &ctx);
+            for _iteration in 0..3 {
+                for (i, xi) in x.iter_mut().enumerate() {
+                    *xi = if i < n_nodes {
+                        rng.uniform(-0.2, 1.3)
+                    } else {
+                        rng.uniform(-1e-3, 1e-3)
+                    };
+                }
+                sparse_ws
+                    .engine
+                    .assemble(&sparse_plan, &ckt, &x, &ctx, &mut sparse_ws.z);
+                dense_ws
+                    .engine
+                    .assemble(&dense_plan, &ckt, &x, &ctx, &mut dense_ws.z);
+                let (Engine::Sparse { values, .. }, Engine::Dense { a, .. }) =
+                    (&sparse_ws.engine, &dense_ws.engine)
+                else {
+                    unreachable!("workspaces were built for these engines");
+                };
+                for r in 0..n {
+                    for c in 0..n {
+                        let sparse = sparse_plan.sparse.slot(r, c).map_or(0.0, |k| values[k]);
+                        assert_close(case, &format!("A[{r}][{c}]"), sparse, a.get(r, c), 0.0);
+                    }
+                    // RHS entries sum conductance × voltage terms
+                    // (companion and MOSFET `ieq`) that cancel, so they
+                    // are held relative to the row's largest
+                    // conductance times 1 V as well as to themselves.
+                    let row_scale = (0..n).map(|c| a.get(r, c).abs()).fold(0.0, f64::max);
+                    assert_close(
+                        case,
+                        &format!("z[{r}]"),
+                        sparse_ws.z[r],
+                        dense_ws.z[r],
+                        row_scale,
+                    );
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Operating-point, DC-sweep and transient analyses.
 //!
-//! All analyses share one assembly routine that stamps the linearized
-//! device equations into a dense MNA system `A·x = z`, where `x` holds the
+//! All analyses share one stamp table that assembles the linearized
+//! device equations into an MNA system `A·x = z`, where `x` holds the
 //! non-ground node voltages followed by one branch current per voltage
 //! source. Nonlinear devices (MOSFETs, bias-dependent MTJs) are iterated
 //! with Newton–Raphson; robustness comes from three standard measures:
@@ -22,11 +22,14 @@
 //!
 //! The engine is organised around a reusable [`SimulationSession`]:
 //!
-//! * [`assembly`](self) — each device is resolved once into a stamp with
-//!   pre-computed unknown indices; a `StampPlan` collects them along
-//!   with the flattened capacitor list, MTJ slots and branch table;
+//! * [`assembly`](self) — a `StampPlan` stamp table: each device is
+//!   resolved once into an entry whose matrix adds are pre-resolved to
+//!   value-array offsets, along with the flattened capacitor list, MTJ
+//!   slots and branch table;
 //! * `newton` — the Newton–Raphson core, gmin ladder and DC sweep,
-//!   iterating in place on workspace buffers;
+//!   iterating in place on workspace buffers; the sparse engine stamps
+//!   what is fixed for a solve once per solve and only MOSFETs and MTJs
+//!   per iteration;
 //! * `transient` — the time-stepping loop, with capacitor histories
 //!   held in the workspace instead of cloned per step;
 //! * [`session`](SimulationSession) — ties a circuit to its plan and
@@ -233,8 +236,8 @@ impl OpResult {
 /// [`SpiceError::NonConvergence`] if Newton fails even at the strongest
 /// shunt.
 pub fn op(ckt: &mut Circuit) -> Result<OpResult, SpiceError> {
-    let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::Sparse);
+    let plan = StampPlan::build(ckt, SolverKind::Sparse);
+    let mut ws = Workspace::for_plan(&plan);
     newton::op_core(&plan, ckt, &mut ws)
 }
 
@@ -255,8 +258,8 @@ pub fn dc_sweep(
     source: &str,
     values: &[f64],
 ) -> Result<Vec<OpResult>, SpiceError> {
-    let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::Sparse);
+    let plan = StampPlan::build(ckt, SolverKind::Sparse);
+    let mut ws = Workspace::for_plan(&plan);
     newton::run_dc_sweep(&plan, ckt, &mut ws, source, values)
 }
 
@@ -294,21 +297,21 @@ pub fn transient_with_options(
     step: Time,
     options: TransientOptions,
 ) -> Result<TransientResult, SpiceError> {
-    let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::Sparse);
+    let plan = StampPlan::build(ckt, SolverKind::Sparse);
+    let mut ws = Workspace::for_plan(&plan);
     transient::run(&plan, ckt, &mut ws, stop, step, options)
 }
 
 /// Structural nonzero pattern of the MNA matrix this circuit assembles,
-/// as frozen by a stamp-plan probe pass (the same pattern a
-/// [`SimulationSession`] solves against).
+/// as frozen by its stamp plan (the same pattern a [`SimulationSession`]
+/// solves against).
 ///
 /// Exposed for structural equivalence checks — e.g. pinning that a
 /// generator-built cell stamps the identical matrix as its hand-built
 /// ancestor — without running an analysis.
 #[must_use]
 pub fn matrix_pattern(ckt: &Circuit) -> crate::linalg::SparsePattern {
-    StampPlan::build(ckt).sparse
+    StampPlan::build(ckt, SolverKind::Sparse).sparse
 }
 
 /// Returns the MTJ states currently held by a circuit, in device order.
@@ -1077,15 +1080,15 @@ mod tests {
     fn source_stepping_reaches_the_gmin_ladder_solution() {
         for solver in [SolverKind::Sparse, SolverKind::Dense] {
             let ckt = inverter_fixture();
-            let plan = StampPlan::build(&ckt);
+            let plan = StampPlan::build(&ckt, solver);
 
-            let mut ws = Workspace::for_plan(&plan, solver);
+            let mut ws = Workspace::for_plan(&plan);
             let (mut bufs, _) = ws.split();
             newton::solve_op_from_zero(&plan, &ckt, &mut bufs, 0.0).expect("gmin ladder");
             let via_gmin = bufs.x.clone();
             assert_eq!(bufs.stats.source_steps, 0, "gmin path never ramps sources");
 
-            let mut ws = Workspace::for_plan(&plan, solver);
+            let mut ws = Workspace::for_plan(&plan);
             let (mut bufs, _) = ws.split();
             newton::solve_op_source_stepped(&plan, &ckt, &mut bufs, 0.0).expect("source stepping");
             // A clean geometric 1/64 -> 1 ramp is 7 rungs.

@@ -10,25 +10,11 @@
 use crate::circuit::Circuit;
 use crate::device::Device;
 use crate::error::SpiceError;
-use crate::linalg::{DenseMatrix, LuScratch, SparseSolveOutcome, SymbolicLu};
+use crate::linalg::SparseSolveOutcome;
 
-use super::assembly::{assemble, Companions, EvalCtx, MatrixRef, StampPlan};
-use super::session::{SolverStats, Workspace};
+use super::assembly::{Companions, EvalCtx, StampPlan};
+use super::session::{Engine, SolverStats, Workspace};
 use super::{OpResult, ABSTOL, GMIN_FLOOR, RELTOL, VNTOL, VSTEP_MAX};
-
-/// The LU engine's per-solve storage: either the dense matrix plus its
-/// factorization scratch, or the CSR values plus the symbolic object
-/// whose frozen pattern they are refactored in.
-pub(super) enum EngineBufs<'w> {
-    Dense {
-        a: &'w mut DenseMatrix,
-        lu: &'w mut LuScratch,
-    },
-    Sparse {
-        values: &'w mut Vec<f64>,
-        symbolic: &'w mut SymbolicLu,
-    },
-}
 
 /// Mutable views over the workspace fields the Newton solver touches.
 ///
@@ -36,7 +22,7 @@ pub(super) enum EngineBufs<'w> {
 /// can hold the capacitor histories separately — see
 /// [`Workspace::split`].
 pub(super) struct SolverBufs<'w> {
-    pub engine: EngineBufs<'w>,
+    pub engine: &'w mut Engine,
     pub z: &'w mut Vec<f64>,
     pub x: &'w mut Vec<f64>,
     pub x_new: &'w mut Vec<f64>,
@@ -62,6 +48,53 @@ impl SolverBufs<'_> {
     pub(super) fn zero_x(&mut self, n: usize) {
         self.x.clear();
         self.x.resize(n, 0.0);
+    }
+}
+
+impl Engine {
+    /// Starts one Newton solve. The sparse engine stamps everything the
+    /// solve holds fixed into its base and returns `true`; the dense
+    /// oracle re-stamps everything every iteration, so it has nothing
+    /// to do and returns `false`.
+    pub(super) fn begin_solve(
+        &mut self,
+        plan: &StampPlan,
+        ckt: &Circuit,
+        ctx: &EvalCtx<'_>,
+    ) -> bool {
+        match self {
+            Engine::Dense { .. } => false,
+            Engine::Sparse { base, z_base, .. } => {
+                plan.stamp_static(ckt, ctx, base, z_base);
+                true
+            }
+        }
+    }
+
+    /// Assembles the system at iterate `x` into the engine's value array
+    /// and `z`: the dense oracle re-stamps it from zero, the sparse
+    /// engine restores the solve's base and adds the MOSFETs and MTJs.
+    pub(super) fn assemble(
+        &mut self,
+        plan: &StampPlan,
+        ckt: &Circuit,
+        x: &[f64],
+        ctx: &EvalCtx<'_>,
+        z: &mut [f64],
+    ) {
+        match self {
+            Engine::Dense { a, .. } => plan.assemble(ckt, x, ctx, a.data_mut(), z),
+            Engine::Sparse {
+                values,
+                base,
+                z_base,
+                ..
+            } => {
+                values.copy_from_slice(base);
+                z.copy_from_slice(z_base);
+                plan.stamp_dynamic(ckt, x, ctx, values, z);
+            }
+        }
     }
 }
 
@@ -95,93 +128,77 @@ pub(super) fn newton(
 ) -> Result<(), SpiceError> {
     let n = plan.n_unknowns;
     let n_nodes = plan.n_nodes;
-    let ctx = EvalCtx { t, src_scale };
+    let ctx = EvalCtx {
+        t,
+        src_scale,
+        gmin,
+        companions,
+    };
     // One atomic load each, hoisted so the per-iteration
     // instrumentation below is branch-on-bool when tracing is off.
     let tel = telemetry::enabled();
     let fl = telemetry::flight::active();
 
+    let base_timer = tel.then(std::time::Instant::now);
+    if bufs.engine.begin_solve(plan, ckt, &ctx) {
+        lap(base_timer, "spice.stamp_base_s");
+    }
+
     for _iter in 0..max_iter {
         bufs.stats.newton_iterations += 1;
         bufs.stats.lu_factorizations += 1;
         let assemble_timer = tel.then(std::time::Instant::now);
-        let lu_timer;
-        let solved = match &mut bufs.engine {
-            EngineBufs::Dense { a, lu } => {
-                let mut target = MatrixRef::Dense(a);
-                assemble(
-                    plan,
-                    ckt,
-                    bufs.x,
-                    ctx,
-                    gmin,
-                    companions,
-                    &mut target,
-                    bufs.z,
-                );
-                lu_timer = lap(assemble_timer, "spice.assemble_s");
+        bufs.engine.assemble(plan, ckt, bufs.x, &ctx, bufs.z);
+        let lu_timer = lap(assemble_timer, "spice.assemble_s");
+        let solved = match &mut *bufs.engine {
+            Engine::Dense { a, lu } => {
                 // `assemble` rebuilds the matrix next iteration anyway,
                 // so let the factorization consume it in place instead
                 // of paying an n² working-copy memcpy per solve.
                 a.solve_in_place(bufs.z, lu, bufs.x_new)
             }
-            EngineBufs::Sparse { values, symbolic } => {
-                let mut target = MatrixRef::Sparse {
-                    pattern: &plan.sparse,
-                    values,
-                };
-                assemble(
-                    plan,
-                    ckt,
-                    bufs.x,
-                    ctx,
-                    gmin,
-                    companions,
-                    &mut target,
-                    bufs.z,
-                );
-                lu_timer = lap(assemble_timer, "spice.assemble_s");
-                match symbolic.factor_and_solve(&plan.sparse, values, bufs.z, bufs.x_new) {
-                    None => false,
-                    Some(outcome) => {
-                        match outcome {
-                            SparseSolveOutcome::ReusedPattern => {
-                                bufs.stats.pattern_reuses += 1;
+            Engine::Sparse {
+                values, symbolic, ..
+            } => match symbolic.factor_and_solve(&plan.sparse, values, bufs.z, bufs.x_new) {
+                None => false,
+                Some(outcome) => {
+                    match outcome {
+                        SparseSolveOutcome::ReusedPattern => {
+                            bufs.stats.pattern_reuses += 1;
+                        }
+                        SparseSolveOutcome::Built => {
+                            bufs.stats.symbolic_builds += 1;
+                            telemetry::counter("spice.symbolic_builds", 1);
+                            if tel {
+                                telemetry::histogram("spice.csr_nnz", plan.sparse.nnz() as f64);
+                                telemetry::histogram("spice.lu_nnz", symbolic.lu_nnz() as f64);
                             }
-                            SparseSolveOutcome::Built => {
-                                bufs.stats.symbolic_builds += 1;
-                                telemetry::counter("spice.symbolic_builds", 1);
-                                if tel {
-                                    telemetry::histogram("spice.csr_nnz", plan.sparse.nnz() as f64);
-                                    telemetry::histogram("spice.lu_nnz", symbolic.lu_nnz() as f64);
-                                }
-                                if fl {
-                                    telemetry::flight::record_always(
-                                        telemetry::flight::EventKind::SymbolicBuild,
-                                        t,
-                                        symbolic.lu_nnz() as f64,
-                                    );
-                                }
-                            }
-                            SparseSolveOutcome::Repivoted => {
-                                bufs.stats.repivots += 1;
-                                telemetry::counter("spice.repivots", 1);
-                                if tel {
-                                    telemetry::histogram("spice.lu_nnz", symbolic.lu_nnz() as f64);
-                                }
-                                if fl {
-                                    telemetry::flight::record_always(
-                                        telemetry::flight::EventKind::Repivot,
-                                        t,
-                                        symbolic.lu_nnz() as f64,
-                                    );
-                                }
+                            if fl {
+                                telemetry::flight::record_always(
+                                    telemetry::flight::EventKind::SymbolicBuild,
+                                    t,
+                                    symbolic.lu_nnz() as f64,
+                                );
                             }
                         }
-                        true
+                        SparseSolveOutcome::Repivoted => {
+                            bufs.stats.repivots += 1;
+                            telemetry::counter("spice.repivots", 1);
+                            if tel {
+                                telemetry::histogram("spice.lu_nnz", symbolic.lu_nnz() as f64);
+                            }
+                            if fl {
+                                telemetry::flight::record_always(
+                                    telemetry::flight::EventKind::Repivot,
+                                    t,
+                                    symbolic.lu_nnz() as f64,
+                                );
+                            }
+                        }
                     }
+                    true
                 }
-            }
+            },
         };
         if !solved {
             if fl {

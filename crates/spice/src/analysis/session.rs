@@ -19,7 +19,7 @@ use crate::linalg::{DenseMatrix, LuScratch, SymbolicLu};
 use crate::result::TransientResult;
 
 use super::assembly::{CapState, StampPlan};
-use super::newton::{EngineBufs, SolverBufs};
+use super::newton::SolverBufs;
 use super::{newton, transient, OpResult, TransientOptions};
 
 /// Which LU engine a session's Newton solves run on.
@@ -145,21 +145,39 @@ impl Sub for SolverStats {
     }
 }
 
+/// The LU engine's storage: the dense matrix plus its factorization
+/// scratch, or the CSR values, the per-solve static base they are
+/// restored from each iteration, and the symbolic object they are
+/// refactored in.
+#[derive(Debug)]
+pub(super) enum Engine {
+    Dense {
+        a: DenseMatrix,
+        lu: LuScratch,
+    },
+    Sparse {
+        /// CSR values backing the plan's frozen pattern.
+        values: Vec<f64>,
+        /// Matrix part fixed for one Newton solve (see
+        /// [`StampPlan::stamp_static`]).
+        base: Vec<f64>,
+        /// RHS part fixed for one Newton solve.
+        z_base: Vec<f64>,
+        /// Symbolic factorization, built lazily on the first solve
+        /// (boxed: it dwarfs the dense variant).
+        symbolic: Box<SymbolicLu>,
+    },
+}
+
 /// Solver working storage sized for one circuit: allocated when the plan
 /// is built, reused by every subsequent solve.
 #[derive(Debug)]
 pub(crate) struct Workspace {
-    pub(super) solver: SolverKind,
-    pub(super) a: DenseMatrix,
-    /// CSR value array backing the plan's frozen pattern (sparse path).
-    pub(super) csr_values: Vec<f64>,
-    /// Symbolic factorization, built lazily on the first sparse solve.
-    pub(super) symbolic: SymbolicLu,
+    pub(super) engine: Engine,
     pub(super) z: Vec<f64>,
     pub(super) x: Vec<f64>,
     pub(super) x_new: Vec<f64>,
     pub(super) x_save: Vec<f64>,
-    pub(super) lu: LuScratch,
     pub(super) cap_states: Vec<CapState>,
     /// Accepted solution one step back (LTE predictor history).
     pub(super) x_prev: Vec<f64>,
@@ -182,19 +200,27 @@ pub(super) struct TransientScratch<'w> {
 
 impl Workspace {
     /// Allocates buffers sized for `plan`'s system, solving with the
-    /// given engine.
-    pub(crate) fn for_plan(plan: &StampPlan, solver: SolverKind) -> Self {
+    /// engine the plan was built for.
+    pub(crate) fn for_plan(plan: &StampPlan) -> Self {
         let n = plan.n_unknowns;
+        let engine = match plan.solver {
+            SolverKind::Dense => Engine::Dense {
+                a: DenseMatrix::zeros(n),
+                lu: LuScratch::for_dim(n),
+            },
+            SolverKind::Sparse => Engine::Sparse {
+                values: vec![0.0; plan.sparse.nnz()],
+                base: vec![0.0; plan.sparse.nnz()],
+                z_base: vec![0.0; n],
+                symbolic: Box::new(SymbolicLu::new()),
+            },
+        };
         Self {
-            solver,
-            a: DenseMatrix::zeros(n),
-            csr_values: vec![0.0; plan.sparse.nnz()],
-            symbolic: SymbolicLu::new(),
+            engine,
             z: vec![0.0; n],
             x: vec![0.0; n],
             x_new: Vec::with_capacity(n),
             x_save: Vec::with_capacity(n),
-            lu: LuScratch::for_dim(n),
             cap_states: vec![CapState::default(); plan.caps.len()],
             x_prev: Vec::with_capacity(n),
             x_prev2: Vec::with_capacity(n),
@@ -217,30 +243,21 @@ impl Workspace {
     /// freeze per analysis, amortized over its thousands of
     /// pattern-reusing refactorizations; the buffers stay allocated.
     pub(super) fn split(&mut self) -> (SolverBufs<'_>, TransientScratch<'_>) {
-        self.symbolic.invalidate();
+        if let Engine::Sparse { symbolic, .. } = &mut self.engine {
+            symbolic.invalidate();
+        }
         let Self {
-            solver,
-            a,
-            csr_values,
-            symbolic,
+            engine,
             z,
             x,
             x_new,
             x_save,
-            lu,
             cap_states,
             x_prev,
             x_prev2,
             x_prev3,
             stats,
         } = self;
-        let engine = match solver {
-            SolverKind::Dense => EngineBufs::Dense { a, lu },
-            SolverKind::Sparse => EngineBufs::Sparse {
-                values: csr_values,
-                symbolic,
-            },
-        };
         (
             SolverBufs {
                 engine,
@@ -271,10 +288,11 @@ impl Workspace {
 /// Between runs the circuit may be mutated through
 /// [`SimulationSession::circuit_mut`] — retuning source waveforms,
 /// preconditioning MTJ states, or restoring a
-/// [`CircuitSnapshot`](crate::circuit::CircuitSnapshot). Parameter
-/// changes like these reuse the existing plan; structural changes
-/// (adding devices or nodes) are detected and trigger a transparent
-/// rebuild on the next analysis.
+/// [`CircuitSnapshot`](crate::circuit::CircuitSnapshot). Value
+/// changes like these reuse the existing plan. Changes to what the plan
+/// froze — added devices or nodes, a device replaced by another kind,
+/// moved terminals, a new capacitance or MOSFET geometry — are detected
+/// and trigger a transparent rebuild on the next analysis.
 ///
 /// # Examples
 ///
@@ -323,8 +341,8 @@ impl SimulationSession {
     /// equivalence tests run the dense oracle beside the sparse path.
     #[must_use]
     pub fn with_solver(ckt: Circuit, solver: SolverKind) -> Self {
-        let plan = StampPlan::build(&ckt);
-        let ws = Workspace::for_plan(&plan, solver);
+        let plan = StampPlan::build(&ckt, solver);
+        let ws = Workspace::for_plan(&plan);
         Self {
             ckt,
             plan,
@@ -355,7 +373,7 @@ impl SimulationSession {
     /// The LU engine this session's solves run on.
     #[must_use]
     pub fn solver_kind(&self) -> SolverKind {
-        self.ws.solver
+        self.plan.solver
     }
 
     /// The session's circuit.
@@ -365,8 +383,9 @@ impl SimulationSession {
     }
 
     /// Mutable access to the circuit, for retuning waveforms or device
-    /// state between runs. Structural edits (new devices or nodes) cause
-    /// a plan rebuild on the next analysis.
+    /// state between runs. Edits to what the plan froze (devices, nodes,
+    /// terminals, capacitances, MOSFET geometry) cause a plan rebuild
+    /// on the next analysis.
     pub fn circuit_mut(&mut self) -> &mut Circuit {
         &mut self.ckt
     }
@@ -392,7 +411,10 @@ impl SimulationSession {
     /// first analysis.
     #[must_use]
     pub fn lu_nnz(&self) -> usize {
-        self.ws.symbolic.lu_nnz()
+        match &self.ws.engine {
+            Engine::Dense { .. } => 0,
+            Engine::Sparse { symbolic, .. } => symbolic.lu_nnz(),
+        }
     }
 
     /// Zeroes the cumulative work counters.
@@ -400,12 +422,14 @@ impl SimulationSession {
         self.ws.stats = SolverStats::default();
     }
 
+    /// Rebuilds the plan and workspace when the circuit no longer
+    /// matches what the plan froze (see [`StampPlan::is_stale`]),
+    /// keeping the cumulative stats.
     fn refresh(&mut self) {
         if self.plan.is_stale(&self.ckt) {
             let stats = self.ws.stats;
-            let solver = self.ws.solver;
-            self.plan = StampPlan::build(&self.ckt);
-            self.ws = Workspace::for_plan(&self.plan, solver);
+            self.plan = StampPlan::build(&self.ckt, self.plan.solver);
+            self.ws = Workspace::for_plan(&self.plan);
             self.ws.stats = stats;
         }
     }

@@ -131,6 +131,12 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Mutably borrows the raw row-major entries — the value array the
+    /// dense oracle's stamp table addresses as `row·n + col`.
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Solves `A·x = b` via LU with partial pivoting without destroying
     /// `self`.
     ///
@@ -306,21 +312,18 @@ const PIVOT_DECAY: f64 = 1e-6;
 const PIVOT_THRESHOLD: f64 = 0.1;
 
 /// Frozen structural nonzero pattern of an assembled MNA matrix, in CSR
-/// form, with a dense `(row, col) → slot` map for O(1) stamping and the
-/// fill-reducing column order the sparse LU eliminates in.
+/// form, with the fill-reducing column order the sparse LU eliminates
+/// in.
 ///
-/// Built once per stamp plan from a structure-probing assembly pass; the
-/// value array it indexes lives in the solver workspace and is re-filled
-/// every Newton iteration.
+/// Built once per stamp plan from the positions its stamps add into,
+/// each of which the plan resolves to a CSR slot up front
+/// ([`SparsePattern::slot`]); the value array it indexes lives in the
+/// solver workspace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparsePattern {
     n: usize,
     row_ptr: Vec<u32>,
     col_idx: Vec<u32>,
-    /// Dense `n × n` map from `(row, col)` to the CSR slot index, with
-    /// `u32::MAX` marking structural zeros. ~4n² bytes — trivial at MNA
-    /// scale and the reason a stamp costs one load and one add.
-    slot_of: Vec<u32>,
     /// Structural Markowitz column order (see
     /// [`SparsePattern::column_order`]). Shorter than `n` when the
     /// pattern is structurally singular: it holds the columns eliminated
@@ -329,11 +332,8 @@ pub struct SparsePattern {
 }
 
 impl SparsePattern {
-    const NO_SLOT: u32 = u32::MAX;
-
-    /// Builds the pattern from the structural entries captured by a
-    /// probe assembly pass, and computes its column order. Duplicates
-    /// are allowed and merged.
+    /// Builds the pattern from structural `(row, col)` entries and
+    /// computes its column order. Duplicates are allowed and merged.
     ///
     /// # Panics
     ///
@@ -344,11 +344,9 @@ impl SparsePattern {
         entries.dedup();
         let mut row_ptr = vec![0u32; n + 1];
         let mut col_idx = Vec::with_capacity(entries.len());
-        let mut slot_of = vec![Self::NO_SLOT; n * n];
         for &(r, c) in &entries {
             let (r, c) = (r as usize, c as usize);
             assert!(r < n && c < n, "pattern entry out of bounds");
-            slot_of[r * n + c] = col_idx.len() as u32;
             col_idx.push(c as u32);
             row_ptr[r + 1] += 1;
         }
@@ -359,7 +357,6 @@ impl SparsePattern {
             n,
             row_ptr,
             col_idx,
-            slot_of,
             col_order: Vec::new(),
         };
         pattern.col_order = pattern.markowitz_order();
@@ -388,21 +385,30 @@ impl SparsePattern {
         (self.col_order.len() == self.n).then_some(&self.col_order[..])
     }
 
+    /// The CSR slot backing `(row, col)`, or `None` for a structural
+    /// zero (or a position outside the matrix).
+    #[must_use]
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        if row >= self.n {
+            return None;
+        }
+        let (cols, lo) = self.row(row);
+        cols.binary_search(&(col as u32)).ok().map(|k| lo + k)
+    }
+
     /// Adds `value` to the CSR slot backing `(row, col)` — the sparse
-    /// counterpart of [`DenseMatrix::add`].
+    /// counterpart of [`DenseMatrix::add`], for tests that build values
+    /// by hand.
     ///
     /// # Panics
     ///
-    /// Panics if `(row, col)` is a structural zero of the pattern, which
-    /// means the values were assembled against a stale pattern.
-    #[inline]
-    pub fn add_into(&self, values: &mut [f64], row: usize, col: usize, value: f64) {
-        let slot = self.slot_of[row * self.n + col];
-        assert!(
-            slot != Self::NO_SLOT,
-            "stamp at ({row}, {col}) outside the frozen pattern"
-        );
-        values[slot as usize] += value;
+    /// Panics if `(row, col)` is a structural zero of the pattern.
+    #[cfg(test)]
+    pub(crate) fn add_into(&self, values: &mut [f64], row: usize, col: usize, value: f64) {
+        let slot = self
+            .slot(row, col)
+            .unwrap_or_else(|| panic!("stamp at ({row}, {col}) outside the frozen pattern"));
+        values[slot] += value;
     }
 
     /// The column indices of `row`, ascending, and the CSR slot of the
@@ -1092,6 +1098,9 @@ mod tests {
         pattern.add_into(&mut values, 0, 0, 0.5);
         pattern.add_into(&mut values, 2, 0, -1.0);
         assert_eq!(values, vec![2.0, 0.0, 0.0, -1.0]);
+        assert_eq!(pattern.slot(2, 0), Some(3));
+        assert_eq!(pattern.slot(0, 1), None, "structural zero");
+        assert_eq!(pattern.slot(3, 0), None, "outside the matrix");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! why the time axes are compared exactly.
 //!
 //! Also hosts the session lifecycle tests that want both solver kinds:
-//! plan rebuild after a structural circuit edit, and singular-matrix
+//! plan rebuild after a structural circuit edit, after an in-place
+//! capacitance edit and after a device-kind swap, and singular-matrix
 //! propagation out of a transient.
 
 use mtj::{Mtj, MtjParams, MtjState, WritePolarity};
@@ -367,6 +368,81 @@ fn structural_edit_rebuilds_plan_and_keeps_stats() {
             "{solver:?}: rebuild dropped cumulative stats"
         );
         assert_eq!(session.solver_kind(), solver, "rebuild changed the solver");
+    }
+}
+
+/// Asserts two transients are the same run: identical time axes and
+/// identical samples on every listed node.
+fn assert_transients_identical(nodes: &[&str], a: &TransientResult, b: &TransientResult) {
+    assert_eq!(a.times(), b.times(), "time axes differ");
+    for name in nodes {
+        let va = a.node(name).expect("node in first run");
+        let vb = b.node(name).expect("node in second run");
+        assert_eq!(va.values(), vb.values(), "node {name} differs");
+    }
+}
+
+/// An in-place capacitance edit changes the companion conductances the
+/// plan froze: the next analysis must rebuild the plan and match a
+/// fresh session on the edited circuit, for both solver kinds.
+#[test]
+fn capacitance_edit_rebuilds_plan() {
+    for solver in [SolverKind::Sparse, SolverKind::Dense] {
+        let fx = rc_lowpass();
+        let (stop, step) = (fx.stop, fx.step);
+        let mut session = SimulationSession::with_solver(fx.ckt, solver);
+        session.transient(stop, step).expect("transient at 1 pF");
+
+        for device in session.circuit_mut().devices_mut() {
+            if let spice::Device::Capacitor { farads, .. } = device {
+                *farads = 4e-12;
+            }
+        }
+        let edited = session.transient(stop, step).expect("transient at 4 pF");
+
+        let fresh_ckt = session.circuit().clone();
+        let mut fresh = SimulationSession::with_solver(fresh_ckt, solver);
+        let expected = fresh.transient(stop, step).expect("fresh transient");
+        assert_transients_identical(&fx.nodes, &expected, &edited);
+        // The 4 pF load is four times slower: at 0.5 ns (0.4 ns into
+        // the ramp) a 1 ns time constant leaves `out` near 0.09 V.
+        let out = edited.node("out").expect("out").value_at(0.5e-9);
+        assert!(out > 0.05 && out < 0.15, "{solver:?}: out(0.5 ns) = {out}");
+    }
+}
+
+/// Replacing a device by one of another kind at the same index (here a
+/// resistor by a capacitor) must rebuild the plan instead of stamping
+/// the new device as the old kind, for both solver kinds.
+#[test]
+fn device_kind_swap_rebuilds_plan() {
+    for solver in [SolverKind::Sparse, SolverKind::Dense] {
+        let fx = rc_lowpass();
+        let (stop, step) = (fx.stop, fx.step);
+        let mut ckt = fx.ckt;
+        let out = ckt.find_node("out").expect("out");
+        ckt.add_resistor("R2", out, Circuit::GROUND, Resistance::from_kilo_ohms(2.0))
+            .expect("R2");
+        let mut session = SimulationSession::with_solver(ckt, solver);
+        session.transient(stop, step).expect("transient with R2");
+
+        let devices = session.circuit_mut().devices_mut();
+        let r2 = devices
+            .iter()
+            .position(|d| d.name() == "R2")
+            .expect("R2 present");
+        devices[r2] = spice::Device::Capacitor {
+            name: "C2".into(),
+            a: out,
+            b: Circuit::GROUND,
+            farads: 1e-12,
+        };
+        let swapped = session.transient(stop, step).expect("transient with C2");
+
+        let fresh_ckt = session.circuit().clone();
+        let mut fresh = SimulationSession::with_solver(fresh_ckt, solver);
+        let expected = fresh.transient(stop, step).expect("fresh transient");
+        assert_transients_identical(&fx.nodes, &expected, &swapped);
     }
 }
 
