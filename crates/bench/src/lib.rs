@@ -110,13 +110,6 @@ pub struct ServeGuard {
 }
 
 impl ServeGuard {
-    /// The address the sidecar actually bound (resolves `--serve`
-    /// port `0`).
-    #[must_use]
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.server.local_addr()
-    }
-
     /// Ends the sidecar: if `--serve-linger <secs>` was given, keeps
     /// serving for up to that long (released early by
     /// `GET /quitquitquit`) so a scraper can collect the final state,

@@ -99,7 +99,7 @@ impl ShmooOptions {
 
     /// The surface axes this configuration sweeps.
     #[must_use]
-    pub fn axes(&self, params: &MtjParams) -> SurfaceAxes {
+    pub(crate) fn axes(&self, params: &MtjParams) -> SurfaceAxes {
         let model = SwitchingModel::new(params);
         let drive = params.nominal_write_current();
         SurfaceAxes {
@@ -134,36 +134,36 @@ impl ShmooOptions {
 #[derive(Debug, Clone)]
 pub struct CrossCheck {
     /// Typical-die WER target of the cross-check pulse.
-    pub target: f64,
+    pub(crate) target: f64,
     /// IS (Bernoulli) population-WER estimate.
-    pub is_wer: f64,
+    pub(crate) is_wer: f64,
     /// IS 99 % confidence interval bounds.
-    pub ci_lo: f64,
+    pub(crate) ci_lo: f64,
     /// Upper bound of the same interval.
-    pub ci_hi: f64,
+    pub(crate) ci_hi: f64,
     /// Brute-force population-WER point estimate.
-    pub brute_wer: f64,
+    pub(crate) brute_wer: f64,
     /// Brute-force trials spent.
-    pub brute_trials: usize,
+    pub(crate) brute_trials: usize,
     /// The verdict: brute force inside the IS interval.
     pub agrees: bool,
     /// Wall-clock of the IS arm, seconds.
-    pub is_wall_s: f64,
+    pub(crate) is_wall_s: f64,
     /// Wall-clock of the brute-force arm, seconds.
-    pub brute_wall_s: f64,
+    pub(crate) brute_wall_s: f64,
 }
 
 /// The full benchmark result.
 #[derive(Debug, Clone)]
 pub struct ShmooReport {
     /// Surface rows in [`SurfaceAxes::points`] order.
-    pub rows: Vec<TailSurfaceRow>,
+    pub(crate) rows: Vec<TailSurfaceRow>,
     /// Samples per surface point.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Workers the surface sweep used.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Surface wall-clock, seconds.
-    pub surface_wall_s: f64,
+    pub(crate) surface_wall_s: f64,
     /// The shallow-regime differential.
     pub crosscheck: CrossCheck,
 }
@@ -171,7 +171,7 @@ pub struct ShmooReport {
 impl ShmooReport {
     /// The deepest resolved row: smallest nonzero WER on the surface.
     #[must_use]
-    pub fn deepest(&self) -> Option<&TailSurfaceRow> {
+    pub(crate) fn deepest(&self) -> Option<&TailSurfaceRow> {
         self.rows
             .iter()
             .filter(|r| r.estimate.wer > 0.0)
@@ -180,7 +180,7 @@ impl ShmooReport {
 
     /// Brute-force trials that the deepest row's variance would cost.
     #[must_use]
-    pub fn deep_brute_force_equivalent_trials(&self) -> f64 {
+    pub(crate) fn deep_brute_force_equivalent_trials(&self) -> f64 {
         self.deepest()
             .map_or(f64::NAN, |r| r.estimate.brute_force_equivalent_trials())
     }
@@ -188,13 +188,13 @@ impl ShmooReport {
     /// Samples-to-target-variance advantage at the deepest row:
     /// brute-force-equivalent trials over the IS sample budget.
     #[must_use]
-    pub fn deep_speedup_vs_brute_force(&self) -> f64 {
+    pub(crate) fn deep_speedup_vs_brute_force(&self) -> f64 {
         self.deep_brute_force_equivalent_trials() / self.samples.max(1) as f64
     }
 
     /// Minimum WER resolved anywhere on the surface (`NaN` if none).
     #[must_use]
-    pub fn min_wer(&self) -> f64 {
+    pub(crate) fn min_wer(&self) -> f64 {
         self.deepest().map_or(f64::NAN, |r| r.estimate.wer)
     }
 

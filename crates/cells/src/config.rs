@@ -15,9 +15,9 @@ use units::{Capacitance, Length, Time};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Corner {
     /// CMOS process corner.
-    pub cmos: CmosCorner,
+    pub(crate) cmos: CmosCorner,
     /// MTJ ±3σ corner.
-    pub mtj: MtjCorner,
+    pub(crate) mtj: MtjCorner,
 }
 
 impl Corner {
@@ -123,15 +123,15 @@ impl Default for Sizing {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timing {
     /// Pre-charge window before each evaluation.
-    pub precharge: Time,
+    pub(crate) precharge: Time,
     /// Evaluation (sense) window per bit.
-    pub evaluate: Time,
+    pub(crate) evaluate: Time,
     /// Control-edge rise/fall time.
-    pub edge: Time,
+    pub(crate) edge: Time,
     /// Write-pulse duration for the store phase.
     pub write_pulse: Time,
     /// Idle margin before the first phase begins.
-    pub lead_in: Time,
+    pub(crate) lead_in: Time,
 }
 
 impl Default for Timing {
@@ -158,9 +158,9 @@ impl Default for Timing {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerances {
     /// Relative LTE tolerance per step.
-    pub reltol: f64,
+    pub(crate) reltol: f64,
     /// Absolute LTE floor, volts/amperes.
-    pub abstol: f64,
+    pub(crate) abstol: f64,
 }
 
 impl Default for Tolerances {

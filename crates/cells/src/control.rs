@@ -5,9 +5,9 @@
 //! edges. Two restore-sequence generators are provided for the proposed
 //! 2-bit latch:
 //!
-//! * [`proposed_restore`] — the explicit three-signal scheme of Fig. 6(b):
+//! * `proposed_restore` — the explicit three-signal scheme of Fig. 6(b):
 //!   independent `PC_VDD`, `PC_GND` and `SEL`-type signals;
-//! * [`proposed_restore_optimized`] — the Fig. 7 scheme where a single
+//! * `proposed_restore_optimized` — the Fig. 7 scheme where a single
 //!   `PC` signal plus `R_en` derive every internal control: `P4`/`N4`
 //!   gates follow `PC̄`, VDD-pre-charge is active while `PC·R̄_en`, and
 //!   GND-pre-charge while `P̄C·R̄_en`. Fewer independent transitions is
@@ -26,7 +26,7 @@ use crate::config::Timing;
 ///
 /// Panics if windows overlap or are unordered (construction bug).
 #[must_use]
-pub fn gate_waveform(
+pub(crate) fn gate_waveform(
     windows: &[(Time, Time)],
     idle: Voltage,
     active: Voltage,
@@ -59,11 +59,11 @@ pub fn gate_waveform(
 #[derive(Debug, Clone, PartialEq)]
 pub struct StandardRestoreControls {
     /// Pre-charge PMOS gate (active low).
-    pub pc_b: SourceWaveform,
+    pub(crate) pc_b: SourceWaveform,
     /// Sense enable (footer NMOS and transmission gates, active high).
-    pub sen: SourceWaveform,
+    pub(crate) sen: SourceWaveform,
     /// Complement of `sen` (transmission-gate PMOS side).
-    pub sen_b: SourceWaveform,
+    pub(crate) sen_b: SourceWaveform,
     /// Instant the evaluation begins (sense-enable rising edge).
     pub eval_start: Time,
     /// Instant the evaluation window closes.
@@ -75,7 +75,7 @@ pub struct StandardRestoreControls {
 /// Generates the standard latch's restore sequence: pre-charge to VDD,
 /// then one evaluation.
 #[must_use]
-pub fn standard_restore(timing: &Timing, vdd: f64) -> StandardRestoreControls {
+pub(crate) fn standard_restore(timing: &Timing, vdd: f64) -> StandardRestoreControls {
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let t0 = timing.lead_in;
@@ -98,13 +98,13 @@ pub fn standard_restore(timing: &Timing, vdd: f64) -> StandardRestoreControls {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WordRestoreControls {
     /// Shared pre-charge PMOS gate (active low), pulsed once per phase.
-    pub pc_b: SourceWaveform,
+    pub(crate) pc_b: SourceWaveform,
     /// Per-bit sense enables (active high), one pulse each.
-    pub sen: Vec<SourceWaveform>,
+    pub(crate) sen: Vec<SourceWaveform>,
     /// Complements of `sen` (transmission-gate PMOS side).
-    pub sen_b: Vec<SourceWaveform>,
+    pub(crate) sen_b: Vec<SourceWaveform>,
     /// Per-bit evaluation windows `(start, end)` in read order.
-    pub evals: Vec<(Time, Time)>,
+    pub(crate) evals: Vec<(Time, Time)>,
     /// Total simulation window.
     pub total: Time,
 }
@@ -112,7 +112,7 @@ pub struct WordRestoreControls {
 /// Generates the restore sequence for an n-bit banked word: phase `i`
 /// pre-charges the shared sense outputs to VDD and then evaluates bit
 /// `i`'s MTJ pair. With `bits == 1` the waveforms and instants reduce
-/// exactly to [`standard_restore`].
+/// exactly to `standard_restore`.
 ///
 /// # Panics
 ///
@@ -153,19 +153,19 @@ pub fn word_restore(timing: &Timing, vdd: f64, bits: usize) -> WordRestoreContro
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProposedRestoreControls {
     /// VDD-pre-charge PMOS gates (active low).
-    pub pcv_b: SourceWaveform,
+    pub(crate) pcv_b: SourceWaveform,
     /// GND-pre-charge NMOS gates (active high).
-    pub pcg: SourceWaveform,
+    pub(crate) pcg: SourceWaveform,
     /// `R_en`: N3 footer and transmission-gate NMOS side (active high).
-    pub ren: SourceWaveform,
+    pub(crate) ren: SourceWaveform,
     /// Complement of `ren` (transmission-gate PMOS side).
-    pub ren_b: SourceWaveform,
+    pub(crate) ren_b: SourceWaveform,
     /// P3 header gate (active low; on during both evaluations).
-    pub sel_b: SourceWaveform,
+    pub(crate) sel_b: SourceWaveform,
     /// P4 equalizer gate (active low; on while the lower pair is read).
-    pub p4_b: SourceWaveform,
+    pub(crate) p4_b: SourceWaveform,
     /// N4 equalizer gate (active high; on while the upper pair is read).
-    pub n4: SourceWaveform,
+    pub(crate) n4: SourceWaveform,
     /// Lower-pair evaluation start.
     pub eval0_start: Time,
     /// Lower-pair evaluation end.
@@ -209,7 +209,7 @@ fn proposed_phases(timing: &Timing) -> ProposedPhases {
 /// 2-bit latch: pre-charge VDD → sense lower pair → pre-charge GND →
 /// sense upper pair.
 #[must_use]
-pub fn proposed_restore(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
+pub(crate) fn proposed_restore(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let e = timing.edge;
@@ -243,7 +243,7 @@ pub fn proposed_restore(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
 /// The derived waveforms therefore transition strictly less often than
 /// the explicit scheme's, which is measurable as lower control energy.
 #[must_use]
-pub fn proposed_restore_optimized(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
+pub(crate) fn proposed_restore_optimized(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let e = timing.edge;
@@ -276,13 +276,13 @@ pub fn proposed_restore_optimized(timing: &Timing, vdd: f64) -> ProposedRestoreC
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreControls {
     /// Write-driver enable (active high).
-    pub wen: SourceWaveform,
+    pub(crate) wen: SourceWaveform,
     /// Complement of `wen`.
-    pub wen_b: SourceWaveform,
+    pub(crate) wen_b: SourceWaveform,
     /// GND pre-charge: parks the sense outputs at ground *before* the
     /// write pulse, then releases them so no DC path can shunt the write
     /// current (see the reconstruction note in DESIGN.md).
-    pub pcg: SourceWaveform,
+    pub(crate) pcg: SourceWaveform,
     /// Instant the write pulse begins.
     pub write_start: Time,
     /// Instant the write pulse ends.
@@ -297,7 +297,7 @@ pub struct StoreControls {
 /// write path is identical for either latch design, the paper's argument
 /// for not sharing write components.
 #[must_use]
-pub fn store(timing: &Timing, vdd: f64) -> StoreControls {
+pub(crate) fn store(timing: &Timing, vdd: f64) -> StoreControls {
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let t0 = timing.lead_in;

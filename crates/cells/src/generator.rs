@@ -45,7 +45,7 @@ pub struct WordParams {
     pub bits: usize,
     /// MTJ devices in series per branch (1 = the paper's cells; larger
     /// values trade read current for a taller resistance ladder).
-    pub series_mtjs: usize,
+    pub(crate) series_mtjs: usize,
 }
 
 /// Which circuit template a [`WordParams`] point maps onto.
@@ -80,7 +80,7 @@ impl WordParams {
     ///
     /// Panics if `count` is zero.
     #[must_use]
-    pub fn with_series_mtjs(mut self, count: usize) -> Self {
+    pub(crate) fn with_series_mtjs(mut self, count: usize) -> Self {
         assert!(count > 0, "each branch needs at least one MTJ");
         self.series_mtjs = count;
         self
@@ -88,7 +88,7 @@ impl WordParams {
 
     /// The canonical subcircuit-definition name for this point.
     #[must_use]
-    pub fn subckt_name(&self) -> String {
+    pub(crate) fn subckt_name(&self) -> String {
         if self.series_mtjs == 1 {
             format!("NVWORD{}", self.bits)
         } else {
@@ -119,7 +119,7 @@ impl WordParams {
 ///
 /// Panics if `count` is zero.
 #[allow(clippy::too_many_arguments)]
-pub fn add_mtj_chain(
+pub(crate) fn add_mtj_chain(
     ckt: &mut Circuit,
     base: &str,
     from: spice::NodeId,
@@ -154,7 +154,7 @@ pub fn add_mtj_chain(
 /// Device names of the chain emitted by [`add_mtj_chain`] — the handles
 /// for [`Circuit::set_mtj_state`] / [`Circuit::mtj_state`].
 #[must_use]
-pub fn mtj_chain_names(base: &str, count: usize) -> Vec<String> {
+pub(crate) fn mtj_chain_names(base: &str, count: usize) -> Vec<String> {
     if count == 1 {
         vec![base.to_owned()]
     } else {
@@ -177,7 +177,7 @@ pub struct WordStimulus {
 impl WordStimulus {
     /// Builds a stimulus from explicit `(source name, waveform)` pairs.
     #[must_use]
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (String, SourceWaveform)>) -> Self {
+    pub(crate) fn from_pairs(pairs: impl IntoIterator<Item = (String, SourceWaveform)>) -> Self {
         Self {
             entries: pairs.into_iter().collect(),
         }
@@ -249,7 +249,7 @@ impl WordStimulus {
     /// # Panics
     ///
     /// Panics for the proposed 2-bit arm, whose restore is sequenced by
-    /// [`crate::control::proposed_restore`] through [`ProposedLatch`],
+    /// `crate::control::proposed_restore` through [`ProposedLatch`],
     /// and if `controls` does not carry one enable pair per bit.
     #[must_use]
     pub fn restore(params: &WordParams, controls: &WordRestoreControls, vdd: f64) -> Self {
@@ -283,7 +283,12 @@ impl WordStimulus {
     ///
     /// Panics if `data.len() != params.bits`.
     #[must_use]
-    pub fn store(params: &WordParams, controls: &StoreControls, vdd: f64, data: &[bool]) -> Self {
+    pub(crate) fn store(
+        params: &WordParams,
+        controls: &StoreControls,
+        vdd: f64,
+        data: &[bool],
+    ) -> Self {
         assert_eq!(data.len(), params.bits, "one data bit per stored bit");
         let level = |b: bool| SourceWaveform::Dc(if b { vdd } else { 0.0 });
         let mut s = Self::idle(params, vdd);
@@ -317,7 +322,7 @@ impl WordStimulus {
     ///
     /// Panics if `name` is not part of this stimulus (the name set is
     /// fixed by the [`WordParams`] point).
-    pub fn set(&mut self, name: &str, wave: SourceWaveform) {
+    pub(crate) fn set(&mut self, name: &str, wave: SourceWaveform) {
         let slot = self
             .entries
             .iter_mut()
@@ -342,13 +347,13 @@ impl WordStimulus {
 
     /// The `(source name, waveform)` pairs, in construction order.
     #[must_use]
-    pub fn entries(&self) -> &[(String, SourceWaveform)] {
+    pub(crate) fn entries(&self) -> &[(String, SourceWaveform)] {
         &self.entries
     }
 
     /// `(source name, t = 0 level)` pairs for leakage accounting.
     #[must_use]
-    pub fn levels(&self) -> Vec<(String, f64)> {
+    pub(crate) fn levels(&self) -> Vec<(String, f64)> {
         self.entries
             .iter()
             .map(|(n, w)| (n.clone(), w.value_at(0.0)))
@@ -970,17 +975,17 @@ pub struct WordRestoreOutcome {
     /// The recovered logic values, in read order.
     pub bits: Vec<bool>,
     /// Per-evaluation sense delays.
-    pub sense_delays: Vec<Time>,
+    pub(crate) sense_delays: Vec<Time>,
     /// Sum of the sense delays (the paper's read-delay definition).
-    pub read_delay: Time,
+    pub(crate) read_delay: Time,
     /// First evaluation start to last evaluation end.
-    pub sequence_duration: Time,
+    pub(crate) sequence_duration: Time,
     /// Total active energy drawn from all rails and control drivers.
-    pub energy: Energy,
+    pub(crate) energy: Energy,
     /// Energy drawn from the VDD supply alone (Table II's read energy).
-    pub supply_energy: Energy,
+    pub(crate) supply_energy: Energy,
     /// Solver work spent on this transient.
-    pub solver: spice::SolverStats,
+    pub(crate) solver: spice::SolverStats,
 }
 
 impl<const N: usize> From<RestoreOutcome<N>> for WordRestoreOutcome {
@@ -999,19 +1004,19 @@ impl<const N: usize> From<RestoreOutcome<N>> for WordRestoreOutcome {
 
 /// Outcome of storing an n-bit word (dynamic-width [`StoreOutcome`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WordStoreOutcome {
+pub(crate) struct WordStoreOutcome {
     /// The bits now held by the NV pairs.
-    pub stored: Vec<bool>,
+    pub(crate) stored: Vec<bool>,
     /// Energy to store completion (last reversal + margin).
-    pub energy: Energy,
+    pub(crate) energy: Energy,
     /// Energy over the entire drive pulse.
-    pub pulse_energy: Energy,
+    pub(crate) pulse_energy: Energy,
     /// Write-pulse start to last MTJ reversal.
-    pub latency: Time,
+    pub(crate) latency: Time,
     /// Number of MTJ reversals observed.
-    pub switch_count: usize,
+    pub(crate) switch_count: usize,
     /// Solver work spent on this transient.
-    pub solver: spice::SolverStats,
+    pub(crate) solver: spice::SolverStats,
 }
 
 impl<const N: usize> From<StoreOutcome<N>> for WordStoreOutcome {
@@ -1079,21 +1084,9 @@ impl NvWord {
         Self { params, kind }
     }
 
-    /// The design point.
-    #[must_use]
-    pub fn params(&self) -> WordParams {
-        self.params
-    }
-
-    /// Number of stored bits.
-    #[must_use]
-    pub fn bits(&self) -> usize {
-        self.params.bits
-    }
-
     /// The configuration in use.
     #[must_use]
-    pub fn config(&self) -> &LatchConfig {
+    pub(crate) fn config(&self) -> &LatchConfig {
         match &self.kind {
             WordKind::Standard(l) => l.config(),
             WordKind::Proposed(l) => l.config(),
@@ -1111,20 +1104,11 @@ impl NvWord {
         word_subckt(&self.params, self.config(), &vec![false; self.params.bits])
     }
 
-    /// Cumulative solver work performed by the cached session.
-    #[must_use]
-    pub fn solver_stats(&self) -> spice::SolverStats {
-        match &self.kind {
-            WordKind::Standard(l) => l.solver_stats(),
-            WordKind::Proposed(l) => l.solver_stats(),
-            WordKind::Banked(w) => w.solver_stats(),
-        }
-    }
-
     /// Read-path transistor count (excluding write drivers): 11 for the
     /// 1-bit cell, 16 for the 2-bit cell, `6 + 5n` for banked words.
+    #[cfg(test)]
     #[must_use]
-    pub fn read_path_transistors(&self) -> usize {
+    pub(crate) fn read_path_transistors(&self) -> usize {
         match &self.kind {
             WordKind::Standard(l) => l.read_path_transistors(),
             WordKind::Proposed(l) => l.read_path_transistors(),
@@ -1170,7 +1154,8 @@ impl NvWord {
     /// # Panics
     ///
     /// Panics if `data` or `initial` length differs from `self.bits()`.
-    pub fn simulate_store(
+    #[cfg(test)]
+    pub(crate) fn simulate_store(
         &self,
         data: &[bool],
         initial: &[bool],

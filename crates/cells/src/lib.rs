@@ -48,24 +48,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+mod config;
 pub mod control;
-pub mod error;
+mod error;
 pub mod generator;
 pub mod margin;
 pub mod metrics;
 pub mod proposed;
-pub mod request;
-pub mod setup;
-pub mod standard;
+mod request;
+mod setup;
+mod standard;
 pub mod subckt;
 
-pub use config::{Corner, LatchConfig, Sizing, Timing, Tolerances};
+pub use config::{Corner, LatchConfig};
 pub use error::CellError;
-pub use generator::{NvWord, WordParams, WordRestoreOutcome, WordStimulus, WordStoreOutcome};
-pub use margin::ReadMargins;
-pub use metrics::{CellMetrics, CornerEnvelope, LatchComparison, RestoreOutcome, StoreOutcome};
+pub use generator::{NvWord, WordParams, WordStimulus};
+pub use metrics::{CellMetrics, CornerEnvelope, LatchComparison};
 pub use proposed::ProposedLatch;
-pub use request::{apply_override, parse_corner, resolve_config, CellVariant, RequestError};
+pub use request::{parse_corner, resolve_config, CellVariant};
 pub use setup::CircuitSetup;
 pub use standard::StandardLatch;

@@ -136,16 +136,6 @@ pub fn minimum_resolvable_tmr(base: &LatchConfig, tolerance: f64) -> Result<f64,
     Ok(hi)
 }
 
-/// Returns `base` with a fractional sense-amp load mismatch applied —
-/// the knob that turns the idealized symmetric amplifier into a
-/// silicon-realistic one with input-referred offset.
-#[must_use]
-pub fn with_mismatch(base: &LatchConfig, mismatch: f64) -> LatchConfig {
-    let mut config = base.clone();
-    config.sizing.output_load_mismatch = mismatch;
-    config
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,8 +165,8 @@ mod tests {
     #[test]
     fn mismatch_raises_the_minimum_resolvable_tmr() {
         let symmetric = LatchConfig::default();
-        let offset = with_mismatch(&symmetric, 0.10);
-        assert!((offset.sizing.output_load_mismatch - 0.10).abs() < 1e-12);
+        let mut offset = symmetric.clone();
+        offset.sizing.output_load_mismatch = 0.10;
         let min_sym = minimum_resolvable_tmr(&symmetric, 0.05).expect("symmetric");
         // NOTE: config_with_tmr rebuilds the MTJ but keeps sizing, so
         // carry the mismatch through a custom sweep here.

@@ -25,7 +25,7 @@ pub struct RestoreOutcome<const N: usize> {
     pub read_delay: Time,
     /// Wall-clock span from the first evaluation's start to the last
     /// evaluation's end (includes intermediate pre-charge).
-    pub sequence_duration: Time,
+    pub(crate) sequence_duration: Time,
     /// Total active energy drawn from all rails *and* control drivers.
     pub energy: Energy,
     /// Energy drawn from the VDD supply alone — the paper's read-energy
@@ -33,7 +33,7 @@ pub struct RestoreOutcome<const N: usize> {
     /// controller and are excluded there).
     pub supply_energy: Energy,
     /// Solver work spent on this transient.
-    pub solver: spice::SolverStats,
+    pub(crate) solver: spice::SolverStats,
 }
 
 /// Outcome of a store (write) simulation over `N` bits.
@@ -47,7 +47,7 @@ pub struct StoreOutcome<const N: usize> {
     /// energy over the full pulse is pessimistic; see `pulse_energy`.
     pub energy: Energy,
     /// Energy drawn over the entire drive pulse.
-    pub pulse_energy: Energy,
+    pub(crate) pulse_energy: Energy,
     /// Time from the write-pulse start to the last MTJ reversal (zero if
     /// the data was already held).
     pub latency: Time,

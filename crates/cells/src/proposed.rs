@@ -92,12 +92,12 @@ impl Clone for ProposedLatch {
 }
 
 mod names {
-    pub const Q: &str = "mtj_read";
-    pub const QB: &str = "mtj_read_b";
-    pub const MTJ1: &str = "MTJ1";
-    pub const MTJ2: &str = "MTJ2";
-    pub const MTJ3: &str = "MTJ3";
-    pub const MTJ4: &str = "MTJ4";
+    pub(crate) const Q: &str = "mtj_read";
+    pub(crate) const QB: &str = "mtj_read_b";
+    pub(crate) const MTJ1: &str = "MTJ1";
+    pub(crate) const MTJ2: &str = "MTJ2";
+    pub(crate) const MTJ3: &str = "MTJ3";
+    pub(crate) const MTJ4: &str = "MTJ4";
 }
 
 impl ProposedLatch {
@@ -120,7 +120,7 @@ impl ProposedLatch {
     /// Cumulative solver work performed by this latch's cached session
     /// (zero if nothing has been simulated yet).
     #[must_use]
-    pub fn solver_stats(&self) -> spice::SolverStats {
+    pub(crate) fn solver_stats(&self) -> spice::SolverStats {
         self.session
             .borrow()
             .as_ref()
@@ -167,7 +167,7 @@ impl ProposedLatch {
 
     /// The configuration in use.
     #[must_use]
-    pub fn config(&self) -> &LatchConfig {
+    pub(crate) fn config(&self) -> &LatchConfig {
         &self.config
     }
 
@@ -180,7 +180,7 @@ impl ProposedLatch {
     /// Number of read-path transistors (excluding write drivers) — the
     /// paper counts 16 for two bits.
     #[must_use]
-    pub fn read_path_transistors(&self) -> usize {
+    pub(crate) fn read_path_transistors(&self) -> usize {
         let ckt = self
             .build(&Stimulus::idle(&self.config), [false, false])
             .expect("reference build is valid");
@@ -192,7 +192,7 @@ impl ProposedLatch {
 
     /// Total transistor count including the four write drivers.
     #[must_use]
-    pub fn total_transistors(&self) -> usize {
+    pub(crate) fn total_transistors(&self) -> usize {
         let ckt = self
             .build(&Stimulus::idle(&self.config), [false, false])
             .expect("reference build is valid");
@@ -201,7 +201,7 @@ impl ProposedLatch {
 
     /// The restore control sequence for the configured scheme.
     #[must_use]
-    pub fn restore_controls(&self) -> ProposedRestoreControls {
+    pub(crate) fn restore_controls(&self) -> ProposedRestoreControls {
         match self.scheme {
             ControlScheme::Explicit => {
                 control::proposed_restore(&self.config.timing, self.config.vdd())

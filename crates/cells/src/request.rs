@@ -22,17 +22,15 @@ use spice::CmosCorner;
 use units::{Capacitance, Current, Resistance, Time};
 
 use crate::config::{Corner, LatchConfig};
-use crate::error::CellError;
 use crate::generator::{NvWord, WordParams};
-use crate::metrics::CellMetrics;
 
 /// Largest word the service will characterize on demand. Banked-word
 /// simulation cost grows linearly in bits; the cap keeps one request
 /// from monopolizing a worker.
-pub const MAX_WORD_BITS: usize = 32;
+pub(crate) const MAX_WORD_BITS: usize = 32;
 
 /// Largest serial-MTJ chain accepted per branch.
-pub const MAX_SERIES_MTJS: usize = 8;
+pub(crate) const MAX_SERIES_MTJS: usize = 8;
 
 /// A request was malformed: unknown variant, unknown corner, unknown
 /// override key, or a value outside its physical range.
@@ -75,7 +73,7 @@ impl CellVariant {
     /// # Errors
     ///
     /// Rejects unknown names, zero sizes, and words beyond
-    /// [`MAX_WORD_BITS`] / [`MAX_SERIES_MTJS`].
+    /// `MAX_WORD_BITS` / `MAX_SERIES_MTJS`.
     pub fn parse(name: &str) -> Result<Self, RequestError> {
         match name {
             "standard" => return Ok(Self::Standard),
@@ -142,18 +140,6 @@ impl CellVariant {
     pub fn instantiate(&self, config: LatchConfig) -> NvWord {
         NvWord::new(self.word_params(), config)
     }
-
-    /// One-shot characterization: build the harness, run the Table-II
-    /// store/restore/leakage analyses, drop the harness. The service
-    /// pools harnesses instead (see `serve`); this is the convenience
-    /// path for tests and CLIs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CellError`] from the underlying simulations.
-    pub fn characterize_once(&self, config: LatchConfig) -> Result<CellMetrics, CellError> {
-        self.instantiate(config).characterize()
-    }
 }
 
 /// Parses a combined corner label as [`Corner`] displays it —
@@ -194,7 +180,7 @@ pub fn parse_corner(label: &str) -> Result<Corner, RequestError> {
 
 /// Every override key [`apply_override`] accepts, in canonical order.
 /// The suffix names the unit the raw number is taken in.
-pub const OVERRIDE_KEYS: &[&str] = &[
+pub(crate) const OVERRIDE_KEYS: &[&str] = &[
     "mtj.critical_current_ua",
     "mtj.nominal_write_current_ua",
     "mtj.resistance_parallel_kohm",
@@ -223,7 +209,11 @@ pub const OVERRIDE_KEYS: &[&str] = &[
 ///
 /// Rejects unknown keys, non-finite values, values outside a key's
 /// physical range, and MTJ parameter sets that fail validation.
-pub fn apply_override(config: &mut LatchConfig, key: &str, value: f64) -> Result<(), RequestError> {
+pub(crate) fn apply_override(
+    config: &mut LatchConfig,
+    key: &str,
+    value: f64,
+) -> Result<(), RequestError> {
     if !value.is_finite() {
         return Err(RequestError::new(format!(
             "override {key:?}: value must be finite"
@@ -329,7 +319,7 @@ pub fn apply_override(config: &mut LatchConfig, key: &str, value: f64) -> Result
 ///
 /// # Errors
 ///
-/// Propagates [`RequestError`] from [`apply_override`].
+/// Propagates `RequestError` from `apply_override`.
 pub fn resolve_config(
     corner: Corner,
     overrides: &[(String, f64)],

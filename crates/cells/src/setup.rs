@@ -20,9 +20,9 @@ use units::{Temperature, Voltage};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitSetup {
     /// Supply voltage.
-    pub vdd: Voltage,
+    pub(crate) vdd: Voltage,
     /// Operating temperature.
-    pub temperature: Temperature,
+    pub(crate) temperature: Temperature,
     /// MTJ parameters (Table I's device rows).
     pub mtj: MtjParams,
     /// CMOS technology.
@@ -45,7 +45,7 @@ impl CircuitSetup {
 
     /// Rows of the Table I printout as `(parameter, value)` pairs.
     #[must_use]
-    pub fn rows(&self) -> Vec<(String, String)> {
+    pub(crate) fn rows(&self) -> Vec<(String, String)> {
         let mtj = &self.mtj;
         vec![
             (

@@ -73,11 +73,11 @@ impl Clone for StandardLatch {
 /// Node/source names used by the harness (kept in one place so tests and
 /// waveform dumps agree).
 mod names {
-    pub const VDD_SOURCE: &str = "VDD";
-    pub const Q: &str = "q";
-    pub const QB: &str = "qb";
-    pub const MTJ_A: &str = "MTJA";
-    pub const MTJ_B: &str = "MTJB";
+    pub(crate) const VDD_SOURCE: &str = "VDD";
+    pub(crate) const Q: &str = "q";
+    pub(crate) const QB: &str = "qb";
+    pub(crate) const MTJ_A: &str = "MTJA";
+    pub(crate) const MTJ_B: &str = "MTJB";
 }
 
 impl StandardLatch {
@@ -92,14 +92,14 @@ impl StandardLatch {
 
     /// The configuration in use.
     #[must_use]
-    pub fn config(&self) -> &LatchConfig {
+    pub(crate) fn config(&self) -> &LatchConfig {
         &self.config
     }
 
     /// Cumulative solver work performed by this latch's cached session
     /// (zero if nothing has been simulated yet).
     #[must_use]
-    pub fn solver_stats(&self) -> spice::SolverStats {
+    pub(crate) fn solver_stats(&self) -> spice::SolverStats {
         self.session
             .borrow()
             .as_ref()
@@ -110,7 +110,7 @@ impl StandardLatch {
     /// Number of read-path transistors (excluding write drivers) — the
     /// paper counts 11 per bit, 22 for the two-cell baseline.
     #[must_use]
-    pub fn read_path_transistors(&self) -> usize {
+    pub(crate) fn read_path_transistors(&self) -> usize {
         let ckt = self.idle_circuit().expect("reference build is valid");
         ckt.devices()
             .iter()
@@ -120,7 +120,7 @@ impl StandardLatch {
 
     /// Total transistor count including the write drivers.
     #[must_use]
-    pub fn total_transistors(&self) -> usize {
+    pub(crate) fn total_transistors(&self) -> usize {
         let ckt = self.idle_circuit().expect("reference build is valid");
         ckt.transistor_count()
     }

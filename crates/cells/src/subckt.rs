@@ -17,6 +17,7 @@ use units::Length;
 
 /// Expands a static CMOS inverter `out = !in` between the given rails.
 /// Device names are `<name>.MP` / `<name>.MN`.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn inverter(
     ckt: &mut Circuit,
@@ -82,32 +83,6 @@ pub(crate) fn tristate_inverter(
     ckt.add_nmos(&join_path(name, "MNE"), output, en, mid_n, tech, wn)?;
     ckt.add_nmos(&join_path(name, "MNI"), mid_n, input, gnd, tech, wn)?;
     Ok(())
-}
-
-/// Adds a static CMOS inverter `out = !in` between the given rails.
-///
-/// Device names are `<name>.MP` / `<name>.MN`.
-///
-/// # Errors
-///
-/// Propagates [`SpiceError`] from device construction (duplicate names).
-#[deprecated(
-    since = "0.6.0",
-    note = "build cells through `cells::generator`, which emits this primitive internally"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn add_inverter(
-    ckt: &mut Circuit,
-    name: &str,
-    input: NodeId,
-    output: NodeId,
-    vdd: NodeId,
-    gnd: NodeId,
-    tech: &Technology,
-    wp: Length,
-    wn: Length,
-) -> Result<(), SpiceError> {
-    inverter(ckt, name, input, output, vdd, gnd, tech, wp, wn)
 }
 
 /// Adds a transmission gate between `a` and `b`, conducting when `en` is

@@ -19,7 +19,7 @@ use mtj::MtjState;
 
 /// Power state of a shadowed flip-flop (group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PowerState {
+pub(crate) enum PowerState {
     /// Supply on, normal clocked operation.
     #[default]
     Active,
@@ -91,8 +91,9 @@ impl NvFlipFlop {
     }
 
     /// Current power state.
+    #[cfg(test)]
     #[must_use]
-    pub fn power_state(&self) -> PowerState {
+    pub(crate) fn power_state(&self) -> PowerState {
         self.state
     }
 
@@ -108,8 +109,9 @@ impl NvFlipFlop {
 
     /// The bit currently held by the NV shadow (always observable to the
     /// model — physically it would require a restore).
+    #[cfg(test)]
     #[must_use]
-    pub fn shadow_bit(&self) -> bool {
+    pub(crate) fn shadow_bit(&self) -> bool {
         self.shadow.to_bit()
     }
 
@@ -201,12 +203,6 @@ impl MultiBitNvFlipFlop {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current power state.
-    #[must_use]
-    pub fn power_state(&self) -> PowerState {
-        self.state
     }
 
     /// Output of flip-flop `bit` (0 or 1), `None` while powered down.

@@ -21,7 +21,6 @@ use units::{Energy, Power, Time};
 ///     Power::from_pico_watts(1565.0), // leakage while powered
 ///     Energy::from_femto_joules(104.0), // store
 ///     Energy::from_femto_joules(5.0),   // restore
-///     Time::from_nano_seconds(120.0),   // wake-up latency
 /// );
 /// // Idle for a millisecond: gating clearly pays off.
 /// let saving = model.net_saving(Time::from_micro_seconds(1000.0));
@@ -33,11 +32,10 @@ pub struct PowerGatingModel {
     leakage: Power,
     store_energy: Energy,
     restore_energy: Energy,
-    wakeup_time: Time,
 }
 
 impl PowerGatingModel {
-    /// Creates a model from the four cost parameters.
+    /// Creates a model from the three cost parameters.
     ///
     /// # Panics
     ///
@@ -45,12 +43,7 @@ impl PowerGatingModel {
     /// never benefits from gating and the break-even time would be
     /// undefined.
     #[must_use]
-    pub fn new(
-        leakage: Power,
-        store_energy: Energy,
-        restore_energy: Energy,
-        wakeup_time: Time,
-    ) -> Self {
+    pub fn new(leakage: Power, store_energy: Energy, restore_energy: Energy) -> Self {
         assert!(
             leakage.watts() > 0.0,
             "leakage must be positive, got {leakage}"
@@ -59,7 +52,6 @@ impl PowerGatingModel {
             leakage,
             store_energy,
             restore_energy,
-            wakeup_time,
         }
     }
 
@@ -81,15 +73,9 @@ impl PowerGatingModel {
         self.restore_energy
     }
 
-    /// Wake-up latency (supply stabilization + restore).
-    #[must_use]
-    pub fn wakeup_time(&self) -> Time {
-        self.wakeup_time
-    }
-
     /// Total energy overhead of one power cycle.
     #[must_use]
-    pub fn cycle_overhead(&self) -> Energy {
+    pub(crate) fn cycle_overhead(&self) -> Energy {
         self.store_energy + self.restore_energy
     }
 
@@ -105,20 +91,6 @@ impl PowerGatingModel {
     pub fn break_even_idle(&self) -> Time {
         Time::from_seconds(self.cycle_overhead().joules() / self.leakage.watts())
     }
-
-    /// Average power over a duty cycle: `active` time powered (leaking)
-    /// followed by `idle` time gated, amortizing the store/restore
-    /// overhead. Returns the leakage-equivalent average power.
-    #[must_use]
-    pub fn average_power(&self, active: Time, idle: Time) -> Power {
-        let period = active + idle;
-        if period.seconds() <= 0.0 {
-            return Power::ZERO;
-        }
-        let leak_energy = self.leakage * active;
-        let total = leak_energy + self.cycle_overhead();
-        total / period
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +102,6 @@ mod tests {
             Power::from_pico_watts(1565.0),
             Energy::from_femto_joules(104.0),
             Energy::from_femto_joules(5.0),
-            Time::from_nano_seconds(120.0),
         )
     }
 
@@ -162,22 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn average_power_falls_with_longer_idle() {
-        let m = model();
-        let active = Time::from_micro_seconds(10.0);
-        let p_short = m.average_power(active, Time::from_micro_seconds(100.0));
-        let p_long = m.average_power(active, Time::from_micro_seconds(10_000.0));
-        assert!(p_long < p_short);
-        assert!(p_long < m.leakage());
-        assert_eq!(m.average_power(Time::ZERO, Time::ZERO), Power::ZERO);
-    }
-
-    #[test]
     fn accessors_round_trip() {
         let m = model();
         assert_eq!(m.store_energy(), Energy::from_femto_joules(104.0));
         assert_eq!(m.restore_energy(), Energy::from_femto_joules(5.0));
-        assert_eq!(m.wakeup_time(), Time::from_nano_seconds(120.0));
         assert!((m.cycle_overhead().femto_joules() - 109.0).abs() < 1e-9);
     }
 
@@ -188,7 +147,6 @@ mod tests {
             Power::ZERO,
             Energy::from_femto_joules(1.0),
             Energy::from_femto_joules(1.0),
-            Time::from_nano_seconds(1.0),
         );
     }
 }

@@ -2,23 +2,19 @@
 //!
 //! This crate is the top of the reproduction stack: it models the
 //! paper's contribution (a 2-bit shadow latch shared between two
-//! neighbouring flip-flops) at three levels and ties the substrate
-//! crates together:
+//! neighbouring flip-flops) and ties the substrate crates together:
 //!
 //! * [`behavior`] — cycle-level behavioral models of the NV flip-flops
 //!   and the power-down (PD) protocol: capture, store, power-off,
 //!   restore. This is the model a system simulator would instantiate.
-//! * [`architecture`] — design descriptors joining circuit metrics
-//!   ([`cells`]), layout areas ([`layout`]) and behavioral properties
-//!   into one characterization per NV component kind.
 //! * [`system`] — the Table III evaluator: the full
 //!   synthesize → place → merge flow over the 13 benchmarks
 //!   (*measured* mode), plus a *replay* mode that applies the paper's
 //!   published per-cell costs and merge counts to verify Table III's
 //!   arithmetic exactly.
-//! * [`gating`] — the normally-off/instant-on energy model: when does
-//!   power-gating with NV backup pay off, given store/restore costs and
-//!   wake-up latency.
+//! * [`PowerGatingModel`] — the normally-off/instant-on energy model:
+//!   when does power-gating with NV backup pay off, given store/restore
+//!   costs.
 //! * [`paper`] — every number the paper publishes (Tables II and III),
 //!   as data, for comparison in tests and EXPERIMENTS.md.
 //!
@@ -41,15 +37,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod architecture;
 pub mod behavior;
-pub mod gating;
+mod gating;
 pub mod paper;
-pub mod simulate;
 pub mod system;
 
-pub use architecture::{DesignPoint, NvComponentKind};
-pub use behavior::{MultiBitNvFlipFlop, NvFlipFlop, PowerState};
+pub use behavior::{MultiBitNvFlipFlop, NvFlipFlop};
 pub use gating::PowerGatingModel;
-pub use simulate::{EnergyLedger, Phase, RegisterFileSim};
-pub use system::{BenchmarkResult, EvaluationMode, SystemCosts};

@@ -3,7 +3,7 @@
 //! Used by tests (replay-mode verification) and the benchmark harness
 //! (paper-vs-measured columns in EXPERIMENTS.md).
 
-use units::{Area, Energy, Power, Time};
+use units::{Area, Energy, Time};
 
 /// One column triple of Table II (worst / typical / best).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,13 +95,6 @@ pub fn write_latency() -> Time {
     Time::from_nano_seconds(2.0)
 }
 
-/// The STT-microcontroller wake-up time the paper cites (its ref. 30) to argue
-/// the sequential read is not on the critical path.
-#[must_use]
-pub fn system_wakeup_time() -> Time {
-    Time::from_nano_seconds(120.0)
-}
-
 /// One published Table III row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table3Row {
@@ -112,13 +105,13 @@ pub struct Table3Row {
     /// Number of 2-bit merges found.
     pub merged_pairs: usize,
     /// Baseline (all 1-bit) NV area, µm².
-    pub baseline_area_um2: f64,
+    pub(crate) baseline_area_um2: f64,
     /// Baseline read energy, fJ.
-    pub baseline_energy_fj: f64,
+    pub(crate) baseline_energy_fj: f64,
     /// Merged NV area, µm².
-    pub merged_area_um2: f64,
+    pub(crate) merged_area_um2: f64,
     /// Merged read energy, fJ.
-    pub merged_energy_fj: f64,
+    pub(crate) merged_energy_fj: f64,
     /// Published area improvement, fraction.
     pub area_improvement: f64,
     /// Published energy improvement, fraction.
@@ -280,33 +273,26 @@ pub fn table3() -> Vec<Table3Row> {
 /// the 1-bit area is the pair area halved and rounded to 2.817 µm², the
 /// energies are the typical read energies per component).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerCellConstants {
+pub(crate) struct PerCellConstants {
     /// Area of one 1-bit NV component.
-    pub area_1bit: Area,
+    pub(crate) area_1bit: Area,
     /// Area of the 2-bit NV component.
-    pub area_2bit: Area,
+    pub(crate) area_2bit: Area,
     /// Read energy of one 1-bit component.
-    pub energy_1bit: Energy,
+    pub(crate) energy_1bit: Energy,
     /// Read energy of the 2-bit component (two bits).
-    pub energy_2bit: Energy,
+    pub(crate) energy_2bit: Energy,
 }
 
 /// The paper's per-cell constants.
 #[must_use]
-pub fn per_cell_constants() -> PerCellConstants {
+pub(crate) fn per_cell_constants() -> PerCellConstants {
     PerCellConstants {
         area_1bit: Area::from_square_micro_meters(2.817),
         area_2bit: Area::from_square_micro_meters(3.696),
         energy_1bit: Energy::from_femto_joules(2.825),
         energy_2bit: Energy::from_femto_joules(4.587),
     }
-}
-
-/// Typical leakage of one 1-bit NV component (half the pair figure) —
-/// used by the power-gating example.
-#[must_use]
-pub fn leakage_1bit_typical() -> Power {
-    Power::from_pico_watts(1565.0 / 2.0)
 }
 
 #[cfg(test)]
@@ -401,6 +387,5 @@ mod tests {
     fn headline_write_figures() {
         assert!((write_energy().femto_joules() - 104.0).abs() < 1e-9);
         assert!((write_latency().nano_seconds() - 2.0).abs() < 1e-12);
-        assert!(system_wakeup_time() > write_latency());
     }
 }

@@ -79,7 +79,7 @@ pub struct BenchmarkResult {
     /// Benchmark name.
     pub name: String,
     /// Total flip-flops.
-    pub total_ffs: usize,
+    pub(crate) total_ffs: usize,
     /// 2-bit merges found (or replayed).
     pub merged_pairs: usize,
     /// NV area with only 1-bit components.

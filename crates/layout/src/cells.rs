@@ -20,53 +20,18 @@ use crate::geometry::CellLayout;
 use crate::rules::DesignRules;
 use crate::spec::{CellSpec, MtjSpec, Row, TransistorSpec};
 
-/// Areas published in the paper's Table II, for comparison against the
-/// generator's output.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaperAreas;
-
-impl PaperAreas {
-    /// Two standard 1-bit NV components, including spacing margin.
-    #[must_use]
-    pub fn standard_pair() -> Area {
-        Area::from_square_micro_meters(5.635)
-    }
-
-    /// The proposed 2-bit NV component.
-    #[must_use]
-    pub fn proposed_2bit() -> Area {
-        Area::from_square_micro_meters(3.696)
-    }
-
-    /// One standard 1-bit NV component (half the pair figure).
-    #[must_use]
-    pub fn standard_1bit() -> Area {
-        Area::from_square_micro_meters(5.635 / 2.0)
-    }
-
-    /// The paper's neighbour-merge distance threshold: twice the 1-bit
-    /// component width.
-    #[must_use]
-    pub fn merge_threshold() -> Length {
-        Length::from_micro_meters(3.35)
-    }
-
-    /// The 1-bit NV component width implied by the merge threshold.
-    #[must_use]
-    pub fn standard_width() -> Length {
-        Length::from_micro_meters(1.675)
-    }
-}
+/// The paper's 1-bit NV component width in µm, half its 3.35 µm merge
+/// threshold.
+const STANDARD_WIDTH_UM: f64 = 1.675;
 
 /// Edge margin calibrated so the 1-bit read-path component is exactly
-/// [`PaperAreas::standard_width`] wide under the n40 rules (5 columns):
+/// [`STANDARD_WIDTH_UM`] wide under the n40 rules (5 columns):
 /// `(1.675 − 5 × 0.16) / 2`.
 #[must_use]
-pub fn nv_component_rules(base: &DesignRules) -> DesignRules {
+pub(crate) fn nv_component_rules(base: &DesignRules) -> DesignRules {
     let mut rules = *base;
     let cols = 5.0;
-    let margin =
-        (PaperAreas::standard_width().micro_meters() - cols * base.poly_pitch.micro_meters()) / 2.0;
+    let margin = (STANDARD_WIDTH_UM - cols * base.poly_pitch.micro_meters()) / 2.0;
     rules.edge_margin = Length::from_micro_meters(margin);
     rules
 }
@@ -78,7 +43,7 @@ fn nm(v: f64) -> Length {
 /// Spec of the standard 1-bit NV component (paper Fig. 2b read path),
 /// optionally including the two tristate write drivers.
 #[must_use]
-pub fn standard_1bit_spec(include_write_drivers: bool) -> CellSpec {
+pub(crate) fn standard_1bit_spec(include_write_drivers: bool) -> CellSpec {
     let mut s = CellSpec::new("NVLATCH1");
     let t = &mut s.transistors;
     // Read path (11 devices — Table II's per-bit count).
@@ -216,7 +181,7 @@ pub fn standard_1bit_spec(include_write_drivers: bool) -> CellSpec {
 /// Spec of the proposed 2-bit NV component (paper Fig. 5 read path),
 /// optionally including the four tristate write drivers.
 #[must_use]
-pub fn proposed_2bit_spec(include_write_drivers: bool) -> CellSpec {
+pub(crate) fn proposed_2bit_spec(include_write_drivers: bool) -> CellSpec {
     let mut s = CellSpec::new("NVLATCH2");
     let t = &mut s.transistors;
     // Read path (16 devices — Table II's 2-bit count).
@@ -559,7 +524,7 @@ fn banked_word_spec(bits: usize, include_write_drivers: bool) -> CellSpec {
 ///
 /// Panics if `bits` is zero.
 #[must_use]
-pub fn word_spec(bits: usize, include_write_drivers: bool) -> CellSpec {
+pub(crate) fn word_spec(bits: usize, include_write_drivers: bool) -> CellSpec {
     assert!(bits > 0, "an NV word stores at least one bit");
     match bits {
         1 => standard_1bit_spec(include_write_drivers),
@@ -575,7 +540,7 @@ pub fn word_spec(bits: usize, include_write_drivers: bool) -> CellSpec {
 ///
 /// Panics if `bits` is zero.
 #[must_use]
-pub fn word_layout(bits: usize, rules: &DesignRules) -> CellLayout {
+pub(crate) fn word_layout(bits: usize, rules: &DesignRules) -> CellLayout {
     CellLayout::synthesize(&word_spec(bits, false), &nv_component_rules(rules))
 }
 
@@ -647,7 +612,6 @@ mod tests {
     fn merge_threshold_matches_the_paper() {
         let t = merge_threshold(&DesignRules::n40());
         assert!((t.micro_meters() - 3.35).abs() < 1e-9, "{t}");
-        assert!((PaperAreas::merge_threshold().micro_meters() - 3.35).abs() < 1e-12);
     }
 
     #[test]

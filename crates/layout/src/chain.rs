@@ -14,18 +14,18 @@ use crate::spec::TransistorSpec;
 
 /// One placed transistor inside a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlacedDevice {
+pub(crate) struct PlacedDevice {
     /// Index into the row's device slice.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Whether source/drain were swapped to make the abutment work.
-    pub flipped: bool,
+    pub(crate) flipped: bool,
 }
 
 /// A maximal run of diffusion-sharing transistors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chain {
     /// Devices in left-to-right placement order.
-    pub devices: Vec<PlacedDevice>,
+    pub(crate) devices: Vec<PlacedDevice>,
 }
 
 /// The chaining result for one row.
@@ -36,7 +36,7 @@ pub struct RowPlan {
     /// Total columns occupied (gates + breaks − folds).
     pub columns: usize,
     /// Number of narrow-device pairs folded into shared columns.
-    pub folded_pairs: usize,
+    pub(crate) folded_pairs: usize,
 }
 
 /// Terminal nets of a device respecting its flip state:
@@ -181,8 +181,9 @@ fn find_abutting_right(
 /// Checks that a chain's internal abutments are net-consistent — the
 /// invariant the greedy construction must maintain. Used by tests and
 /// debug assertions.
+#[cfg(test)]
 #[must_use]
-pub fn chain_is_consistent(devices: &[TransistorSpec], chain: &Chain) -> bool {
+pub(crate) fn chain_is_consistent(devices: &[TransistorSpec], chain: &Chain) -> bool {
     chain.devices.windows(2).all(|pair| {
         let left = &devices[pair[0].index];
         let right = &devices[pair[1].index];

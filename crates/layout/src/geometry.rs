@@ -11,7 +11,7 @@ use crate::spec::{CellSpec, Row};
 /// for a recognizable 12-track cell plot up to M2, like the paper's
 /// Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Layer {
+pub(crate) enum Layer {
     /// Cell boundary.
     Outline,
     /// N-well under the PMOS row.
@@ -32,28 +32,28 @@ pub enum Layer {
 
 /// An axis-aligned rectangle in micrometres.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rect {
+pub(crate) struct Rect {
     /// Layer this rectangle belongs to.
-    pub layer: Layer,
+    pub(crate) layer: Layer,
     /// Left edge, µm.
-    pub x: f64,
+    pub(crate) x: f64,
     /// Bottom edge, µm.
-    pub y: f64,
+    pub(crate) y: f64,
     /// Width, µm.
-    pub w: f64,
+    pub(crate) w: f64,
     /// Height, µm.
-    pub h: f64,
+    pub(crate) h: f64,
 }
 
 /// Where one transistor landed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Placement {
+pub(crate) struct Placement {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Row.
-    pub row: Row,
+    pub(crate) row: Row,
     /// Column index (0-based, left to right).
-    pub column: usize,
+    pub(crate) column: usize,
 }
 
 /// A synthesized cell layout.
@@ -73,7 +73,7 @@ impl CellLayout {
     /// Synthesizes the layout of `spec` under `rules`: chains both rows,
     /// sizes the cell to the wider row, and emits the geometry.
     #[must_use]
-    pub fn synthesize(spec: &CellSpec, rules: &DesignRules) -> Self {
+    pub(crate) fn synthesize(spec: &CellSpec, rules: &DesignRules) -> Self {
         let p_row: Vec<_> = spec.row(Row::P).into_iter().cloned().collect();
         let n_row: Vec<_> = spec.row(Row::N).into_iter().cloned().collect();
         let p_plan = chain_row(&p_row, rules);
@@ -235,13 +235,14 @@ impl CellLayout {
 
     /// The generated geometry.
     #[must_use]
-    pub fn rects(&self) -> &[Rect] {
+    pub(crate) fn rects(&self) -> &[Rect] {
         &self.rects
     }
 
     /// Where each transistor landed.
+    #[cfg(test)]
     #[must_use]
-    pub fn placements(&self) -> &[Placement] {
+    pub(crate) fn placements(&self) -> &[Placement] {
         &self.placements
     }
 

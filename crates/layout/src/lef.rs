@@ -10,11 +10,11 @@ use crate::geometry::{CellLayout, Layer, Rect};
 #[derive(Debug, Clone, PartialEq)]
 pub struct LefPin {
     /// Pin name.
-    pub name: String,
+    pub(crate) name: String,
     /// Direction: `INPUT`, `OUTPUT` or `INOUT`.
-    pub direction: &'static str,
+    pub(crate) direction: &'static str,
     /// Use class: `SIGNAL`, `POWER` or `GROUND`.
-    pub use_class: &'static str,
+    pub(crate) use_class: &'static str,
 }
 
 impl LefPin {
@@ -35,26 +35,6 @@ impl LefPin {
             name: name.to_owned(),
             direction: "OUTPUT",
             use_class: "SIGNAL",
-        }
-    }
-
-    /// A supply pin.
-    #[must_use]
-    pub fn power(name: &str) -> Self {
-        Self {
-            name: name.to_owned(),
-            direction: "INOUT",
-            use_class: "POWER",
-        }
-    }
-
-    /// A ground pin.
-    #[must_use]
-    pub fn ground(name: &str) -> Self {
-        Self {
-            name: name.to_owned(),
-            direction: "INOUT",
-            use_class: "GROUND",
         }
     }
 }
@@ -229,7 +209,5 @@ mod tests {
     fn pin_constructors() {
         assert_eq!(LefPin::input("A").direction, "INPUT");
         assert_eq!(LefPin::output("Y").direction, "OUTPUT");
-        assert_eq!(LefPin::power("VDD").use_class, "POWER");
-        assert_eq!(LefPin::ground("VSS").use_class, "GROUND");
     }
 }

@@ -4,13 +4,13 @@
 //! to M2) to compare the area of the standard 1-bit and proposed 2-bit
 //! NV components. This crate reproduces that flow procedurally:
 //!
-//! 1. a cell is described as a [`CellSpec`] — transistors with their
+//! 1. a cell is described as a `CellSpec` — transistors with their
 //!    row (PMOS/NMOS), net connectivity and widths, plus the MTJ devices
 //!    that sit in the back-end-of-line above the transistors;
 //! 2. [`chain`] orders each row's transistors into diffusion-sharing
 //!    chains (the classic Uehara–van Cleemput style left-edge heuristic),
 //!    folding narrow device pairs into shared columns;
-//! 3. [`CellLayout::synthesize`] places the chains on a track grid under
+//! 3. `CellLayout::synthesize` places the chains on a track grid under
 //!    a [`DesignRules`] set calibrated to a 40 nm process, producing
 //!    rectangles per layer, the cell outline, and therefore the area;
 //! 4. [`svg`] renders the result (the repository's Fig. 8 equivalent).
@@ -34,13 +34,11 @@
 
 pub mod cells;
 pub mod chain;
-pub mod geometry;
+mod geometry;
 pub mod lef;
-pub mod rules;
-pub mod spec;
+mod rules;
+mod spec;
 pub mod svg;
 
-pub use cells::PaperAreas;
-pub use geometry::{CellLayout, Layer, Rect};
 pub use rules::DesignRules;
-pub use spec::{CellSpec, MtjSpec, Row, TransistorSpec};
+pub use spec::{Row, TransistorSpec};

@@ -12,23 +12,23 @@ use units::Length;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignRules {
     /// Contacted poly pitch — the width of one transistor column.
-    pub poly_pitch: Length,
+    pub(crate) poly_pitch: Length,
     /// Routing track pitch (M1/M2).
-    pub track_pitch: Length,
+    pub(crate) track_pitch: Length,
     /// Cell height in routing tracks.
-    pub cell_height_tracks: usize,
+    pub(crate) cell_height_tracks: usize,
     /// Per-side cell edge margin (boundary half-spacing + well tie).
-    pub edge_margin: Length,
+    pub(crate) edge_margin: Length,
     /// Extra columns inserted at a diffusion break between chains
     /// (0 on processes that allow single-dummy-gate abutment).
-    pub break_columns: usize,
+    pub(crate) break_columns: usize,
     /// Maximum device width that may share a folded column with another
     /// equally narrow device in the same row.
-    pub fold_width_limit: Length,
+    pub(crate) fold_width_limit: Length,
     /// Diameter budget of one MTJ landing pad in the BEOL (the MTJ pillar
     /// plus its enclosure); MTJs consume no front-end area but bound how
     /// many fit above a cell.
-    pub mtj_pad: Length,
+    pub(crate) mtj_pad: Length,
 }
 
 impl DesignRules {
@@ -48,13 +48,13 @@ impl DesignRules {
 
     /// Cell height: tracks × track pitch.
     #[must_use]
-    pub fn cell_height(&self) -> Length {
+    pub(crate) fn cell_height(&self) -> Length {
         self.track_pitch * self.cell_height_tracks as f64
     }
 
     /// Cell width for a given number of transistor columns.
     #[must_use]
-    pub fn cell_width(&self, columns: usize) -> Length {
+    pub(crate) fn cell_width(&self, columns: usize) -> Length {
         self.poly_pitch * columns as f64 + self.edge_margin * 2.0
     }
 }

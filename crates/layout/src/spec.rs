@@ -15,17 +15,17 @@ pub enum Row {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransistorSpec {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Row assignment.
-    pub row: Row,
+    pub(crate) row: Row,
     /// Gate net.
-    pub gate: String,
+    pub(crate) gate: String,
     /// Source net.
-    pub source: String,
+    pub(crate) source: String,
     /// Drain net.
-    pub drain: String,
+    pub(crate) drain: String,
     /// Drawn channel width.
-    pub width: Length,
+    pub(crate) width: Length,
 }
 
 impl TransistorSpec {
@@ -45,19 +45,19 @@ impl TransistorSpec {
 
 /// One MTJ pillar in the back-end-of-line above the cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MtjSpec {
+pub(crate) struct MtjSpec {
     /// Instance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Bottom-electrode net.
-    pub bottom: String,
+    pub(crate) bottom: String,
     /// Top-electrode net.
-    pub top: String,
+    pub(crate) top: String,
 }
 
 impl MtjSpec {
     /// Convenience constructor.
     #[must_use]
-    pub fn new(name: &str, bottom: &str, top: &str) -> Self {
+    pub(crate) fn new(name: &str, bottom: &str, top: &str) -> Self {
         Self {
             name: name.to_owned(),
             bottom: bottom.to_owned(),
@@ -68,19 +68,19 @@ impl MtjSpec {
 
 /// A complete cell description.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellSpec {
+pub(crate) struct CellSpec {
     /// Cell name.
-    pub name: String,
+    pub(crate) name: String,
     /// The transistors.
-    pub transistors: Vec<TransistorSpec>,
+    pub(crate) transistors: Vec<TransistorSpec>,
     /// The MTJ pillars.
-    pub mtjs: Vec<MtjSpec>,
+    pub(crate) mtjs: Vec<MtjSpec>,
 }
 
 impl CellSpec {
     /// Creates an empty cell spec.
     #[must_use]
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         Self {
             name: name.to_owned(),
             transistors: Vec::new(),
@@ -90,13 +90,14 @@ impl CellSpec {
 
     /// The transistors of one row, preserving declaration order.
     #[must_use]
-    pub fn row(&self, row: Row) -> Vec<&TransistorSpec> {
+    pub(crate) fn row(&self, row: Row) -> Vec<&TransistorSpec> {
         self.transistors.iter().filter(|t| t.row == row).collect()
     }
 
     /// Total transistor count.
+    #[cfg(test)]
     #[must_use]
-    pub fn transistor_count(&self) -> usize {
+    pub(crate) fn transistor_count(&self) -> usize {
         self.transistors.len()
     }
 }

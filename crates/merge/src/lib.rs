@@ -40,15 +40,13 @@
 pub mod pairing;
 pub mod timing;
 pub mod transform;
-pub mod word;
 
 use place::PlacedDesign;
 use units::Length;
 
-pub use pairing::{FlipFlopPoint, MergePlan, MergedPair, Strategy};
+use pairing::FlipFlopPoint;
+pub use pairing::{MergePlan, Strategy};
 pub use timing::TimingModel;
-pub use transform::{MergedComponent, MergedDesign};
-pub use word::{plan_words, WordOptions, WordPlan};
 
 /// Options of the merge flow.
 #[derive(Debug, Clone, Copy, PartialEq)]

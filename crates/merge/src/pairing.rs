@@ -107,15 +107,9 @@ impl MergePlan {
         self.threshold
     }
 
-    /// The strategy used.
-    #[must_use]
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// Indices of flip-flops not covered by any pair.
     #[must_use]
-    pub fn unmerged_indices(&self) -> Vec<usize> {
+    pub(crate) fn unmerged_indices(&self) -> Vec<usize> {
         let mut covered = vec![false; self.points.len()];
         for p in &self.pairs {
             covered[p.a] = true;

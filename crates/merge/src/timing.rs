@@ -22,15 +22,15 @@ use crate::pairing::MergePlan;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Wire resistance per metre (default 0.8 Ω/µm for 40 nm M2).
-    pub wire_res_per_m: f64,
+    pub(crate) wire_res_per_m: f64,
     /// Wire capacitance per metre (default 0.2 fF/µm).
-    pub wire_cap_per_m: f64,
+    pub(crate) wire_cap_per_m: f64,
     /// Driving resistance of the flip-flop's backup port, ohms.
-    pub driver_res: f64,
+    pub(crate) driver_res: f64,
     /// Load capacitance of the NV component's data pin, farads.
-    pub load_cap: f64,
+    pub(crate) load_cap: f64,
     /// Timing budget the added delay must stay under.
-    pub budget: Time,
+    pub(crate) budget: Time,
 }
 
 impl Default for TimingModel {
@@ -71,23 +71,6 @@ impl TimingModel {
         Time::from_seconds(seconds)
     }
 
-    /// The largest pair separation whose added delay stays within the
-    /// budget (bisection over the monotone delay curve).
-    #[must_use]
-    pub fn max_distance(&self) -> Length {
-        let mut lo = 0.0_f64;
-        let mut hi = 1.0_f64; // 1 m upper bracket is beyond any die
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.added_delay(Length::from_meters(mid)) <= self.budget {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Length::from_meters(lo)
-    }
-
     /// Checks every pair of a merge plan; returns the indices (into
     /// `plan.pairs()`) of pairs whose added delay exceeds the budget.
     #[must_use]
@@ -126,17 +109,6 @@ mod tests {
             at_threshold.seconds() * 10.0 < model.budget.seconds(),
             "added delay at threshold = {at_threshold}"
         );
-    }
-
-    #[test]
-    fn max_distance_inverts_the_budget() {
-        let model = TimingModel::default();
-        let d = model.max_distance();
-        assert!(d > Length::from_micro_meters(3.35));
-        let just_inside = model.added_delay(d * 0.999);
-        let just_outside = model.added_delay(d * 1.001);
-        assert!(just_inside <= model.budget);
-        assert!(just_outside > model.budget);
     }
 
     #[test]

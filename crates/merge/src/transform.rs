@@ -7,20 +7,20 @@ use crate::pairing::MergePlan;
 
 /// A component of the transformed design.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MergedComponent {
+pub(crate) struct MergedComponent {
     /// Instance name (merged pairs concatenate both names).
-    pub name: String,
+    pub(crate) name: String,
     /// Master: `NVDFF1` for an unmerged flip-flop with its own 1-bit
     /// shadow component, `NVDFF2` for a merged pair sharing the 2-bit
     /// component, or the original master for combinational cells.
-    pub master: String,
+    pub(crate) master: String,
     /// x in µm.
-    pub x: f64,
+    pub(crate) x: f64,
     /// y in µm.
-    pub y: f64,
+    pub(crate) y: f64,
     /// Number of storage bits backed by this component (0 for
     /// combinational cells).
-    pub nv_bits: usize,
+    pub(crate) nv_bits: usize,
 }
 
 /// The design after NV-component substitution.
@@ -34,14 +34,16 @@ pub struct MergedDesign {
 
 impl MergedDesign {
     /// Design name.
+    #[cfg(test)]
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// All components after substitution.
+    #[cfg(test)]
     #[must_use]
-    pub fn components(&self) -> &[MergedComponent] {
+    pub(crate) fn components(&self) -> &[MergedComponent] {
         &self.components
     }
 
@@ -127,133 +129,6 @@ pub fn apply(design: &PlacedDesign, plan: &MergePlan) -> MergedDesign {
     }
 }
 
-/// Applies a word-merge plan: every flip-flop group of `k` members
-/// becomes one `NVDFF<k>` component (backed by the generator's k-bit NV
-/// word) at the group's centroid; other cells pass through. The
-/// pair-based [`apply`] is the `bits_per_cell = 2` special case of this
-/// transform.
-///
-/// # Panics
-///
-/// Panics if the plan was computed for a different design.
-#[must_use]
-pub fn apply_words(design: &PlacedDesign, plan: &crate::word::WordPlan) -> MergedDesign {
-    let mut components = Vec::with_capacity(design.cells().len());
-    for cell in design.cells() {
-        if !cell.kind.is_flip_flop() {
-            components.push(MergedComponent {
-                name: cell.name.clone(),
-                master: cell.kind.to_string(),
-                x: cell.x.micro_meters(),
-                y: cell.y.micro_meters(),
-                nv_bits: 0,
-            });
-        }
-    }
-    let points = plan.points();
-    for g in plan.groups() {
-        let bits = g.members.len();
-        let name = g
-            .members
-            .iter()
-            .map(|&i| points[i].name.as_str())
-            .collect::<Vec<_>>()
-            .join("+");
-        let (sx, sy) = g.members.iter().fold((0.0, 0.0), |(sx, sy), &i| {
-            (sx + points[i].x, sy + points[i].y)
-        });
-        components.push(MergedComponent {
-            name,
-            master: format!("NVDFF{bits}"),
-            x: sx / bits as f64,
-            y: sy / bits as f64,
-            nv_bits: bits,
-        });
-    }
-    let ff_count = design.flip_flops().count();
-    assert_eq!(
-        plan.points().len(),
-        ff_count,
-        "word plan was computed for a different design"
-    );
-
-    MergedDesign {
-        name: design.name().to_owned(),
-        components,
-        merged_pairs: plan.shared_words(),
-        single_ffs: plan.single_flip_flops(),
-    }
-}
-
-/// Legalizes the NV components of a merged design: snaps each to the
-/// nearest row and placement site, then resolves overlaps between NV
-/// components within a row by shifting right (and spilling back left at
-/// the die edge). Combinational cells are already legal (they came from
-/// the placer) and are left untouched.
-///
-/// Returns the legalized design plus the largest displacement (µm) any
-/// component suffered — the quantity to check against the timing budget.
-#[must_use]
-pub fn legalize(
-    design: &MergedDesign,
-    floorplan: &place::Floorplan,
-    component_width_um: f64,
-) -> (MergedDesign, f64) {
-    let row_h = floorplan.row_height().micro_meters();
-    let site_w = floorplan.site_width().micro_meters();
-    let die_w = floorplan.die_width().micro_meters();
-    let rows = floorplan.rows().max(1);
-
-    let mut legal = design.clone();
-    let mut max_move = 0.0f64;
-
-    // Snap NV components to the site/row grid.
-    let mut by_row: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
-    for (idx, comp) in legal.components.iter_mut().enumerate() {
-        if comp.nv_bits == 0 {
-            continue;
-        }
-        let row = ((comp.y / row_h).round().max(0.0) as usize).min(rows - 1);
-        let snapped_y = row as f64 * row_h;
-        let snapped_x = (comp.x / site_w).round().max(0.0) * site_w;
-        let moved = ((comp.x - snapped_x).powi(2) + (comp.y - snapped_y).powi(2)).sqrt();
-        max_move = max_move.max(moved);
-        comp.x = snapped_x.min(die_w - component_width_um);
-        comp.y = snapped_y;
-        by_row.entry(row).or_default().push(idx);
-    }
-
-    // Resolve intra-row overlaps among NV components: sort by x, push
-    // right, and shift the whole tail left if it spills past the die.
-    for indices in by_row.values() {
-        let mut order: Vec<usize> = indices.clone();
-        order.sort_by(|&a, &b| {
-            legal.components[a]
-                .x
-                .partial_cmp(&legal.components[b].x)
-                .expect("finite coordinates")
-        });
-        let mut cursor = 0.0f64;
-        for &idx in &order {
-            let original = legal.components[idx].x;
-            let x = original.max(cursor);
-            legal.components[idx].x = x;
-            cursor = x + component_width_um;
-            max_move = max_move.max((x - original).abs());
-        }
-        // Spill: if the row overflows the die, shift the tail back.
-        let overflow = cursor - die_w;
-        if overflow > 0.0 {
-            for &idx in order.iter().rev() {
-                let x = legal.components[idx].x - overflow;
-                max_move = max_move.max(overflow);
-                legal.components[idx].x = x.max(0.0);
-            }
-        }
-    }
-    (legal, max_move)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,70 +169,6 @@ mod tests {
             .count();
         assert_eq!(comb_in, comb_out);
         assert_eq!(merged.name(), "s344");
-    }
-
-    #[test]
-    fn legalization_removes_nv_overlaps() {
-        let n = benchmarks::generate(benchmarks::by_name("s1423").expect("benchmark"));
-        let lib = CellLibrary::n40();
-        let placed = placer::place(&n, &lib, &PlacerOptions::default());
-        let plan = crate::plan(&placed, &MergeOptions::default());
-        let merged = apply(&placed, &plan);
-
-        let width_um = 2.0; // 2-bit component width class
-        let (legal, max_move) = legalize(&merged, placed.floorplan(), width_um);
-        assert_eq!(legal.nv_bits(), merged.nv_bits());
-
-        let row_h = placed.floorplan().row_height().micro_meters();
-        let mut by_row: std::collections::HashMap<i64, Vec<f64>> = std::collections::HashMap::new();
-        for comp in legal.components().iter().filter(|c| c.nv_bits > 0) {
-            // On the row grid.
-            let row = comp.y / row_h;
-            assert!((row - row.round()).abs() < 1e-9, "off-grid y {}", comp.y);
-            by_row.entry(row.round() as i64).or_default().push(comp.x);
-        }
-        for (row, mut xs) in by_row {
-            xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            for pair in xs.windows(2) {
-                assert!(
-                    pair[1] - pair[0] >= width_um - 1e-9,
-                    "overlap in row {row}: {pair:?}"
-                );
-            }
-        }
-        // Displacements stay small relative to the die.
-        assert!(
-            max_move < placed.floorplan().die_width().micro_meters() / 2.0,
-            "max move {max_move}"
-        );
-    }
-
-    #[test]
-    fn word_merge_conserves_bits_for_any_width() {
-        let n = benchmarks::generate(benchmarks::by_name("s344").unwrap());
-        let placed = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
-        let ff_count = placed.flip_flops().count();
-        for bits in [1, 2, 4, 8] {
-            let plan = crate::word::plan_words(&placed, &crate::WordOptions::for_bits(bits));
-            let merged = apply_words(&placed, &plan);
-            assert_eq!(merged.nv_bits(), ff_count, "bits_per_cell = {bits}");
-            for comp in merged.components().iter().filter(|c| c.nv_bits > 0) {
-                assert!(comp.nv_bits <= bits);
-                assert_eq!(comp.master, format!("NVDFF{}", comp.nv_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn two_bit_word_merge_matches_the_pair_transform() {
-        let (placed, merged) = merged_s344();
-        let words = apply_words(
-            &placed,
-            &crate::word::plan_words(&placed, &crate::WordOptions::for_bits(2)),
-        );
-        assert_eq!(words.nv_bits(), merged.nv_bits());
-        assert_eq!(words.merged_pairs(), merged.merged_pairs());
-        assert_eq!(words.single_flip_flops(), merged.single_flip_flops());
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl WritePolarity {
     ///
     /// Returns `None` for an exactly zero current, which exerts no torque.
     #[must_use]
-    pub fn target_state(self, current: Current) -> Option<MtjState> {
+    pub(crate) fn target_state(self, current: Current) -> Option<MtjState> {
         if current.amps() == 0.0 {
             return None;
         }
@@ -60,8 +60,9 @@ impl WritePolarity {
     }
 
     /// The mirror polarity (how the complementary MTJ of a pair is wired).
+    #[cfg(test)]
     #[must_use]
-    pub fn flipped(self) -> Self {
+    pub(crate) fn flipped(self) -> Self {
         match self {
             Self::PositiveSetsAntiParallel => Self::PositiveSetsParallel,
             Self::PositiveSetsParallel => Self::PositiveSetsAntiParallel,
@@ -107,7 +108,7 @@ impl Mtj {
 
     /// Creates a device with an explicitly calibrated switching model.
     #[must_use]
-    pub fn with_model(
+    pub(crate) fn with_model(
         params: MtjParams,
         model: SwitchingModel,
         initial: MtjState,
@@ -137,18 +138,6 @@ impl Mtj {
         self.pending_target = None;
     }
 
-    /// Device parameters.
-    #[must_use]
-    pub fn params(&self) -> &MtjParams {
-        &self.params
-    }
-
-    /// The switching model in use.
-    #[must_use]
-    pub fn model(&self) -> &SwitchingModel {
-        &self.model
-    }
-
     /// Write polarity of this device.
     #[must_use]
     pub fn polarity(&self) -> WritePolarity {
@@ -156,8 +145,9 @@ impl Mtj {
     }
 
     /// Fraction (0‥1) of a reversal completed toward the pending target.
+    #[cfg(test)]
     #[must_use]
-    pub fn switching_progress(&self) -> f64 {
+    pub(crate) fn switching_progress(&self) -> f64 {
         self.progress
     }
 
@@ -205,7 +195,7 @@ impl Mtj {
     ///
     /// Use for write-error-rate and read-disturb Monte-Carlo studies.
     /// Returns `true` if the state reversed during this step.
-    pub fn advance_stochastic<R: Rng + ?Sized>(
+    pub(crate) fn advance_stochastic<R: Rng + ?Sized>(
         &mut self,
         current: Current,
         dt: Time,

@@ -21,12 +21,12 @@
 //!
 //! * [`resistance`] — bias-dependent resistance `R(state, V)` with TMR
 //!   roll-off, the quantity a sense amplifier actually discriminates;
-//! * [`switching`] — Sun-model switching delay vs. current (precessional
+//! * `switching` — Sun-model switching delay vs. current (precessional
 //!   regime) and thermally activated switching below the critical current;
-//! * [`device`] — a stateful [`device::Mtj`] that integrates switching
+//! * `device` — a stateful [`device::Mtj`] that integrates switching
 //!   progress under a time-varying current, which is what the transient
 //!   circuit simulator steps;
-//! * [`variation`] / [`montecarlo`] — ±3σ process variation on RA, TMR and
+//! * `variation` / [`montecarlo`] — ±3σ process variation on RA, TMR and
 //!   switching current, matching the paper's corner methodology;
 //! * [`wer`] / [`lanes`] — stochastic write-error-rate kernels: a
 //!   counter-seeded scalar reference and a lane-batched
@@ -48,20 +48,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod device;
+mod device;
 pub mod lanes;
 pub mod montecarlo;
-pub mod params;
+mod params;
 pub mod rare;
 pub mod resistance;
-pub mod switching;
+mod switching;
 pub mod thermal;
-pub mod variation;
+mod variation;
 pub mod wer;
 
 pub use device::{Mtj, WritePolarity};
 pub use params::{MtjParams, MtjParamsBuilder, ValidateParamsError};
-pub use rare::{Estimator, TailEnv, TailEstimate, TailOptions, Tilt};
 pub use resistance::MtjState;
 pub use switching::SwitchingModel;
 pub use thermal::ThermalModel;

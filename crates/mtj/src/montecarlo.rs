@@ -142,8 +142,9 @@ impl Statistics {
 /// # Panics
 ///
 /// Panics if `values` is empty or `q` is outside `[0, 1]`.
+#[cfg(test)]
 #[must_use]
-pub fn quantile(values: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(values: &[f64], q: f64) -> f64 {
     assert!(!values.is_empty(), "quantile of an empty sample set");
     assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
     let mut sorted = values.to_vec();

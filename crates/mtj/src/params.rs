@@ -3,7 +3,7 @@
 use core::fmt;
 use std::error::Error;
 
-use units::{Area, Current, Length, Resistance, Temperature, Time, Voltage};
+use units::{Current, Length, Resistance, Temperature, Time, Voltage};
 
 use crate::resistance::MtjState;
 
@@ -46,8 +46,7 @@ impl MtjParams {
     /// (5 kΩ / 11 kΩ) rather than derived from RA / area; the table's RA and
     /// radius are internally inconsistent with those values (RA / πr²
     /// ≈ 1 kΩ), a common artefact of quoting RA at a different reference
-    /// geometry. Both views are exposed: [`Self::resistance_parallel`]
-    /// (authoritative) and [`Self::resistance_from_ra`] (derived).
+    /// geometry. [`Self::resistance_parallel`] is the authoritative value.
     #[must_use]
     pub fn date2018() -> Self {
         Self {
@@ -108,13 +107,6 @@ impl MtjParams {
         self.resistance_area_product_ohm_um2
     }
 
-    /// Junction area `πr²`.
-    #[must_use]
-    pub fn junction_area(&self) -> Area {
-        let r = self.radius.meters();
-        Area::from_square_meters(core::f64::consts::PI * r * r)
-    }
-
     /// Parallel-state resistance at zero bias (authoritative value).
     #[must_use]
     pub fn resistance_parallel(&self) -> Resistance {
@@ -125,16 +117,6 @@ impl MtjParams {
     #[must_use]
     pub fn resistance_antiparallel(&self) -> Resistance {
         self.resistance_parallel * (1.0 + self.tmr_zero_bias)
-    }
-
-    /// Parallel-state resistance derived from the RA product and geometry.
-    ///
-    /// Provided for cross-checking datasheet consistency; the circuit
-    /// models use [`Self::resistance_parallel`].
-    #[must_use]
-    pub fn resistance_from_ra(&self) -> Resistance {
-        let area_um2 = self.junction_area().square_micro_meters();
-        Resistance::from_ohms(self.resistance_area_product_ohm_um2 / area_um2)
     }
 
     /// Zero-bias TMR as a fraction (Table I's 123 % → `1.23`; the explicit
@@ -172,19 +154,19 @@ impl MtjParams {
 
     /// Attempt time `τ₀` of thermally activated switching.
     #[must_use]
-    pub fn attempt_time(&self) -> Time {
+    pub(crate) fn attempt_time(&self) -> Time {
         self.attempt_time
     }
 
     /// Operating temperature.
     #[must_use]
-    pub fn temperature(&self) -> Temperature {
+    pub(crate) fn temperature(&self) -> Temperature {
         self.temperature
     }
 
     /// Resistance in `state` under bias `v` (voltage across the junction).
     ///
-    /// Delegates to [`crate::resistance::resistance_at`]; see there for the
+    /// Delegates to `crate::resistance::resistance_at`; see there for the
     /// TMR roll-off model.
     #[must_use]
     pub fn resistance_at(&self, state: MtjState, v: Voltage) -> Resistance {
@@ -251,28 +233,28 @@ pub struct MtjParamsBuilder {
 impl MtjParamsBuilder {
     /// Sets the free-layer radius.
     #[must_use]
-    pub fn radius(mut self, radius: Length) -> Self {
+    pub(crate) fn radius(mut self, radius: Length) -> Self {
         self.params.radius = radius;
         self
     }
 
     /// Sets the free-layer thickness.
     #[must_use]
-    pub fn free_layer_thickness(mut self, t: Length) -> Self {
+    pub(crate) fn free_layer_thickness(mut self, t: Length) -> Self {
         self.params.free_layer_thickness = t;
         self
     }
 
     /// Sets the oxide-barrier thickness.
     #[must_use]
-    pub fn oxide_thickness(mut self, t: Length) -> Self {
+    pub(crate) fn oxide_thickness(mut self, t: Length) -> Self {
         self.params.oxide_thickness = t;
         self
     }
 
     /// Sets the resistance–area product (Ω·µm²).
     #[must_use]
-    pub fn resistance_area_product_ohm_um2(mut self, ra: f64) -> Self {
+    pub(crate) fn resistance_area_product_ohm_um2(mut self, ra: f64) -> Self {
         self.params.resistance_area_product_ohm_um2 = ra;
         self
     }
@@ -293,7 +275,7 @@ impl MtjParamsBuilder {
 
     /// Sets the bias at which TMR halves.
     #[must_use]
-    pub fn tmr_half_bias(mut self, v: Voltage) -> Self {
+    pub(crate) fn tmr_half_bias(mut self, v: Voltage) -> Self {
         self.params.tmr_half_bias = v;
         self
     }
@@ -321,14 +303,14 @@ impl MtjParamsBuilder {
 
     /// Sets the attempt time τ₀.
     #[must_use]
-    pub fn attempt_time(mut self, tau: Time) -> Self {
+    pub(crate) fn attempt_time(mut self, tau: Time) -> Self {
         self.params.attempt_time = tau;
         self
     }
 
     /// Sets the operating temperature.
     #[must_use]
-    pub fn temperature(mut self, t: Temperature) -> Self {
+    pub(crate) fn temperature(mut self, t: Temperature) -> Self {
         self.params.temperature = t;
         self
     }
@@ -422,22 +404,6 @@ mod tests {
         assert!((p.critical_current().micro_amps() - 37.0).abs() < 1e-12);
         assert!((p.nominal_write_current().micro_amps() - 70.0).abs() < 1e-12);
         assert!((p.temperature().celsius() - 27.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn junction_area_matches_geometry() {
-        let p = MtjParams::date2018();
-        // π · (20 nm)² ≈ 1.2566e-3 µm²
-        let a = p.junction_area().square_micro_meters();
-        assert!((a - 1.2566e-3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ra_derived_resistance_is_exposed_for_cross_checking() {
-        let p = MtjParams::date2018();
-        let derived = p.resistance_from_ra().ohms();
-        // Table I's RA/geometry imply about 1 kΩ — the known inconsistency.
-        assert!(derived > 500.0 && derived < 2000.0, "derived = {derived}");
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! variance. Two estimators are offered ([`Estimator`]): the default
 //! **smooth** (Rao–Blackwellized) form integrates the per-device
 //! conditional failure probability
-//! [`crate::wer::trial_failure_probability`] exactly, and the
+//! `crate::wer::trial_failure_probability` exactly, and the
 //! **Bernoulli** form draws the stepped trial outcome, matching the
 //! brute-force kernel draw-for-draw in distribution.
 //!
 //! Device samples are stepped under a **reference-calibrated** switching
-//! model ([`crate::switching::SwitchingModel::with_reference`]): the
+//! model (`crate::switching::SwitchingModel::with_reference`): the
 //! per-sample recalibration of `SwitchingModel::new` cancels an `Ic`
 //! excursion exactly at the nominal drive, which would make the WER
 //! variation-independent and this whole module a no-op.
@@ -118,7 +118,7 @@ impl Tilt {
 ///
 /// Panics unless `0 < p < 1`.
 #[must_use]
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile argument must be in (0, 1)");
     const A: [f64; 6] = [
         -3.969_683_028_665_376e1,
@@ -171,7 +171,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 ///
 /// Panics unless `0 < confidence < 1`.
 #[must_use]
-pub fn z_for_confidence(confidence: f64) -> f64 {
+pub(crate) fn z_for_confidence(confidence: f64) -> f64 {
     assert!(
         confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0, 1), got {confidence}"
@@ -244,14 +244,16 @@ impl TailEnv {
     }
 
     /// The reference (typical-die) parameter set of this environment.
+    #[cfg(test)]
     #[must_use]
-    pub fn reference(&self) -> &MtjParams {
+    pub(crate) fn reference(&self) -> &MtjParams {
         &self.reference
     }
 
     /// The variation measure sampled over.
+    #[cfg(test)]
     #[must_use]
-    pub fn variation(&self) -> &VariationModel {
+    pub(crate) fn variation(&self) -> &VariationModel {
         &self.variation
     }
 
@@ -273,7 +275,7 @@ impl TailEnv {
     /// coordinate — exactly the push-forward of
     /// [`VariationModel::sample`].
     #[must_use]
-    pub fn params_from_z(&self, z: [f64; 3]) -> MtjParams {
+    pub(crate) fn params_from_z(&self, z: [f64; 3]) -> MtjParams {
         self.reference.perturbed(
             (1.0 + self.variation.sigma_ra() * z[0]).max(MULTIPLIER_FLOOR),
             (1.0 + self.variation.sigma_tmr() * z[1]).max(MULTIPLIER_FLOOR),
@@ -285,7 +287,7 @@ impl TailEnv {
     /// [`SwitchingModel::with_reference`] for why per-sample
     /// recalibration must not be used here.
     #[must_use]
-    pub fn model_for(&self, device: &MtjParams) -> SwitchingModel {
+    pub(crate) fn model_for(&self, device: &MtjParams) -> SwitchingModel {
         SwitchingModel::with_reference(&self.reference, device)
     }
 
@@ -293,7 +295,7 @@ impl TailEnv {
     /// device at coordinates `z` fails under `pulse` — the smooth
     /// integrand of the importance-sampling estimator.
     #[must_use]
-    pub fn failure_probability(&self, z: [f64; 3], pulse: Time) -> f64 {
+    pub(crate) fn failure_probability(&self, z: [f64; 3], pulse: Time) -> f64 {
         let params = self.params_from_z(z);
         let model = self.model_for(&params);
         wer::trial_failure_probability(&model, self.current, pulse)
@@ -332,15 +334,15 @@ impl Estimator {
 
 /// One tilted draw — the per-sample record the accumulator folds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TiltedDraw {
+pub(crate) struct TiltedDraw {
     /// Variation coordinates under the tilted measure, `z = μ + ε`.
-    pub z: [f64; 3],
+    pub(crate) z: [f64; 3],
     /// Likelihood-ratio weight `w(ε)`.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Conditional trial-failure probability at `θ(z)`.
-    pub p_fail: f64,
+    pub(crate) p_fail: f64,
     /// Estimator contribution (`w·p` or `w·1{fail}`).
-    pub x: f64,
+    pub(crate) x: f64,
 }
 
 /// Completes a draw from its innovations (and, for the Bernoulli
@@ -493,8 +495,8 @@ fn draw_block(
 /// confidence interval, the effective sample sizes, and the
 /// cross-entropy tilt update need, in nine cells. Folding is done in
 /// grid order after collection, so the sums are bit-identical for every
-/// `jobs`/`lanes` combination, and the fixed [`Self::CELLS`]-cell
-/// encoding ([`Self::to_cells`]) is what surface campaigns checkpoint.
+/// `jobs`/`lanes` combination, and the fixed `Self::CELLS`-cell
+/// encoding (`Self::to_cells`) is what surface campaigns checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TailAccumulator {
     samples: u64,
@@ -507,10 +509,10 @@ pub struct TailAccumulator {
 
 impl TailAccumulator {
     /// Cells in the checkpoint encoding.
-    pub const CELLS: usize = 8;
+    pub(crate) const CELLS: usize = 8;
 
     /// Folds one draw.
-    pub fn push(&mut self, draw: &TiltedDraw) {
+    pub(crate) fn push(&mut self, draw: &TiltedDraw) {
         self.samples += 1;
         self.sum_x += draw.x;
         self.sum_x2 += draw.x * draw.x;
@@ -521,16 +523,10 @@ impl TailAccumulator {
         }
     }
 
-    /// Samples folded so far.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// Mean likelihood-ratio weight — `≈ 1` under any tilt
     /// (unbiasedness diagnostic; the property suite pins it).
     #[must_use]
-    pub fn mean_weight(&self) -> f64 {
+    pub(crate) fn mean_weight(&self) -> f64 {
         if self.samples == 0 {
             f64::NAN
         } else {
@@ -542,7 +538,7 @@ impl TailAccumulator {
     /// (= n) at zero tilt — a proposal-overlap diagnostic, *not* the
     /// quantity to tune the tilt by.
     #[must_use]
-    pub fn weight_ess(&self) -> f64 {
+    pub(crate) fn weight_ess(&self) -> f64 {
         if self.sum_w2 == 0.0 {
             0.0
         } else {
@@ -569,7 +565,7 @@ impl TailAccumulator {
     /// closest (in KL) to the zero-variance importance distribution.
     /// `None` when no contribution has been observed yet.
     #[must_use]
-    pub fn cross_entropy_tilt(&self) -> Option<Tilt> {
+    pub(crate) fn cross_entropy_tilt(&self) -> Option<Tilt> {
         if self.sum_x > 0.0 {
             Some(Tilt {
                 mu: self.sum_xz.map(|s| s / self.sum_x),
@@ -633,7 +629,7 @@ impl TailAccumulator {
     /// `[n, Σx, Σx², Σw, Σw², Σxz₀, Σxz₁, Σxz₂]` with `n` stored as an
     /// exact `f64` (campaigns are far below 2⁵³ samples).
     #[must_use]
-    pub fn to_cells(&self) -> Vec<f64> {
+    pub(crate) fn to_cells(self) -> Vec<f64> {
         let mut cells = Vec::with_capacity(Self::CELLS);
         cells.push(self.samples as f64);
         cells.extend_from_slice(&[self.sum_x, self.sum_x2, self.sum_w, self.sum_w2]);
@@ -643,7 +639,7 @@ impl TailAccumulator {
 
     /// Inverse of [`Self::to_cells`]; `None` on a malformed layout.
     #[must_use]
-    pub fn from_cells(cells: &[f64]) -> Option<Self> {
+    pub(crate) fn from_cells(cells: &[f64]) -> Option<Self> {
         if cells.len() != Self::CELLS || cells[0] < 0.0 || cells[0].fract() != 0.0 {
             return None;
         }
@@ -786,14 +782,14 @@ pub struct TiltSearchResult {
     /// The winning tilt.
     pub tilt: Tilt,
     /// Its contribution ESS on the common evaluation batch.
-    pub ess: f64,
+    pub(crate) ess: f64,
     /// Every candidate visited, with its evaluation ESS.
-    pub evaluated: Vec<(Tilt, f64)>,
+    pub(crate) evaluated: Vec<(Tilt, f64)>,
 }
 
 /// Cross-entropy tilt search: starting from the null tilt, each pilot
 /// round re-centers the proposal on the failure-weighted mean of `z`
-/// ([`TailAccumulator::cross_entropy_tilt`]); every visited candidate
+/// (`TailAccumulator::cross_entropy_tilt`); every visited candidate
 /// is then scored by contribution ESS on **one common batch** (common
 /// random numbers — identical innovations for every candidate, so the
 /// comparison is noise-free in the differences) and the best wins.
@@ -859,7 +855,7 @@ pub struct TailPointResult {
     /// The estimate.
     pub estimate: TailEstimate,
     /// Worker-pool summary of the estimation round.
-    pub summary: sweep::RunSummary,
+    pub(crate) summary: sweep::RunSummary,
 }
 
 /// Estimates the WER tail at one pulse width: tilt search (or the fixed
@@ -896,7 +892,7 @@ pub fn estimate_tail(env: &TailEnv, pulse: Time, opts: &TailOptions) -> TailPoin
 /// draw a device from the nominal variation measure (three standard
 /// normals → [`TailEnv::params_from_z`]), then run the stochastic
 /// stepped write under the reference-calibrated model.
-pub fn varied_write_trial<R: Rng + ?Sized>(
+pub(crate) fn varied_write_trial<R: Rng + ?Sized>(
     env: &TailEnv,
     pulse: Time,
     rng: &mut R,
@@ -915,7 +911,12 @@ pub fn varied_write_trial<R: Rng + ?Sized>(
 /// per trial — the direct analogue of
 /// [`crate::wer::count_write_failures`] with per-trial device sampling.
 #[must_use]
-pub fn count_varied_write_failures(env: &TailEnv, pulse: Time, trials: usize, seed: u64) -> usize {
+pub(crate) fn count_varied_write_failures(
+    env: &TailEnv,
+    pulse: Time,
+    trials: usize,
+    seed: u64,
+) -> usize {
     let mut failures = 0usize;
     for t in 0..trials {
         let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, t as u64));

@@ -101,7 +101,7 @@ pub fn tmr_at(params: &MtjParams, v: Voltage) -> f64 {
 /// The bias enters only through the TMR roll-off, so the parallel state is
 /// bias-independent and symmetric in the sign of `v`.
 #[must_use]
-pub fn resistance_at(params: &MtjParams, state: MtjState, v: Voltage) -> Resistance {
+pub(crate) fn resistance_at(params: &MtjParams, state: MtjState, v: Voltage) -> Resistance {
     match state {
         MtjState::Parallel => params.resistance_parallel(),
         MtjState::AntiParallel => params.resistance_parallel() * (1.0 + tmr_at(params, v)),

@@ -17,8 +17,6 @@
 //! current (70 µA in Table I) switches in the paper's worst-case write
 //! latency of 2 ns; see [`SwitchingModel::new`].
 
-use core::fmt;
-
 use units::{Current, Time};
 
 use crate::params::MtjParams;
@@ -27,27 +25,6 @@ use crate::params::MtjParams;
 const THERMAL_BOUNDARY: f64 = 0.8;
 /// Fraction of `Ic0` above which switching is purely precessional.
 const PRECESSIONAL_BOUNDARY: f64 = 1.2;
-
-/// Which physical regime a drive current falls into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SwitchingRegime {
-    /// Sub-threshold: rare, thermally activated reversal.
-    Thermal,
-    /// Near-threshold crossover window.
-    Intermediate,
-    /// Strong overdrive: deterministic precessional reversal.
-    Precessional,
-}
-
-impl fmt::Display for SwitchingRegime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Thermal => "thermal",
-            Self::Intermediate => "intermediate",
-            Self::Precessional => "precessional",
-        })
-    }
-}
 
 /// Switching-time model for one MTJ parameter set.
 ///
@@ -77,10 +54,10 @@ pub struct SwitchingModel {
 impl SwitchingModel {
     /// Default write latency the model is calibrated against (paper
     /// Section IV-B: "around … 2 ns for the worst case").
-    pub const DEFAULT_WRITE_TIME: Time = Time::from_seconds(2e-9);
+    pub(crate) const DEFAULT_WRITE_TIME: Time = Time::from_seconds(2e-9);
 
     /// Builds a model calibrated so that the parameter set's nominal write
-    /// current switches in [`Self::DEFAULT_WRITE_TIME`].
+    /// current switches in `Self::DEFAULT_WRITE_TIME`.
     #[must_use]
     pub fn new(params: &MtjParams) -> Self {
         Self::with_write_time(params, Self::DEFAULT_WRITE_TIME)
@@ -94,7 +71,7 @@ impl SwitchingModel {
     /// Panics if `write_time` is not positive; parameter-set validity is
     /// already guaranteed by [`MtjParams`] construction.
     #[must_use]
-    pub fn with_write_time(params: &MtjParams, write_time: Time) -> Self {
+    pub(crate) fn with_write_time(params: &MtjParams, write_time: Time) -> Self {
         assert!(
             write_time.seconds() > 0.0,
             "write time must be positive, got {write_time}"
@@ -126,7 +103,7 @@ impl SwitchingModel {
     ///
     /// `with_reference(p, p)` is identical to `new(p)`.
     #[must_use]
-    pub fn with_reference(reference: &MtjParams, device: &MtjParams) -> Self {
+    pub(crate) fn with_reference(reference: &MtjParams, device: &MtjParams) -> Self {
         Self::with_reference_write_time(reference, device, Self::DEFAULT_WRITE_TIME)
     }
 
@@ -136,7 +113,7 @@ impl SwitchingModel {
     ///
     /// Panics if `write_time` is not positive.
     #[must_use]
-    pub fn with_reference_write_time(
+    pub(crate) fn with_reference_write_time(
         reference: &MtjParams,
         device: &MtjParams,
         write_time: Time,
@@ -151,19 +128,6 @@ impl SwitchingModel {
             attempt_time: device.attempt_time(),
             thermal_stability: device.thermal_stability(),
             precessional_time_constant: write_time * overdrive,
-        }
-    }
-
-    /// The regime a drive current of magnitude `current` falls into.
-    #[must_use]
-    pub fn regime(&self, current: Current) -> SwitchingRegime {
-        let x = current.abs() / self.critical_current;
-        if x <= THERMAL_BOUNDARY {
-            SwitchingRegime::Thermal
-        } else if x >= PRECESSIONAL_BOUNDARY {
-            SwitchingRegime::Precessional
-        } else {
-            SwitchingRegime::Intermediate
         }
     }
 
@@ -182,7 +146,7 @@ impl SwitchingModel {
     /// Switching rate `1/τ` in 1/s — the quantity integrated by the
     /// dynamic device model under time-varying current.
     #[must_use]
-    pub fn switching_rate(&self, current: Current) -> f64 {
+    pub(crate) fn switching_rate(&self, current: Current) -> f64 {
         let x = current.abs() / self.critical_current;
         (-self.log_tau(x)).exp()
     }
@@ -264,17 +228,6 @@ mod tests {
         let (p, m) = model();
         let t = m.mean_switching_time(Current::ZERO);
         assert!((t / p.retention_time() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn regimes_partition_the_current_axis() {
-        let (p, m) = model();
-        let ic = p.critical_current();
-        assert_eq!(m.regime(ic * 0.5), SwitchingRegime::Thermal);
-        assert_eq!(m.regime(ic * 1.0), SwitchingRegime::Intermediate);
-        assert_eq!(m.regime(ic * 1.5), SwitchingRegime::Precessional);
-        // Magnitude only: negative currents land in the same regime.
-        assert_eq!(m.regime(-(ic * 1.5)), SwitchingRegime::Precessional);
     }
 
     #[test]
@@ -365,11 +318,5 @@ mod tests {
         let fast = p.perturbed(1.0, 1.0, 0.85);
         let fast_tau = SwitchingModel::with_reference(&p, &fast).mean_switching_time(i);
         assert!(fast_tau < recalibrated * 0.8, "fast die: {fast_tau}");
-    }
-
-    #[test]
-    fn regime_display() {
-        assert_eq!(SwitchingRegime::Thermal.to_string(), "thermal");
-        assert_eq!(SwitchingRegime::Precessional.to_string(), "precessional");
     }
 }

@@ -25,13 +25,13 @@ use crate::params::MtjParams;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Fractional TMR loss per kelvin (default 1.5 × 10⁻³).
-    pub k_tmr: f64,
+    pub(crate) k_tmr: f64,
     /// Fractional saturation-magnetisation loss per kelvin
     /// (default 5 × 10⁻⁴), entering the barrier quadratically.
-    pub k_ms: f64,
+    pub(crate) k_ms: f64,
     /// Fractional critical-current reduction per kelvin
     /// (default 1 × 10⁻³).
-    pub k_ic: f64,
+    pub(crate) k_ic: f64,
 }
 
 impl Default for ThermalModel {

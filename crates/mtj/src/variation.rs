@@ -40,7 +40,7 @@ impl VariationModel {
     ///
     /// # Errors
     ///
-    /// Returns [`VariationBoundsError`] if any σ is negative or large
+    /// Returns `VariationBoundsError` if any σ is negative or large
     /// enough (≥ 1/3) that a −3σ excursion would reach a non-physical
     /// (zero or negative) parameter value.
     pub fn new(
@@ -124,11 +124,11 @@ pub struct MtjSample {
     /// The perturbed parameter set.
     pub params: MtjParams,
     /// Multiplier applied to the RA product (and hence Rp).
-    pub ra_multiplier: f64,
+    pub(crate) ra_multiplier: f64,
     /// Multiplier applied to the zero-bias TMR.
-    pub tmr_multiplier: f64,
+    pub(crate) tmr_multiplier: f64,
     /// Multiplier applied to the critical/switching current.
-    pub switching_current_multiplier: f64,
+    pub(crate) switching_current_multiplier: f64,
 }
 
 /// The ±3σ MTJ corners used for Table II's worst/typical/best columns.
@@ -154,7 +154,7 @@ impl MtjCorner {
 
     /// Signed σ multiples applied to (RA, TMR, switching current).
     #[must_use]
-    pub fn sigma_shifts(self) -> (f64, f64, f64) {
+    pub(crate) fn sigma_shifts(self) -> (f64, f64, f64) {
         match self {
             Self::WorstRead => (3.0, -3.0, 3.0),
             Self::Typical => (0.0, 0.0, 0.0),

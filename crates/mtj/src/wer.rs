@@ -56,7 +56,7 @@ pub fn write_error_rate(model: &SwitchingModel, current: Current, pulse: Time) -
 /// a zero pair WER) — and the tail is precisely the rare-event regime
 /// reliability studies target.
 #[must_use]
-pub fn pair_write_error_rate(model: &SwitchingModel, current: Current, pulse: Time) -> f64 {
+pub(crate) fn pair_write_error_rate(model: &SwitchingModel, current: Current, pulse: Time) -> f64 {
     let single = write_error_rate(model, current, pulse);
     single * (2.0 - single)
 }
@@ -136,7 +136,11 @@ pub fn trial_step_plan(pulse: Time) -> (usize, Time) {
 /// where [`write_error_rate`] uses the un-discretized pulse length and
 /// no polarity guard.
 #[must_use]
-pub fn trial_failure_probability(model: &SwitchingModel, current: Current, pulse: Time) -> f64 {
+pub(crate) fn trial_failure_probability(
+    model: &SwitchingModel,
+    current: Current,
+    pulse: Time,
+) -> f64 {
     if WritePolarity::PositiveSetsAntiParallel.target_state(current) != Some(MtjState::AntiParallel)
     {
         return 1.0;
@@ -185,7 +189,7 @@ pub fn write_trial<R: Rng + ?Sized>(
 /// ([`SwitchingModel::with_reference`]) or the per-sample recalibration
 /// cancels the very `Ic` excursion being sampled. The draw pattern is
 /// identical to [`write_trial`].
-pub fn write_trial_with_model<R: Rng + ?Sized>(
+pub(crate) fn write_trial_with_model<R: Rng + ?Sized>(
     params: &MtjParams,
     model: SwitchingModel,
     current: Current,
@@ -353,8 +357,9 @@ impl ConfidenceInterval {
     }
 
     /// Interval width, `hi − lo`.
+    #[cfg(test)]
     #[must_use]
-    pub fn width(&self) -> f64 {
+    pub(crate) fn width(&self) -> f64 {
         self.hi - self.lo
     }
 }

@@ -89,7 +89,10 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
         let target = target.trim();
         let expr = expr.trim();
         let open = expr.find('(').ok_or_else(|| bad("missing ("))?;
-        let close = expr.rfind(')').ok_or_else(|| bad("missing )"))?;
+        let close = expr[open..]
+            .rfind(')')
+            .map(|i| open + i)
+            .ok_or_else(|| bad("missing )"))?;
         let func = expr[..open].trim().to_ascii_uppercase();
         let args: Vec<&str> = expr[open + 1..close]
             .split(',')
@@ -320,6 +323,8 @@ y = NAND(a, b, c, d)
             ("G1 = AND()\n", "no inputs"),
             ("G1 NOT(a)\n", "expected"),
             ("G1 = NOT a\n", "missing ("),
+            ("x = )AND(a\n", "missing )"),
+            ("x = AND)(a\n", "missing )"),
         ] {
             let err = parse("x", text).expect_err(text);
             assert!(err.to_string().contains(needle), "{text}: {err}");

@@ -17,7 +17,7 @@ use crate::ir::{CellKind, NetId, Netlist};
 
 /// Which suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Suite {
+pub(crate) enum Suite {
     /// ISCAS'89 sequential benchmarks.
     Iscas89,
     /// ITC'99 benchmarks.
@@ -32,11 +32,11 @@ pub struct BenchmarkSpec {
     /// Design name as the paper spells it.
     pub name: &'static str,
     /// Suite.
-    pub suite: Suite,
+    pub(crate) suite: Suite,
     /// Flip-flop count — Table III column 2, reproduced exactly.
     pub flip_flops: usize,
     /// Combinational gate count (published order of magnitude).
-    pub gates: usize,
+    pub(crate) gates: usize,
     /// Number of 2-bit merges the paper found (Table III column 3),
     /// used by the replay mode of the system-level evaluation.
     pub paper_merged_pairs: usize,

@@ -31,7 +31,7 @@ pub enum CellKind {
 impl CellKind {
     /// Number of input pins (the output pin is implicit).
     #[must_use]
-    pub fn input_count(self) -> usize {
+    pub(crate) fn input_count(self) -> usize {
         match self {
             Self::Input => 0,
             Self::Output | Self::Inv | Self::Buf | Self::Dff => 1,
@@ -52,7 +52,8 @@ impl CellKind {
     }
 
     /// All placeable (non-port) kinds.
-    pub const PLACEABLE: [Self; 8] = [
+    #[cfg(test)]
+    pub(crate) const PLACEABLE: [Self; 8] = [
         Self::Inv,
         Self::Buf,
         Self::Nand2,
@@ -159,14 +160,8 @@ impl Netlist {
     ///
     /// Panics if `net` belongs to another netlist.
     #[must_use]
-    pub fn net_name(&self, net: NetId) -> &str {
+    pub(crate) fn net_name(&self, net: NetId) -> &str {
         &self.nets[net.0]
-    }
-
-    /// Looks up an existing net without creating it.
-    #[must_use]
-    pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_lookup.get(name).map(|&i| NetId(i))
     }
 
     /// Adds an instance.
@@ -241,8 +236,9 @@ impl Netlist {
     }
 
     /// Handles of all flip-flop instances.
+    #[cfg(test)]
     #[must_use]
-    pub fn flip_flops(&self) -> Vec<InstId> {
+    pub(crate) fn flip_flops(&self) -> Vec<InstId> {
         self.instances
             .iter()
             .enumerate()
@@ -263,8 +259,9 @@ impl Netlist {
     }
 
     /// Per-kind instance histogram.
+    #[cfg(test)]
     #[must_use]
-    pub fn kind_histogram(&self) -> HashMap<CellKind, usize> {
+    pub(crate) fn kind_histogram(&self) -> HashMap<CellKind, usize> {
         let mut h = HashMap::new();
         for i in &self.instances {
             *h.entry(i.kind).or_insert(0) += 1;

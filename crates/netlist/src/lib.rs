@@ -13,7 +13,7 @@
 //!   intra-module connectivity — which is what makes placed flip-flops
 //!   cluster, the very property the merge flow exploits.
 //!
-//! The IR ([`Netlist`], [`Instance`], [`CellKind`]) is deliberately
+//! The IR ([`Netlist`], `Instance`, [`CellKind`]) is deliberately
 //! small: named typed cells over interned nets, a [`CellLibrary`] with
 //! per-kind footprints, and a structural-Verilog writer for inspection.
 //!
@@ -32,11 +32,10 @@
 
 pub mod bench_format;
 pub mod benchmarks;
-pub mod ir;
-pub mod library;
-pub mod sim;
+mod ir;
+mod library;
 pub mod verilog;
 
 pub use benchmarks::{Benchmark, BenchmarkSpec};
-pub use ir::{CellKind, InstId, Instance, NetId, Netlist};
-pub use library::{CellFootprint, CellLibrary};
+pub use ir::{CellKind, InstId, Netlist};
+pub use library::CellLibrary;

@@ -1,6 +1,6 @@
 //! Standard-cell footprints for the placement substrate.
 
-use units::{Area, Length};
+use units::Length;
 
 use crate::ir::CellKind;
 
@@ -10,13 +10,14 @@ pub struct CellFootprint {
     /// Cell width.
     pub width: Length,
     /// Cell height (uniform row height).
-    pub height: Length,
+    pub(crate) height: Length,
 }
 
 impl CellFootprint {
     /// Footprint area.
+    #[cfg(test)]
     #[must_use]
-    pub fn area(&self) -> Area {
+    pub(crate) fn area(&self) -> units::Area {
         self.width * self.height
     }
 }
@@ -76,12 +77,6 @@ impl CellLibrary {
             height: self.row_height,
         }
     }
-
-    /// Total placeable area of an iterator of kinds.
-    #[must_use]
-    pub fn total_area<I: IntoIterator<Item = CellKind>>(&self, kinds: I) -> Area {
-        kinds.into_iter().map(|k| self.footprint(k).area()).sum()
-    }
 }
 
 impl Default for CellLibrary {
@@ -93,6 +88,7 @@ impl Default for CellLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use units::Area;
 
     #[test]
     fn row_height_matches_the_layout_rules() {
@@ -117,14 +113,5 @@ mod tests {
         // 12 sites × 160 nm × 1.68 µm ≈ 3.2 µm².
         let a = lib.footprint(CellKind::Dff).area().square_micro_meters();
         assert!((a - 12.0 * 0.16 * 1.68).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_area_sums() {
-        let lib = CellLibrary::n40();
-        let total = lib.total_area([CellKind::Inv, CellKind::Inv, CellKind::Dff]);
-        let expect = lib.footprint(CellKind::Inv).area().square_micro_meters() * 2.0
-            + lib.footprint(CellKind::Dff).area().square_micro_meters();
-        assert!((total.square_micro_meters() - expect).abs() < 1e-9);
     }
 }

@@ -10,10 +10,9 @@
 use core::fmt;
 use std::error::Error;
 
-use netlist::CellKind;
 use units::Length;
 
-use crate::placer::{PlacedCell, PlacedDesign};
+use crate::placer::PlacedDesign;
 
 /// Database units per micron.
 const DBU_PER_MICRON: f64 = 1000.0;
@@ -80,7 +79,7 @@ pub struct DefComponent {
     /// Instance name.
     pub name: String,
     /// Cell master name (e.g. `DFF`).
-    pub master: String,
+    pub(crate) master: String,
     /// Left edge.
     pub x: Length,
     /// Bottom edge.
@@ -90,7 +89,7 @@ pub struct DefComponent {
 impl DefComponent {
     /// `true` if the master is the flip-flop cell.
     #[must_use]
-    pub fn is_flip_flop(&self) -> bool {
+    pub(crate) fn is_flip_flop(&self) -> bool {
         self.master == "DFF"
     }
 }
@@ -106,21 +105,17 @@ pub struct DefDesign {
 
 impl DefDesign {
     /// Design name.
+    #[cfg(test)]
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Die width.
+    #[cfg(test)]
     #[must_use]
-    pub fn die_width(&self) -> Length {
+    pub(crate) fn die_width(&self) -> Length {
         self.die_width
-    }
-
-    /// Die height.
-    #[must_use]
-    pub fn die_height(&self) -> Length {
-        self.die_height
     }
 
     /// All placed components.
@@ -163,12 +158,12 @@ pub fn parse(text: &str) -> Result<DefDesign, ParseDefError> {
     let mut components = Vec::new();
     let mut in_components = false;
     let from_dbu = |raw: &str, line: usize| -> Result<Length, ParseDefError> {
-        raw.parse::<f64>()
-            .map(|v| Length::from_micro_meters(v / DBU_PER_MICRON))
-            .map_err(|_| ParseDefError {
-                line,
-                what: format!("bad coordinate {raw}"),
-            })
+        let what = match raw.parse::<f64>() {
+            Ok(v) if v.is_finite() => return Ok(Length::from_micro_meters(v / DBU_PER_MICRON)),
+            Ok(_) => format!("non-finite coordinate {raw}"),
+            Err(_) => format!("bad coordinate {raw}"),
+        };
+        Err(ParseDefError { line, what })
     };
 
     for (lineno, raw_line) in text.lines().enumerate() {
@@ -209,15 +204,19 @@ pub fn parse(text: &str) -> Result<DefDesign, ParseDefError> {
                         what: "short component line".into(),
                     });
                 }
-                let open = tokens.iter().position(|&t| t == "(").ok_or(ParseDefError {
+                let missing = || ParseDefError {
                     line: lineno + 1,
                     what: "missing coordinates".into(),
-                })?;
+                };
+                let open = tokens.iter().position(|&t| t == "(").ok_or_else(missing)?;
+                let (Some(x), Some(y)) = (tokens.get(open + 1), tokens.get(open + 2)) else {
+                    return Err(missing());
+                };
                 components.push(DefComponent {
                     name: tokens[1].to_owned(),
                     master: tokens[2].to_owned(),
-                    x: from_dbu(tokens[open + 1], lineno + 1)?,
-                    y: from_dbu(tokens[open + 2], lineno + 1)?,
+                    x: from_dbu(x, lineno + 1)?,
+                    y: from_dbu(y, lineno + 1)?,
                 });
             }
             _ => {}
@@ -238,29 +237,6 @@ pub fn parse(text: &str) -> Result<DefDesign, ParseDefError> {
         die_height,
         components,
     })
-}
-
-/// Converts a parsed component back into the placer's cell type, when
-/// the master matches a library kind.
-#[must_use]
-pub fn component_kind(component: &DefComponent) -> Option<CellKind> {
-    match component.master.as_str() {
-        "INV" => Some(CellKind::Inv),
-        "BUF" => Some(CellKind::Buf),
-        "NAND2" => Some(CellKind::Nand2),
-        "NOR2" => Some(CellKind::Nor2),
-        "AND2" => Some(CellKind::And2),
-        "OR2" => Some(CellKind::Or2),
-        "XOR2" => Some(CellKind::Xor2),
-        "DFF" => Some(CellKind::Dff),
-        _ => None,
-    }
-}
-
-/// Keeps `PlacedCell` reachable for doc purposes.
-#[doc(hidden)]
-pub fn _placed_cell_ty(cell: &PlacedCell) -> &str {
-    &cell.name
 }
 
 #[cfg(test)]
@@ -313,24 +289,19 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_components() {
-        let text = "DESIGN x ;\nDIEAREA ( 0 0 ) ( 100 100 ) ;\nCOMPONENTS 1 ;\n- a DFF ;\nEND COMPONENTS\n";
-        assert!(parse(text).is_err());
-    }
-
-    #[test]
-    fn master_names_map_to_kinds() {
-        let c = DefComponent {
-            name: "FF1".into(),
-            master: "DFF".into(),
-            x: Length::from_micro_meters(1.0),
-            y: Length::from_micro_meters(2.0),
-        };
-        assert!(c.is_flip_flop());
-        assert_eq!(component_kind(&c), Some(CellKind::Dff));
-        let unknown = DefComponent {
-            master: "WEIRD".into(),
-            ..c
-        };
-        assert_eq!(component_kind(&unknown), None);
+        for (component, needle) in [
+            ("- a DFF ;", "short component line"),
+            ("- a DFF + PLACED + FIXED N ; (", "missing coordinates"),
+            ("- a DFF + PLACED + FIXED N ( 5", "missing coordinates"),
+            ("- a DFF + PLACED ( NaN inf ) N ;", "non-finite coordinate"),
+            ("- a DFF + PLACED ( 10 -inf ) N ;", "non-finite coordinate"),
+        ] {
+            let text = format!(
+                "DESIGN x ;\nDIEAREA ( 0 0 ) ( 100 100 ) ;\nCOMPONENTS 1 ;\n{component}\nEND COMPONENTS\n"
+            );
+            let err = parse(&text).expect_err(component);
+            assert!(err.to_string().contains(needle), "{component}: {err}");
+            assert!(err.to_string().contains("line 4"), "{component}: {err}");
+        }
     }
 }

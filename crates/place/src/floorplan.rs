@@ -23,7 +23,7 @@ impl Floorplan {
     ///
     /// Panics unless `0 < utilization ≤ 1`.
     #[must_use]
-    pub fn plan(netlist: &Netlist, library: &CellLibrary, utilization: f64) -> Self {
+    pub(crate) fn plan(netlist: &Netlist, library: &CellLibrary, utilization: f64) -> Self {
         assert!(
             utilization > 0.0 && utilization <= 1.0,
             "utilization must be in (0, 1], got {utilization}"
@@ -55,7 +55,7 @@ impl Floorplan {
 
     /// Sites per row.
     #[must_use]
-    pub fn sites_per_row(&self) -> usize {
+    pub(crate) fn sites_per_row(&self) -> usize {
         self.sites_per_row
     }
 
@@ -73,7 +73,7 @@ impl Floorplan {
 
     /// Site width.
     #[must_use]
-    pub fn site_width(&self) -> Length {
+    pub(crate) fn site_width(&self) -> Length {
         self.site_width
     }
 
@@ -89,7 +89,7 @@ impl Floorplan {
     ///
     /// Panics if `row ≥ rows()`.
     #[must_use]
-    pub fn row_y(&self, row: usize) -> Length {
+    pub(crate) fn row_y(&self, row: usize) -> Length {
         assert!(row < self.rows, "row {row} out of range");
         self.row_height * row as f64
     }

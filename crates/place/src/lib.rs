@@ -5,7 +5,7 @@
 //! routing", Section IV-A). It provides what the downstream merge flow
 //! needs — realistic flip-flop coordinates:
 //!
-//! * [`floorplan`] sizes a near-square die from the cell library's
+//! * `floorplan` sizes a near-square die from the cell library's
 //!   footprints at a target utilization;
 //! * [`placer`] orders cells by connectivity-driven cluster growth
 //!   (BFS over the net hypergraph), packs them into rows in snake
@@ -13,7 +13,7 @@
 //!   minimize half-perimeter wirelength;
 //! * [`def`] writes and parses the (subset of the) Design Exchange
 //!   Format the paper's merge script operates on;
-//! * [`spatial`] offers grid-bucketed radius queries used to find
+//! * `spatial` offers grid-bucketed radius queries used to find
 //!   neighbouring flip-flops.
 //!
 //! # Examples
@@ -32,13 +32,10 @@
 #![warn(missing_docs)]
 
 pub mod def;
-pub mod floorplan;
+mod floorplan;
 pub mod placer;
-pub mod spatial;
-pub mod sta;
+mod spatial;
 pub mod stats;
 
-pub use floorplan::Floorplan;
-pub use placer::{PlacedCell, PlacedDesign, PlacerOptions};
+pub use placer::{PlacedDesign, PlacerOptions};
 pub use spatial::GridIndex;
-pub use stats::{FlipFlopStats, UtilizationStats};

@@ -39,7 +39,7 @@ impl Default for PlacerOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacedCell {
     /// Instance handle in the source netlist.
-    pub inst: InstId,
+    pub(crate) inst: InstId,
     /// Instance name.
     pub name: String,
     /// Cell kind.
@@ -52,13 +52,7 @@ pub struct PlacedCell {
     pub row: usize,
 }
 
-impl PlacedCell {
-    /// Cell centre abscissa given its width.
-    #[must_use]
-    pub fn center_x(&self, width: Length) -> Length {
-        self.x + width * 0.5
-    }
-}
+impl PlacedCell {}
 
 /// A placed design: floorplan plus cell coordinates.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,11 +1,9 @@
-//! Placement statistics: flip-flop clustering and row utilization.
+//! Placement statistics: flip-flop clustering.
 //!
 //! The merge flow's yield is entirely a function of how close placed
 //! flip-flops end up to each other; these statistics make that
 //! distribution observable (and explain per-benchmark merge-coverage
 //! differences — see the fig9 report binary).
-
-use netlist::CellLibrary;
 
 use crate::placer::PlacedDesign;
 use crate::spatial::GridIndex;
@@ -60,20 +58,10 @@ impl FlipFlopStats {
     }
 
     /// Number of flip-flops with a computed neighbour distance.
+    #[cfg(test)]
     #[must_use]
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.nn_distances_um.len()
-    }
-
-    /// Median nearest-neighbour distance, µm (0 if fewer than 2 FFs).
-    #[must_use]
-    pub fn median_nn_distance(&self) -> f64 {
-        if self.nn_distances_um.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.nn_distances_um.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        sorted[sorted.len() / 2]
     }
 
     /// Fraction of flip-flops whose nearest neighbour lies within
@@ -90,53 +78,13 @@ impl FlipFlopStats {
             .count();
         hits as f64 / self.nn_distances_um.len() as f64
     }
-
-    /// Histogram of nearest-neighbour distances over uniform bins of
-    /// `bin_um` width; the last bin collects the tail.
-    #[must_use]
-    pub fn histogram(&self, bin_um: f64, bins: usize) -> Vec<usize> {
-        let mut h = vec![0usize; bins.max(1)];
-        for &d in &self.nn_distances_um {
-            let k = ((d / bin_um) as usize).min(h.len() - 1);
-            h[k] += 1;
-        }
-        h
-    }
-}
-
-/// Row-utilization summary of a placed design.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilizationStats {
-    /// Fraction of total row sites occupied by cells.
-    pub occupancy: f64,
-    /// Number of rows with at least one cell.
-    pub used_rows: usize,
-    /// Total rows of the floorplan.
-    pub total_rows: usize,
-}
-
-/// Computes row utilization against a cell library.
-#[must_use]
-pub fn utilization(design: &PlacedDesign, library: &CellLibrary) -> UtilizationStats {
-    let fp = design.floorplan();
-    let total_sites = fp.rows() * fp.sites_per_row();
-    let used_sites: usize = design.cells().iter().map(|c| library.sites(c.kind)).sum();
-    let mut rows_seen = std::collections::HashSet::new();
-    for c in design.cells() {
-        rows_seen.insert(c.row);
-    }
-    UtilizationStats {
-        occupancy: used_sites as f64 / total_sites.max(1) as f64,
-        used_rows: rows_seen.len(),
-        total_rows: fp.rows(),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placer::{self, PlacerOptions};
-    use netlist::benchmarks;
+    use netlist::{benchmarks, CellLibrary};
 
     fn placed(name: &str) -> PlacedDesign {
         let n = benchmarks::generate(benchmarks::by_name(name).expect("benchmark"));
@@ -148,7 +96,6 @@ mod tests {
         let design = placed("s344");
         let stats = FlipFlopStats::of(&design);
         assert_eq!(stats.count(), 15);
-        assert!(stats.median_nn_distance() > 0.0);
     }
 
     #[test]
@@ -163,29 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_count() {
-        let stats = FlipFlopStats::of(&placed("s838"));
-        let h = stats.histogram(1.0, 12);
-        assert_eq!(h.iter().sum::<usize>(), stats.count());
-        assert_eq!(h.len(), 12);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let n = netlist::Netlist::new("empty");
         let design = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
         let stats = FlipFlopStats::of(&design);
         assert_eq!(stats.count(), 0);
-        assert_eq!(stats.median_nn_distance(), 0.0);
         assert_eq!(stats.fraction_within(10.0), 0.0);
-    }
-
-    #[test]
-    fn utilization_is_near_the_target() {
-        let design = placed("s5378");
-        let u = utilization(&design, &CellLibrary::n40());
-        assert!((0.5..0.95).contains(&u.occupancy), "{u:?}");
-        assert!(u.used_rows > 0);
-        assert!(u.used_rows <= u.total_rows);
     }
 }

@@ -53,7 +53,7 @@ use crate::http::DEFAULT_MAX_BODY_BYTES;
 use crate::queue::{Executor, Job, JobQueue, SubmitOutcome};
 
 /// Schema tag of response bodies.
-pub const RESPONSE_SCHEMA: &str = "nvff-characterize/1";
+pub(crate) const RESPONSE_SCHEMA: &str = "nvff-characterize/1";
 
 /// Which subset of the Table-II analyses a request asks for. All kinds
 /// run the same characterization (the store/restore/leakage phases are
@@ -110,9 +110,9 @@ impl AnalysisKind {
 pub struct WerTailRequest {
     /// Typical-die WER target defining the pulse width (through the
     /// closed-form `pulse_for_wer` on the reference device).
-    pub target_wer: f64,
+    pub(crate) target_wer: f64,
     /// Importance-sampled draws.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Campaign base seed.
     pub seed: u64,
     /// σ fraction of the switching current (σ(RA)/σ(TMR) stay at the
@@ -212,7 +212,7 @@ pub struct CharacterizeRequest {
     /// Whitelisted parameter overrides, sorted by key.
     pub overrides: Vec<(String, f64)>,
     /// Rare-event knobs; `Some` exactly when `analysis` is
-    /// [`AnalysisKind::WerTail`] (defaults materialized).
+    /// `AnalysisKind::WerTail` (defaults materialized).
     pub wer: Option<WerTailRequest>,
 }
 
@@ -309,7 +309,7 @@ impl CharacterizeRequest {
     /// key order, sorted overrides, defaults materialized, numbers
     /// normalized through the one shared `f64` formatter.
     #[must_use]
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         let mut fields = vec![
             (
                 "analysis".to_owned(),
@@ -339,7 +339,7 @@ impl CharacterizeRequest {
     /// analysis kind): requests differing only in `analysis` share one
     /// pooled harness and batch together.
     #[must_use]
-    pub fn circuit_fingerprint(&self) -> u128 {
+    pub(crate) fn circuit_fingerprint(&self) -> u128 {
         let canonical = JsonValue::object(vec![
             ("corner".into(), JsonValue::Str(self.corner.to_string())),
             ("overrides".into(), self.overrides_value()),
@@ -356,7 +356,7 @@ impl CharacterizeRequest {
     /// Propagates override validation errors (pre-checked in
     /// [`parse`](Self::parse), so this only fails on hand-built
     /// requests).
-    pub fn resolve_config(&self) -> Result<LatchConfig, String> {
+    pub(crate) fn resolve_config(&self) -> Result<LatchConfig, String> {
         cells::resolve_config(self.corner, &self.overrides).map_err(|e| e.to_string())
     }
 }
@@ -366,7 +366,7 @@ impl CharacterizeRequest {
 /// formatter, so rendering is deterministic — the byte-identity the
 /// cache contract promises.
 #[must_use]
-pub fn render_response(request: &CharacterizeRequest, metrics: &CellMetrics) -> String {
+pub(crate) fn render_response(request: &CharacterizeRequest, metrics: &CellMetrics) -> String {
     let mut metric_fields: Vec<(String, JsonValue)> = Vec::new();
     let kind = request.analysis;
     if matches!(kind, AnalysisKind::Full | AnalysisKind::Read) {
@@ -445,7 +445,7 @@ pub fn render_response(request: &CharacterizeRequest, metrics: &CellMetrics) -> 
 /// determinism contract as [`render_response`]: fixed field order, the
 /// shared float formatter, a trailing newline.
 #[must_use]
-pub fn render_wer_tail_response(
+pub(crate) fn render_wer_tail_response(
     request: &CharacterizeRequest,
     wer: &WerTailRequest,
     result: &mtj::rare::TailPointResult,
@@ -515,7 +515,7 @@ pub fn render_wer_tail_response(
 
 /// Renders a `{"error": …}` body.
 #[must_use]
-pub fn render_error(message: &str) -> String {
+pub(crate) fn render_error(message: &str) -> String {
     let mut body =
         JsonValue::object(vec![("error".into(), JsonValue::Str(message.into()))]).to_json();
     body.push('\n');
@@ -586,9 +586,9 @@ pub struct ApiResponse {
     pub status: u16,
     /// Value of the `X-NVFF-Cache` header (`hit`/`miss`/`coalesced`),
     /// when the request reached the cache at all.
-    pub cache_status: Option<&'static str>,
+    pub(crate) cache_status: Option<&'static str>,
     /// `Retry-After` seconds on a 429/503.
-    pub retry_after_s: Option<u64>,
+    pub(crate) retry_after_s: Option<u64>,
     /// Response body (shared with the cache on hits).
     pub body: Arc<String>,
 }
@@ -724,7 +724,7 @@ impl CharacterizeService {
 
     /// The request-body cap the HTTP layer should enforce.
     #[must_use]
-    pub fn max_body_bytes(&self) -> usize {
+    pub(crate) fn max_body_bytes(&self) -> usize {
         self.max_body_bytes
     }
 
@@ -766,13 +766,13 @@ impl CharacterizeService {
     }
 
     /// Stops intake (new requests get 503) without blocking.
-    pub fn set_draining(&self) {
+    pub(crate) fn set_draining(&self) {
         self.queue.set_draining();
     }
 
     /// Graceful shutdown: stop intake, finish the backlog, join the
     /// workers. Idempotent; also run when the service drops.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.queue.drain();
     }
 }

@@ -29,11 +29,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently-locked shards (a power of two).
-pub const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 
 /// Default total capacity (entries across all shards). A rendered
 /// response is ~1 KiB, so the default costs a few MiB at worst.
-pub const DEFAULT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
 /// One shard: a keyed map with a logical clock for LRU eviction.
 #[derive(Debug, Default)]
@@ -81,7 +81,7 @@ impl Shard {
 
 /// A sharded LRU of rendered responses, optionally backed by a
 /// content-addressed directory.
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     disk_dir: Option<PathBuf>,
@@ -89,15 +89,16 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A memory-only cache holding at most `capacity` entries.
+    #[cfg(test)]
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self::with_disk(capacity, None)
     }
 
     /// A cache additionally persisting every entry under `disk_dir`
     /// (created on first insert if missing).
     #[must_use]
-    pub fn with_disk(capacity: usize, disk_dir: Option<PathBuf>) -> Self {
+    pub(crate) fn with_disk(capacity: usize, disk_dir: Option<PathBuf>) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
@@ -124,7 +125,7 @@ impl ResultCache {
     /// `serve.cache.hits` on success; never counts misses (see module
     /// docs).
     #[must_use]
-    pub fn get(&self, key: u128) -> Option<Arc<String>> {
+    pub(crate) fn get(&self, key: u128) -> Option<Arc<String>> {
         if let Some(value) = Self::lock(self.shard(key)).touch(key) {
             telemetry::counter("serve.cache.hits", 1);
             return Some(value);
@@ -146,7 +147,7 @@ impl ResultCache {
     /// Inserts a rendered response under `key`, evicting LRU entries
     /// past capacity and (if configured) persisting to disk with a
     /// tmp-file + atomic-rename write.
-    pub fn insert(&self, key: u128, value: Arc<String>) {
+    pub(crate) fn insert(&self, key: u128, value: Arc<String>) {
         let evicted =
             Self::lock(self.shard(key)).insert(key, Arc::clone(&value), self.per_shard_capacity);
         if evicted > 0 {
@@ -170,8 +171,9 @@ impl ResultCache {
     }
 
     /// Number of entries currently resident in memory.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| Self::lock(s).entries.len())
@@ -179,8 +181,9 @@ impl ResultCache {
     }
 
     /// Whether the in-memory layer is empty.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -8,49 +8,46 @@
 //! have no use for pipelining. Request heads are capped at
 //! [`MAX_HEAD_BYTES`], bodies at a caller-chosen limit (oversize bodies
 //! are a distinct [`ReadError::BodyTooLarge`] so the server can answer
-//! `413 Payload Too Large` instead of a generic 400), and reads are
-//! bounded by a socket timeout, so a stuck or hostile client cannot
-//! wedge a handler thread.
+//! `413 Payload Too Large` instead of a generic 400), and the whole
+//! request must arrive within one [`READ_TIMEOUT`] deadline, so a stuck
+//! or slowly dripping client cannot wedge a handler thread.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request head (request line + headers). A metrics
 /// scrape is a few hundred bytes; 8 KiB matches common server defaults.
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
-
-/// Former name of [`MAX_HEAD_BYTES`], kept for callers of the metrics
-/// era when the head was the whole request.
-pub const MAX_REQUEST_BYTES: usize = MAX_HEAD_BYTES;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Default request-body cap. Characterize requests are a few hundred
 /// bytes of JSON; 64 KiB leaves room for large override maps while
 /// keeping a misbehaving client from ballooning handler memory.
-pub const DEFAULT_MAX_BODY_BYTES: usize = 64 * 1024;
+pub(crate) const DEFAULT_MAX_BODY_BYTES: usize = 64 * 1024;
 
-/// Socket read timeout — a client that stops mid-request is cut off.
+/// Time allowed for one whole request (head and body) — a client that
+/// stalls or drips bytes is cut off when it runs out.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A parsed request: method, path, headers, and body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// HTTP method, uppercased by the client (`GET`, `POST`, …).
-    pub method: String,
+    pub(crate) method: String,
     /// Decoded-enough path for routing: `/metrics`, `/healthz`, …
     /// (percent-decoding is deliberately not performed; the served
     /// routes are plain ASCII).
-    pub path: String,
+    pub(crate) path: String,
     /// Header `(name, value)` pairs in arrival order, names as sent.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Request body (empty unless `Content-Length` said otherwise).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
     /// First value of `name`, compared case-insensitively per RFC 9110.
     #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
@@ -61,10 +58,11 @@ impl Request {
 /// Why a request could not be read. Each variant maps onto one response
 /// status, decided by the server layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReadError {
+pub(crate) enum ReadError {
     /// Unparseable request line or headers, an oversized head, an
-    /// unsupported `Transfer-Encoding`, a timeout, or a peer that hung
-    /// up mid-request — all answered 400 (when the socket still works).
+    /// unsupported `Transfer-Encoding`, a missed deadline, or a peer that
+    /// hung up mid-request — all answered 400 (when the socket still
+    /// works).
     Malformed,
     /// `Content-Length` exceeds the configured cap — answered 413.
     BodyTooLarge {
@@ -79,13 +77,14 @@ pub enum ReadError {
 /// transfer encoding is not supported (none of the served clients use
 /// it) and is rejected as [`ReadError::Malformed`]. A declared length
 /// above `max_body` fails *before* reading the body, so a hostile
-/// client cannot make the server buffer it.
+/// client cannot make the server buffer it. The whole request must
+/// arrive within [`READ_TIMEOUT`] of the call.
 ///
 /// # Errors
 ///
 /// See [`ReadError`].
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+pub(crate) fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
+    let deadline = Instant::now() + READ_TIMEOUT;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     // Read until the blank line ending the header block. Bytes past it
@@ -97,12 +96,13 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(ReadError::Malformed);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ReadError::Malformed), // peer closed mid-head
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(ReadError::Malformed), // timeout or reset
-        }
+        let n = read_before(stream, &mut chunk, deadline)?;
+        buf.extend_from_slice(&chunk[..n]);
     };
+    // The read that completed the head may have crossed the cap.
+    if head_len > MAX_HEAD_BYTES {
+        return Err(ReadError::Malformed);
+    }
     let mut request = parse_head(&buf[..head_len]).ok_or(ReadError::Malformed)?;
     if request.header("Transfer-Encoding").is_some() {
         return Err(ReadError::Malformed);
@@ -116,15 +116,32 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     }
     let mut body = buf[head_len..].to_vec();
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ReadError::Malformed), // peer closed mid-body
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(ReadError::Malformed),
-        }
+        let n = read_before(stream, &mut chunk, deadline)?;
+        body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
     request.body = body;
     Ok(request)
+}
+
+/// One read into `chunk` that must finish by `deadline`: the socket
+/// timeout is set to the time remaining, so a client cannot stretch the
+/// request by sending a byte just before each read would time out.
+/// A passed deadline, a timeout, a reset, or a peer that closed
+/// mid-request are all [`ReadError::Malformed`].
+fn read_before(
+    stream: &mut TcpStream,
+    chunk: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, ReadError> {
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
+        return Err(ReadError::Malformed);
+    }
+    match stream.read(chunk) {
+        Ok(0) | Err(_) => Err(ReadError::Malformed),
+        Ok(n) => Ok(n),
+    }
 }
 
 /// Index one past the blank line terminating the head, or `None` while
@@ -186,14 +203,14 @@ fn reason(status: u16) -> &'static str {
 /// Writes a complete response with `Content-Length` and
 /// `Connection: close`. Errors are swallowed — the peer hanging up
 /// mid-response is its own problem, not the server's.
-pub fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
+pub(crate) fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     write_response_with(stream, status, content_type, &[], body);
 }
 
 /// [`write_response`] plus extra `(name, value)` headers — `Allow` on a
 /// 405, `Retry-After` on a 429, the cache-status header on a
 /// characterize response. Callers must pass well-formed ASCII pairs.
-pub fn write_response_with(
+pub(crate) fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -260,5 +277,30 @@ mod tests {
         assert_eq!(req.header("Content-Type"), Some("application/json"));
         assert_eq!(req.header("Content-Length"), Some("7"));
         assert_eq!(req.headers.len(), 2);
+    }
+
+    #[test]
+    fn head_completed_by_the_read_that_crosses_the_cap_is_rejected() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // A short first write shifts the server's 512-byte reads off
+            // the cap, so the blank line lands in the read crossing it.
+            // The fixed reader rejects every read pattern; the pause only
+            // makes the unfixed reader's gap reachable.
+            let line = b"GET / HTTP/1.1\r\n";
+            stream.write_all(line).expect("request line");
+            std::thread::sleep(Duration::from_millis(100));
+            let pad = "a".repeat(MAX_HEAD_BYTES + 8 - line.len() - "X-Pad: \r\n\r\n".len());
+            stream
+                .write_all(format!("X-Pad: {pad}\r\n\r\n").as_bytes())
+                .expect("headers");
+            stream
+        });
+        let (mut conn, _) = listener.accept().expect("accept");
+        let result = read_request(&mut conn, DEFAULT_MAX_BODY_BYTES);
+        drop(client.join().expect("client"));
+        assert_eq!(result, Err(ReadError::Malformed));
     }
 }

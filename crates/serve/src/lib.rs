@@ -2,20 +2,20 @@
 //! `/metrics` scraping plus characterization-as-a-service.
 //!
 //! The build is offline, so there is no hyper, no axum, not even a
-//! TLS stack — [`http`] hand-rolls the one-request-per-connection
+//! TLS stack — `http` hand-rolls the one-request-per-connection
 //! slice of HTTP/1.1 a Prometheus scrape and a JSON POST need over
-//! `std::net`, and [`metrics`] renders the live [`telemetry`] registry
+//! `std::net`, and `metrics` renders the live [`telemetry`] registry
 //! snapshot in the text exposition format. [`server::MetricsServer`]
 //! ties them together as a background accept thread.
 //!
 //! On top of the metrics routes sits the characterization service
 //! (`POST /v1/characterize`), three layers deep:
 //!
-//! - [`api`] — request parsing/validation, canonicalization, and the
+//! - `api` — request parsing/validation, canonicalization, and the
 //!   128-bit content fingerprint that keys everything;
-//! - [`cache`] — a sharded in-memory LRU of rendered responses with an
+//! - `cache` — a sharded in-memory LRU of rendered responses with an
 //!   optional content-addressed on-disk layer (`NVFF_CACHE_DIR`);
-//! - [`queue`] — single-flight coalescing, same-topology batching over
+//! - `queue` — single-flight coalescing, same-topology batching over
 //!   a pool of simulation workers, bounded-queue load shedding, and
 //!   graceful drain.
 //!
@@ -40,18 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
-pub mod cache;
-pub mod http;
-pub mod metrics;
-pub mod queue;
-pub mod server;
+mod api;
+mod cache;
+mod http;
+mod metrics;
+mod queue;
+mod server;
 
-pub use api::{
-    render_error, render_response, AnalysisKind, ApiResponse, CharacterizeRequest,
-    CharacterizeService, ServiceOptions, RESPONSE_SCHEMA,
-};
-pub use cache::ResultCache;
+pub use api::{CharacterizeRequest, CharacterizeService, ServiceOptions};
+pub use http::READ_TIMEOUT;
 pub use metrics::{escape_label_value, render_prometheus, sanitize_metric_name};
-pub use queue::{Job, JobQueue, SubmitOutcome};
 pub use server::MetricsServer;

@@ -37,30 +37,30 @@ use std::thread::JoinHandle;
 use crate::cache::ResultCache;
 
 /// Most jobs one worker claims in a single batch.
-pub const BATCH_MAX: usize = 8;
+pub(crate) const BATCH_MAX: usize = 8;
 
 /// A unit of work: compute the response for one canonical request.
 #[derive(Debug, Clone)]
-pub struct Job {
+pub(crate) struct Job {
     /// Full content fingerprint — the cache key and single-flight key.
-    pub key: u128,
+    pub(crate) key: u128,
     /// Fingerprint of the circuit identity (request minus analysis
     /// kind) — jobs sharing it batch onto one worker pass.
-    pub batch_key: u128,
+    pub(crate) batch_key: u128,
     /// Canonical request bytes; the executor computes from these and
     /// nothing else, which is what makes responses a pure function of
     /// the fingerprint.
-    pub canonical: Arc<String>,
+    pub(crate) canonical: Arc<String>,
 }
 
 /// Computes the response body for a job. Errors are service-level
 /// failures (simulation refused to converge, invalid derived config)
 /// reported to every waiter of the fingerprint.
-pub type Executor = Arc<dyn Fn(&Job) -> Result<String, String> + Send + Sync>;
+pub(crate) type Executor = Arc<dyn Fn(&Job) -> Result<String, String> + Send + Sync>;
 
 /// How a submission resolved.
 #[derive(Debug)]
-pub enum SubmitOutcome {
+pub(crate) enum SubmitOutcome {
     /// This submission scheduled the computation and waited for it.
     Computed(Arc<String>),
     /// An identical fingerprint was already in flight; its result is
@@ -143,7 +143,7 @@ impl Inner {
 
 /// The queue handle. Dropping it drains (waits for the backlog) and
 /// joins the workers.
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -153,7 +153,7 @@ impl JobQueue {
     /// `executor`, holding at most `capacity` queued jobs, and
     /// publishing finished results into `cache`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         worker_count: usize,
         capacity: usize,
         cache: Arc<ResultCache>,
@@ -189,7 +189,7 @@ impl JobQueue {
 
     /// Submits a job and blocks until it resolves (or fails fast on a
     /// full queue / draining service). See [`SubmitOutcome`].
-    pub fn submit(&self, job: Job) -> SubmitOutcome {
+    pub(crate) fn submit(&self, job: Job) -> SubmitOutcome {
         let (flight, scheduled) = {
             let mut state = self.inner.lock();
             if state.draining {
@@ -237,8 +237,9 @@ impl JobQueue {
     }
 
     /// Jobs currently waiting (not yet claimed by a worker).
+    #[cfg(test)]
     #[must_use]
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.inner.lock().pending.len()
     }
 
@@ -246,14 +247,14 @@ impl JobQueue {
     /// [`SubmitOutcome::Draining`] immediately. Queued and in-flight
     /// jobs still complete. Non-blocking; call [`drain`](Self::drain)
     /// to also wait for the backlog.
-    pub fn set_draining(&self) {
+    pub(crate) fn set_draining(&self) {
         self.inner.lock().draining = true;
         self.inner.work_cv.notify_all();
     }
 
     /// Graceful shutdown: stop intake, let workers finish every queued
     /// job, join them. Idempotent.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.set_draining();
         let handles: Vec<_> = {
             let mut workers = self

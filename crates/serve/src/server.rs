@@ -41,7 +41,7 @@ use crate::metrics::render_prometheus;
 /// an inline `503` from the accept thread. Handler threads live for one
 /// request (bounded by [`crate::http::READ_TIMEOUT`]), so this bounds
 /// worst-case thread count, not steady-state throughput.
-pub const MAX_ACTIVE_CONNECTIONS: usize = 64;
+pub(crate) const MAX_ACTIVE_CONNECTIONS: usize = 64;
 
 const TEXT: &str = "text/plain; charset=utf-8";
 const JSON: &str = "application/json";

@@ -2,13 +2,13 @@
 //! telemetry, scrape `/metrics`, and check the exposition matches the
 //! registry snapshot exactly.
 //!
-//! Single test function: the telemetry registry is process-global, so
-//! splitting these scenarios across `#[test]`s would race under the
-//! multi-threaded harness.
+//! The scrape scenarios share one test function: the telemetry registry
+//! is process-global, so splitting them across `#[test]`s would race
+//! under the multi-threaded harness.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serve::MetricsServer;
 
@@ -129,4 +129,39 @@ fn scrape_matches_the_live_snapshot() {
     server.shutdown();
     telemetry::init(telemetry::TraceMode::Off);
     telemetry::reset_for_tests();
+}
+
+/// A client dripping one byte per second resets any per-read timeout
+/// forever; the per-request deadline must still answer it 400 within
+/// `READ_TIMEOUT`. This scenario never touches the telemetry registry,
+/// so it can run beside the scrape test.
+#[test]
+fn dripping_client_is_cut_off_at_the_request_deadline() {
+    let mut server = MetricsServer::bind("127.0.0.1:0").expect("bind port 0");
+    let limit = serve::READ_TIMEOUT + Duration::from_secs(1);
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut request = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".iter();
+    let mut response = Vec::new();
+    let mut buf = [0u8; 256];
+    while response.is_empty() && start.elapsed() < limit {
+        if let Some(&byte) = request.next() {
+            // The server may already have hung up; the read below tells.
+            let _ = stream.write_all(&[byte]);
+        }
+        match stream.read(&mut buf) {
+            Ok(n) if n > 0 => response.extend_from_slice(&buf[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            _ => break,
+        }
+    }
+    let elapsed = start.elapsed();
+    let _ = stream.read_to_end(&mut response);
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response:?}");
+    assert!(elapsed <= limit, "answered after {elapsed:?}");
+    server.shutdown();
 }

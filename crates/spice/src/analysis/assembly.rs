@@ -53,14 +53,14 @@ pub(super) fn vof(x: &[f64], idx: Option<usize>) -> f64 {
 #[derive(Clone, Copy)]
 pub(super) struct EvalCtx<'a> {
     /// Simulation time the waveforms are evaluated at.
-    pub t: f64,
+    pub(crate) t: f64,
     /// Scale applied to every independent source value — 1.0 in normal
     /// operation, ramped 0 → 1 by the source-stepping recovery ladder.
-    pub src_scale: f64,
+    pub(crate) src_scale: f64,
     /// Shunt from every node to ground (floored at [`GMIN_FLOOR`]).
-    pub gmin: f64,
+    pub(crate) gmin: f64,
     /// Capacitor companions (transient solves only).
-    pub companions: Option<&'a Companions<'a>>,
+    pub(crate) companions: Option<&'a Companions<'a>>,
 }
 
 /// Up to `N` matrix adds of one stamp, in stamping order. Each add is a
@@ -274,9 +274,9 @@ impl Entry {
 /// [`CapState`].
 #[derive(Debug, Clone, Copy)]
 pub(super) struct CapDescriptor {
-    pub ia: Option<usize>,
-    pub ib: Option<usize>,
-    pub farads: f64,
+    pub(crate) ia: Option<usize>,
+    pub(crate) ib: Option<usize>,
+    pub(crate) farads: f64,
     adds: Adds<4>,
 }
 
@@ -294,25 +294,25 @@ impl CapDescriptor {
 /// Per-capacitor integration history, stored in the workspace.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CapState {
-    pub v_prev: f64,
-    pub i_prev: f64,
+    pub(crate) v_prev: f64,
+    pub(crate) i_prev: f64,
 }
 
 /// Companion-model context for one transient Newton solve: borrowed
 /// capacitor histories plus the integrator and step size.
 pub(super) struct Companions<'a> {
-    pub states: &'a [CapState],
-    pub integrator: Integrator,
-    pub dt: f64,
+    pub(crate) states: &'a [CapState],
+    pub(crate) integrator: Integrator,
+    pub(crate) dt: f64,
 }
 
 /// An MTJ's device index and terminal unknowns, pre-resolved for the
 /// post-step magnetisation advance.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct MtjSlot {
-    pub dev: usize,
-    pub ia: Option<usize>,
-    pub ib: Option<usize>,
+    pub(crate) dev: usize,
+    pub(crate) ia: Option<usize>,
+    pub(crate) ib: Option<usize>,
 }
 
 /// What a plan froze of one device: its kind, its terminal unknowns (a

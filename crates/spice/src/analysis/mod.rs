@@ -37,8 +37,8 @@
 //! * [`reference`] — the original per-call engine, frozen as a
 //!   correctness oracle.
 //!
-//! The free functions below ([`op`], [`dc_sweep`], [`transient`],
-//! [`transient_with_options`]) keep the historical one-shot API: each
+//! The free functions below ([`op`], [`transient`],
+//! `transient_with_options`) keep the historical one-shot API: each
 //! builds a throwaway session. Repeated simulation of the same circuit
 //! — corner sweeps, margin scans, repeated restore/store runs — should
 //! hold a [`SimulationSession`] instead.
@@ -241,19 +241,10 @@ pub fn op(ckt: &mut Circuit) -> Result<OpResult, SpiceError> {
     newton::op_core(&plan, ckt, &mut ws)
 }
 
-/// Sweeps the DC value of the named voltage source, solving the operating
-/// point at each level with warm-started continuation (each solution seeds
-/// the next — essential for tracing bistable transfer curves).
-///
-/// This one-shot form builds a throwaway workspace; hold a
-/// [`SimulationSession`] to reuse it across repeated sweeps.
-///
-/// # Errors
-///
-/// [`SpiceError::UnknownTrace`] if no voltage source has that name,
-/// [`SpiceError::InvalidAnalysis`] for an empty sweep, and any Newton
-/// failure from the underlying solves.
-pub fn dc_sweep(
+/// One-shot DC sweep on a throwaway workspace, for the tests below;
+/// [`SimulationSession::dc_sweep`] is the production entry point.
+#[cfg(test)]
+pub(crate) fn dc_sweep(
     ckt: &mut Circuit,
     source: &str,
     values: &[f64],
@@ -265,11 +256,11 @@ pub fn dc_sweep(
 
 /// Runs a transient analysis with default options.
 ///
-/// See [`transient_with_options`] for knobs and error conditions.
+/// See `transient_with_options` for knobs and error conditions.
 ///
 /// # Errors
 ///
-/// Propagates every error of [`transient_with_options`].
+/// Propagates every error of `transient_with_options`.
 pub fn transient(ckt: &mut Circuit, stop: Time, step: Time) -> Result<TransientResult, SpiceError> {
     transient_with_options(ckt, stop, step, TransientOptions::default())
 }
@@ -291,7 +282,7 @@ pub fn transient(ckt: &mut Circuit, stop: Time, step: Time) -> Result<TransientR
 /// [`SpiceError::InvalidAnalysis`] for a non-positive window or step;
 /// [`SpiceError::NonConvergence`] / [`SpiceError::SingularMatrix`] from
 /// the inner solves.
-pub fn transient_with_options(
+pub(crate) fn transient_with_options(
     ckt: &mut Circuit,
     stop: Time,
     step: Time,

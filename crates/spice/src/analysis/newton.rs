@@ -22,12 +22,12 @@ use super::{OpResult, ABSTOL, GMIN_FLOOR, RELTOL, VNTOL, VSTEP_MAX};
 /// can hold the capacitor histories separately — see
 /// [`Workspace::split`].
 pub(super) struct SolverBufs<'w> {
-    pub engine: &'w mut Engine,
-    pub z: &'w mut Vec<f64>,
-    pub x: &'w mut Vec<f64>,
-    pub x_new: &'w mut Vec<f64>,
-    pub x_save: &'w mut Vec<f64>,
-    pub stats: &'w mut SolverStats,
+    pub(crate) engine: &'w mut Engine,
+    pub(crate) z: &'w mut Vec<f64>,
+    pub(crate) x: &'w mut Vec<f64>,
+    pub(crate) x_new: &'w mut Vec<f64>,
+    pub(crate) x_save: &'w mut Vec<f64>,
+    pub(crate) stats: &'w mut SolverStats,
 }
 
 impl SolverBufs<'_> {

@@ -362,11 +362,12 @@ fn op_unknowns(ckt: &Circuit, t: f64) -> Result<Vec<f64>, SpiceError> {
 /// Sweeps the DC value of the named voltage source with the per-call
 /// engine.
 ///
-/// Identical semantics to [`super::dc_sweep`], without workspace reuse.
+/// Identical semantics to `SimulationSession::dc_sweep`, without
+/// workspace reuse.
 ///
 /// # Errors
 ///
-/// Same conditions as [`super::dc_sweep`].
+/// Same conditions as `SimulationSession::dc_sweep`.
 pub fn dc_sweep(
     ckt: &mut Circuit,
     source: &str,
@@ -432,7 +433,7 @@ pub fn dc_sweep(
 ///
 /// # Errors
 ///
-/// Propagates every error of [`transient_with_options`].
+/// Propagates every error of `transient_with_options`.
 pub fn transient(ckt: &mut Circuit, stop: Time, step: Time) -> Result<TransientResult, SpiceError> {
     transient_with_options(ckt, stop, step, TransientOptions::fixed())
 }
@@ -446,7 +447,7 @@ pub fn transient(ckt: &mut Circuit, stop: Time, step: Time) -> Result<TransientR
 /// # Errors
 ///
 /// Same conditions as [`super::transient_with_options`].
-pub fn transient_with_options(
+pub(crate) fn transient_with_options(
     ckt: &mut Circuit,
     stop: Time,
     step: Time,

@@ -192,10 +192,10 @@ pub(crate) struct Workspace {
 /// own the solver buffers while the step controller holds the capacitor
 /// and predictor histories mutably.
 pub(super) struct TransientScratch<'w> {
-    pub cap_states: &'w mut Vec<CapState>,
-    pub x_prev: &'w mut Vec<f64>,
-    pub x_prev2: &'w mut Vec<f64>,
-    pub x_prev3: &'w mut Vec<f64>,
+    pub(crate) cap_states: &'w mut Vec<CapState>,
+    pub(crate) x_prev: &'w mut Vec<f64>,
+    pub(crate) x_prev2: &'w mut Vec<f64>,
+    pub(crate) x_prev3: &'w mut Vec<f64>,
 }
 
 impl Workspace {
@@ -288,7 +288,7 @@ impl Workspace {
 /// Between runs the circuit may be mutated through
 /// [`SimulationSession::circuit_mut`] — retuning source waveforms,
 /// preconditioning MTJ states, or restoring a
-/// [`CircuitSnapshot`](crate::circuit::CircuitSnapshot). Value
+/// `CircuitSnapshot`. Value
 /// changes like these reuse the existing plan. Changes to what the plan
 /// froze — added devices or nodes, a device replaced by another kind,
 /// moved terminals, a new capacitance or MOSFET geometry — are detected
@@ -360,7 +360,7 @@ impl SimulationSession {
     }
 
     /// Sets the circuit label carried into post-mortem dumps.
-    pub fn set_label(&mut self, label: &str) {
+    pub(crate) fn set_label(&mut self, label: &str) {
         self.label = label.to_owned();
     }
 
@@ -494,12 +494,16 @@ impl SimulationSession {
         self.postmortem_on_failure("op", result)
     }
 
-    /// Sweeps the DC value of the named voltage source (see
-    /// [`dc_sweep`](super::dc_sweep)).
+    /// Sweeps the DC value of the named voltage source, solving the
+    /// operating point at each level with warm-started continuation (each
+    /// solution seeds the next — essential for tracing bistable transfer
+    /// curves).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`dc_sweep`](super::dc_sweep).
+    /// [`SpiceError::UnknownTrace`] if no voltage source has that name,
+    /// [`SpiceError::InvalidAnalysis`] for an empty sweep, and any Newton
+    /// failure from the underlying solves.
     pub fn dc_sweep(&mut self, source: &str, values: &[f64]) -> Result<Vec<OpResult>, SpiceError> {
         self.refresh();
         let result = newton::run_dc_sweep(&self.plan, &mut self.ckt, &mut self.ws, source, values);
@@ -517,11 +521,11 @@ impl SimulationSession {
     }
 
     /// Runs a transient analysis (see
-    /// [`transient_with_options`](super::transient_with_options)).
+    /// `transient_with_options`).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`transient_with_options`](super::transient_with_options).
+    /// Same conditions as `transient_with_options`.
     pub fn transient_with_options(
         &mut self,
         stop: Time,

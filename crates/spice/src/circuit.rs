@@ -119,8 +119,9 @@ impl Circuit {
     }
 
     /// Number of voltage sources (MNA branch unknowns).
+    #[cfg(test)]
     #[must_use]
-    pub fn vsource_count(&self) -> usize {
+    pub(crate) fn vsource_count(&self) -> usize {
         self.vsource_count
     }
 
@@ -314,7 +315,7 @@ impl Circuit {
     /// Rejects duplicate names, foreign nodes, and non-positive width or
     /// length.
     #[allow(clippy::too_many_arguments)]
-    pub fn add_mosfet(
+    pub(crate) fn add_mosfet(
         &mut self,
         name: &str,
         d: NodeId,
@@ -350,7 +351,7 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Same as [`Circuit::add_mosfet`].
+    /// Same as `Circuit::add_mosfet`.
     pub fn add_nmos(
         &mut self,
         name: &str,
@@ -367,7 +368,7 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Same as [`Circuit::add_mosfet`].
+    /// Same as `Circuit::add_mosfet`.
     pub fn add_pmos(
         &mut self,
         name: &str,
@@ -483,13 +484,13 @@ impl Circuit {
     /// Size of the MNA unknown vector: non-ground nodes plus one branch
     /// current per voltage source.
     #[must_use]
-    pub fn unknown_count(&self) -> usize {
+    pub(crate) fn unknown_count(&self) -> usize {
         (self.node_count() - 1) + self.vsource_count
     }
 
     /// MNA unknown index of a node's voltage (`None` for ground).
     #[must_use]
-    pub fn voltage_index(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn voltage_index(&self, node: NodeId) -> Option<usize> {
         if node.is_ground() {
             None
         } else {
@@ -499,7 +500,7 @@ impl Circuit {
 
     /// MNA unknown index of a voltage-source branch current.
     #[must_use]
-    pub fn branch_index(&self, branch: usize) -> usize {
+    pub(crate) fn branch_index(&self, branch: usize) -> usize {
         (self.node_count() - 1) + branch
     }
 }

@@ -56,9 +56,9 @@ use crate::subckt::Subckt;
 #[derive(Debug, Clone)]
 pub struct DeckContext {
     /// MOSFET models (`NMOS`/`PMOS` cards).
-    pub tech: Technology,
+    pub(crate) tech: Technology,
     /// MTJ parameters (`MTJ` cards).
-    pub mtj: MtjParams,
+    pub(crate) mtj: MtjParams,
 }
 
 impl Default for DeckContext {
@@ -130,20 +130,6 @@ pub fn write_subckt(sub: &Subckt) -> String {
         let _ = writeln!(out, " {}", child.def().name());
     }
     let _ = writeln!(out, ".ENDS {}", sub.name());
-    out
-}
-
-/// Serializes a library — `.subckt` definitions followed by the flat
-/// top-level circuit — as one deck.
-#[must_use]
-pub fn write_library(subckts: &[Arc<Subckt>], ckt: &Circuit, title: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "* {title}");
-    for sub in subckts {
-        out.push_str(&write_subckt(sub));
-    }
-    write_cards(&mut out, ckt);
-    out.push_str(".END\n");
     out
 }
 
@@ -592,7 +578,7 @@ fn numbers_in_parens(text: &str) -> Option<Vec<f64>> {
 /// Parses a number with an optional engineering suffix
 /// (`MEG` before `M`, case-insensitive).
 #[must_use]
-pub fn parse_value(text: &str) -> Option<f64> {
+pub(crate) fn parse_value(text: &str) -> Option<f64> {
     let t = text.trim();
     if t.is_empty() {
         return None;

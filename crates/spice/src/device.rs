@@ -11,17 +11,17 @@ pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
     /// The ground node (reference potential, always index 0).
-    pub const GROUND: NodeId = NodeId(0);
+    pub(crate) const GROUND: NodeId = NodeId(0);
 
     /// Returns `true` for the ground node.
     #[must_use]
-    pub fn is_ground(self) -> bool {
+    pub(crate) fn is_ground(self) -> bool {
         self.0 == 0
     }
 
     /// Raw index into the circuit's node table.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }

@@ -7,20 +7,20 @@
 //! * **Modified nodal analysis** (MNA): unknowns are node voltages plus
 //!   one branch current per voltage source; every device *stamps* its
 //!   linearized contribution into a dense system solved by LU with
-//!   partial pivoting ([`linalg`]).
+//!   partial pivoting (`linalg`).
 //! * **Newton–Raphson** for nonlinear devices, with `gmin` stepping for
 //!   the operating point and voltage-step damping for robustness
 //!   ([`analysis`]).
 //! * **Transient analysis** with backward-Euler or trapezoidal companion
 //!   models for capacitors and adaptive step halving on non-convergence.
 //! * An all-region **EKV-style MOSFET** compact model calibrated to a
-//!   40 nm low-power CMOS process with SS/TT/FF corners ([`mosfet`]).
+//!   40 nm low-power CMOS process with SS/TT/FF corners (`mosfet`).
 //! * A stateful **MTJ device** bridging to the [`mtj`] compact model:
 //!   its resistance follows the magnetisation state and the transient
 //!   loop integrates switching progress from the solved branch current.
 //!
 //! Circuits are built programmatically with [`Circuit`], simulated with
-//! [`analysis::op`], [`analysis::dc_sweep`] or [`analysis::transient`],
+//! [`analysis::op`], [`analysis::transient`] or a [`SimulationSession`],
 //! and interrogated through [`TransientResult`] and the measurement
 //! helpers in [`measure`] (threshold crossings, delays, supply energy).
 //!
@@ -63,23 +63,23 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod circuit;
+mod circuit;
 pub mod deck;
-pub mod device;
-pub mod error;
-pub mod linalg;
+mod device;
+mod error;
+mod linalg;
 pub mod measure;
-pub mod mosfet;
+mod mosfet;
 pub mod result;
-pub mod source;
+mod source;
 pub mod subckt;
 pub mod vcd;
 
-pub use analysis::{SimulationSession, SolverKind, SolverStats, StepControl, TransientOptions};
-pub use circuit::{Circuit, CircuitSnapshot, NodeId};
+pub use analysis::{SimulationSession, SolverKind, SolverStats, TransientOptions};
+pub use circuit::{Circuit, NodeId};
 pub use device::Device;
 pub use error::SpiceError;
-pub use mosfet::{CmosCorner, MosfetKind, MosfetModel, Technology};
-pub use result::{Trace, TransientResult};
+pub use mosfet::{CmosCorner, Technology};
+pub use result::TransientResult;
 pub use source::SourceWaveform;
 pub use subckt::{join_path, Subckt};

@@ -33,36 +33,26 @@
 
 /// A dense, row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
+pub(crate) struct DenseMatrix {
     n: usize,
     data: Vec<f64>,
 }
 
-/// Reusable working storage for [`DenseMatrix::solve_into`] and
-/// [`DenseMatrix::solve_in_place`].
+/// Reusable working storage for [`DenseMatrix::solve_in_place`].
 ///
-/// Holds the factorization's working copy of the matrix and the pivot
-/// row's nonzero-column index list, so repeated solves (one per Newton
-/// iteration, thousands per transient) perform no heap allocation after
-/// the first call.
+/// Holds the pivot row's nonzero-column index list, so repeated solves
+/// (one per Newton iteration, thousands per transient) perform no heap
+/// allocation after the first call.
 #[derive(Debug, Clone, Default)]
-pub struct LuScratch {
-    lu: Vec<f64>,
+pub(crate) struct LuScratch {
     nonzero_cols: Vec<u32>,
 }
 
 impl LuScratch {
-    /// Creates an empty scratch buffer; it grows on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a scratch buffer pre-sized for an `n × n` system.
     #[must_use]
-    pub fn for_dim(n: usize) -> Self {
+    pub(crate) fn for_dim(n: usize) -> Self {
         Self {
-            lu: Vec::with_capacity(n * n),
             nonzero_cols: Vec::with_capacity(n),
         }
     }
@@ -71,7 +61,7 @@ impl LuScratch {
 impl DenseMatrix {
     /// Creates an `n × n` zero matrix.
     #[must_use]
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         Self {
             n,
             data: vec![0.0; n * n],
@@ -80,7 +70,7 @@ impl DenseMatrix {
 
     /// Matrix dimension.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.n
     }
 
@@ -89,8 +79,9 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
+    #[cfg(test)]
     #[must_use]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.n && col < self.n, "index out of bounds");
         self.data[row * self.n + col]
     }
@@ -100,7 +91,8 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.n && col < self.n, "index out of bounds");
         self.data[row * self.n + col] = value;
     }
@@ -111,13 +103,13 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
+    pub(crate) fn add(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.n && col < self.n, "index out of bounds");
         self.data[row * self.n + col] += value;
     }
 
     /// Resets every entry to zero, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -137,58 +129,28 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Solves `A·x = b` via LU with partial pivoting without destroying
-    /// `self`.
+    /// Solves `A·x = b` on a copy of `self`, leaving `self` intact —
+    /// the dense reference the sparse tests compare against.
     ///
     /// Returns `None` if the matrix is numerically singular.
     ///
-    /// This is the allocating convenience wrapper over
-    /// [`DenseMatrix::solve_into`]; solver loops should hold a
-    /// [`LuScratch`] and call `solve_into` (or [`DenseMatrix::solve_in_place`])
-    /// instead.
-    ///
     /// # Panics
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
-    #[must_use]
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        let mut scratch = LuScratch::new();
+    #[cfg(test)]
+    pub(crate) fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         let mut x = Vec::new();
-        self.solve_into(b, &mut scratch, &mut x).then_some(x)
-    }
-
-    /// Solves `A·x = b` into `x`, reusing `scratch` for the factorization
-    /// working copy — no allocation once the scratch buffers have grown
-    /// to the system size.
-    ///
-    /// Returns `false` if the matrix is numerically singular (in which
-    /// case the contents of `x` are unspecified). Every arithmetic
-    /// operation that is actually performed — pivot selection,
-    /// elimination, back substitution — matches the original allocating
-    /// solver; the only difference is that updates whose pivot-row
-    /// operand is exactly zero are skipped, which leaves all values
-    /// unchanged (up to the sign of zero), so results are reproducible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_into(&self, b: &[f64], scratch: &mut LuScratch, x: &mut Vec<f64>) -> bool {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        scratch.lu.clear();
-        scratch.lu.extend_from_slice(&self.data);
-        x.clear();
-        x.extend_from_slice(b);
-        lu_solve_core(&mut scratch.lu, self.n, &mut scratch.nonzero_cols, x)
+        self.clone()
+            .solve_in_place(b, &mut LuScratch::default(), &mut x)
+            .then_some(x)
     }
 
     /// Solves `A·x = b` into `x`, factoring `self` **in place** — on
     /// return the matrix holds the (partially pivoted) elimination
     /// residue and must be re-stamped before the next use.
     ///
-    /// This is the hot-loop entry point: it skips the `n²` working-copy
-    /// memcpy that [`DenseMatrix::solve_into`] pays per call, which
-    /// matters when the matrix is re-assembled from scratch every Newton
-    /// iteration anyway. Arithmetic is identical to `solve_into`.
+    /// This is the hot-loop entry point: the matrix is re-assembled from
+    /// scratch every Newton iteration anyway, so no working copy is made.
     ///
     /// Returns `false` if the matrix is numerically singular (in which
     /// case the contents of `x` are unspecified).
@@ -196,7 +158,12 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_in_place(&mut self, b: &[f64], scratch: &mut LuScratch, x: &mut Vec<f64>) -> bool {
+    pub(crate) fn solve_in_place(
+        &mut self,
+        b: &[f64],
+        scratch: &mut LuScratch,
+        x: &mut Vec<f64>,
+    ) -> bool {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         x.clear();
         x.extend_from_slice(b);
@@ -208,8 +175,9 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the matrix dimension.
+    #[cfg(test)]
     #[must_use]
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "vector length mismatch");
         (0..self.n)
             .map(|r| (0..self.n).map(|c| self.data[r * self.n + c] * x[c]).sum())
@@ -339,7 +307,7 @@ impl SparsePattern {
     ///
     /// Panics if an entry is out of bounds for an `n × n` system.
     #[must_use]
-    pub fn from_entries(n: usize, mut entries: Vec<(u32, u32)>) -> Self {
+    pub(crate) fn from_entries(n: usize, mut entries: Vec<(u32, u32)>) -> Self {
         entries.sort_unstable();
         entries.dedup();
         let mut row_ptr = vec![0u32; n + 1];
@@ -365,7 +333,7 @@ impl SparsePattern {
 
     /// Matrix dimension.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.n
     }
 
@@ -388,7 +356,7 @@ impl SparsePattern {
     /// The CSR slot backing `(row, col)`, or `None` for a structural
     /// zero (or a position outside the matrix).
     #[must_use]
-    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+    pub(crate) fn slot(&self, row: usize, col: usize) -> Option<usize> {
         if row >= self.n {
             return None;
         }
@@ -529,7 +497,7 @@ fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
 /// reported so the solver can account for symbolic work separately from
 /// the steady-state pattern-reusing path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SparseSolveOutcome {
+pub(crate) enum SparseSolveOutcome {
     /// The frozen pivot order and fill pattern were reused as-is — the
     /// steady-state fast path.
     ReusedPattern,
@@ -559,7 +527,7 @@ pub enum SparseSolveOutcome {
 /// All buffers are retained across calls; after the first build a
 /// refactor-and-solve performs no heap allocation.
 #[derive(Debug, Clone, Default)]
-pub struct SymbolicLu {
+pub(crate) struct SymbolicLu {
     n: usize,
     built: bool,
     /// Permuted row `i` of the factorization is original row `row_perm[i]`.
@@ -607,27 +575,28 @@ impl SymbolicLu {
     /// Creates an empty symbolic object; it builds itself on the first
     /// [`SymbolicLu::factor_and_solve`] call.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Whether a pivot order is currently frozen.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_built(&self) -> bool {
+    pub(crate) fn is_built(&self) -> bool {
         self.built
     }
 
     /// Structural nonzeros of `L + U` including fill-in (0 before the
     /// first build).
     #[must_use]
-    pub fn lu_nnz(&self) -> usize {
+    pub(crate) fn lu_nnz(&self) -> usize {
         self.lu_col.len()
     }
 
     /// Drops the frozen pivot order, forcing a rebuild on the next
     /// solve. Called at the start of every analysis and when the
     /// pattern itself changes (plan rebuild).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.built = false;
     }
 
@@ -643,7 +612,7 @@ impl SymbolicLu {
     /// # Panics
     ///
     /// Panics if `values`, `b` or the pattern dimensions disagree.
-    pub fn factor_and_solve(
+    pub(crate) fn factor_and_solve(
         &mut self,
         pattern: &SparsePattern,
         values: &[f64],
@@ -1004,29 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_into_matches_solve_bit_for_bit() {
-        // An awkwardly scaled system that forces pivoting and a zero
-        // fill-in skip, exercising every branch of the elimination.
-        let m = from_rows(&[
-            &[0.0, 2.0, 1.0, 0.0],
-            &[1e-6, -1.0, 0.5, 0.0],
-            &[3.0, 0.25, -2.0, 1e-9],
-            &[0.0, 0.0, 1e3, 4.0],
-        ]);
-        let b = [1.0, -2.5, 3e-3, 0.7];
-        let via_alloc = m.solve(&b).expect("nonsingular");
-        let mut scratch = LuScratch::for_dim(4);
-        let mut x = Vec::new();
-        assert!(m.solve_into(&b, &mut scratch, &mut x));
-        assert_eq!(via_alloc, x, "solve and solve_into must agree exactly");
-        // Reuse the same scratch for a second system of the same size.
-        let b2 = [0.0, 1.0, 0.0, -1.0];
-        let mut x2 = Vec::new();
-        assert!(m.solve_into(&b2, &mut scratch, &mut x2));
-        assert_eq!(m.solve(&b2).expect("nonsingular"), x2);
-    }
-
-    #[test]
     fn solve_in_place_matches_solve_and_consumes_matrix() {
         let rows: &[&[f64]] = &[
             &[0.0, 2.0, 1.0, 0.0],
@@ -1047,14 +993,6 @@ mod tests {
         // Singular systems are still detected.
         let mut s = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(!s.solve_in_place(&[1.0, 2.0], &mut scratch, &mut x));
-    }
-
-    #[test]
-    fn solve_into_reports_singularity() {
-        let m = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        let mut scratch = LuScratch::new();
-        let mut x = Vec::new();
-        assert!(!m.solve_into(&[1.0, 2.0], &mut scratch, &mut x));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn interpolate(times: &[f64], values: &[f64], t: f64) -> f64 {
 ///
 /// Panics if the slices have different lengths.
 #[must_use]
-pub fn crossings(times: &[f64], values: &[f64], threshold: f64, edge: Edge) -> Vec<f64> {
+pub(crate) fn crossings(times: &[f64], values: &[f64], threshold: f64, edge: Edge) -> Vec<f64> {
     assert_eq!(times.len(), values.len(), "trace slices must be parallel");
     let mut out = Vec::new();
     for i in 1..times.len() {
@@ -77,7 +77,7 @@ pub fn crossings(times: &[f64], values: &[f64], threshold: f64, edge: Edge) -> V
 /// First crossing of `threshold` with direction `edge` at or after
 /// `after`, if any.
 #[must_use]
-pub fn first_crossing_after(
+pub(crate) fn first_crossing_after(
     times: &[f64],
     values: &[f64],
     threshold: f64,
@@ -94,7 +94,7 @@ pub fn first_crossing_after(
 ///
 /// Returns 0 for an empty or single-sample trace, or when `to ≤ from`.
 #[must_use]
-pub fn integrate(times: &[f64], values: &[f64], from: f64, to: f64) -> f64 {
+pub(crate) fn integrate(times: &[f64], values: &[f64], from: f64, to: f64) -> f64 {
     integrate_product(times, values, None, from, to)
 }
 
@@ -106,7 +106,13 @@ pub fn integrate(times: &[f64], values: &[f64], from: f64, to: f64) -> f64 {
 ///
 /// Panics if the slices have different lengths.
 #[must_use]
-pub fn integrate_product(times: &[f64], a: &[f64], b: Option<&[f64]>, from: f64, to: f64) -> f64 {
+pub(crate) fn integrate_product(
+    times: &[f64],
+    a: &[f64],
+    b: Option<&[f64]>,
+    from: f64,
+    to: f64,
+) -> f64 {
     assert_eq!(times.len(), a.len(), "trace slices must be parallel");
     if let Some(b) = b {
         assert_eq!(times.len(), b.len(), "trace slices must be parallel");
@@ -148,19 +154,6 @@ pub fn integrate_product(times: &[f64], a: &[f64], b: Option<&[f64]>, from: f64,
         total += 0.5 * (f_prev + f_hi) * (hi - t_prev);
     }
     total
-}
-
-/// Time-average of the waveform over `[from, to]`.
-///
-/// Returns 0 when the window is empty.
-#[must_use]
-pub fn average(times: &[f64], values: &[f64], from: f64, to: f64) -> f64 {
-    let lo = from.max(times.first().copied().unwrap_or(0.0));
-    let hi = to.min(times.last().copied().unwrap_or(0.0));
-    if hi <= lo {
-        return 0.0;
-    }
-    integrate(times, values, lo, hi) / (hi - lo)
 }
 
 #[cfg(test)]
@@ -232,13 +225,6 @@ mod tests {
         assert_eq!(integrate(&TIMES, &RAMP, 3.0, 1.0), 0.0);
         assert_eq!(integrate(&[0.0], &[1.0], 0.0, 1.0), 0.0);
         assert_eq!(integrate(&TIMES, &RAMP, 10.0, 12.0), 0.0);
-    }
-
-    #[test]
-    fn averages() {
-        assert!((average(&TIMES, &RAMP, 0.0, 4.0) - 2.0).abs() < 1e-12);
-        assert!((average(&TIMES, &TRIANGLE, 0.0, 4.0) - 0.5).abs() < 1e-12);
-        assert_eq!(average(&TIMES, &RAMP, 5.0, 6.0), 0.0);
     }
 
     #[test]

@@ -27,11 +27,11 @@
 use core::fmt;
 
 /// Thermal voltage kT/q at the paper's fixed 27 °C operating point.
-pub const THERMAL_VOLTAGE: f64 = 0.025_852;
+pub(crate) const THERMAL_VOLTAGE: f64 = 0.025_852;
 
 /// Channel polarity of a MOSFET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MosfetKind {
+pub(crate) enum MosfetKind {
     /// N-channel device (conducts with positive `v_gs`).
     Nmos,
     /// P-channel device (conducts with negative `v_gs`).
@@ -54,36 +54,36 @@ impl fmt::Display for MosfetKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosfetModel {
     /// Channel polarity.
-    pub kind: MosfetKind,
+    pub(crate) kind: MosfetKind,
     /// Threshold voltage magnitude, volts.
     pub vth: f64,
     /// Process transconductance `k' = µ·C_ox`, A/V².
-    pub kp: f64,
+    pub(crate) kp: f64,
     /// Subthreshold slope factor `n` (≈ 1.3–1.5 for a 40 nm LP process).
-    pub n_slope: f64,
+    pub(crate) n_slope: f64,
     /// Channel-length modulation, 1/V.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
     /// Gate-oxide capacitance per area, F/m².
-    pub cox_per_area: f64,
+    pub(crate) cox_per_area: f64,
     /// Gate-drain/source overlap capacitance per width, F/m.
-    pub cov_per_width: f64,
+    pub(crate) cov_per_width: f64,
     /// Junction (drain/source to bulk) capacitance per width, F/m.
-    pub cj_per_width: f64,
+    pub(crate) cj_per_width: f64,
 }
 
 /// Evaluated large-signal operating point of a device: the channel
 /// current and its derivatives w.r.t. the three terminal voltages,
 /// exactly what the Newton stamp needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MosfetOperatingPoint {
+pub(crate) struct MosfetOperatingPoint {
     /// Channel current flowing drain → source, amperes.
-    pub id: f64,
+    pub(crate) id: f64,
     /// `∂id/∂v_g`.
-    pub di_dvg: f64,
+    pub(crate) di_dvg: f64,
     /// `∂id/∂v_d`.
-    pub di_dvd: f64,
+    pub(crate) di_dvd: f64,
     /// `∂id/∂v_s`.
-    pub di_dvs: f64,
+    pub(crate) di_dvs: f64,
 }
 
 impl MosfetModel {
@@ -95,7 +95,14 @@ impl MosfetModel {
     /// conducting in their normal orientation (current flows source →
     /// drain).
     #[must_use]
-    pub fn evaluate(&self, vg: f64, vd: f64, vs: f64, w: f64, l: f64) -> MosfetOperatingPoint {
+    pub(crate) fn evaluate(
+        &self,
+        vg: f64,
+        vd: f64,
+        vs: f64,
+        w: f64,
+        l: f64,
+    ) -> MosfetOperatingPoint {
         match self.kind {
             MosfetKind::Nmos => self.evaluate_nmos_oriented(vg, vd, vs, w, l),
             MosfetKind::Pmos => {
@@ -162,13 +169,13 @@ impl MosfetModel {
     /// Total gate–source (= gate–drain) capacitance for a `w × l` device:
     /// half the channel oxide capacitance plus the overlap term.
     #[must_use]
-    pub fn cgs(&self, w: f64, l: f64) -> f64 {
+    pub(crate) fn cgs(&self, w: f64, l: f64) -> f64 {
         0.5 * self.cox_per_area * w * l + self.cov_per_width * w
     }
 
     /// Drain (= source) junction capacitance to ground for width `w`.
     #[must_use]
-    pub fn cjunction(&self, w: f64) -> f64 {
+    pub(crate) fn cjunction(&self, w: f64) -> f64 {
         self.cj_per_width * w
     }
 }
@@ -212,7 +219,7 @@ impl CmosCorner {
 
     /// Signed threshold shift in volts and gain multiplier.
     #[must_use]
-    pub fn shifts(self) -> (f64, f64) {
+    pub(crate) fn shifts(self) -> (f64, f64) {
         match self {
             Self::SlowSlow => (0.045, 0.9),
             Self::TypicalTypical => (0.0, 1.0),
@@ -237,11 +244,11 @@ pub struct Technology {
     /// N-channel model.
     pub nmos: MosfetModel,
     /// P-channel model.
-    pub pmos: MosfetModel,
+    pub(crate) pmos: MosfetModel,
     /// Nominal supply voltage, volts.
     pub vdd: f64,
     /// Minimum drawn channel length, metres.
-    pub l_min: f64,
+    pub(crate) l_min: f64,
 }
 
 impl Technology {

@@ -141,7 +141,6 @@ impl TransientResult {
             .position(|n| n == name)
             .ok_or_else(|| SpiceError::UnknownTrace { name: name.into() })?;
         Ok(Trace {
-            name: &self.node_names[idx],
             times: &self.times,
             values: &self.node_values[idx],
         })
@@ -163,7 +162,6 @@ impl TransientResult {
                 name: source.into(),
             })?;
         Ok(Trace {
-            name: &self.branch_names[idx],
             times: &self.times,
             values: &self.branch_values[idx],
         })
@@ -216,26 +214,6 @@ impl TransientResult {
         let joules = measure::integrate(&self.times, &power, from.seconds(), to.seconds());
         Ok(Energy::from_joules(joules))
     }
-
-    /// Average power delivered by the named source over `[from, to]` —
-    /// used for the leakage rows of Table II (steady-state supply power).
-    ///
-    /// # Errors
-    ///
-    /// [`SpiceError::UnknownTrace`] if no voltage source has that name.
-    pub fn average_supply_power(
-        &self,
-        source: &str,
-        from: Time,
-        to: Time,
-    ) -> Result<units::Power, SpiceError> {
-        let e = self.supply_energy(source, from, to)?;
-        let window = to - from;
-        if window.seconds() <= 0.0 {
-            return Ok(units::Power::ZERO);
-        }
-        Ok(e / window)
-    }
 }
 
 impl TransientRecorder {
@@ -260,21 +238,15 @@ impl TransientRecorder {
 /// Borrowed view of one sampled waveform with measurement helpers.
 #[derive(Debug, Clone, Copy)]
 pub struct Trace<'a> {
-    name: &'a str,
     times: &'a [f64],
     values: &'a [f64],
 }
 
 impl<'a> Trace<'a> {
-    /// Trace name (node or source).
-    #[must_use]
-    pub fn name(&self) -> &'a str {
-        self.name
-    }
-
     /// Sample times, seconds.
+    #[cfg(test)]
     #[must_use]
-    pub fn times(&self) -> &'a [f64] {
+    pub(crate) fn times(&self) -> &'a [f64] {
         self.times
     }
 
@@ -305,8 +277,9 @@ impl<'a> Trace<'a> {
     }
 
     /// Largest sample value.
+    #[cfg(test)]
     #[must_use]
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.values
             .iter()
             .copied()
@@ -314,8 +287,9 @@ impl<'a> Trace<'a> {
     }
 
     /// Smallest sample value.
+    #[cfg(test)]
     #[must_use]
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.values.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
@@ -325,12 +299,6 @@ impl<'a> Trace<'a> {
     pub fn first_crossing(&self, threshold: f64, edge: Edge, after: Time) -> Option<Time> {
         measure::first_crossing_after(self.times, self.values, threshold, edge, after.seconds())
             .map(Time::from_seconds)
-    }
-
-    /// Time-average over `[from, to]`.
-    #[must_use]
-    pub fn average(&self, from: Time, to: Time) -> f64 {
-        measure::average(self.times, self.values, from.seconds(), to.seconds())
     }
 }
 
@@ -382,12 +350,10 @@ mod tests {
     fn trace_measurements() {
         let res = simple_result();
         let a = res.node("a").expect("a");
-        assert_eq!(a.name(), "a");
         assert!((a.last_value() - 1.0).abs() < 1e-9);
         assert!((a.max() - 1.0).abs() < 1e-9);
         assert!(a.min() > 0.99);
         assert!((a.value_at(0.5e-9) - 1.0).abs() < 1e-9);
-        assert!((a.average(Time::ZERO, Time::from_nano_seconds(1.0)) - 1.0).abs() < 1e-9);
         assert_eq!(a.times().len(), a.values().len());
     }
 
@@ -399,26 +365,9 @@ mod tests {
             .supply_energy("V1", Time::ZERO, Time::from_nano_seconds(1.0))
             .expect("energy");
         assert!((e.pico_joules() - 1.0).abs() < 0.01, "E = {e}");
-        let p = res
-            .average_supply_power("V1", Time::ZERO, Time::from_nano_seconds(1.0))
-            .expect("power");
-        assert!((p.milli_watts() - 1.0).abs() < 0.01, "P = {p}");
         assert!(res
             .supply_energy("zzz", Time::ZERO, Time::from_nano_seconds(1.0))
             .is_err());
-    }
-
-    #[test]
-    fn zero_window_average_power_is_zero() {
-        let res = simple_result();
-        let p = res
-            .average_supply_power(
-                "V1",
-                Time::from_nano_seconds(1.0),
-                Time::from_nano_seconds(1.0),
-            )
-            .expect("power");
-        assert_eq!(p, units::Power::ZERO);
     }
 
     #[test]

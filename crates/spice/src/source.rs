@@ -161,7 +161,7 @@ impl SourceWaveform {
     /// breakpoint (corner). Transient analysis aligns steps to these so a
     /// sharp control edge is never stepped over.
     #[must_use]
-    pub fn next_breakpoint(&self, t: f64) -> Option<f64> {
+    pub(crate) fn next_breakpoint(&self, t: f64) -> Option<f64> {
         const EPS: f64 = 1e-18;
         match self {
             Self::Dc(_) => None,

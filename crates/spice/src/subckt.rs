@@ -243,19 +243,19 @@ pub struct ChildInstance {
 impl ChildInstance {
     /// Instance name within the parent definition.
     #[must_use]
-    pub fn inst(&self) -> &str {
+    pub(crate) fn inst(&self) -> &str {
         &self.inst
     }
 
     /// The instantiated definition.
     #[must_use]
-    pub fn def(&self) -> &Arc<Subckt> {
+    pub(crate) fn def(&self) -> &Arc<Subckt> {
         &self.def
     }
 
     /// Parent-body nodes bound to the child's ports, in port order.
     #[must_use]
-    pub fn bindings(&self) -> &[NodeId] {
+    pub(crate) fn bindings(&self) -> &[NodeId] {
         &self.bindings
     }
 }
@@ -332,7 +332,7 @@ impl Subckt {
 
     /// Read access to the body circuit.
     #[must_use]
-    pub fn body(&self) -> &Circuit {
+    pub(crate) fn body(&self) -> &Circuit {
         &self.body
     }
 

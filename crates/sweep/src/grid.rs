@@ -76,7 +76,7 @@ impl Fnv1a {
     /// independent hash streams over the same bytes, which is how
     /// [`fingerprint128`] widens the digest.
     #[must_use]
-    pub fn with_basis(basis: u64) -> Self {
+    pub(crate) fn with_basis(basis: u64) -> Self {
         Self { hash: basis }
     }
 
@@ -102,7 +102,7 @@ impl Default for Fnv1a {
 }
 
 /// FNV-1a hash of a byte string, used to bind a
-/// [checkpoint](crate::checkpoint) to the grid description it was taken
+/// checkpoint to the grid description it was taken
 /// over.
 ///
 /// # Examples
@@ -206,7 +206,7 @@ impl<P> Grid<P> {
 
     /// The base seed the per-point seeds derive from.
     #[must_use]
-    pub fn base_seed(&self) -> u64 {
+    pub(crate) fn base_seed(&self) -> u64 {
         self.base_seed
     }
 
@@ -228,20 +228,6 @@ impl Grid<()> {
     #[must_use]
     pub fn samples(n: usize, base_seed: u64) -> Self {
         Self::with_seed(vec![(); n], base_seed)
-    }
-}
-
-impl<A: Clone, B: Clone> Grid<(A, B)> {
-    /// The cartesian product `a × b` in row-major order (`a` outer).
-    #[must_use]
-    pub fn cartesian(a: &[A], b: &[B], base_seed: u64) -> Self {
-        let mut points = Vec::with_capacity(a.len() * b.len());
-        for x in a {
-            for y in b {
-                points.push((x.clone(), y.clone()));
-            }
-        }
-        Self::with_seed(points, base_seed)
     }
 }
 
@@ -274,15 +260,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_seed_panics() {
         let _ = Grid::new(vec![1]).seed_of(1);
-    }
-
-    #[test]
-    fn cartesian_is_row_major() {
-        let grid = Grid::cartesian(&[1, 2], &["a", "b", "c"], 0);
-        assert_eq!(grid.len(), 6);
-        assert_eq!(grid.points()[0], (1, "a"));
-        assert_eq!(grid.points()[2], (1, "c"));
-        assert_eq!(grid.points()[3], (2, "a"));
     }
 
     #[test]

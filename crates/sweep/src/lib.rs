@@ -30,17 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod checkpoint;
-pub mod grid;
-pub mod pool;
+mod cache;
+mod checkpoint;
+mod grid;
+mod pool;
 
 pub use cache::LazyPool;
-pub use checkpoint::{
-    run_checkpointed, CheckpointError, CheckpointPolicy, JsonCodec, CHECKPOINT_SCHEMA,
-};
+pub use checkpoint::{run_checkpointed, CheckpointError, CheckpointPolicy, CHECKPOINT_SCHEMA};
 pub use grid::{fingerprint, fingerprint128, fingerprint_bytes, point_seed, Fnv1a, Grid};
 pub use pool::{
-    available_parallelism, run, run_blocked, run_with_state, JobCtx, Progress, RunSummary,
-    SweepOptions, SweepOutcome,
+    available_parallelism, run, run_blocked, run_with_state, JobCtx, RunSummary, SweepOptions,
 };

@@ -90,7 +90,7 @@ pub struct JobCtx {
     pub seed: u64,
     /// The executing worker's id (`0..workers`). Informational; results
     /// must not depend on it.
-    pub worker: usize,
+    pub(crate) worker: usize,
 }
 
 /// Progress of a running sweep, handed to the progress callback after
@@ -98,14 +98,14 @@ pub struct JobCtx {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Progress {
     /// Jobs completed so far (excluding checkpoint-restored ones).
-    pub done: usize,
+    pub(crate) done: usize,
     /// Jobs this run must execute (excluding checkpoint-restored ones).
-    pub total: usize,
+    pub(crate) total: usize,
     /// Wall-clock seconds since the sweep started.
-    pub elapsed_s: f64,
+    pub(crate) elapsed_s: f64,
     /// Estimated seconds to completion, extrapolated from the mean
     /// job rate so far.
-    pub eta_s: f64,
+    pub(crate) eta_s: f64,
 }
 
 /// Aggregate accounting of one sweep run.

@@ -4,7 +4,7 @@
 //! Aggregate counters say *that* a Newton loop diverged; they cannot
 //! say what the last hundred iterations looked like on the way down.
 //! This module keeps a fixed-capacity ring of the most recent
-//! [`FlightEvent`]s — Newton update magnitudes, gmin/source-stepping
+//! `FlightEvent`s — Newton update magnitudes, gmin/source-stepping
 //! ladder rungs, LTE rejections, re-pivots — written by the `spice`
 //! solver hot loops and read only when something goes wrong.
 //!
@@ -50,7 +50,7 @@ pub const CAPACITY: usize = 256;
 pub const POSTMORTEM_SCHEMA: &str = "nvff-postmortem/1";
 
 /// What kind of solver event a ring entry records. The `value` payload
-/// of each [`FlightEvent`] is kind-specific (documented per variant).
+/// of each `FlightEvent` is kind-specific (documented per variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -100,7 +100,7 @@ impl EventKind {
 
     /// Stable lower-snake name used in dumps.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Self::NewtonDelta => "newton_delta",
             Self::GminRung => "gmin_rung",
@@ -118,18 +118,18 @@ impl EventKind {
 
 /// One recovered ring entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightEvent {
+pub(crate) struct FlightEvent {
     /// Global event number (0-based, monotone across threads).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// What happened.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Telemetry thread id of the recording thread (matches the `tid`
     /// of the chrome trace and the `thread` of JSONL span events).
-    pub thread: u64,
+    pub(crate) thread: u64,
     /// Simulated time of the event [s] (0 outside transient).
-    pub t_sim_s: f64,
+    pub(crate) t_sim_s: f64,
     /// Kind-specific payload (see [`EventKind`]).
-    pub value: f64,
+    pub(crate) value: f64,
 }
 
 /// One ring slot. The sequence protocol makes writes detectable by
@@ -209,7 +209,7 @@ pub fn set_postmortem_dir(dir: Option<PathBuf>) {
 
 /// The configured post-mortem directory, if any.
 #[must_use]
-pub fn postmortem_dir() -> Option<PathBuf> {
+pub(crate) fn postmortem_dir() -> Option<PathBuf> {
     if !postmortem_configured() {
         return None;
     }
@@ -249,7 +249,7 @@ pub fn record_always(kind: EventKind, t_sim_s: f64, value: f64) {
 /// being read) are skipped, so the result may briefly hold fewer than
 /// [`CAPACITY`] events even on a saturated ring.
 #[must_use]
-pub fn recent() -> Vec<FlightEvent> {
+pub(crate) fn recent() -> Vec<FlightEvent> {
     let mut events = Vec::with_capacity(CAPACITY);
     for (i, slot) in RING.iter().enumerate() {
         let seq_before = slot.seq.load(Ordering::Acquire);

@@ -55,7 +55,7 @@ impl Histogram {
     /// Index of the bucket holding `value` (0 = underflow, last =
     /// overflow).
     #[must_use]
-    pub fn bucket_index(value: f64) -> usize {
+    pub(crate) fn bucket_index(value: f64) -> usize {
         if value <= 0.0 || value.is_nan() {
             return 0;
         }
@@ -72,7 +72,7 @@ impl Histogram {
     /// Lower edge of regular bucket `k` (1-based within the regular
     /// range); `None` for the underflow/overflow buckets.
     #[must_use]
-    pub fn bucket_lower(k: usize) -> Option<f64> {
+    pub(crate) fn bucket_lower(k: usize) -> Option<f64> {
         if (1..=REGULAR).contains(&k) {
             Some(10f64.powf(DECADE_LO + (k - 1) as f64 / PER_DECADE))
         } else {
@@ -105,7 +105,7 @@ impl Histogram {
 
     /// Mean of all finite observations (0 when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -185,7 +185,7 @@ impl Histogram {
     /// Serializes the histogram: summary statistics plus the non-empty
     /// buckets as `[lower_edge, count]` pairs (underflow edge = 0).
     #[must_use]
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let buckets: Vec<JsonValue> = self
             .counts
             .iter()

@@ -93,7 +93,7 @@ impl JsonValue {
     }
 
     /// Appends the compact serialization to `out`.
-    pub fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -184,9 +184,9 @@ fn write_escaped(out: &mut String, s: &str) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure in the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for JsonError {

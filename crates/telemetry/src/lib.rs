@@ -60,24 +60,25 @@
 //! ```
 
 pub mod flight;
-pub mod hist;
+mod hist;
 pub mod json;
 mod registry;
-pub mod report;
+mod report;
 mod span;
 
 pub use hist::Histogram;
-pub use json::{JsonError, JsonValue};
+pub use json::JsonValue;
 pub use registry::{
-    counter, enabled, ensure_collecting, finish, histogram, init, init_from_env, render_summary,
-    reset_for_tests, set_thread_label, snapshot, worker_label, Snapshot, SpanStat, TraceMode,
+    counter, enabled, ensure_collecting, finish, histogram, init, init_from_env, reset_for_tests,
+    set_thread_label, snapshot, worker_label, Snapshot, TraceMode,
 };
-pub use report::{Metric, RunReport, Section};
-pub use span::{current_path, span, stopwatch, Span, Stopwatch};
+pub use report::{RunReport, Section};
+pub use span::{span, stopwatch};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::render_summary;
 
     // The registry is process-global, so tests that reconfigure it
     // serialize on this lock to stay correct under the multi-threaded

@@ -53,7 +53,7 @@ impl TraceMode {
     /// `off`/`0`/unset. Unrecognized values disable tracing with a
     /// warning on stderr.
     #[must_use]
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         match std::env::var("NVFF_TRACE") {
             Err(_) => TraceMode::Off,
             Ok(raw) => {
@@ -223,7 +223,7 @@ pub fn init(mode: TraceMode) {
 }
 
 /// Installs the mode named by the `NVFF_TRACE` environment variable
-/// (see [`TraceMode::from_env`]).
+/// (see `TraceMode::from_env`).
 pub fn init_from_env() {
     init(TraceMode::from_env());
 }
@@ -420,21 +420,21 @@ pub struct SpanStat {
     /// Total seconds across all closures.
     pub total_s: f64,
     /// Shortest single closure.
-    pub min_s: f64,
+    pub(crate) min_s: f64,
     /// Longest single closure.
-    pub max_s: f64,
+    pub(crate) max_s: f64,
 }
 
 impl SpanStat {
     /// Nesting depth (number of ancestors).
     #[must_use]
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.path.matches('/').count()
     }
 
     /// The span's own name (last path segment).
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         self.path.rsplit('/').next().unwrap_or(&self.path)
     }
 }
@@ -590,7 +590,7 @@ pub fn finish() -> Snapshot {
 
 /// Renders the human-readable end-of-run summary.
 #[must_use]
-pub fn render_summary(snap: &Snapshot) -> String {
+pub(crate) fn render_summary(snap: &Snapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "== telemetry summary ({:.3} s wall) ==", snap.wall_s);

@@ -120,7 +120,7 @@ impl RunReport {
 
     /// Renders the report with the given snapshot embedded.
     #[must_use]
-    pub fn to_json(&self, snap: &Snapshot) -> JsonValue {
+    pub(crate) fn to_json(&self, snap: &Snapshot) -> JsonValue {
         let sections: Vec<JsonValue> = self
             .sections
             .iter()

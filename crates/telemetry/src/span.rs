@@ -43,7 +43,7 @@ impl Span {
     /// Opens a span named `name` under the innermost open span on this
     /// thread (or as a root span if there is none). Inert when tracing
     /// is disabled.
-    pub fn enter(name: &'static str) -> Span {
+    pub(crate) fn enter(name: &'static str) -> Span {
         if !registry::enabled() {
             return Span { live: None };
         }
@@ -93,7 +93,7 @@ impl Drop for Span {
     }
 }
 
-/// Opens a span (see [`Span::enter`]).
+/// Opens a span (see `Span::enter`).
 pub fn span(name: &'static str) -> Span {
     Span::enter(name)
 }
@@ -103,7 +103,7 @@ pub fn span(name: &'static str) -> Span {
 /// never push a frame). Post-mortem dumps use this to record *where*
 /// in the run a solver failure surfaced.
 #[must_use]
-pub fn current_path() -> Option<String> {
+pub(crate) fn current_path() -> Option<String> {
     STACK.with(|stack| stack.borrow().last().map(|f| f.path.clone()))
 }
 
@@ -119,7 +119,7 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts a stopwatch feeding the named histogram. Inert when
     /// tracing is disabled (the clock is not read).
-    pub fn start(histogram: &'static str) -> Stopwatch {
+    pub(crate) fn start(histogram: &'static str) -> Stopwatch {
         Stopwatch {
             live: registry::enabled().then(|| (histogram, Instant::now())),
         }
@@ -134,7 +134,7 @@ impl Drop for Stopwatch {
     }
 }
 
-/// Starts a stopwatch (see [`Stopwatch::start`]).
+/// Starts a stopwatch (see `Stopwatch::start`).
 pub fn stopwatch(histogram: &'static str) -> Stopwatch {
     Stopwatch::start(histogram)
 }

@@ -268,13 +268,13 @@ impl Area {
 
     /// Creates an area from square metres.
     #[must_use]
-    pub const fn from_square_meters(value: f64) -> Self {
+    pub(crate) const fn from_square_meters(value: f64) -> Self {
         Self(value)
     }
 
     /// Returns the area in square metres.
     #[must_use]
-    pub const fn square_meters(self) -> f64 {
+    pub(crate) const fn square_meters(self) -> f64 {
         self.0
     }
 
@@ -395,20 +395,6 @@ impl Temperature {
     #[must_use]
     pub fn kelvin(self) -> f64 {
         self.0 + 273.15
-    }
-
-    /// Creates a temperature from kelvin.
-    #[must_use]
-    pub fn from_kelvin(value: f64) -> Self {
-        Self(value - 273.15)
-    }
-
-    /// Thermal voltage `kT/q` at this temperature.
-    #[must_use]
-    pub fn thermal_voltage(self) -> Voltage {
-        const BOLTZMANN: f64 = 1.380_649e-23;
-        const ELECTRON_CHARGE: f64 = 1.602_176_634e-19;
-        Voltage::from_volts(BOLTZMANN * self.kelvin() / ELECTRON_CHARGE)
     }
 }
 
@@ -531,14 +517,6 @@ impl Time {
     }
 }
 
-impl Frequency {
-    /// Reciprocal: `t = 1 / f`.
-    #[must_use]
-    pub fn to_period(self) -> Time {
-        Time::from_seconds(1.0 / self.hertz())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,9 +567,7 @@ mod tests {
 
     #[test]
     fn frequency_period_round_trip() {
-        let f = Frequency::from_mega_hertz(20.0);
-        let t = f.to_period();
-        assert!((t.nano_seconds() - 50.0).abs() < EPS);
+        let t = Time::from_nano_seconds(50.0);
         assert!((t.to_frequency().mega_hertz() - 20.0).abs() < EPS);
     }
 
@@ -636,10 +612,6 @@ mod tests {
     fn temperature_conversions() {
         let t = Temperature::from_celsius(27.0);
         assert!((t.kelvin() - 300.15).abs() < 1e-9);
-        assert!((Temperature::from_kelvin(300.15).celsius() - 27.0).abs() < 1e-9);
-        // kT/q at 300 K is about 25.9 mV.
-        let vt = t.thermal_voltage();
-        assert!(vt.milli_volts() > 25.0 && vt.milli_volts() < 27.0);
     }
 
     #[test]

@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         per_ff_leakage * 144.0,
         Energy::from_femto_joules(104.0) * 144.0, // store all bits
         Energy::from_femto_joules(4.587) * 72.0,  // restore via 2-bit reads
-        Time::from_nano_seconds(120.0),           // ref [30] wake-up
     );
     println!("\ncheckpoint economics for the 144-bit state:");
     println!("  store energy   : {}", model.store_energy());

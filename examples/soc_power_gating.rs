@@ -69,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         leakage_per_ff * spec.flip_flops as f64,
         Energy::from_femto_joules(104.0) * spec.flip_flops as f64,
         row.merged_energy,
-        Time::from_nano_seconds(120.0),
     );
     println!(
         "\npower gating the whole block: break-even idle {} \
