@@ -10,8 +10,9 @@
 //! once, at build. The plan also flattens the capacitor list (explicit
 //! capacitors plus MOSFET parasitics) into companion descriptors and
 //! records the side tables the analyses need each step: MTJ terminal
-//! indices, the devices carrying source waveforms, and a name-sorted
-//! branch-current table.
+//! indices, the devices carrying source waveforms, a name-sorted
+//! branch-current table, and the MOSFETs' kernel constants as a
+//! [`MosfetBatch`].
 //!
 //! Both engines walk the same table:
 //!
@@ -23,12 +24,17 @@
 //!   companions are fixed for one Newton solve, so
 //!   [`StampPlan::stamp_static`] sums them into a base once per solve;
 //!   each iteration copies the base and adds only the bias-dependent
-//!   MOSFETs and MTJs ([`StampPlan::stamp_dynamic`]).
+//!   MTJs and MOSFETs ([`StampPlan::stamp_dynamic`]). The MOSFETs are
+//!   evaluated as one batch: their voltages are gathered a chunk at a
+//!   time, the vectorized kernel runs on the frozen constants, and the
+//!   results are scattered through each device's resolved adds.
 //!
 //! Entries read *live* device values (resistances, waveforms, MTJ
-//! state, MOSFET bias point) through the circuit on every stamp. What
-//! the plan freezes — each device's kind, its terminals and the
-//! companion capacitances it contributes — is recorded, and
+//! state, bias points) through the circuit on every stamp; the dense
+//! oracle's walk reads MOSFET models live too, while the sparse batch
+//! runs on the constants the plan froze. What the plan freezes — each
+//! device's kind, its terminals, the companion capacitances it
+//! contributes and a MOSFET's kernel constants — is recorded, and
 //! [`StampPlan::is_stale`] compares it with the circuit. Sessions run
 //! that compare at the start of every analysis and rebuild the plan on
 //! any difference, so edits made between analyses through
@@ -40,6 +46,7 @@ use std::mem::Discriminant;
 use crate::circuit::Circuit;
 use crate::device::Device;
 use crate::linalg::SparsePattern;
+use crate::mosfet::{KernelParams, MosfetBatch, MosfetOperatingPoint};
 
 use super::session::SolverKind;
 use super::{Integrator, GMIN_FLOOR};
@@ -152,16 +159,9 @@ enum Entry {
         ip: Option<usize>,
         in_: Option<usize>,
     },
-    /// MOSFET linearized at the iterate. Coefficients:
-    /// `[∂i/∂vg, ∂i/∂vd, ∂i/∂vs]` on the drain row, negated on the
-    /// source row.
-    Mosfet {
-        dev: usize,
-        id: Option<usize>,
-        ig: Option<usize>,
-        is_: Option<usize>,
-        adds: Adds<6>,
-    },
+    /// MOSFET linearized at the iterate; `slot` indexes the plan's
+    /// [`MosfetSlot`]s and its [`MosfetBatch`].
+    Mosfet { dev: usize, slot: usize },
 }
 
 impl Entry {
@@ -176,17 +176,18 @@ impl Entry {
             Entry::Resistor { adds, .. }
             | Entry::Mtj { adds, .. }
             | Entry::VoltageSource { adds, .. } => adds.offsets_mut(),
-            Entry::CurrentSource { .. } => &mut [],
-            Entry::Mosfet { adds, .. } => adds.offsets_mut(),
+            Entry::CurrentSource { .. } | Entry::Mosfet { .. } => &mut [],
         }
     }
 
     /// Adds this device's linearized equations at iterate `x`, in the
-    /// time/scale context `ctx`.
+    /// time/scale context `ctx`; a MOSFET stamps through its slot in
+    /// `mosfets`.
     #[inline]
     fn stamp(
         &self,
         ckt: &Circuit,
+        mosfets: &[MosfetSlot],
         x: &[f64],
         ctx: &EvalCtx<'_>,
         values: &mut [f64],
@@ -229,31 +230,13 @@ impl Entry {
                     z[in_] += i;
                 }
             }
-            Entry::Mosfet {
-                id, ig, is_, adds, ..
-            } => {
+            Entry::Mosfet { slot, .. } => {
                 let Device::Mosfet { model, w, l, .. } = device else {
                     unreachable!("{OUT_OF_SYNC}");
                 };
-                let vg = vof(x, *ig);
-                let vd = vof(x, *id);
-                let vs = vof(x, *is_);
-                let op = model.evaluate(vg, vd, vs, *w, *l);
-                // Channel current leaves the drain, enters the source:
-                //   i_d = id0 + ∂i/∂vg·Δvg + ∂i/∂vd·Δvd + ∂i/∂vs·Δvs
-                let ieq = op.id - op.di_dvg * vg - op.di_dvd * vd - op.di_dvs * vs;
-                adds.apply(
-                    values,
-                    &[
-                        op.di_dvg, op.di_dvd, op.di_dvs, -op.di_dvg, -op.di_dvd, -op.di_dvs,
-                    ],
-                );
-                if let Some(r) = *id {
-                    z[r] -= ieq;
-                }
-                if let Some(r) = *is_ {
-                    z[r] += ieq;
-                }
+                let mos = &mosfets[*slot];
+                let v @ [vg, vd, vs] = mos.bias(x);
+                mos.stamp(v, model.evaluate(vg, vd, vs, *w, *l), values, z);
             }
         }
     }
@@ -265,6 +248,52 @@ impl Entry {
             | Entry::VoltageSource { dev, .. }
             | Entry::CurrentSource { dev, .. }
             | Entry::Mosfet { dev, .. } => dev,
+        }
+    }
+}
+
+/// A MOSFET's terminal unknowns and matrix-add offsets. Coefficients:
+/// `[∂i/∂vg, ∂i/∂vd, ∂i/∂vs]` on the drain row, negated on the source
+/// row.
+#[derive(Debug, Clone, Copy)]
+struct MosfetSlot {
+    id: Option<usize>,
+    ig: Option<usize>,
+    is_: Option<usize>,
+    adds: Adds<6>,
+}
+
+impl MosfetSlot {
+    /// `[vg, vd, vs]` at iterate `x` (ground reads 0).
+    #[inline]
+    fn bias(&self, x: &[f64]) -> [f64; 3] {
+        [vof(x, self.ig), vof(x, self.id), vof(x, self.is_)]
+    }
+
+    /// Adds the device linearized at bias `[vg, vd, vs]`, where it
+    /// evaluated to `op`.
+    #[inline]
+    fn stamp(
+        &self,
+        [vg, vd, vs]: [f64; 3],
+        op: MosfetOperatingPoint,
+        values: &mut [f64],
+        z: &mut [f64],
+    ) {
+        // Channel current leaves the drain, enters the source:
+        //   i_d = id0 + ∂i/∂vg·Δvg + ∂i/∂vd·Δvd + ∂i/∂vs·Δvs
+        let ieq = op.id - op.di_dvg * vg - op.di_dvd * vd - op.di_dvs * vs;
+        self.adds.apply(
+            values,
+            &[
+                op.di_dvg, op.di_dvd, op.di_dvs, -op.di_dvg, -op.di_dvd, -op.di_dvs,
+            ],
+        );
+        if let Some(r) = self.id {
+            z[r] -= ieq;
+        }
+        if let Some(r) = self.is_ {
+            z[r] += ieq;
         }
     }
 }
@@ -316,19 +345,24 @@ pub(super) struct MtjSlot {
 }
 
 /// What a plan froze of one device: its kind, its terminal unknowns (a
-/// voltage source's branch row included) and the companion capacitances
-/// it contributes. A circuit whose devices no longer match their
-/// records needs a new plan.
+/// voltage source's branch row included), the companion capacitances
+/// it contributes and, for a MOSFET, its kernel constants. A circuit
+/// whose devices no longer match their records needs a new plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Frozen {
     kind: Discriminant<Device>,
     terminals: [Option<usize>; 3],
     farads: [f64; 2],
+    kernel: Option<KernelParams>,
 }
 
 impl Frozen {
     fn of(ckt: &Circuit, device: &Device) -> Self {
         let vidx = |node| ckt.voltage_index(node);
+        let kernel = match device {
+            Device::Mosfet { model, w, l, .. } => Some(model.kernel_params(*w, *l)),
+            _ => None,
+        };
         let (terminals, farads) = match device {
             Device::Resistor { a, b, .. } | Device::Mtj { a, b, .. } => {
                 ([vidx(*a), vidx(*b), None], [0.0; 2])
@@ -358,6 +392,7 @@ impl Frozen {
             kind: std::mem::discriminant(device),
             terminals,
             farads,
+            kernel,
         }
     }
 }
@@ -369,6 +404,10 @@ impl Frozen {
 pub(crate) struct StampPlan {
     /// One entry per non-capacitor device, in insertion order.
     entries: Vec<Entry>,
+    /// Terminals and adds of each MOSFET, in insertion order.
+    mosfets: Vec<MosfetSlot>,
+    /// Kernel constants of each MOSFET, in the same order.
+    mosfet_batch: MosfetBatch,
     /// Offsets of the gmin shunt on every node row's diagonal.
     gmin_at: Vec<usize>,
     pub(super) caps: Vec<CapDescriptor>,
@@ -399,6 +438,8 @@ impl StampPlan {
         let n_nodes = ckt.node_count() - 1;
         let n = ckt.unknown_count();
         let mut entries = Vec::with_capacity(ckt.devices().len());
+        let mut mosfets = Vec::new();
+        let mut mosfet_batch = MosfetBatch::default();
         let mut caps = Vec::new();
         let mut mtjs = Vec::new();
         let mut wave_devs = Vec::new();
@@ -463,11 +504,10 @@ impl StampPlan {
                     }
                     entries.push(Entry::Mosfet {
                         dev,
-                        id,
-                        ig,
-                        is_,
-                        adds,
+                        slot: mosfets.len(),
                     });
+                    mosfets.push(MosfetSlot { id, ig, is_, adds });
+                    mosfet_batch.push(record.kernel.expect("MOSFETs freeze their kernel"));
                     // Parasitics, flattened in the same order the seed
                     // engine used: gate-source, gate-drain, junctions.
                     let [cgs, cj] = record.farads;
@@ -494,6 +534,8 @@ impl StampPlan {
         branches.sort_by(|l, r| l.0.cmp(&r.0));
         let mut plan = Self {
             entries,
+            mosfets,
+            mosfet_batch,
             // Voltage-source branch rows have no diagonal, so the shunt
             // spans node rows only.
             gmin_at: (0..n_nodes).map(|i| i * n + i).collect(),
@@ -530,15 +572,18 @@ impl StampPlan {
         for entry in &mut self.entries {
             entry.offsets_mut().iter_mut().for_each(&mut f);
         }
+        for mos in &mut self.mosfets {
+            mos.adds.offsets_mut().iter_mut().for_each(&mut f);
+        }
         for cap in &mut self.caps {
             cap.adds.offsets_mut().iter_mut().for_each(&mut f);
         }
     }
 
     /// Whether the circuit no longer matches what this plan froze: its
-    /// unknown or device count, or any device's kind, terminals or
-    /// companion capacitances. O(devices); sessions call it once per
-    /// analysis.
+    /// unknown or device count, or any device's kind, terminals,
+    /// companion capacitances or MOSFET kernel constants. O(devices);
+    /// sessions call it once per analysis.
     pub(crate) fn is_stale(&self, ckt: &Circuit) -> bool {
         self.n_unknowns != ckt.unknown_count()
             || self.frozen.len() != ckt.devices().len()
@@ -566,7 +611,7 @@ impl StampPlan {
         z.fill(0.0);
         self.stamp_gmin(ctx.gmin, values);
         for entry in &self.entries {
-            entry.stamp(ckt, x, ctx, values, z);
+            entry.stamp(ckt, &self.mosfets, x, ctx, values, z);
         }
         self.stamp_companions(ctx.companions, values, z);
     }
@@ -586,14 +631,16 @@ impl StampPlan {
         self.stamp_gmin(ctx.gmin, values);
         for entry in self.entries.iter().filter(|e| !e.is_dynamic()) {
             // Static stamps never read the iterate.
-            entry.stamp(ckt, &[], ctx, values, z);
+            entry.stamp(ckt, &self.mosfets, &[], ctx, values, z);
         }
         self.stamp_companions(ctx.companions, values, z);
     }
 
-    /// Adds the bias-dependent stamps — MOSFETs and MTJs — at iterate
-    /// `x` on top of a copied [`StampPlan::stamp_static`] base. The
-    /// sparse engine's per-iteration assembly.
+    /// Adds the bias-dependent stamps — MTJs, then the MOSFETs as one
+    /// batch on the frozen kernel constants — at iterate `x` on top of a
+    /// copied [`StampPlan::stamp_static`] base. The sparse engine's
+    /// per-iteration assembly. With `tel` set, the MOSFET batch (gather,
+    /// kernel, scatter) is timed into `spice.device_eval_s`.
     pub(super) fn stamp_dynamic(
         &self,
         ckt: &Circuit,
@@ -601,9 +648,20 @@ impl StampPlan {
         ctx: &EvalCtx<'_>,
         values: &mut [f64],
         z: &mut [f64],
+        tel: bool,
     ) {
-        for entry in self.entries.iter().filter(|e| e.is_dynamic()) {
-            entry.stamp(ckt, x, ctx, values, z);
+        for entry in &self.entries {
+            if let Entry::Mtj { .. } = entry {
+                entry.stamp(ckt, &self.mosfets, x, ctx, values, z);
+            }
+        }
+        let timer = tel.then(std::time::Instant::now);
+        self.mosfet_batch.evaluate(
+            |k| self.mosfets[k].bias(x),
+            |k, v, op| self.mosfets[k].stamp(v, op, values, z),
+        );
+        if let Some(start) = timer {
+            telemetry::histogram("spice.device_eval_s", start.elapsed().as_secs_f64());
         }
     }
 
@@ -744,10 +802,10 @@ mod tests {
                 }
                 sparse_ws
                     .engine
-                    .assemble(&sparse_plan, &ckt, &x, &ctx, &mut sparse_ws.z);
+                    .assemble(&sparse_plan, &ckt, &x, &ctx, &mut sparse_ws.z, false);
                 dense_ws
                     .engine
-                    .assemble(&dense_plan, &ckt, &x, &ctx, &mut dense_ws.z);
+                    .assemble(&dense_plan, &ckt, &x, &ctx, &mut dense_ws.z, false);
                 let (Engine::Sparse { values, .. }, Engine::Dense { a, .. }) =
                     (&sparse_ws.engine, &dense_ws.engine)
                 else {

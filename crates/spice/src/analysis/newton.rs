@@ -73,7 +73,8 @@ impl Engine {
 
     /// Assembles the system at iterate `x` into the engine's value array
     /// and `z`: the dense oracle re-stamps it from zero, the sparse
-    /// engine restores the solve's base and adds the MOSFETs and MTJs.
+    /// engine restores the solve's base and adds the MTJs and MOSFETs
+    /// (timing the MOSFET batch when `tel` is set).
     pub(super) fn assemble(
         &mut self,
         plan: &StampPlan,
@@ -81,6 +82,7 @@ impl Engine {
         x: &[f64],
         ctx: &EvalCtx<'_>,
         z: &mut [f64],
+        tel: bool,
     ) {
         match self {
             Engine::Dense { a, .. } => plan.assemble(ckt, x, ctx, a.data_mut(), z),
@@ -92,7 +94,7 @@ impl Engine {
             } => {
                 values.copy_from_slice(base);
                 z.copy_from_slice(z_base);
-                plan.stamp_dynamic(ckt, x, ctx, values, z);
+                plan.stamp_dynamic(ckt, x, ctx, values, z, tel);
             }
         }
     }
@@ -148,7 +150,7 @@ pub(super) fn newton(
         bufs.stats.newton_iterations += 1;
         bufs.stats.lu_factorizations += 1;
         let assemble_timer = tel.then(std::time::Instant::now);
-        bufs.engine.assemble(plan, ckt, bufs.x, &ctx, bufs.z);
+        bufs.engine.assemble(plan, ckt, bufs.x, &ctx, bufs.z, tel);
         let lu_timer = lap(assemble_timer, "spice.assemble_s");
         let solved = match &mut *bufs.engine {
             Engine::Dense { a, lu } => {

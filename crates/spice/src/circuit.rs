@@ -312,8 +312,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate names, foreign nodes, and non-positive width or
-    /// length.
+    /// Rejects duplicate names, foreign nodes, and non-positive or
+    /// non-finite width or length.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn add_mosfet(
         &mut self,
@@ -329,11 +329,13 @@ impl Circuit {
         self.check_node(name, d)?;
         self.check_node(name, g)?;
         self.check_node(name, s)?;
-        if w.meters() <= 0.0 || l.meters() <= 0.0 {
-            return Err(SpiceError::InvalidDevice {
-                device: name.into(),
-                reason: "width and length must be positive".into(),
-            });
+        for (what, v) in [("width", w), ("length", l)] {
+            if !(v.meters() > 0.0 && v.meters().is_finite()) {
+                return Err(SpiceError::InvalidDevice {
+                    device: name.into(),
+                    reason: format!("{what} must be positive and finite, got {v}"),
+                });
+            }
         }
         self.devices.push(Device::Mosfet {
             name: name.into(),

@@ -776,6 +776,22 @@ R2 b 0 1k
         }
     }
 
+    /// `nan`, `inf` and `1e400` (which overflows to infinity) all parse
+    /// as numbers; a MOSFET card carrying one as its width is rejected
+    /// with the device named, not accepted to fail later as a singular
+    /// matrix.
+    #[test]
+    fn non_finite_mosfet_width_is_rejected() {
+        for w in ["nan", "inf", "1e400"] {
+            let deck = format!("V1 d 0 DC 1.1\nM1 d d 0 NMOS W={w}\n.END");
+            let err = parse(&deck, &DeckContext::default()).expect_err(&deck);
+            assert!(
+                matches!(&err, SpiceError::InvalidDevice { device, .. } if device == "M1"),
+                "{deck}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn subckt_blocks_parse_and_flatten() {
         let deck = "\

@@ -19,6 +19,47 @@
 //! boundaries. Drain–source symmetry (`v_ds < 0`) and PMOS polarity are
 //! handled by terminal reflection.
 //!
+//! # The evaluation kernel
+//!
+//! One `#[inline(always)]` function evaluates a device from its
+//! [`KernelParams`] (polarity, `V_th`, `n`, `Is`, `λ`) and terminal
+//! voltages. It has no `if` branches, only selects: the PMOS reflection
+//! multiplies by the polarity sign, and the drain/source swap for
+//! `v_ds < 0` picks operands. It calls no libm function, and the model's
+//! divisions by `n·v_t` and `v_t` are multiplications by reciprocals,
+//! which leaves seven divisions per device. With
+//! `x = u/2`, `F(u) = softplus(x)²` and `F'(u) = softplus(x)·sigmoid(x)`,
+//! where `softplus(x) = max(x, 0) + log1p(e^{−|x|})` and `sigmoid(x)` is
+//! `1/(1 + e^{−|x|})` for `x ≥ 0` and `e^{−|x|}/(1 + e^{−|x|})` below.
+//! The two primitives are
+//!
+//! * `e^y` for `y ≤ 0` by Cody–Waite reduction `y = k·ln2 + r`,
+//!   `|r| ≤ ln2/2`, and the classic degree-5 rational remainder; the
+//!   argument is clamped at −746, where `e^y` has rounded to zero, and
+//!   `2^k` is applied as two normal factors so subnormal results round
+//!   once;
+//! * `log1p(e)` for `e ∈ [0, 1]` as `2·atanh(s)`, `s = f/(2 + f)`, with
+//!   a degree-7 minimax polynomial in `s²`, after folding `e > √2 − 1`
+//!   to `ln 2 + log1p((e − 1)/2)`.
+//!
+//! Each is within about 1 ulp. Softplus and sigmoid are within 1e-15
+//! relative of an independent libm reference over `x ∈ [−1500, 1500]`
+//! (one step of the subnormal grid where the result is subnormal), and
+//! `±∞` and NaN give the limits and NaN. The formula this replaced
+//! computed `ln(1 + e^x)` directly for `|x| ≤ 30`, where `1 + e^x`
+//! rounds away the low bits of `e^x`: its relative error reached 6e-10
+//! at `u = −31` and grew to 1.2e-3 at the `u = −60` cutoff. Those terms
+//! sit far below the conducting current beside them: the Table II text
+//! did not move, and leakage operating points moved by at most 3e-9
+//! relative.
+//!
+//! [`MosfetModel::evaluate`] runs the kernel on one device (the dense
+//! oracle and the reference assembler call it); [`MosfetBatch`] runs it
+//! over structure-of-arrays chunks of [`LANES`] devices, which the
+//! autovectorizer turns into SIMD. Both call the same function on the
+//! same IEEE operations without contraction, so they agree bit for bit
+//! on every target.
+//!
 //! [`Technology::tsmc40lp`] provides parameters calibrated to public
 //! 40 nm low-power CMOS characteristics, with SS/TT/FF corners
 //! ([`CmosCorner`]) implemented as threshold-voltage and gain shifts —
@@ -86,7 +127,42 @@ pub(crate) struct MosfetOperatingPoint {
     pub(crate) di_dvs: f64,
 }
 
+/// Everything the evaluation kernel needs of one device besides its
+/// terminal voltages: the model and geometry folded into five numbers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct KernelParams {
+    /// `+1` for NMOS, `−1` for PMOS: the factor that reflects a PMOS's
+    /// terminal voltages and current into NMOS orientation.
+    pol: f64,
+    /// Threshold voltage magnitude, volts.
+    vth: f64,
+    /// Subthreshold slope factor.
+    n: f64,
+    /// Specific current `Is = 2·n·(k'·W/L)·v_t²`, amperes.
+    is: f64,
+    /// Channel-length modulation, 1/V.
+    lambda: f64,
+}
+
 impl MosfetModel {
+    /// The kernel constants of a `w × l` device of this model.
+    #[must_use]
+    pub(crate) fn kernel_params(&self, w: f64, l: f64) -> KernelParams {
+        let vt = THERMAL_VOLTAGE;
+        let n = self.n_slope;
+        let beta = self.kp * w / l;
+        KernelParams {
+            pol: match self.kind {
+                MosfetKind::Nmos => 1.0,
+                MosfetKind::Pmos => -1.0,
+            },
+            vth: self.vth,
+            n,
+            is: 2.0 * n * beta * vt * vt,
+            lambda: self.lambda,
+        }
+    }
+
     /// Evaluates the channel current and derivatives at absolute terminal
     /// voltages `(vg, vd, vs)` for a device of aspect ratio `w/l`.
     ///
@@ -103,67 +179,7 @@ impl MosfetModel {
         w: f64,
         l: f64,
     ) -> MosfetOperatingPoint {
-        match self.kind {
-            MosfetKind::Nmos => self.evaluate_nmos_oriented(vg, vd, vs, w, l),
-            MosfetKind::Pmos => {
-                // A PMOS is an NMOS with every terminal voltage reflected:
-                // Isd = f(v_sg, v_sd). Channel current d→s is −Isd.
-                let p = self.evaluate_nmos_oriented(-vg, -vd, -vs, w, l);
-                MosfetOperatingPoint {
-                    id: -p.id,
-                    di_dvg: p.di_dvg,
-                    di_dvd: p.di_dvd,
-                    di_dvs: p.di_dvs,
-                }
-            }
-        }
-    }
-
-    /// NMOS-oriented evaluation with drain–source symmetry handling.
-    fn evaluate_nmos_oriented(
-        &self,
-        vg: f64,
-        vd: f64,
-        vs: f64,
-        w: f64,
-        l: f64,
-    ) -> MosfetOperatingPoint {
-        if vd >= vs {
-            let (id, gm, gds) = self.ids_forward(vg - vs, vd - vs, w, l);
-            MosfetOperatingPoint {
-                id,
-                di_dvg: gm,
-                di_dvd: gds,
-                di_dvs: -gm - gds,
-            }
-        } else {
-            // Swap drain and source: Id(vg,vd,vs) = −f(vg−vd, vs−vd).
-            let (id, gm, gds) = self.ids_forward(vg - vd, vs - vd, w, l);
-            MosfetOperatingPoint {
-                id: -id,
-                di_dvg: -gm,
-                di_dvd: gm + gds,
-                di_dvs: -gds,
-            }
-        }
-    }
-
-    /// Source-referenced current for `v_ds ≥ 0`: returns `(id, gm, gds)`.
-    fn ids_forward(&self, vgs: f64, vds: f64, w: f64, l: f64) -> (f64, f64, f64) {
-        let vt = THERMAL_VOLTAGE;
-        let n = self.n_slope;
-        let beta = self.kp * w / l;
-        let is = 2.0 * n * beta * vt * vt;
-        let vp = (vgs - self.vth) / n;
-        let uf = vp / vt;
-        let ur = (vp - vds) / vt;
-        let (ff, dff) = big_f(uf);
-        let (fr, dfr) = big_f(ur);
-        let clm = 1.0 + self.lambda * vds;
-        let id = is * (ff - fr) * clm;
-        let gm = is * clm * (dff - dfr) / (n * vt);
-        let gds = is * clm * dfr / vt + is * self.lambda * (ff - fr);
-        (id, gm, gds)
+        kernel(self.kernel_params(w, l), vg, vd, vs)
     }
 
     /// Total gate–source (= gate–drain) capacitance for a `w × l` device:
@@ -180,20 +196,232 @@ impl MosfetModel {
     }
 }
 
-/// `F(u) = softplus(u/2)²` and its derivative `F'(u) = softplus(u/2) ·
-/// sigmoid(u/2)`, computed overflow-safely.
-fn big_f(u: f64) -> (f64, f64) {
-    let x = 0.5 * u;
-    let (sp, sg) = if x > 30.0 {
-        (x, 1.0)
-    } else if x < -30.0 {
-        let e = x.exp();
-        (e, e)
-    } else {
-        let e = x.exp();
-        ((1.0 + e).ln(), e / (1.0 + e))
+/// Devices per [`MosfetBatch`] chunk: one 512-bit vector of `f64`.
+const LANES: usize = 8;
+
+/// [`KernelParams`] of [`LANES`] devices, one array per constant.
+#[derive(Debug, Clone, Copy)]
+struct ParamLanes {
+    pol: [f64; LANES],
+    vth: [f64; LANES],
+    n: [f64; LANES],
+    is: [f64; LANES],
+    lambda: [f64; LANES],
+}
+
+impl ParamLanes {
+    /// Every lane a zero-current NMOS, so padding lanes compute finite
+    /// values that nobody reads.
+    const PADDING: Self = Self {
+        pol: [1.0; LANES],
+        vth: [0.0; LANES],
+        n: [1.0; LANES],
+        is: [0.0; LANES],
+        lambda: [0.0; LANES],
     };
-    (sp * sp, sp * sg)
+
+    fn get(&self, j: usize) -> KernelParams {
+        KernelParams {
+            pol: self.pol[j],
+            vth: self.vth[j],
+            n: self.n[j],
+            is: self.is[j],
+            lambda: self.lambda[j],
+        }
+    }
+
+    fn set(&mut self, j: usize, p: KernelParams) {
+        self.pol[j] = p.pol;
+        self.vth[j] = p.vth;
+        self.n[j] = p.n;
+        self.is[j] = p.is;
+        self.lambda[j] = p.lambda;
+    }
+}
+
+/// The kernel constants of a list of devices in chunks of [`LANES`],
+/// the last chunk padded, evaluated chunk by chunk.
+#[derive(Debug, Default)]
+pub(crate) struct MosfetBatch {
+    chunks: Vec<ParamLanes>,
+    len: usize,
+}
+
+impl MosfetBatch {
+    /// Appends the next device.
+    pub(crate) fn push(&mut self, p: KernelParams) {
+        let j = self.len % LANES;
+        if j == 0 {
+            self.chunks.push(ParamLanes::PADDING);
+        }
+        self.chunks
+            .last_mut()
+            .expect("a chunk was pushed for lane 0")
+            .set(j, p);
+        self.len += 1;
+    }
+
+    /// Evaluates every device, a chunk at a time: gathers each live
+    /// lane's `[vg, vd, vs]` from `bias(k)`, runs the kernel on all
+    /// [`LANES`] lanes at once, then hands device `k` its voltages and
+    /// operating point through `sink(k, v, op)`, in device order.
+    #[inline]
+    pub(crate) fn evaluate(
+        &self,
+        mut bias: impl FnMut(usize) -> [f64; 3],
+        mut sink: impl FnMut(usize, [f64; 3], MosfetOperatingPoint),
+    ) {
+        for (c, params) in self.chunks.iter().enumerate() {
+            let first = c * LANES;
+            let live = (self.len - first).min(LANES);
+            let (mut vg, mut vd, mut vs) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+            for j in 0..live {
+                [vg[j], vd[j], vs[j]] = bias(first + j);
+            }
+            let mut ops = [[0.0; LANES]; 4];
+            for j in 0..LANES {
+                let op = kernel(params.get(j), vg[j], vd[j], vs[j]);
+                ops[0][j] = op.id;
+                ops[1][j] = op.di_dvg;
+                ops[2][j] = op.di_dvd;
+                ops[3][j] = op.di_dvs;
+            }
+            for j in 0..live {
+                let op = MosfetOperatingPoint {
+                    id: ops[0][j],
+                    di_dvg: ops[1][j],
+                    di_dvd: ops[2][j],
+                    di_dvs: ops[3][j],
+                };
+                sink(first + j, [vg[j], vd[j], vs[j]], op);
+            }
+        }
+    }
+}
+
+/// `if c { a } else { b }` on values both sides have already computed,
+/// which LLVM lowers to a select (a blend in vector code).
+#[inline(always)]
+fn select(c: bool, a: f64, b: f64) -> f64 {
+    if c {
+        a
+    } else {
+        b
+    }
+}
+
+/// The device evaluation kernel: drain→source channel current and its
+/// terminal derivatives at absolute voltages `(vg, vd, vs)`.
+#[inline(always)]
+fn kernel(p: KernelParams, vg: f64, vd: f64, vs: f64) -> MosfetOperatingPoint {
+    // A PMOS is an NMOS with every terminal voltage reflected; its
+    // channel current d→s is the reflected device's, negated.
+    let (vg, vd, vs) = (p.pol * vg, p.pol * vd, p.pol * vs);
+    // Reference the source-side terminal so v_ds ≥ 0: for vd < vs the
+    // drain and source swap roles and Id(vg, vd, vs) = −f(vg − vd, vs − vd).
+    let fwd = vd >= vs;
+    let src = select(fwd, vs, vd);
+    let vgs = vg - src;
+    let vds = select(fwd, vd, vs) - src;
+
+    // Multiplying by reciprocals keeps all but one division (per
+    // device, off the dependency chain) out of the model arithmetic.
+    const INV_VT: f64 = 1.0 / THERMAL_VOLTAGE;
+    let inv_nvt = 1.0 / (p.n * THERMAL_VOLTAGE);
+    let uf = (vgs - p.vth) * inv_nvt;
+    let ur = uf - vds * INV_VT;
+    // F(u) = softplus(u/2)², F'(u) = softplus(u/2)·sigmoid(u/2).
+    let (spf, sgf) = softplus_sigmoid(0.5 * uf);
+    let (spr, sgr) = softplus_sigmoid(0.5 * ur);
+    let (ff, dff) = (spf * spf, spf * sgf);
+    let (fr, dfr) = (spr * spr, spr * sgr);
+    let clm = 1.0 + p.lambda * vds;
+    let id = p.is * (ff - fr) * clm;
+    let gm = p.is * clm * (dff - dfr) * inv_nvt;
+    let gds = p.is * clm * dfr * INV_VT + p.is * p.lambda * (ff - fr);
+
+    // Back to the caller's terminals: forward (id, gm, gds, −gm − gds),
+    // swapped (−id, −gm, gm + gds, −gds); the PMOS reflection negates id.
+    let dir = select(fwd, 1.0, -1.0);
+    let g_sum = gm + gds;
+    MosfetOperatingPoint {
+        id: p.pol * dir * id,
+        di_dvg: dir * gm,
+        di_dvd: select(fwd, gds, g_sum),
+        di_dvs: -select(fwd, g_sum, gds),
+    }
+}
+
+/// `(ln(1 + e^x), 1/(1 + e^{−x}))`, overflow-free for every `x`.
+#[inline(always)]
+fn softplus_sigmoid(x: f64) -> (f64, f64) {
+    let e = exp_nonpositive(-x.abs());
+    let sp = select(x > 0.0, x, 0.0) + log1p_unit(e);
+    let sg = select(x >= 0.0, 1.0, e) / (1.0 + e);
+    (sp, sg)
+}
+
+/// `ln 2` split so that `k·LN2_HI` is exact for `|k| < 2^20`.
+const LN2_HI: f64 = 0.6931471803691238;
+const LN2_LO: f64 = 1.9082149292705877e-10;
+
+/// `e^y` for `y ≤ 0` (NaN propagates), within 1 ulp.
+#[inline(always)]
+fn exp_nonpositive(y: f64) -> f64 {
+    // 1.5·2^52: adding it rounds to an integer held in the low mantissa bits.
+    const SHIFTER: f64 = 6_755_399_441_055_744.0;
+    // Remez coefficients of the remainder on |r| ≤ ln2/2.
+    const P1: f64 = 0.16666666666666602;
+    const P2: f64 = -0.0027777777777015593;
+    const P3: f64 = 6.613756321437934e-05;
+    const P4: f64 = -1.6533902205465252e-06;
+    const P5: f64 = 4.1381367970572385e-08;
+
+    // e^−746 is below half the smallest subnormal; the clamp keeps
+    // k ≥ −1077 (a comparison, so NaN passes through).
+    let y = select(y < -746.0, -746.0, y);
+    let t = y * core::f64::consts::LOG2_E + SHIFTER;
+    let k = t - SHIFTER;
+    let hi = y - k * LN2_HI;
+    let lo = k * LN2_LO;
+    let r = hi - lo;
+    let rr = r * r;
+    let c = r - rr * (P1 + rr * (P2 + rr * (P3 + rr * (P4 + rr * P5))));
+    let er = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+    // 2^k with k ∈ [−1077, 0] as 2^k1 · 2^k2, both normal: er·2^k1 is
+    // exact and the second product rounds once, also into subnormals.
+    let ki = (t.to_bits() as i64).wrapping_sub(SHIFTER.to_bits() as i64);
+    let k1 = ki >> 1;
+    let k2 = ki.wrapping_sub(k1);
+    let pow2 = |k: i64| f64::from_bits((k.wrapping_add(1023) as u64) << 52);
+    er * pow2(k1) * pow2(k2)
+}
+
+/// `ln(1 + e)` for `e ∈ [0, 1]` (NaN propagates), within 1 ulp.
+#[inline(always)]
+fn log1p_unit(e: f64) -> f64 {
+    const SQRT2_M1: f64 = 0.41421356237309503;
+    // Remez coefficients of (2·atanh(s) − 2s)/s in z = s², |s| ≤ 0.1716.
+    const LG1: f64 = 0.6666666666666735;
+    const LG2: f64 = 0.3999999999940942;
+    const LG3: f64 = 0.2857142874366239;
+    const LG4: f64 = 0.22222198432149784;
+    const LG5: f64 = 0.1818357216161805;
+    const LG6: f64 = 0.15313837699209373;
+    const LG7: f64 = 0.14798198605116586;
+
+    // 1 + e = 2^kk·(1 + f) with 1 + f ∈ [1/√2, √2].
+    let fold = e > SQRT2_M1;
+    let f = select(fold, (e - 1.0) * 0.5, e);
+    let kk = select(fold, 1.0, 0.0);
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let odd = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let even = w * (LG2 + w * (LG4 + w * LG6));
+    let r = odd + even;
+    let hfsq = 0.5 * f * f;
+    kk * LN2_HI - ((hfsq - (s * (hfsq + r) + kk * LN2_LO)) - f)
 }
 
 /// A CMOS process corner.
@@ -439,6 +667,123 @@ mod tests {
         assert!(m.cjunction(W) > 0.0);
         // Sub-femtofarad for a minimum device — sanity of magnitude.
         assert!(m.cgs(W, L) < 1e-15);
+    }
+
+    /// SplitMix64 stream mapped to uniform draws.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            lo + (hi - lo) * (z >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The batched kernel equals the scalar `evaluate` bit for bit at
+    /// every batch length 1..=33, so every ragged tail of the 8-lane
+    /// chunks. Devices cycle through both polarities and both
+    /// orientations (`vd ≥ vs` and `vd < vs`), with random geometry and
+    /// threshold, and gate drive from deep subthreshold (`u ≈ −90`) to
+    /// strong inversion.
+    #[test]
+    fn batch_matches_scalar_bit_for_bit() {
+        let t = tech();
+        let mut rng = SplitMix(0x6d6f_7366);
+        for len in 1..=33 {
+            let devices: Vec<_> = (0..len)
+                .map(|k| {
+                    let mut model = if k % 2 == 0 { t.nmos } else { t.pmos };
+                    model.vth += rng.uniform(-0.05, 0.05);
+                    let (w, l) = (rng.uniform(80e-9, 2e-6), rng.uniform(40e-9, 200e-9));
+                    let (lo, hi) = (rng.uniform(-0.1, 0.5), rng.uniform(0.6, 1.2));
+                    let (vd, vs) = if (k / 2) % 2 == 0 { (hi, lo) } else { (lo, hi) };
+                    let vg = rng.uniform(-1.5, 2.6);
+                    (model, w, l, [vg, vd, vs])
+                })
+                .collect();
+            let mut batch = MosfetBatch::default();
+            for (model, w, l, _) in &devices {
+                batch.push(model.kernel_params(*w, *l));
+            }
+            let mut seen = 0;
+            batch.evaluate(
+                |k| devices[k].3,
+                |k, v, op| {
+                    assert_eq!(k, seen, "devices arrive in order");
+                    seen += 1;
+                    let (model, w, l, bias) = devices[k];
+                    assert_eq!(v, bias);
+                    let want = model.evaluate(bias[0], bias[1], bias[2], w, l);
+                    for (what, got, want) in [
+                        ("id", op.id, want.id),
+                        ("di_dvg", op.di_dvg, want.di_dvg),
+                        ("di_dvd", op.di_dvd, want.di_dvd),
+                        ("di_dvs", op.di_dvs, want.di_dvs),
+                    ] {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "len {len}, device {k}: {what} {got:e} vs {want:e}"
+                        );
+                    }
+                },
+            );
+            assert_eq!(seen, len);
+        }
+    }
+
+    /// `softplus_sigmoid` against libm: `ln_1p(exp(x))` where that is
+    /// accurate, `x + ln_1p(e^{−x})` once `e^x` would overflow, and the
+    /// series `e − e²/2 + e³/3` below −20, where `1 + e^x` rounds. Both
+    /// values stay within 1e-15 relative (one step of the subnormal grid
+    /// where the reference is subnormal) on a 0.005 grid over
+    /// [−1500, 1500] plus seeded draws over the circuit's range; ±∞ give
+    /// the limits and NaN propagates.
+    #[test]
+    fn softplus_sigmoid_match_libm_to_1e_15() {
+        let reference = |x: f64| {
+            let sp = if x > 700.0 {
+                x + (-x).exp().ln_1p()
+            } else if x >= -20.0 {
+                x.exp().ln_1p()
+            } else {
+                let e = x.exp();
+                e - e * e / 2.0 + e * e * e / 3.0
+            };
+            let e = (-x.abs()).exp();
+            let sg = if x >= 0.0 {
+                1.0 / (1.0 + e)
+            } else {
+                e / (1.0 + e)
+            };
+            (sp, sg)
+        };
+        let check = |x: f64| {
+            let (sp, sg) = softplus_sigmoid(x);
+            let (want_sp, want_sg) = reference(x);
+            for (what, got, want) in [("softplus", sp, want_sp), ("sigmoid", sg, want_sg)] {
+                let tol = (1e-15 * want.abs()).max(f64::from_bits(1));
+                assert!(
+                    (got - want).abs() <= tol,
+                    "{what}({x:e}) = {got:e}, reference {want:e}"
+                );
+            }
+        };
+        for i in -300_000..=300_000 {
+            check(f64::from(i) * 0.005);
+        }
+        let mut rng = SplitMix(0x5eed);
+        for _ in 0..100_000 {
+            check(rng.uniform(-80.0, 80.0));
+        }
+        assert_eq!(softplus_sigmoid(f64::INFINITY), (f64::INFINITY, 1.0));
+        assert_eq!(softplus_sigmoid(f64::NEG_INFINITY), (0.0, 0.0));
+        let (sp, sg) = softplus_sigmoid(f64::NAN);
+        assert!(sp.is_nan() && sg.is_nan());
     }
 
     #[test]

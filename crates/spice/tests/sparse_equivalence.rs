@@ -12,8 +12,8 @@
 //!
 //! Also hosts the session lifecycle tests that want both solver kinds:
 //! plan rebuild after a structural circuit edit, after an in-place
-//! capacitance edit and after a device-kind swap, and singular-matrix
-//! propagation out of a transient.
+//! capacitance or MOSFET edit and after a device-kind swap, and
+//! singular-matrix propagation out of a transient.
 
 use mtj::{Mtj, MtjParams, MtjState, WritePolarity};
 use spice::{
@@ -408,6 +408,52 @@ fn capacitance_edit_rebuilds_plan() {
         // the ramp) a 1 ns time constant leaves `out` near 0.09 V.
         let out = edited.node("out").expect("out").value_at(0.5e-9);
         assert!(out > 0.05 && out < 0.15, "{solver:?}: out(0.5 ns) = {out}");
+    }
+}
+
+/// An in-place MOSFET edit changes the kernel constants the plan froze
+/// (the threshold) or those and the parasitic capacitances (the width):
+/// the next analysis must rebuild the plan and match a fresh session on
+/// the edited circuit, for both solver kinds.
+#[test]
+fn mosfet_edit_rebuilds_plan() {
+    for solver in [SolverKind::Sparse, SolverKind::Dense] {
+        for what in ["vth", "w"] {
+            let fx = cmos_inverter();
+            let (stop, step) = (fx.stop, fx.step);
+            let mut session = SimulationSession::with_solver(fx.ckt, solver);
+            let before = session
+                .transient(stop, step)
+                .expect("transient before the edit");
+
+            for device in session.circuit_mut().devices_mut() {
+                if let spice::Device::Mosfet { name, model, w, .. } = device {
+                    if name == "MN" {
+                        match what {
+                            "vth" => model.vth += 0.15,
+                            _ => *w *= 3.0,
+                        }
+                    }
+                }
+            }
+            let edited = session
+                .transient(stop, step)
+                .expect("transient after the edit");
+
+            let fresh_ckt = session.circuit().clone();
+            let mut fresh = SimulationSession::with_solver(fresh_ckt, solver);
+            let expected = fresh.transient(stop, step).expect("fresh transient");
+            assert_transients_identical(&fx.nodes, &expected, &edited);
+            // The edit moves the falling output edge, so a stale plan
+            // could not have passed the comparison above.
+            let out = |r: &TransientResult| r.node("out").expect("out").value_at(0.2e-9);
+            assert!(
+                (out(&edited) - out(&before)).abs() > 1e-3,
+                "{solver:?} {what}: out(0.2 ns) {} before, {} after",
+                out(&before),
+                out(&edited)
+            );
+        }
     }
 }
 
