@@ -6,8 +6,8 @@
 //! "script executed over the DEF file":
 //!
 //! 1. [`candidates`](pairing::candidates) finds every flip-flop pair
-//!    within the distance threshold (grid-bucketed, linear in design
-//!    size);
+//!    within the distance threshold (one sorted-bucket grid scan,
+//!    linear in design size);
 //! 2. a pairing strategy ([`pairing::Strategy`]) selects a disjoint set
 //!    of pairs — closest-first greedy (the baseline), or the
 //!    degree-aware variant that prefers isolated flip-flops first and
@@ -72,14 +72,17 @@ impl Default for MergeOptions {
 #[must_use]
 pub fn plan(design: &PlacedDesign, options: &MergeOptions) -> MergePlan {
     let points: Vec<FlipFlopPoint> = design
-        .flip_flops()
-        .map(|c| FlipFlopPoint {
-            name: c.name.clone(),
+        .cells()
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.kind.is_flip_flop())
+        .map(|(i, c)| FlipFlopPoint {
+            name: design.cell_name(i).to_owned(),
             x: c.x.micro_meters(),
             y: c.y.micro_meters(),
         })
         .collect();
-    pairing::pair(&points, options.threshold, options.strategy)
+    pairing::pair(points, options.threshold, options.strategy)
 }
 
 /// Runs the merge analysis over a parsed DEF design (the paper's
@@ -94,5 +97,5 @@ pub fn plan_from_def(def: &place::def::DefDesign, options: &MergeOptions) -> Mer
             y: c.y.micro_meters(),
         })
         .collect();
-    pairing::pair(&points, options.threshold, options.strategy)
+    pairing::pair(points, options.threshold, options.strategy)
 }

@@ -134,8 +134,10 @@ pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair
     }
     let index = GridIndex::new(&coords, t.max(1e-3));
     let mut out = Vec::new();
+    let mut near = Vec::new();
     for (a, &(x, y)) in coords.iter().enumerate() {
-        for b in index.within_radius(&coords, (x, y), t) {
+        index.within_radius_into(&coords, (x, y), t, &mut near);
+        for &b in &near {
             if b > a {
                 let d = ((coords[b].0 - x).powi(2) + (coords[b].1 - y).powi(2)).sqrt();
                 out.push(MergedPair { a, b, distance: d });
@@ -145,17 +147,18 @@ pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair
     out
 }
 
-/// Selects a disjoint pair set from the candidate graph.
+/// Selects a disjoint pair set from the candidate graph. The plan keeps
+/// the points.
 #[must_use]
-pub fn pair(points: &[FlipFlopPoint], threshold: Length, strategy: Strategy) -> MergePlan {
-    let mut cand = candidates(points, threshold);
+pub fn pair(points: Vec<FlipFlopPoint>, threshold: Length, strategy: Strategy) -> MergePlan {
+    let mut cand = candidates(&points, threshold);
     cand.sort_by(|p, q| p.distance.partial_cmp(&q.distance).expect("finite"));
     let pairs = match strategy {
         Strategy::GreedyClosest => greedy_closest(points.len(), &cand),
         Strategy::DegreeAware => degree_aware(points.len(), &cand),
     };
     MergePlan {
-        points: points.to_vec(),
+        points,
         pairs,
         threshold,
         strategy,
@@ -238,7 +241,7 @@ mod tests {
     fn greedy_takes_closest_first() {
         // Chain 0 -1- 1 -1.5- 2: greedy pairs (0,1), leaving 2 unmerged.
         let pts = points(&[(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]);
-        let plan = pair(&pts, um(3.0), Strategy::GreedyClosest);
+        let plan = pair(pts, um(3.0), Strategy::GreedyClosest);
         assert_eq!(plan.merged_pairs(), 1);
         assert_eq!((plan.pairs()[0].a, plan.pairs()[0].b), (0, 1));
         assert_eq!(plan.unmerged_indices(), vec![2]);
@@ -251,9 +254,9 @@ mod tests {
         // Path 0—1—2—3 where greedy-closest on the middle edge would
         // strand both ends: 1-2 distance is smallest.
         let pts = points(&[(0.0, 0.0), (1.2, 0.0), (2.2, 0.0), (3.4, 0.0)]);
-        let greedy = pair(&pts, um(1.3), Strategy::GreedyClosest);
+        let greedy = pair(pts.clone(), um(1.3), Strategy::GreedyClosest);
         assert_eq!(greedy.merged_pairs(), 1); // takes (1,2), strands 0 and 3
-        let aware = pair(&pts, um(1.3), Strategy::DegreeAware);
+        let aware = pair(pts, um(1.3), Strategy::DegreeAware);
         assert_eq!(aware.merged_pairs(), 2); // (0,1) and (2,3)
     }
 
@@ -268,7 +271,7 @@ mod tests {
         }
         let pts = points(&coords);
         for strategy in [Strategy::GreedyClosest, Strategy::DegreeAware] {
-            let plan = pair(&pts, um(1.5), strategy);
+            let plan = pair(pts.clone(), um(1.5), strategy);
             let mut seen = std::collections::HashSet::new();
             for p in plan.pairs() {
                 assert!(seen.insert(p.a), "{strategy}: {p:?}");
@@ -283,10 +286,10 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let plan = pair(&[], um(3.35), Strategy::GreedyClosest);
+        let plan = pair(Vec::new(), um(3.35), Strategy::GreedyClosest);
         assert_eq!(plan.merged_pairs(), 0);
         assert_eq!(plan.merge_fraction(), 0.0);
-        let plan = pair(&points(&[(0.0, 0.0)]), um(3.35), Strategy::GreedyClosest);
+        let plan = pair(points(&[(0.0, 0.0)]), um(3.35), Strategy::GreedyClosest);
         assert_eq!(plan.merged_pairs(), 0);
         assert_eq!(plan.unmerged_count(), 1);
     }
@@ -294,7 +297,7 @@ mod tests {
     #[test]
     fn isolated_flip_flops_stay_unmerged() {
         let pts = points(&[(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]);
-        let plan = pair(&pts, um(3.35), Strategy::DegreeAware);
+        let plan = pair(pts, um(3.35), Strategy::DegreeAware);
         assert_eq!(plan.merged_pairs(), 0);
         assert_eq!(plan.unmerged_count(), 3);
     }

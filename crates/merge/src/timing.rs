@@ -124,7 +124,7 @@ mod tests {
             .collect();
         // A huge threshold lets the distant pair form too.
         let plan = pairing::pair(
-            &points,
+            points,
             Length::from_micro_meters(200.0),
             Strategy::GreedyClosest,
         );
@@ -150,7 +150,7 @@ mod tests {
             })
             .collect();
         let plan = pairing::pair(
-            &points,
+            points,
             Length::from_micro_meters(3.35),
             Strategy::GreedyClosest,
         );

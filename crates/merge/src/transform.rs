@@ -78,10 +78,10 @@ impl MergedDesign {
 pub fn apply(design: &PlacedDesign, plan: &MergePlan) -> MergedDesign {
     let mut components = Vec::with_capacity(design.cells().len());
     // Non-FF cells pass through.
-    for cell in design.cells() {
+    for (name, cell) in design.named_cells() {
         if !cell.kind.is_flip_flop() {
             components.push(MergedComponent {
-                name: cell.name.clone(),
+                name: name.to_owned(),
                 master: cell.kind.to_string(),
                 x: cell.x.micro_meters(),
                 y: cell.y.micro_meters(),
@@ -175,8 +175,9 @@ mod tests {
     fn merged_components_sit_between_their_parents() {
         let (placed, merged) = merged_s344();
         let ffs: std::collections::HashMap<&str, (f64, f64)> = placed
-            .flip_flops()
-            .map(|c| (c.name.as_str(), (c.x.micro_meters(), c.y.micro_meters())))
+            .named_cells()
+            .filter(|(_, c)| c.kind.is_flip_flop())
+            .map(|(name, c)| (name, (c.x.micro_meters(), c.y.micro_meters())))
             .collect();
         for comp in merged.components().iter().filter(|c| c.nv_bits == 2) {
             let (a, b) = comp.name.split_once('+').expect("pair name");

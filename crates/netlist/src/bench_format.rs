@@ -18,9 +18,30 @@
 //! library's 2-input cells (the usual technology-mapping step).
 
 use core::fmt;
+use std::collections::HashMap;
 use std::error::Error;
 
 use crate::ir::{CellKind, NetId, Netlist};
+
+/// The netlist under construction plus its name → net map: `.bench`
+/// text names a net at every use, so this parser interns what
+/// [`Netlist::add_net`] always appends.
+struct Builder {
+    netlist: Netlist,
+    nets: HashMap<String, NetId>,
+}
+
+impl Builder {
+    /// The net named `name`, added on first use.
+    fn net(&mut self, name: &str) -> NetId {
+        if let Some(&net) = self.nets.get(name) {
+            return net;
+        }
+        let net = self.netlist.add_net(name);
+        self.nets.insert(name.to_owned(), net);
+        net
+    }
+}
 
 /// Error produced by [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +79,10 @@ impl Error for ParseBenchError {}
 /// # Ok::<(), netlist::bench_format::ParseBenchError>(())
 /// ```
 pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
-    let mut netlist = Netlist::new(name);
+    let mut b = Builder {
+        netlist: Netlist::new(name),
+        nets: HashMap::new(),
+    };
     let mut outputs: Vec<(usize, String)> = Vec::new();
     let mut gate_counter = 0usize;
 
@@ -73,8 +97,9 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
         };
 
         if let Some(rest) = strip_call(line, "INPUT") {
-            let net = netlist.add_net(rest);
-            netlist.add_instance(&format!("PI_{rest}"), CellKind::Input, vec![], Some(net));
+            let net = b.net(rest);
+            b.netlist
+                .add_instance(format_args!("PI_{rest}"), CellKind::Input, &[], Some(net));
             continue;
         }
         if let Some(rest) = strip_call(line, "OUTPUT") {
@@ -102,18 +127,18 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
         if args.is_empty() {
             return Err(bad("gate with no inputs"));
         }
-        let arg_nets: Vec<NetId> = args.iter().map(|a| netlist.add_net(a)).collect();
-        let out_net = netlist.add_net(target);
+        let arg_nets: Vec<NetId> = args.iter().map(|a| b.net(a)).collect();
+        let out_net = b.net(target);
 
         match func.as_str() {
             "DFF" => {
                 if arg_nets.len() != 1 {
                     return Err(bad("DFF takes one input"));
                 }
-                netlist.add_instance(
-                    &format!("FF_{target}"),
+                b.netlist.add_instance(
+                    format_args!("FF_{target}"),
                     CellKind::Dff,
-                    arg_nets,
+                    &arg_nets,
                     Some(out_net),
                 );
             }
@@ -121,10 +146,10 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
                 if arg_nets.len() != 1 {
                     return Err(bad("NOT takes one input"));
                 }
-                netlist.add_instance(
-                    &format!("U_{target}"),
+                b.netlist.add_instance(
+                    format_args!("U_{target}"),
                     CellKind::Inv,
-                    arg_nets,
+                    &arg_nets,
                     Some(out_net),
                 );
             }
@@ -132,10 +157,10 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
                 if arg_nets.len() != 1 {
                     return Err(bad("BUF takes one input"));
                 }
-                netlist.add_instance(
-                    &format!("U_{target}"),
+                b.netlist.add_instance(
+                    format_args!("U_{target}"),
                     CellKind::Buf,
-                    arg_nets,
+                    &arg_nets,
                     Some(out_net),
                 );
             }
@@ -147,26 +172,24 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, ParseBenchError> {
                     "NOR" => CellKind::Nor2,
                     _ => CellKind::Xor2,
                 };
-                build_tree(
-                    &mut netlist,
-                    kind,
-                    &arg_nets,
-                    out_net,
-                    target,
-                    &mut gate_counter,
-                )
-                .map_err(|what| bad(&what))?;
+                build_tree(&mut b, kind, &arg_nets, out_net, target, &mut gate_counter)
+                    .map_err(|what| bad(&what))?;
             }
             other => return Err(bad(&format!("unknown function {other}"))),
         }
     }
 
     for (lineno, net_name) in outputs {
-        let net = netlist.add_net(&net_name);
+        let net = b.net(&net_name);
         let _ = lineno;
-        netlist.add_instance(&format!("PO_{net_name}"), CellKind::Output, vec![net], None);
+        b.netlist.add_instance(
+            format_args!("PO_{net_name}"),
+            CellKind::Output,
+            &[net],
+            None,
+        );
     }
-    Ok(netlist)
+    Ok(b.netlist)
 }
 
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
@@ -185,7 +208,7 @@ fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 /// dual (`NAND(a,b,c) = NAND(AND(a,b), c)`), which preserves logic
 /// exactly.
 fn build_tree(
-    netlist: &mut Netlist,
+    b: &mut Builder,
     kind: CellKind,
     inputs: &[NetId],
     out: NetId,
@@ -199,7 +222,8 @@ fn build_tree(
             CellKind::Nand2 | CellKind::Nor2 => CellKind::Inv,
             _ => CellKind::Buf,
         };
-        netlist.add_instance(&format!("U_{target}"), k, vec![inputs[0]], Some(out));
+        b.netlist
+            .add_instance(format_args!("U_{target}"), k, &[inputs[0]], Some(out));
         return Ok(());
     }
     // Reduce all but the last input with the non-inverting dual.
@@ -210,20 +234,20 @@ fn build_tree(
     };
     let mut acc = inputs[0];
     for (i, &next) in inputs[1..inputs.len() - 1].iter().enumerate() {
-        let mid = netlist.add_net(&format!("{target}__t{i}_{counter}"));
+        let mid = b.net(&format!("{target}__t{i}_{counter}"));
         *counter += 1;
-        netlist.add_instance(
-            &format!("U_{target}__r{i}_{counter}"),
+        b.netlist.add_instance(
+            format_args!("U_{target}__r{i}_{counter}"),
             reduce_kind,
-            vec![acc, next],
+            &[acc, next],
             Some(mid),
         );
         acc = mid;
     }
-    netlist.add_instance(
-        &format!("U_{target}"),
+    b.netlist.add_instance(
+        format_args!("U_{target}"),
         kind,
-        vec![acc, inputs[inputs.len() - 1]],
+        &[acc, inputs[inputs.len() - 1]],
         Some(out),
     );
     Ok(())
@@ -330,6 +354,20 @@ y = NAND(a, b, c, d)
             assert!(err.to_string().contains(needle), "{text}: {err}");
             assert!(err.to_string().contains("line 1"));
         }
+    }
+
+    #[test]
+    fn nets_are_interned() {
+        // `a` is named three times and `y` twice; each is one net.
+        let text = "INPUT(a)\nOUTPUT(y)\ny = NAND(a, a)\n";
+        let n = parse("x", text).expect("parse");
+        assert_eq!(n.net_count(), 2);
+        let nand = n
+            .instances()
+            .iter()
+            .find(|i| i.kind == CellKind::Nand2)
+            .expect("NAND2");
+        assert_eq!(nand.inputs()[0], nand.inputs()[1]);
     }
 
     #[test]

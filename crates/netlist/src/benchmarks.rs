@@ -176,8 +176,8 @@ pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
     let n_inputs = (gates / 100).clamp(4, 256);
     let input_nets: Vec<NetId> = (0..n_inputs)
         .map(|k| {
-            let net = netlist.add_net(&format!("pi{k}"));
-            netlist.add_instance(&format!("PI{k}"), CellKind::Input, vec![], Some(net));
+            let net = netlist.add_net(format_args!("pi{k}"));
+            netlist.add_instance(format_args!("PI{k}"), CellKind::Input, &[], Some(net));
             net
         })
         .collect();
@@ -213,7 +213,7 @@ pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
         let mut cells_here = MODULE_SIZE.min(gate_budget + spec.flip_flops);
         let ffs_here = ff_per_module[module];
         for k in 0..ffs_here {
-            let out = netlist.add_net(&format!("q{module}_{k}"));
+            let out = netlist.add_net(format_args!("q{module}_{k}"));
             pending.push((module, CellKind::Dff, out));
             module_outputs[module].push(out);
             all_outputs.push(out);
@@ -223,7 +223,7 @@ pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
         gate_budget -= gates_here;
         for _ in 0..gates_here {
             let kind = random_gate(&mut rng);
-            let out = netlist.add_net(&format!("n{idx}"));
+            let out = netlist.add_net(format_args!("n{idx}"));
             idx += 1;
             pending.push((module, kind, out));
             module_outputs[module].push(out);
@@ -233,7 +233,7 @@ pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
     // Any leftover combinational budget goes to the last module.
     while gate_budget > 0 {
         let kind = random_gate(&mut rng);
-        let out = netlist.add_net(&format!("n{idx}"));
+        let out = netlist.add_net(format_args!("n{idx}"));
         idx += 1;
         pending.push((module_count - 1, kind, out));
         module_outputs[module_count - 1].push(out);
@@ -263,23 +263,23 @@ pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
         .collect();
     let mut wired_global = registered.clone();
     for (k, (module, kind, out)) in pending.iter().enumerate() {
-        let inputs: Vec<NetId> = (0..kind.input_count())
-            .map(|_| {
-                if kind.is_flip_flop() {
-                    pick_source(
-                        &mut rng,
-                        *module,
-                        &module_outputs,
-                        &all_outputs,
-                        &input_nets,
-                    )
-                } else {
-                    pick_source(&mut rng, *module, &wired, &wired_global, &input_nets)
-                }
-            })
-            .collect();
+        let mut inputs = [NetId(0); 2];
+        let inputs = &mut inputs[..kind.input_count()];
+        for input in inputs.iter_mut() {
+            *input = if kind.is_flip_flop() {
+                pick_source(
+                    &mut rng,
+                    *module,
+                    &module_outputs,
+                    &all_outputs,
+                    &input_nets,
+                )
+            } else {
+                pick_source(&mut rng, *module, &wired, &wired_global, &input_nets)
+            };
+        }
         let prefix = if kind.is_flip_flop() { "FF" } else { "U" };
-        netlist.add_instance(&format!("{prefix}{k}"), *kind, inputs, Some(*out));
+        netlist.add_instance(format_args!("{prefix}{k}"), *kind, inputs, Some(*out));
         if !kind.is_flip_flop() {
             wired[*module].push(*out);
             wired_global.push(*out);
@@ -290,7 +290,7 @@ pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
     let n_outputs = (gates / 120).clamp(4, 256);
     for k in 0..n_outputs {
         let net = all_outputs[rng.random_range(0..all_outputs.len())];
-        netlist.add_instance(&format!("PO{k}"), CellKind::Output, vec![net], None);
+        netlist.add_instance(format_args!("PO{k}"), CellKind::Output, &[net], None);
     }
 
     netlist
@@ -426,7 +426,7 @@ mod tests {
     fn every_instance_input_is_a_real_net() {
         let n = generate_scaled(by_name("s838").unwrap(), 500);
         for inst in n.instances() {
-            for net in &inst.inputs {
+            for net in inst.inputs() {
                 assert!(net.0 < n.net_count());
             }
         }
@@ -439,7 +439,7 @@ mod tests {
         // net fanout stays small (locality prevents mega-nets).
         let n = generate_scaled(by_name("s5378").unwrap(), 2779);
         let pins = n.net_pins();
-        let max_fanout = pins.iter().map(Vec::len).max().unwrap_or(0);
+        let max_fanout = pins.iter().map(<[_]>::len).max().unwrap_or(0);
         assert!(max_fanout < n.instance_count() / 4, "fanout {max_fanout}");
     }
 }

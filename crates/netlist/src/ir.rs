@@ -1,7 +1,7 @@
 //! The gate-level intermediate representation.
 
 use core::fmt;
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Logic cell types of the small standard-cell library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,20 +90,101 @@ pub struct NetId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstId(pub usize);
 
-/// One placed-able cell instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Many short names in one buffer: the text of every name back to
+/// back, plus the end offset of each. Pushing a name formats it
+/// straight into the buffer, so no per-name `String` is built.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NameBuf {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl NameBuf {
+    /// Appends a name; names are indexed in push order from 0.
+    pub fn push(&mut self, name: impl fmt::Display) {
+        write!(self.text, "{name}").expect("formatting into a String cannot fail");
+        self.ends.push(self.text.len());
+    }
+
+    /// Appends a name that is already text (no formatting pass).
+    pub fn push_str(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+    }
+
+    /// The name at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index ≥ len()`.
+    #[must_use]
+    pub fn get(&self, index: usize) -> &str {
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        &self.text[start..self.ends[index]]
+    }
+
+    /// Number of names.
+    #[must_use]
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+/// One placed-able cell instance. Its name lives in the netlist's name
+/// buffer ([`Netlist::instance_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instance {
-    /// Instance name (unique within the netlist).
-    pub name: String,
     /// Cell type.
     pub kind: CellKind,
-    /// Input nets, length = `kind.input_count()`.
-    pub inputs: Vec<NetId>,
+    /// Input nets; the first `kind.input_count()` are connected.
+    pins: [NetId; 2],
     /// Output net (`None` only for [`CellKind::Output`] ports).
     pub output: Option<NetId>,
 }
 
+impl Instance {
+    /// Input nets, length = the kind's input count.
+    #[must_use]
+    pub fn inputs(&self) -> &[NetId] {
+        &self.pins[..self.kind.input_count()]
+    }
+
+    /// Every net the instance touches: its inputs, then its output.
+    pub fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
+        self.inputs().iter().chain(self.output.iter()).copied()
+    }
+}
+
+/// The instances on every net, in compressed sparse rows: net `k`'s
+/// pins are `pins[offsets[k]..offsets[k + 1]]`, in instance order (an
+/// instance appears once per pin it has on the net).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NetPins {
+    offsets: Vec<usize>,
+    pins: Vec<InstId>,
+}
+
+impl NetPins {
+    /// The instances touching `net`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` belongs to another netlist.
+    #[must_use]
+    pub fn net(&self, net: NetId) -> &[InstId] {
+        &self.pins[self.offsets[net.0]..self.offsets[net.0 + 1]]
+    }
+
+    /// Every net's pin list, in net order.
+    pub fn iter(&self) -> impl Iterator<Item = &[InstId]> {
+        self.offsets.windows(2).map(|w| &self.pins[w[0]..w[1]])
+    }
+}
+
 /// A flat gate-level netlist.
+///
+/// Net and instance names each live in one [`NameBuf`]; instances are
+/// plain `Copy` records with their input nets inline.
 ///
 /// # Examples
 ///
@@ -113,15 +194,16 @@ pub struct Instance {
 /// let mut n = Netlist::new("toy");
 /// let a = n.add_net("a");
 /// let y = n.add_net("y");
-/// n.add_instance("U1", CellKind::Inv, vec![a], Some(y));
+/// let u1 = n.add_instance("U1", CellKind::Inv, &[a], Some(y));
 /// assert_eq!(n.instance_count(), 1);
 /// assert_eq!(n.net_count(), 2);
+/// assert_eq!(n.instance_name(u1), "U1");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     name: String,
-    nets: Vec<String>,
-    net_lookup: HashMap<String, usize>,
+    nets: NameBuf,
+    instance_names: NameBuf,
     instances: Vec<Instance>,
 }
 
@@ -131,8 +213,8 @@ impl Netlist {
     pub fn new(name: &str) -> Self {
         Self {
             name: name.to_owned(),
-            nets: Vec::new(),
-            net_lookup: HashMap::new(),
+            nets: NameBuf::default(),
+            instance_names: NameBuf::default(),
             instances: Vec::new(),
         }
     }
@@ -143,15 +225,12 @@ impl Netlist {
         &self.name
     }
 
-    /// Adds (or returns the existing) net named `name`.
-    pub fn add_net(&mut self, name: &str) -> NetId {
-        if let Some(&idx) = self.net_lookup.get(name) {
-            return NetId(idx);
-        }
-        let idx = self.nets.len();
-        self.nets.push(name.to_owned());
-        self.net_lookup.insert(name.to_owned(), idx);
-        NetId(idx)
+    /// Appends a net named `name`. Names are not interned: a caller
+    /// that may meet a name twice keeps its own map (as
+    /// [`crate::bench_format::parse`] does).
+    pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
+        self.nets.push(name);
+        NetId(self.nets.len() - 1)
     }
 
     /// Name of a net.
@@ -161,7 +240,7 @@ impl Netlist {
     /// Panics if `net` belongs to another netlist.
     #[must_use]
     pub(crate) fn net_name(&self, net: NetId) -> &str {
-        &self.nets[net.0]
+        self.nets.get(net.0)
     }
 
     /// Adds an instance.
@@ -172,9 +251,9 @@ impl Netlist {
     /// construction is programmatic, so a mismatch is a generator bug.
     pub fn add_instance(
         &mut self,
-        name: &str,
+        name: impl fmt::Display,
         kind: CellKind,
-        inputs: Vec<NetId>,
+        inputs: &[NetId],
         output: Option<NetId>,
     ) -> InstId {
         assert_eq!(
@@ -188,13 +267,11 @@ impl Netlist {
             kind == CellKind::Output,
             "only OUTPUT ports lack an output net"
         );
+        let mut pins = [NetId(0); 2];
+        pins[..inputs.len()].copy_from_slice(inputs);
         let id = InstId(self.instances.len());
-        self.instances.push(Instance {
-            name: name.to_owned(),
-            kind,
-            inputs,
-            output,
-        });
+        self.instance_names.push(name);
+        self.instances.push(Instance { kind, pins, output });
         id
     }
 
@@ -212,6 +289,17 @@ impl Netlist {
     #[must_use]
     pub fn instance(&self, id: InstId) -> &Instance {
         &self.instances[id.0]
+    }
+
+    /// Name of an instance (unique within the netlists this crate
+    /// builds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` belongs to another netlist.
+    #[must_use]
+    pub fn instance_name(&self, id: InstId) -> &str {
+        self.instance_names.get(id.0)
     }
 
     /// Number of instances (ports included).
@@ -261,25 +349,37 @@ impl Netlist {
     /// Per-kind instance histogram.
     #[cfg(test)]
     #[must_use]
-    pub(crate) fn kind_histogram(&self) -> HashMap<CellKind, usize> {
-        let mut h = HashMap::new();
+    pub(crate) fn kind_histogram(&self) -> std::collections::HashMap<CellKind, usize> {
+        let mut h = std::collections::HashMap::new();
         for i in &self.instances {
             *h.entry(i.kind).or_insert(0) += 1;
         }
         h
     }
 
-    /// Adjacency: for every net, the instances touching it. Used by the
-    /// placer for connectivity-driven clustering.
+    /// Adjacency: for every net, the instances touching it, as one CSR
+    /// table (a counting pass, then a fill pass). Used by the placer
+    /// for connectivity-driven clustering and by HPWL.
     #[must_use]
-    pub fn net_pins(&self) -> Vec<Vec<InstId>> {
-        let mut pins: Vec<Vec<InstId>> = vec![Vec::new(); self.nets.len()];
-        for (idx, inst) in self.instances.iter().enumerate() {
-            for net in inst.inputs.iter().chain(inst.output.iter()) {
-                pins[net.0].push(InstId(idx));
+    pub fn net_pins(&self) -> NetPins {
+        let mut offsets = vec![0usize; self.nets.len() + 1];
+        for inst in &self.instances {
+            for net in inst.nets() {
+                offsets[net.0 + 1] += 1;
             }
         }
-        pins
+        for k in 0..self.nets.len() {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets.clone();
+        let mut pins = vec![InstId(0); offsets[self.nets.len()]];
+        for (idx, inst) in self.instances.iter().enumerate() {
+            for net in inst.nets() {
+                pins[next[net.0]] = InstId(idx);
+                next[net.0] += 1;
+            }
+        }
+        NetPins { offsets, pins }
     }
 }
 
@@ -293,11 +393,11 @@ mod tests {
         let b = n.add_net("b");
         let y = n.add_net("y");
         let q = n.add_net("q");
-        n.add_instance("PI_A", CellKind::Input, vec![], Some(a));
-        n.add_instance("PI_B", CellKind::Input, vec![], Some(b));
-        n.add_instance("U1", CellKind::Nand2, vec![a, b], Some(y));
-        n.add_instance("FF1", CellKind::Dff, vec![y], Some(q));
-        n.add_instance("PO_Q", CellKind::Output, vec![q], None);
+        n.add_instance("PI_A", CellKind::Input, &[], Some(a));
+        n.add_instance("PI_B", CellKind::Input, &[], Some(b));
+        n.add_instance("U1", CellKind::Nand2, &[a, b], Some(y));
+        n.add_instance("FF1", CellKind::Dff, &[y], Some(q));
+        n.add_instance("PO_Q", CellKind::Output, &[q], None);
         n
     }
 
@@ -311,15 +411,8 @@ mod tests {
         assert_eq!(n.flip_flops().len(), 1);
         assert_eq!(n.placeable().len(), 2); // NAND2 + DFF
         assert_eq!(n.net_name(NetId(0)), "a");
-    }
-
-    #[test]
-    fn nets_are_interned() {
-        let mut n = Netlist::new("x");
-        let a1 = n.add_net("a");
-        let a2 = n.add_net("a");
-        assert_eq!(a1, a2);
-        assert_eq!(n.net_count(), 1);
+        assert_eq!(n.instance_name(InstId(3)), "FF1");
+        assert_eq!(n.instance(InstId(2)).inputs(), [NetId(0), NetId(1)]);
     }
 
     #[test]
@@ -335,8 +428,15 @@ mod tests {
         let n = toy();
         let pins = n.net_pins();
         // Net "y" connects U1 (driver) and FF1 (sink).
-        let y_pins = &pins[2];
-        assert_eq!(y_pins.len(), 2);
+        assert_eq!(pins.net(NetId(2)), [InstId(2), InstId(3)]);
+        // Every pin of every instance appears exactly once.
+        let total: usize = pins.iter().map(<[InstId]>::len).sum();
+        let expected: usize = n
+            .instances()
+            .iter()
+            .map(|i| i.inputs().len() + usize::from(i.output.is_some()))
+            .sum();
+        assert_eq!(total, expected);
     }
 
     #[test]
@@ -345,7 +445,7 @@ mod tests {
         let mut n = Netlist::new("x");
         let a = n.add_net("a");
         let y = n.add_net("y");
-        n.add_instance("U1", CellKind::Nand2, vec![a], Some(y));
+        n.add_instance("U1", CellKind::Nand2, &[a], Some(y));
     }
 
     #[test]

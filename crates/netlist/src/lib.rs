@@ -14,8 +14,11 @@
 //!   cluster, the very property the merge flow exploits.
 //!
 //! The IR ([`Netlist`], `Instance`, [`CellKind`]) is deliberately
-//! small: named typed cells over interned nets, a [`CellLibrary`] with
-//! per-kind footprints, and a structural-Verilog writer for inspection.
+//! small and flat: net and instance names each live in one
+//! [`NameBuf`], every instance is a `Copy` record with its input nets
+//! inline, and [`Netlist::net_pins`] gives the net → instance adjacency
+//! as one compressed-sparse-row table. A [`CellLibrary`] holds per-kind
+//! footprints, and a structural-Verilog writer serves inspection.
 //!
 //! # Examples
 //!
@@ -37,5 +40,5 @@ mod library;
 pub mod verilog;
 
 pub use benchmarks::{Benchmark, BenchmarkSpec};
-pub use ir::{CellKind, InstId, Netlist};
+pub use ir::{CellKind, InstId, NameBuf, Netlist};
 pub use library::CellLibrary;

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ir::{CellKind, Netlist};
+use crate::ir::{CellKind, InstId, NetId, Netlist};
 
 /// Renders the netlist as a structural Verilog module.
 ///
@@ -19,9 +19,9 @@ use crate::ir::{CellKind, Netlist};
 /// let mut n = Netlist::new("toy");
 /// let a = n.add_net("a");
 /// let y = n.add_net("y");
-/// n.add_instance("PI0", CellKind::Input, vec![], Some(a));
-/// n.add_instance("U1", CellKind::Inv, vec![a], Some(y));
-/// n.add_instance("PO0", CellKind::Output, vec![y], None);
+/// n.add_instance("PI0", CellKind::Input, &[], Some(a));
+/// n.add_instance("U1", CellKind::Inv, &[a], Some(y));
+/// n.add_instance("PO0", CellKind::Output, &[y], None);
 /// let v = verilog::write(&n);
 /// assert!(v.contains("module toy"));
 /// assert!(v.contains("INV U1"));
@@ -30,24 +30,22 @@ use crate::ir::{CellKind, Netlist};
 pub fn write(netlist: &Netlist) -> String {
     let mut inputs = Vec::new();
     let mut outputs = Vec::new();
+    // Port nets are flagged per net, so the wire list is one pass.
+    let mut is_port = vec![false; netlist.net_count()];
     for inst in netlist.instances() {
-        match inst.kind {
-            CellKind::Input => {
-                if let Some(net) = inst.output {
-                    inputs.push(netlist.net_name(net).to_owned());
-                }
-            }
-            CellKind::Output => {
-                if let Some(&net) = inst.inputs.first() {
-                    outputs.push(netlist.net_name(net).to_owned());
-                }
-            }
-            _ => {}
+        let (list, net) = match inst.kind {
+            CellKind::Input => (&mut inputs, inst.output),
+            CellKind::Output => (&mut outputs, inst.inputs().first().copied()),
+            _ => continue,
+        };
+        if let Some(net) = net {
+            is_port[net.0] = true;
+            list.push(netlist.net_name(net));
         }
     }
 
     let mut out = String::new();
-    let ports: Vec<String> = inputs.iter().chain(outputs.iter()).cloned().collect();
+    let ports: Vec<&str> = inputs.iter().chain(outputs.iter()).copied().collect();
     let _ = writeln!(out, "module {} ({});", netlist.name(), ports.join(", "));
     for p in &inputs {
         let _ = writeln!(out, "  input {p};");
@@ -56,13 +54,12 @@ pub fn write(netlist: &Netlist) -> String {
         let _ = writeln!(out, "  output {p};");
     }
     // Wires: everything that is not a port net.
-    for net_idx in 0..netlist.net_count() {
-        let name = netlist.net_name(crate::ir::NetId(net_idx));
-        if !inputs.iter().any(|p| p == name) && !outputs.iter().any(|p| p == name) {
-            let _ = writeln!(out, "  wire {name};");
+    for (net_idx, &port) in is_port.iter().enumerate() {
+        if !port {
+            let _ = writeln!(out, "  wire {};", netlist.net_name(NetId(net_idx)));
         }
     }
-    for inst in netlist.instances() {
+    for (idx, inst) in netlist.instances().iter().enumerate() {
         if inst.kind.is_port() {
             continue;
         }
@@ -76,10 +73,11 @@ pub fn write(netlist: &Netlist) -> String {
         } else {
             &["A", "B"]
         };
-        for (k, net) in inst.inputs.iter().enumerate() {
+        for (k, net) in inst.inputs().iter().enumerate() {
             pins.push(format!(".{}({})", input_pins[k], netlist.net_name(*net)));
         }
-        let _ = writeln!(out, "  {} {} ({});", inst.kind, inst.name, pins.join(", "));
+        let name = netlist.instance_name(InstId(idx));
+        let _ = writeln!(out, "  {} {name} ({});", inst.kind, pins.join(", "));
     }
     let _ = writeln!(out, "endmodule");
     out
@@ -98,6 +96,8 @@ mod tests {
         assert!(v.starts_with("module s344"));
         assert!(v.trim_end().ends_with("endmodule"));
         assert!(v.contains("input pi0;"));
+        assert!(!v.contains("wire pi0;"), "port nets are not wires");
+        assert!(v.contains("wire n0;"));
         assert!(v.contains("DFF"));
         // One instantiation line per non-port instance.
         let inst_lines = v
@@ -112,9 +112,9 @@ mod tests {
         let mut n = Netlist::new("ff");
         let d = n.add_net("d");
         let q = n.add_net("q");
-        n.add_instance("PI0", CellKind::Input, vec![], Some(d));
-        n.add_instance("FF0", CellKind::Dff, vec![d], Some(q));
-        n.add_instance("PO0", CellKind::Output, vec![q], None);
+        n.add_instance("PI0", CellKind::Input, &[], Some(d));
+        n.add_instance("FF0", CellKind::Dff, &[d], Some(q));
+        n.add_instance("PO0", CellKind::Output, &[q], None);
         let v = write(&n);
         assert!(v.contains(".Q(q)"));
         assert!(v.contains(".D(d)"));

@@ -58,11 +58,11 @@ pub fn write(design: &PlacedDesign) -> String {
         );
     }
     let _ = writeln!(out, "COMPONENTS {} ;", design.cells().len());
-    for cell in design.cells() {
+    for (name, cell) in design.named_cells() {
         let _ = writeln!(
             out,
             "- {} {} + PLACED ( {} {} ) N ;",
-            cell.name,
+            name,
             cell.kind,
             to_dbu(cell.x),
             to_dbu(cell.y)
@@ -259,8 +259,8 @@ mod tests {
         assert_eq!(parsed.cells().len(), design.cells().len());
         assert_eq!(parsed.flip_flops().count(), design.flip_flops().count());
         // Coordinates survive to DBU precision (1 nm).
-        for (a, b) in design.cells().iter().zip(parsed.cells()) {
-            assert_eq!(a.name, b.name);
+        for ((name, a), b) in design.named_cells().zip(parsed.cells()) {
+            assert_eq!(name, b.name);
             assert!((a.x.meters() - b.x.meters()).abs() < 1e-9);
             assert!((a.y.meters() - b.y.meters()).abs() < 1e-9);
         }

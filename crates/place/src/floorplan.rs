@@ -53,6 +53,11 @@ impl Floorplan {
         self.rows
     }
 
+    /// Grows the die to at least `rows` rows (the width is unchanged).
+    pub(crate) fn grow_rows(&mut self, rows: usize) {
+        self.rows = self.rows.max(rows);
+    }
+
     /// Sites per row.
     #[must_use]
     pub(crate) fn sites_per_row(&self) -> usize {

@@ -8,13 +8,13 @@
 //! * `floorplan` sizes a near-square die from the cell library's
 //!   footprints at a target utilization;
 //! * [`placer`] orders cells by connectivity-driven cluster growth
-//!   (BFS over the net hypergraph), packs them into rows in snake
-//!   order, and optionally refines with simulated-annealing swaps that
-//!   minimize half-perimeter wirelength;
+//!   (a BFS over the net hypergraph that reads each net's pin list
+//!   once) and packs them into rows in snake order; half-perimeter
+//!   wirelength ([`PlacedDesign::hpwl`]) measures the result;
 //! * [`def`] writes and parses the (subset of the) Design Exchange
 //!   Format the paper's merge script operates on;
-//! * `spatial` offers grid-bucketed radius queries used to find
-//!   neighbouring flip-flops.
+//! * `spatial` offers grid-bucketed radius queries (one sorted bucket
+//!   array, no hashing) used to find neighbouring flip-flops.
 //!
 //! # Examples
 //!

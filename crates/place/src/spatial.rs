@@ -3,6 +3,10 @@
 /// A uniform-grid point index: build once, query neighbourhoods in
 /// expected O(1) per point.
 ///
+/// The buckets are one array of `(bucket, point index)` entries sorted
+/// by bucket row, then bucket column, then index; a query reads one
+/// contiguous run per bucket row it covers, found by binary search.
+///
 /// # Examples
 ///
 /// ```
@@ -10,13 +14,14 @@
 ///
 /// let points = vec![(0.0, 0.0), (1.0, 0.0), (10.0, 10.0)];
 /// let index = GridIndex::new(&points, 2.0);
-/// let near_origin = index.within_radius(&points, (0.0, 0.0), 1.5);
+/// let mut near_origin = Vec::new();
+/// index.within_radius_into(&points, (0.0, 0.0), 1.5, &mut near_origin);
 /// assert_eq!(near_origin, vec![0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_size: f64,
-    buckets: std::collections::HashMap<(i64, i64), Vec<usize>>,
+    entries: Vec<((i64, i64), usize)>,
 }
 
 impl GridIndex {
@@ -32,52 +37,52 @@ impl GridIndex {
             cell_size > 0.0 && cell_size.is_finite(),
             "cell size must be positive and finite"
         );
-        let mut buckets: std::collections::HashMap<(i64, i64), Vec<usize>> =
-            std::collections::HashMap::new();
-        for (idx, &(x, y)) in points.iter().enumerate() {
-            buckets
-                .entry(Self::key(x, y, cell_size))
-                .or_default()
-                .push(idx);
-        }
-        Self { cell_size, buckets }
+        let mut entries: Vec<((i64, i64), usize)> = points
+            .iter()
+            .enumerate()
+            .map(|(idx, &(x, y))| (Self::key(x, y, cell_size), idx))
+            .collect();
+        entries.sort_unstable();
+        Self { cell_size, entries }
     }
 
+    /// The `(row, column)` bucket of a point.
     fn key(x: f64, y: f64, cell_size: f64) -> (i64, i64) {
         (
-            (x / cell_size).floor() as i64,
             (y / cell_size).floor() as i64,
+            (x / cell_size).floor() as i64,
         )
     }
 
-    /// Indices of all points within Euclidean `radius` of `center`
-    /// (inclusive), in ascending index order. The centre point itself is
-    /// included if it is in the point set.
-    #[must_use]
-    pub fn within_radius(
+    /// Writes into `out` (cleared first) the indices of all points
+    /// within Euclidean `radius` of `center` (inclusive), in ascending
+    /// index order. The centre point itself is included if it is in
+    /// the point set. A scan over many centres reuses one buffer.
+    pub fn within_radius_into(
         &self,
         points: &[(f64, f64)],
         center: (f64, f64),
         radius: f64,
-    ) -> Vec<usize> {
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
         let reach = (radius / self.cell_size).ceil() as i64;
-        let (ck, cl) = Self::key(center.0, center.1, self.cell_size);
-        let mut out = Vec::new();
-        for dk in -reach..=reach {
-            for dl in -reach..=reach {
-                if let Some(bucket) = self.buckets.get(&(ck + dk, cl + dl)) {
-                    for &idx in bucket {
-                        let (x, y) = points[idx];
-                        let d2 = (x - center.0).powi(2) + (y - center.1).powi(2);
-                        if d2 <= radius * radius + 1e-18 {
-                            out.push(idx);
-                        }
-                    }
+        let (row, col) = Self::key(center.0, center.1, self.cell_size);
+        for r in row - reach..=row + reach {
+            let start = self.entries.partition_point(|&(k, _)| k < (r, col - reach));
+            let last = (r, col + reach);
+            for &(_, idx) in self.entries[start..]
+                .iter()
+                .take_while(|&&(k, _)| k <= last)
+            {
+                let (x, y) = points[idx];
+                let d2 = (x - center.0).powi(2) + (y - center.1).powi(2);
+                if d2 <= radius * radius + 1e-18 {
+                    out.push(idx);
                 }
             }
         }
         out.sort_unstable();
-        out
     }
 }
 
@@ -85,27 +90,31 @@ impl GridIndex {
 mod tests {
     use super::*;
 
+    fn near(index: &GridIndex, points: &[(f64, f64)], center: (f64, f64), r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        index.within_radius_into(points, center, r, &mut out);
+        out
+    }
+
     #[test]
     fn finds_neighbours_across_bucket_borders() {
         let points = vec![(0.9, 0.0), (1.1, 0.0), (5.0, 5.0)];
         let index = GridIndex::new(&points, 1.0);
-        let near = index.within_radius(&points, (1.0, 0.0), 0.5);
-        assert_eq!(near, vec![0, 1]);
+        assert_eq!(near(&index, &points, (1.0, 0.0), 0.5), vec![0, 1]);
     }
 
     #[test]
     fn radius_is_inclusive() {
         let points = vec![(0.0, 0.0), (2.0, 0.0)];
         let index = GridIndex::new(&points, 1.0);
-        let near = index.within_radius(&points, (0.0, 0.0), 2.0);
-        assert_eq!(near, vec![0, 1]);
+        assert_eq!(near(&index, &points, (0.0, 0.0), 2.0), vec![0, 1]);
     }
 
     #[test]
     fn empty_set() {
         let points: Vec<(f64, f64)> = Vec::new();
         let index = GridIndex::new(&points, 1.0);
-        assert!(index.within_radius(&points, (0.0, 0.0), 10.0).is_empty());
+        assert!(near(&index, &points, (0.0, 0.0), 10.0).is_empty());
     }
 
     #[test]
@@ -130,7 +139,23 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         brute.sort_unstable();
-        assert_eq!(index.within_radius(&points, center, radius), brute);
+        assert_eq!(near(&index, &points, center, radius), brute);
+    }
+
+    #[test]
+    fn buffered_query_matches_and_clears() {
+        let points: Vec<(f64, f64)> = (0..200)
+            .map(|k| (f64::from((k * 13) % 37), f64::from((k * 7) % 29)))
+            .collect();
+        let index = GridIndex::new(&points, 2.0);
+        let mut buf = vec![usize::MAX];
+        for &(cx, cy) in points.iter().take(50) {
+            index.within_radius_into(&points, (cx, cy), 3.0, &mut buf);
+            let brute: Vec<usize> = (0..points.len())
+                .filter(|&i| (points[i].0 - cx).powi(2) + (points[i].1 - cy).powi(2) <= 9.0)
+                .collect();
+            assert_eq!(buf, brute);
+        }
     }
 
     #[test]

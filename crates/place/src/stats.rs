@@ -31,11 +31,12 @@ impl FlipFlopStats {
         // Expand the search radius until every point has a neighbour.
         let mut radius = 5.0;
         let mut nn: Vec<f64> = Vec::with_capacity(points.len());
+        let mut near = Vec::new();
         'outer: loop {
             nn.clear();
             let index = GridIndex::new(&points, radius);
             for (i, &p) in points.iter().enumerate() {
-                let near = index.within_radius(&points, p, radius);
+                index.within_radius_into(&points, p, radius, &mut near);
                 let best = near
                     .iter()
                     .filter(|&&j| j != i)

@@ -50,24 +50,31 @@ echo "==> perfbench: build and test the benchmark against the library API"
 # gate; --locked keeps its lock file unchanged.
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
-echo "==> ISA independence: table2 --quick, x86-64 baseline build vs native build"
+echo "==> ISA independence: table2 --quick and table3, x86-64 baseline build vs native build"
 # .cargo/config.toml builds for the host CPU and lets the autovectorizer
 # turn the batched MOSFET kernel into SIMD. The kernel is IEEE f64
 # arithmetic without FP contraction or libm calls, so a build for the
-# SSE2 baseline must print the same Table II bytes. RUSTFLAGS replaces
-# the config's rustflags; the separate target dir keeps the two builds
-# apart.
-native_out="target/ci_table2_quick_native.txt"
-baseline_out="target/ci_table2_quick_x86-64.txt"
-cargo run --offline -q --release -p nvff-bench --bin table2 -- --quick > "$native_out"
-RUSTFLAGS="-C target-cpu=x86-64" \
-    cargo run --offline -q --release --target-dir target/x86-64-baseline \
-    -p nvff-bench --bin table2 -- --quick > "$baseline_out"
-if ! cmp -s "$native_out" "$baseline_out"; then
-    echo "table2 --quick differs between the native and the x86-64 baseline build" >&2
-    diff "$native_out" "$baseline_out" >&2 || true
-    exit 1
-fi
+# SSE2 baseline must print the same Table II bytes. The same holds for
+# Table III's measured flow (generate, place, merge at the 40k-gate
+# cap) and its replay. RUSTFLAGS replaces the config's rustflags; the
+# separate target dir keeps the two builds apart.
+isa_check() {
+    local bin="$1"
+    shift
+    local native_out="target/ci_${bin}_native.txt"
+    local baseline_out="target/ci_${bin}_x86-64.txt"
+    cargo run --offline -q --release -p nvff-bench --bin "$bin" -- "$@" > "$native_out"
+    RUSTFLAGS="-C target-cpu=x86-64" \
+        cargo run --offline -q --release --target-dir target/x86-64-baseline \
+        -p nvff-bench --bin "$bin" -- "$@" > "$baseline_out"
+    if ! cmp -s "$native_out" "$baseline_out"; then
+        echo "$bin $* differs between the native and the x86-64 baseline build" >&2
+        diff "$native_out" "$baseline_out" >&2 || true
+        exit 1
+    fi
+}
+isa_check table2 --quick
+isa_check table3
 
 echo "==> telemetry smoke: table2 --quick --json --jobs 2"
 smoke_json="target/ci_smoke_report.json"

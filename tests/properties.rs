@@ -56,7 +56,7 @@ proptest! {
             .map(|(i, &(x, y))| FlipFlopPoint { name: format!("FF{i}"), x, y })
             .collect();
         let strategy = if degree_aware { Strategy::DegreeAware } else { Strategy::GreedyClosest };
-        let plan = pairing::pair(&points, Length::from_micro_meters(threshold_um), strategy);
+        let plan = pairing::pair(points.clone(), Length::from_micro_meters(threshold_um), strategy);
 
         let mut used = std::collections::HashSet::new();
         for p in plan.pairs() {
@@ -84,8 +84,8 @@ proptest! {
             .map(|(i, &(x, y))| FlipFlopPoint { name: format!("FF{i}"), x, y })
             .collect();
         let threshold = Length::from_micro_meters(4.0);
-        let greedy = pairing::pair(&points, threshold, Strategy::GreedyClosest);
-        let aware = pairing::pair(&points, threshold, Strategy::DegreeAware);
+        let greedy = pairing::pair(points.clone(), threshold, Strategy::GreedyClosest);
+        let aware = pairing::pair(points.clone(), threshold, Strategy::DegreeAware);
         prop_assert!(greedy.merged_pairs() <= points.len() / 2);
         prop_assert!(aware.merged_pairs() <= points.len() / 2);
         // Any maximal matching is at least half a maximum matching, so
@@ -94,50 +94,54 @@ proptest! {
         prop_assert!(greedy.merged_pairs() * 2 + 1 >= aware.merged_pairs());
     }
 
-    /// Random small netlists always place legally: every placeable cell
-    /// exactly once, inside the die, without row overlaps.
+    /// Random small netlists always place legally at any utilization up
+    /// to 1: every placeable cell exactly once, inside the die, without
+    /// row overlaps.
     #[test]
     fn placement_is_always_legal(
         n_gates in 1usize..120,
         n_ffs in 1usize..40,
         seed_nets in 2usize..8,
+        utilization_pct in 30u32..101,
     ) {
         let mut netlist = Netlist::new("random");
         let mut nets = Vec::new();
         for k in 0..seed_nets {
-            let net = netlist.add_net(&format!("pi{k}"));
-            netlist.add_instance(&format!("PI{k}"), CellKind::Input, vec![], Some(net));
+            let net = netlist.add_net(format_args!("pi{k}"));
+            netlist.add_instance(format_args!("PI{k}"), CellKind::Input, &[], Some(net));
             nets.push(net);
         }
         for k in 0..n_gates {
             let a = nets[k % nets.len()];
             let b = nets[(k * 7 + 1) % nets.len()];
-            let out = netlist.add_net(&format!("n{k}"));
-            netlist.add_instance(&format!("U{k}"), CellKind::Nand2, vec![a, b], Some(out));
+            let out = netlist.add_net(format_args!("n{k}"));
+            netlist.add_instance(format_args!("U{k}"), CellKind::Nand2, &[a, b], Some(out));
             nets.push(out);
         }
         for k in 0..n_ffs {
             let d = nets[(k * 13 + 2) % nets.len()];
-            let out = netlist.add_net(&format!("q{k}"));
-            netlist.add_instance(&format!("FF{k}"), CellKind::Dff, vec![d], Some(out));
+            let out = netlist.add_net(format_args!("q{k}"));
+            netlist.add_instance(format_args!("FF{k}"), CellKind::Dff, &[d], Some(out));
             nets.push(out);
         }
 
         let lib = CellLibrary::n40();
-        let placed = placer::place(&netlist, &lib, &PlacerOptions {
-            refine_passes: 0,
-            ..PlacerOptions::default()
-        });
+        let utilization = f64::from(utilization_pct) / 100.0;
+        let placed = placer::place(&netlist, &lib, &PlacerOptions { utilization });
         prop_assert_eq!(placed.cells().len(), n_gates + n_ffs);
         prop_assert_eq!(placed.flip_flops().count(), n_ffs);
 
-        let die_w = placed.floorplan().die_width().meters() + 1e-12;
+        let fp = placed.floorplan();
+        let die_w = fp.die_width().meters() + 1e-12;
+        let die_h = fp.die_height().meters() + 1e-12;
         let mut by_row: std::collections::HashMap<usize, Vec<(f64, f64)>> =
             std::collections::HashMap::new();
         for cell in placed.cells() {
             let w = lib.footprint(cell.kind).width.meters();
             prop_assert!(cell.x.meters() >= -1e-12);
             prop_assert!(cell.x.meters() + w <= die_w);
+            prop_assert!(cell.row < fp.rows());
+            prop_assert!(cell.y.meters() + fp.row_height().meters() <= die_h);
             by_row.entry(cell.row).or_default().push((cell.x.meters(), cell.x.meters() + w));
         }
         for (_, mut spans) in by_row {
