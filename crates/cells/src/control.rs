@@ -12,11 +12,56 @@
 //!   gates follow `PC̄`, VDD-pre-charge is active while `PC·R̄_en`, and
 //!   GND-pre-charge while `P̄C·R̄_en`. Fewer independent transitions is
 //!   where the read-energy saving of Table II comes from.
+//!
+//! Every generator panics on windows that collide; [`check_timing`]
+//! rejects such a [`Timing`] up front.
 
 use spice::SourceWaveform;
 use units::{Time, Voltage};
 
 use crate::config::Timing;
+
+/// A control window `(start, end)`: the span a gate signal is active.
+type Window = (Time, Time);
+
+/// The PWL corners of a gate waveform: `idle` at t = 0, then per window
+/// `(start, idle)`, `(start + edge, active)`, `(end, active)` and
+/// `(end + edge, idle)`. A window opening at t = 0 replaces the leading
+/// idle corner.
+fn gate_corners(
+    windows: &[Window],
+    idle: Voltage,
+    active: Voltage,
+    edge: Time,
+) -> impl Iterator<Item = (Time, Voltage)> + '_ {
+    let opens_at_zero = windows.first().is_some_and(|w| w.0 == Time::ZERO);
+    std::iter::once((Time::ZERO, idle))
+        .filter(move |_| !opens_at_zero)
+        .chain(windows.iter().flat_map(move |&(start, end)| {
+            [
+                (start, idle),
+                (start + edge, active),
+                (end, active),
+                (end + edge, idle),
+            ]
+        }))
+}
+
+/// Whether `windows` can be sequenced with `edge` transitions: ordered,
+/// each open past its own leading edge, and each opening after the
+/// previous one's trailing edge, so every PWL corner time strictly
+/// increases.
+fn windows_fit(windows: &[Window], edge: Time) -> bool {
+    let mut times = gate_corners(windows, Voltage::ZERO, Voltage::ZERO, edge).map(|c| c.0);
+    let Some(mut last) = times.next() else {
+        return true;
+    };
+    times.all(|t| {
+        let rising = last < t;
+        last = t;
+        rising
+    })
+}
 
 /// Builds a gate waveform that is `idle` outside the given windows and
 /// `active` inside them, with trapezoidal `edge` transitions starting at
@@ -27,7 +72,7 @@ use crate::config::Timing;
 /// Panics if windows overlap or are unordered (construction bug).
 #[must_use]
 pub(crate) fn gate_waveform(
-    windows: &[(Time, Time)],
+    windows: &[Window],
     idle: Voltage,
     active: Voltage,
     edge: Time,
@@ -35,60 +80,50 @@ pub(crate) fn gate_waveform(
     if windows.is_empty() {
         return SourceWaveform::Dc(idle.volts());
     }
-    let mut points: Vec<(Time, Voltage)> = vec![(Time::ZERO, idle)];
-    let mut last_end = Time::ZERO;
-    for &(start, end) in windows {
-        assert!(
-            start >= last_end && end > start,
-            "control windows must be ordered and non-overlapping"
-        );
-        points.push((start, idle));
-        points.push((start + edge, active));
-        points.push((end, active));
-        points.push((end + edge, idle));
-        last_end = end + edge;
-    }
-    // Deduplicate a possible coincident first point.
-    if points.len() >= 2 && points[1].0 == points[0].0 {
-        points.remove(0);
-    }
-    SourceWaveform::pwl(points)
+    assert!(
+        windows_fit(windows, edge),
+        "control windows must be ordered and non-overlapping"
+    );
+    SourceWaveform::pwl(gate_corners(windows, idle, active, edge))
 }
 
-/// Control waveforms and key instants for a standard 1-bit latch restore.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StandardRestoreControls {
-    /// Pre-charge PMOS gate (active low).
-    pub(crate) pc_b: SourceWaveform,
-    /// Sense enable (footer NMOS and transmission gates, active high).
-    pub(crate) sen: SourceWaveform,
-    /// Complement of `sen` (transmission-gate PMOS side).
-    pub(crate) sen_b: SourceWaveform,
-    /// Instant the evaluation begins (sense-enable rising edge).
-    pub eval_start: Time,
-    /// Instant the evaluation window closes.
-    pub eval_end: Time,
-    /// Total simulation window.
-    pub total: Time,
-}
-
-/// Generates the standard latch's restore sequence: pre-charge to VDD,
-/// then one evaluation.
-#[must_use]
-pub(crate) fn standard_restore(timing: &Timing, vdd: f64) -> StandardRestoreControls {
-    let hi = Voltage::from_volts(vdd);
-    let lo = Voltage::ZERO;
-    let t0 = timing.lead_in;
-    let t1 = t0 + timing.precharge;
-    let t2 = t1 + timing.evaluate;
-    let total = t2 + timing.lead_in;
-    StandardRestoreControls {
-        pc_b: gate_waveform(&[(t0, t1)], hi, lo, timing.edge),
-        sen: gate_waveform(&[(t1 + timing.edge, t2)], lo, hi, timing.edge),
-        sen_b: gate_waveform(&[(t1 + timing.edge, t2)], hi, lo, timing.edge),
-        eval_start: t1 + timing.edge,
-        eval_end: t2,
-        total,
+/// Checks that `timing` sequences every control waveform of every
+/// restore (words up to `max_bits` bits and both proposed-latch
+/// schemes) and of the store: the window lists below are exactly the
+/// ones the generators hand to [`gate_waveform`], which panics on a
+/// list that does not fit.
+///
+/// # Errors
+///
+/// Names the first sequence whose windows collide, with the timing.
+pub(crate) fn check_timing(timing: &Timing, max_bits: usize) -> Result<(), String> {
+    let (pc_windows, evals) = word_windows(timing, max_bits);
+    let p = proposed_phases(timing);
+    let (write, park) = store_windows(timing);
+    let gnd_precharges = [p.gnd_precharge, p.tail];
+    let proposed_evals = [p.eval0, p.eval1];
+    let one = std::slice::from_ref;
+    let sequences: [(&str, &[Window]); 7] = [
+        ("word pre-charge", &pc_windows),
+        ("proposed VDD pre-charge", one(&p.vdd_precharge)),
+        ("proposed GND pre-charge", &gnd_precharges),
+        ("proposed evaluation", &proposed_evals),
+        ("proposed equalizer", one(&p.second_half)),
+        ("store write pulse", one(&write)),
+        ("store output park", one(&park)),
+    ];
+    let word_evals = evals.iter().map(|w| ("word evaluation", one(w)));
+    let collision = sequences
+        .into_iter()
+        .chain(word_evals)
+        .find(|(_, w)| !windows_fit(w, timing.edge));
+    match collision {
+        None => Ok(()),
+        Some((name, _)) => Err(format!(
+            "timing leaves no room for the {name} windows: edge {}, pre-charge {}, \
+             evaluate {}, lead-in {}, write pulse {}",
+            timing.edge, timing.precharge, timing.evaluate, timing.lead_in, timing.write_pulse
+        )),
     }
 }
 
@@ -104,15 +139,29 @@ pub struct WordRestoreControls {
     /// Complements of `sen` (transmission-gate PMOS side).
     pub(crate) sen_b: Vec<SourceWaveform>,
     /// Per-bit evaluation windows `(start, end)` in read order.
-    pub(crate) evals: Vec<(Time, Time)>,
+    pub evals: Vec<(Time, Time)>,
     /// Total simulation window.
     pub total: Time,
 }
 
+/// The pre-charge windows and evaluation windows of a `bits`-bit word
+/// restore: phase `i` pre-charges, then evaluates after one edge.
+fn word_windows(timing: &Timing, bits: usize) -> (Vec<Window>, Vec<Window>) {
+    let period = timing.precharge + timing.evaluate;
+    (0..bits)
+        .map(|i| {
+            let t0 = timing.lead_in + period * i as f64;
+            let t1 = t0 + timing.precharge;
+            let t2 = t1 + timing.evaluate;
+            ((t0, t1), (t1 + timing.edge, t2))
+        })
+        .unzip()
+}
+
 /// Generates the restore sequence for an n-bit banked word: phase `i`
 /// pre-charges the shared sense outputs to VDD and then evaluates bit
-/// `i`'s MTJ pair. With `bits == 1` the waveforms and instants reduce
-/// exactly to `standard_restore`.
+/// `i`'s MTJ pair. With `bits == 1` this is the standard latch's
+/// restore: one pre-charge, one evaluation.
 ///
 /// # Panics
 ///
@@ -123,16 +172,7 @@ pub fn word_restore(timing: &Timing, vdd: f64, bits: usize) -> WordRestoreContro
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let e = timing.edge;
-    let period = timing.precharge + timing.evaluate;
-    let mut pc_windows = Vec::with_capacity(bits);
-    let mut evals = Vec::with_capacity(bits);
-    for i in 0..bits {
-        let t0 = timing.lead_in + period * i as f64;
-        let t1 = t0 + timing.precharge;
-        let t2 = t1 + timing.evaluate;
-        pc_windows.push((t0, t1));
-        evals.push((t1 + e, t2));
-    }
+    let (pc_windows, evals) = word_windows(timing, bits);
     let total = evals.last().expect("bits > 0").1 + timing.lead_in;
     WordRestoreControls {
         pc_b: gate_waveform(&pc_windows, hi, lo, e),
@@ -178,17 +218,22 @@ pub struct ProposedRestoreControls {
     pub total: Time,
 }
 
-/// Phase boundaries shared by both proposed-restore generators.
+/// Windows shared by both proposed-restore generators: pre-charge to
+/// VDD, sense the lower pair, pre-charge to GND, sense the upper pair.
 struct ProposedPhases {
-    t0: Time,
-    t1: Time,
-    t2: Time,
-    t3: Time,
-    t4: Time,
+    vdd_precharge: Window,
+    eval0: Window,
+    gnd_precharge: Window,
+    eval1: Window,
+    /// From the GND pre-charge to the end: the second half (`PC̄`).
+    second_half: Window,
+    /// After the upper evaluation: the optimized scheme's GND park.
+    tail: Window,
     total: Time,
 }
 
 fn proposed_phases(timing: &Timing) -> ProposedPhases {
+    let e = timing.edge;
     let t0 = timing.lead_in;
     let t1 = t0 + timing.precharge; // VDD pre-charge done
     let t2 = t1 + timing.evaluate; // lower eval done
@@ -196,11 +241,12 @@ fn proposed_phases(timing: &Timing) -> ProposedPhases {
     let t4 = t3 + timing.evaluate; // upper eval done
     let total = t4 + timing.lead_in;
     ProposedPhases {
-        t0,
-        t1,
-        t2,
-        t3,
-        t4,
+        vdd_precharge: (t0, t1),
+        eval0: (t1 + e, t2),
+        gnd_precharge: (t2 + e, t3),
+        eval1: (t3 + e, t4),
+        second_half: (t2 + e, total),
+        tail: (t4 + e, total),
         total,
     }
 }
@@ -214,11 +260,10 @@ pub(crate) fn proposed_restore(timing: &Timing, vdd: f64) -> ProposedRestoreCont
     let lo = Voltage::ZERO;
     let e = timing.edge;
     let p = proposed_phases(timing);
-    let eval0 = (p.t1 + e, p.t2);
-    let eval1 = (p.t3 + e, p.t4);
+    let (eval0, eval1) = (p.eval0, p.eval1);
     ProposedRestoreControls {
-        pcv_b: gate_waveform(&[(p.t0, p.t1)], hi, lo, e),
-        pcg: gate_waveform(&[(p.t2 + e, p.t3)], lo, hi, e),
+        pcv_b: gate_waveform(&[p.vdd_precharge], hi, lo, e),
+        pcg: gate_waveform(&[p.gnd_precharge], lo, hi, e),
         ren: gate_waveform(&[eval0, eval1], lo, hi, e),
         ren_b: gate_waveform(&[eval0, eval1], hi, lo, e),
         sel_b: gate_waveform(&[eval0, eval1], hi, lo, e),
@@ -248,17 +293,16 @@ pub(crate) fn proposed_restore_optimized(timing: &Timing, vdd: f64) -> ProposedR
     let lo = Voltage::ZERO;
     let e = timing.edge;
     let p = proposed_phases(timing);
-    let eval0 = (p.t1 + e, p.t2);
-    let eval1 = (p.t3 + e, p.t4);
+    let (eval0, eval1) = (p.eval0, p.eval1);
     // PC is high through the VDD-pre-charge + lower-eval half, low after.
     // P4 gate = N4 gate = PC̄: one signal, two transitions total.
-    let pc_bar = gate_waveform(&[(p.t2 + e, p.total)], lo, hi, e);
+    let pc_bar = gate_waveform(&[p.second_half], lo, hi, e);
     ProposedRestoreControls {
         // PC·R̄en: active from the start of the window until eval0 begins.
-        pcv_b: gate_waveform(&[(p.t0, p.t1)], hi, lo, e),
+        pcv_b: gate_waveform(&[p.vdd_precharge], hi, lo, e),
         // P̄C·R̄en: between the halves, and again after eval1 (idle tail
         // parks the outputs at GND, the desired pre-write condition).
-        pcg: gate_waveform(&[(p.t2 + e, p.t3), (p.t4 + e, p.total)], lo, hi, e),
+        pcg: gate_waveform(&[p.gnd_precharge, p.tail], lo, hi, e),
         ren: gate_waveform(&[eval0, eval1], lo, hi, e),
         ren_b: gate_waveform(&[eval0, eval1], hi, lo, e),
         sel_b: gate_waveform(&[eval0, eval1], hi, lo, e),
@@ -291,6 +335,15 @@ pub struct StoreControls {
     pub total: Time,
 }
 
+/// The store's write-pulse window and the output-park window before it.
+fn store_windows(timing: &Timing) -> (Window, Window) {
+    let t0 = timing.lead_in;
+    (
+        (t0, t0 + timing.write_pulse),
+        (timing.edge, t0 - timing.edge),
+    )
+}
+
 /// Generates the store sequence: the outputs are first parked at GND
 /// (the paper's stated pre-write condition), then a single write pulse
 /// of `timing.write_pulse` drives both complementary MTJ pairs — the
@@ -300,16 +353,14 @@ pub struct StoreControls {
 pub(crate) fn store(timing: &Timing, vdd: f64) -> StoreControls {
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
-    let t0 = timing.lead_in;
-    let t1 = t0 + timing.write_pulse;
-    let total = t1 + timing.lead_in * 2.0;
+    let (write, park) = store_windows(timing);
     StoreControls {
-        wen: gate_waveform(&[(t0, t1)], lo, hi, timing.edge),
-        wen_b: gate_waveform(&[(t0, t1)], hi, lo, timing.edge),
-        pcg: gate_waveform(&[(timing.edge, t0 - timing.edge)], lo, hi, timing.edge),
-        write_start: t0,
-        write_end: t1,
-        total,
+        wen: gate_waveform(&[write], lo, hi, timing.edge),
+        wen_b: gate_waveform(&[write], hi, lo, timing.edge),
+        pcg: gate_waveform(&[park], lo, hi, timing.edge),
+        write_start: write.0,
+        write_end: write.1,
+        total: write.1 + timing.lead_in * 2.0,
     }
 }
 
@@ -389,19 +440,21 @@ mod tests {
 
     #[test]
     fn standard_restore_phase_order() {
-        let c = standard_restore(&timing(), 1.1);
-        assert!(c.eval_start > Time::ZERO);
-        assert!(c.eval_end > c.eval_start);
-        assert!(c.total > c.eval_end);
+        // The standard latch's restore is the one-bit word restore.
+        let c = word_restore(&timing(), 1.1, 1);
+        let (eval_start, eval_end) = c.evals[0];
+        assert!(eval_start > Time::ZERO);
+        assert!(eval_end > eval_start);
+        assert!(c.total > eval_end);
         // During pre-charge the PC̄ signal is low and SEN is low.
         let mid_pc = (timing().lead_in + timing().precharge * 0.5).seconds();
         assert_eq!(c.pc_b.value_at(mid_pc), 0.0);
-        assert_eq!(c.sen.value_at(mid_pc), 0.0);
+        assert_eq!(c.sen[0].value_at(mid_pc), 0.0);
         // During evaluation SEN is high, PC̄ high.
-        let mid_eval = ((c.eval_start + c.eval_end) * 0.5).seconds();
-        assert_eq!(c.sen.value_at(mid_eval), 1.1);
+        let mid_eval = ((eval_start + eval_end) * 0.5).seconds();
+        assert_eq!(c.sen[0].value_at(mid_eval), 1.1);
         assert_eq!(c.pc_b.value_at(mid_eval), 1.1);
-        assert_eq!(c.sen_b.value_at(mid_eval), 0.0);
+        assert_eq!(c.sen_b[0].value_at(mid_eval), 0.0);
     }
 
     #[test]
@@ -480,18 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn one_bit_word_restore_is_the_standard_restore() {
-        let t = timing();
-        let std = standard_restore(&t, 1.1);
-        let word = word_restore(&t, 1.1, 1);
-        assert_eq!(word.pc_b, std.pc_b);
-        assert_eq!(word.sen, vec![std.sen]);
-        assert_eq!(word.sen_b, vec![std.sen_b]);
-        assert_eq!(word.evals, vec![(std.eval_start, std.eval_end)]);
-        assert_eq!(word.total, std.total);
-    }
-
-    #[test]
     fn word_restore_phases_are_sequential_and_disjoint() {
         let t = timing();
         let c = word_restore(&t, 1.1, 4);
@@ -520,5 +561,38 @@ mod tests {
     #[should_panic(expected = "at least one bit")]
     fn word_restore_rejects_zero_bits() {
         let _ = word_restore(&timing(), 1.1, 0);
+    }
+
+    #[test]
+    fn default_timing_sequences_every_word() {
+        // `resolve_config` skips the check unless a timing key is
+        // overridden, relying on this.
+        let max_bits = crate::request::MAX_WORD_BITS;
+        assert_eq!(check_timing(&timing(), max_bits), Ok(()));
+    }
+
+    #[test]
+    fn colliding_windows_are_named() {
+        // A 250 ps edge outlasts the 200 ps pre-charge.
+        let t = Timing {
+            edge: Time::from_pico_seconds(250.0),
+            ..timing()
+        };
+        let err = check_timing(&t, 1).unwrap_err();
+        assert!(err.contains("word pre-charge"), "{err}");
+        // A 5 ps evaluation cannot fit its own 10 ps edge.
+        let t = Timing {
+            evaluate: Time::from_pico_seconds(5.0),
+            ..timing()
+        };
+        let err = check_timing(&t, 3).unwrap_err();
+        assert!(err.contains("word pre-charge"), "{err}");
+        // The store parks the outputs between two edges of the lead-in.
+        let t = Timing {
+            lead_in: Time::from_pico_seconds(25.0),
+            ..timing()
+        };
+        let err = check_timing(&t, 1).unwrap_err();
+        assert!(err.contains("store output park"), "{err}");
     }
 }

@@ -20,15 +20,17 @@
 //! tristate-driver paths per bit), reflecting the paper's reliability
 //! argument for not merging write components.
 //!
-//! Both cells are emitted by the parameterized [`generator`], which
-//! generalizes the family to n-bit words ([`generator::NvWord`],
-//! [`generator::WordParams`]) and can package any family member as a
-//! reusable [`spice::Subckt`] definition.
+//! Both cells are the first two points of one family, emitted by the
+//! parameterized [`generator`]: a sense amplifier shared by n MTJ pairs
+//! ([`generator::WordParams`]), packageable as a reusable
+//! [`spice::Subckt`] definition. One harness, [`generator::NvWord`],
+//! simulates every point — restore, store, leakage and
+//! characterization — with one cached solver session; the two cell
+//! types are fixed-width views of it.
 //!
-//! [`metrics`] runs the store/restore/leakage simulations and extracts
-//! the Table II quantities (read energy & delay, leakage, transistor
-//! count) across process corners; [`control`] generates the Fig. 6/7
-//! control-signal sequences.
+//! [`metrics`] extracts the Table II quantities (read energy & delay,
+//! leakage, transistor count) across process corners; [`control`]
+//! generates the Fig. 6/7 control-signal sequences.
 //!
 //! # Examples
 //!

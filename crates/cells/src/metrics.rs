@@ -12,51 +12,6 @@ use crate::error::CellError;
 use crate::proposed::ProposedLatch;
 use crate::standard::StandardLatch;
 
-/// Outcome of a restore (read) simulation over `N` bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestoreOutcome<const N: usize> {
-    /// The recovered logic values, in read order.
-    pub bits: [bool; N],
-    /// Sense delay of each evaluation, measured from its own
-    /// sense-enable edge to the deciding output crossing VDD/2.
-    pub sense_delays: [Time; N],
-    /// Total read delay: the sum of the sense delays (the paper's
-    /// definition — sequential reads double it).
-    pub read_delay: Time,
-    /// Wall-clock span from the first evaluation's start to the last
-    /// evaluation's end (includes intermediate pre-charge).
-    pub(crate) sequence_duration: Time,
-    /// Total active energy drawn from all rails *and* control drivers.
-    pub energy: Energy,
-    /// Energy drawn from the VDD supply alone — the paper's read-energy
-    /// metric (control signals belong to the global power-down
-    /// controller and are excluded there).
-    pub supply_energy: Energy,
-    /// Solver work spent on this transient.
-    pub(crate) solver: spice::SolverStats,
-}
-
-/// Outcome of a store (write) simulation over `N` bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoreOutcome<const N: usize> {
-    /// The bits now held by the NV pairs.
-    pub stored: [bool; N],
-    /// Energy drawn from pulse start until the store *completed* (last
-    /// MTJ reversal plus a small settling margin) — the paper's write
-    /// energy. The drive pulse itself is sized for the worst corner, so
-    /// energy over the full pulse is pessimistic; see `pulse_energy`.
-    pub energy: Energy,
-    /// Energy drawn over the entire drive pulse.
-    pub(crate) pulse_energy: Energy,
-    /// Time from the write-pulse start to the last MTJ reversal (zero if
-    /// the data was already held).
-    pub latency: Time,
-    /// Number of MTJ reversals observed.
-    pub switch_count: usize,
-    /// Solver work spent on this transient.
-    pub solver: spice::SolverStats,
-}
-
 /// Resolves a complementary output pair to a logic value, or `None` if
 /// the outputs have not separated to valid levels (sense failure).
 #[must_use]
@@ -162,21 +117,15 @@ pub fn characterize_standard_pair(config: &LatchConfig) -> Result<CellMetrics, C
 ///
 /// Propagates any [`CellError`] from the underlying simulations.
 pub fn characterize_standard_pair_with(latch: &StandardLatch) -> Result<CellMetrics, CellError> {
-    let _span = telemetry::span("cells.characterize_standard_pair");
-    let solver_before = latch.solver_stats();
-    let r0 = latch.simulate_restore([false])?;
-    let r1 = latch.simulate_restore([true])?;
-    let read_energy = (r0.supply_energy + r1.supply_energy) * 0.5 * 2.0; // avg per cell × 2
-    let read_delay = (r0.read_delay + r1.read_delay) * 0.5; // parallel cells: 1 sense
-    let w = latch.simulate_store([true], [false])?;
+    let cell = latch.word().characterize()?;
+    // Two cells side by side: twice the energy, leakage and devices,
+    // one sense delay (they read in parallel).
     Ok(CellMetrics {
-        read_energy,
-        read_delay,
-        leakage: latch.leakage()? * 2.0,
-        write_energy: w.energy * 2.0,
-        write_latency: w.latency,
-        read_transistors: latch.read_path_transistors() * 2,
-        solver: latch.solver_stats() - solver_before,
+        read_energy: cell.read_energy * 2.0,
+        leakage: cell.leakage * 2.0,
+        write_energy: cell.write_energy * 2.0,
+        read_transistors: cell.read_transistors * 2,
+        ..cell
     })
 }
 
@@ -198,26 +147,7 @@ pub fn characterize_proposed(config: &LatchConfig) -> Result<CellMetrics, CellEr
 ///
 /// Propagates any [`CellError`] from the underlying simulations.
 pub fn characterize_proposed_with(latch: &ProposedLatch) -> Result<CellMetrics, CellError> {
-    let _span = telemetry::span("cells.characterize_proposed");
-    let solver_before = latch.solver_stats();
-    let patterns = [[false, false], [false, true], [true, false], [true, true]];
-    let mut energy = Energy::ZERO;
-    let mut delay = Time::ZERO;
-    for p in patterns {
-        let r = latch.simulate_restore(p)?;
-        energy += r.supply_energy;
-        delay += r.read_delay;
-    }
-    let w = latch.simulate_store([true, false], [false, true])?;
-    Ok(CellMetrics {
-        read_energy: energy / patterns.len() as f64,
-        read_delay: delay / patterns.len() as f64,
-        leakage: latch.leakage()?,
-        write_energy: w.energy,
-        write_latency: w.latency,
-        read_transistors: latch.read_path_transistors(),
-        solver: latch.solver_stats() - solver_before,
-    })
+    latch.word().characterize()
 }
 
 /// Worst/typical/best envelope of one scalar metric over the corner grid

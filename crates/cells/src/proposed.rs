@@ -32,16 +32,12 @@
 //!
 //! 16 read-path transistors for 2 bits versus the standard baseline's 22.
 
-use std::cell::RefCell;
+use spice::{Circuit, TransientResult};
 
-use mtj::MtjState;
-use spice::{Circuit, SimulationSession, SourceWaveform};
-use units::Time;
-
-use crate::config::LatchConfig;
+use crate::config::{LatchConfig, Timing};
 use crate::control::{self, ProposedRestoreControls, StoreControls};
 use crate::error::CellError;
-use crate::metrics::{resolve_bit, sense_delay, RestoreOutcome, StoreOutcome};
+use crate::generator::{NvWord, WordParams, WordRestoreOutcome, WordStoreOutcome};
 
 /// Which restore control scheme drives the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,16 +49,22 @@ pub enum ControlScheme {
     Optimized,
 }
 
-/// The proposed 2-bit NV shadow latch characterization harness.
+impl ControlScheme {
+    /// The restore control sequence this scheme generates.
+    pub(crate) fn restore_controls(self, timing: &Timing, vdd: f64) -> ProposedRestoreControls {
+        match self {
+            Self::Explicit => control::proposed_restore(timing, vdd),
+            Self::Optimized => control::proposed_restore_optimized(timing, vdd),
+        }
+    }
+}
+
+/// The proposed 2-bit NV shadow latch characterization harness: the
+/// family's `bits = 2` point of [`NvWord`], with fixed-width arguments
+/// and a choice of restore controller.
 ///
 /// Bit 0 lives in the lower MTJ pair (read first), bit 1 in the upper
 /// pair (read second), matching the paper's Fig. 6(b) ordering.
-///
-/// The circuit is built once and bound to a cached
-/// [`SimulationSession`]; successive simulations retarget the source
-/// waveforms and MTJ presets in place, reusing the session's solver
-/// workspace. The cache is per-instance, so corner sweeps stay
-/// trivially parallel with one latch per thread.
 ///
 /// # Examples
 ///
@@ -76,28 +78,9 @@ pub enum ControlScheme {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ProposedLatch {
-    config: LatchConfig,
-    scheme: ControlScheme,
-    session: RefCell<Option<SimulationSession>>,
-}
-
-impl Clone for ProposedLatch {
-    /// Clones the configuration and scheme; the solver-session cache
-    /// starts empty in the clone (rebuilt lazily on first simulation).
-    fn clone(&self) -> Self {
-        Self::with_scheme(self.config.clone(), self.scheme)
-    }
-}
-
-mod names {
-    pub(crate) const Q: &str = "mtj_read";
-    pub(crate) const QB: &str = "mtj_read_b";
-    pub(crate) const MTJ1: &str = "MTJ1";
-    pub(crate) const MTJ2: &str = "MTJ2";
-    pub(crate) const MTJ3: &str = "MTJ3";
-    pub(crate) const MTJ4: &str = "MTJ4";
+    word: NvWord,
 }
 
 impl ProposedLatch {
@@ -111,105 +94,31 @@ impl ProposedLatch {
     #[must_use]
     pub fn with_scheme(config: LatchConfig, scheme: ControlScheme) -> Self {
         Self {
-            config,
-            scheme,
-            session: RefCell::new(None),
+            word: NvWord::with_scheme(WordParams::new(2), config, scheme),
         }
     }
 
-    /// Cumulative solver work performed by this latch's cached session
-    /// (zero if nothing has been simulated yet).
-    #[must_use]
-    pub(crate) fn solver_stats(&self) -> spice::SolverStats {
-        self.session
-            .borrow()
-            .as_ref()
-            .map(spice::SimulationSession::stats)
-            .unwrap_or_default()
-    }
-
-    /// Runs `f` against the cached [`SimulationSession`], first aiming
-    /// the circuit at the given stimulus and MTJ presets. The topology
-    /// never changes between runs, so after the first build every call
-    /// retargets the existing session in place.
-    fn with_session<T>(
-        &self,
-        stim: &Stimulus,
-        stored: [bool; 2],
-        f: impl FnOnce(&mut SimulationSession) -> Result<T, CellError>,
-    ) -> Result<T, CellError> {
-        let mut slot = self.session.borrow_mut();
-        let session = match slot.as_mut() {
-            Some(session) => {
-                telemetry::counter("cells.session_hit", 1);
-                session
-            }
-            None => {
-                telemetry::counter("cells.session_miss", 1);
-                let ckt = self.build(stim, stored)?;
-                slot.insert(SimulationSession::new(ckt).with_label("proposed_2bit"))
-            }
-        };
-        let ckt = session.circuit_mut();
-        for (name, wave) in &stim.entries {
-            ckt.set_source_waveform(name, wave.clone())?;
-        }
-        // `set_mtj_state` discards switching progress, fully rewinding
-        // the previous run's writes. Mappings mirror `build`.
-        let state1 = MtjState::from_bit(stored[1]);
-        ckt.set_mtj_state(names::MTJ1, state1.toggled())?;
-        ckt.set_mtj_state(names::MTJ2, state1)?;
-        let state0 = MtjState::from_bit(stored[0]);
-        ckt.set_mtj_state(names::MTJ3, state0)?;
-        ckt.set_mtj_state(names::MTJ4, state0.toggled())?;
-        f(session)
+    /// The harness this latch views.
+    pub(crate) fn word(&self) -> &NvWord {
+        &self.word
     }
 
     /// The configuration in use.
     #[must_use]
     pub(crate) fn config(&self) -> &LatchConfig {
-        &self.config
+        self.word.config()
     }
 
     /// The control scheme in use.
     #[must_use]
     pub fn scheme(&self) -> ControlScheme {
-        self.scheme
-    }
-
-    /// Number of read-path transistors (excluding write drivers) — the
-    /// paper counts 16 for two bits.
-    #[must_use]
-    pub(crate) fn read_path_transistors(&self) -> usize {
-        let ckt = self
-            .build(&Stimulus::idle(&self.config), [false, false])
-            .expect("reference build is valid");
-        ckt.devices()
-            .iter()
-            .filter(|d| d.is_transistor() && !d.name().starts_with('I'))
-            .count()
-    }
-
-    /// Total transistor count including the four write drivers.
-    #[must_use]
-    pub(crate) fn total_transistors(&self) -> usize {
-        let ckt = self
-            .build(&Stimulus::idle(&self.config), [false, false])
-            .expect("reference build is valid");
-        ckt.transistor_count()
+        self.word.scheme()
     }
 
     /// The restore control sequence for the configured scheme.
-    #[must_use]
-    pub(crate) fn restore_controls(&self) -> ProposedRestoreControls {
-        match self.scheme {
-            ControlScheme::Explicit => {
-                control::proposed_restore(&self.config.timing, self.config.vdd())
-            }
-            ControlScheme::Optimized => {
-                control::proposed_restore_optimized(&self.config.timing, self.config.vdd())
-            }
-        }
+    fn restore_controls(&self) -> ProposedRestoreControls {
+        let config = self.config();
+        self.scheme().restore_controls(&config.timing, config.vdd())
     }
 
     /// Builds the fully-stimulated restore circuit and its control
@@ -225,10 +134,7 @@ impl ProposedLatch {
         &self,
         stored: [bool; 2],
     ) -> Result<(Circuit, ProposedRestoreControls), CellError> {
-        let vdd = self.config.vdd();
-        let controls = self.restore_controls();
-        let ckt = self.build(&Stimulus::restore(&controls, vdd), stored)?;
-        Ok((ckt, controls))
+        Ok((self.word.restore_circuit(&stored)?, self.restore_controls()))
     }
 
     /// Builds the fully-stimulated store circuit and its control
@@ -243,10 +149,7 @@ impl ProposedLatch {
         data: [bool; 2],
         initial: [bool; 2],
     ) -> Result<(Circuit, StoreControls), CellError> {
-        let vdd = self.config.vdd();
-        let controls = control::store(&self.config.timing, vdd);
-        let ckt = self.build(&Stimulus::store(&controls, vdd, data), initial)?;
-        Ok((ckt, controls))
+        self.word.store_circuit(&data, &initial)
     }
 
     /// Builds the idle circuit used for the leakage operating point (see
@@ -256,7 +159,7 @@ impl ProposedLatch {
     ///
     /// [`CellError::Simulation`] if the circuit cannot be built.
     pub fn idle_circuit(&self) -> Result<Circuit, CellError> {
-        self.build(&Stimulus::idle(&self.config), [false, false])
+        self.word.idle_circuit()
     }
 
     /// Simulates the sequential two-bit restore with the MTJ pairs preset
@@ -264,64 +167,9 @@ impl ProposedLatch {
     ///
     /// # Errors
     ///
-    /// [`CellError::Simulation`] on solver failure,
-    /// [`CellError::SenseFailure`] if either evaluation does not resolve,
-    /// and [`CellError::MeasurementFailure`] if a sense crossing cannot
-    /// be measured.
-    pub fn simulate_restore(&self, stored: [bool; 2]) -> Result<RestoreOutcome<2>, CellError> {
-        let (result, controls) = self.restore_traces(stored)?;
-        let vdd = self.config.vdd();
-
-        let q = result.node(names::Q)?;
-        let qb = result.node(names::QB)?;
-
-        // Bit 0: sampled at the end of the lower-pair evaluation.
-        let s0 = controls.eval0_end.seconds();
-        let bit0 =
-            resolve_bit(q.value_at(s0), qb.value_at(s0), vdd).ok_or(CellError::SenseFailure {
-                bit: 0,
-                q: q.value_at(s0),
-                qb: qb.value_at(s0),
-            })?;
-        // Bit 1: sampled at the end of the upper-pair evaluation.
-        let s1 = controls.eval1_end.seconds();
-        let bit1 =
-            resolve_bit(q.value_at(s1), qb.value_at(s1), vdd).ok_or(CellError::SenseFailure {
-                bit: 1,
-                q: q.value_at(s1),
-                qb: qb.value_at(s1),
-            })?;
-
-        // Lower read evaluates downward from VDD (loser falls); upper
-        // read evaluates upward from GND (winner rises).
-        let loser0 = if bit0 { qb } else { q };
-        let delay0 = sense_delay(
-            loser0,
-            vdd,
-            spice::measure::Edge::Falling,
-            controls.eval0_start,
-            controls.eval0_end,
-            "proposed latch lower-pair sense delay",
-        )?;
-        let winner1 = if bit1 { q } else { qb };
-        let delay1 = sense_delay(
-            winner1,
-            vdd,
-            spice::measure::Edge::Rising,
-            controls.eval1_start,
-            controls.eval1_end,
-            "proposed latch upper-pair sense delay",
-        )?;
-
-        Ok(RestoreOutcome {
-            bits: [bit0, bit1],
-            sense_delays: [delay0, delay1],
-            read_delay: delay0 + delay1,
-            sequence_duration: controls.eval1_end - controls.eval0_start,
-            energy: result.total_source_energy(Time::ZERO, controls.total),
-            supply_energy: result.supply_energy("VDD", Time::ZERO, controls.total)?,
-            solver: result.solver_stats(),
-        })
+    /// See [`NvWord::simulate_restore`].
+    pub fn simulate_restore(&self, stored: [bool; 2]) -> Result<WordRestoreOutcome, CellError> {
+        self.word.simulate_restore(&stored)
     }
 
     /// Runs the restore transient and returns the raw waveforms together
@@ -334,20 +182,8 @@ impl ProposedLatch {
     pub fn restore_traces(
         &self,
         stored: [bool; 2],
-    ) -> Result<(spice::TransientResult, ProposedRestoreControls), CellError> {
-        let _span = telemetry::span("cells.proposed.restore");
-        let vdd = self.config.vdd();
-        let controls = self.restore_controls();
-        // Restore happens at wake-up from a power-gated state: every
-        // internal node starts at 0 V (cold start), not at a powered
-        // operating point.
-        let options = self
-            .config
-            .transient_options(spice::analysis::StartCondition::Zero);
-        let result = self.with_session(&Stimulus::restore(&controls, vdd), stored, |session| {
-            Ok(session.transient_with_options(controls.total, self.config.time_step, options)?)
-        })?;
-        Ok((result, controls))
+    ) -> Result<(TransientResult, ProposedRestoreControls), CellError> {
+        Ok((self.word.restore_traces(&stored)?, self.restore_controls()))
     }
 
     /// Runs the store transient and returns the raw waveforms together
@@ -360,19 +196,8 @@ impl ProposedLatch {
         &self,
         data: [bool; 2],
         initial: [bool; 2],
-    ) -> Result<(spice::TransientResult, StoreControls), CellError> {
-        let _span = telemetry::span("cells.proposed.store");
-        let vdd = self.config.vdd();
-        let controls = control::store(&self.config.timing, vdd);
-        let step = self.config.time_step * 5.0;
-        let options = self
-            .config
-            .transient_options(spice::analysis::StartCondition::OperatingPoint);
-        let result =
-            self.with_session(&Stimulus::store(&controls, vdd, data), initial, |session| {
-                Ok(session.transient_with_options(controls.total, step, options)?)
-            })?;
-        Ok((result, controls))
+    ) -> Result<(TransientResult, StoreControls), CellError> {
+        self.word.store_traces(&data, &initial)
     }
 
     /// Simulates the parallel two-bit store: both pairs' write drivers
@@ -381,48 +206,13 @@ impl ProposedLatch {
     ///
     /// # Errors
     ///
-    /// [`CellError::Simulation`] on solver failure and
-    /// [`CellError::StoreFailure`] if either pair ends up inconsistent.
+    /// See [`NvWord::simulate_store`].
     pub fn simulate_store(
         &self,
         data: [bool; 2],
         initial: [bool; 2],
-    ) -> Result<StoreOutcome<2>, CellError> {
-        let _span = telemetry::span("cells.proposed.store");
-        let vdd = self.config.vdd();
-        let controls = control::store(&self.config.timing, vdd);
-        let step = self.config.time_step * 5.0;
-        let options = self
-            .config
-            .transient_options(spice::analysis::StartCondition::OperatingPoint);
-        let (result, end_states) =
-            self.with_session(&Stimulus::store(&controls, vdd, data), initial, |session| {
-                let result = session.transient_with_options(controls.total, step, options)?;
-                let state = |name| session.circuit().mtj_state(name).expect("MTJ exists");
-                let end_states = [
-                    (state(names::MTJ3), state(names::MTJ4)),
-                    (state(names::MTJ2), state(names::MTJ1)),
-                ];
-                Ok((result, end_states))
-            })?;
-
-        // Bit 0's primary device is MTJ3 (= from_bit(bit0)); bit 1's is
-        // MTJ2 — MTJ1 intentionally holds the complement so that the
-        // upper-pair read resolves `q` to the true bit value.
-        for (bit, (p, c)) in end_states.into_iter().enumerate() {
-            if p != MtjState::from_bit(data[bit]) || c != p.toggled() {
-                return Err(CellError::StoreFailure { bit });
-            }
-        }
-        let (energy, pulse_energy, latency) = crate::metrics::store_energies(&result, &controls);
-        Ok(StoreOutcome {
-            stored: data,
-            energy,
-            pulse_energy,
-            latency,
-            switch_count: result.mtj_events().len(),
-            solver: result.solver_stats(),
-        })
+    ) -> Result<WordStoreOutcome, CellError> {
+        self.word.simulate_store(&data, &initial)
     }
 
     /// Static (leakage) power of the idle 2-bit cell.
@@ -431,118 +221,7 @@ impl ProposedLatch {
     ///
     /// [`CellError::Simulation`] if the operating point fails.
     pub fn leakage(&self) -> Result<units::Power, CellError> {
-        let _span = telemetry::span("cells.proposed.leakage");
-        let stim = Stimulus::idle(&self.config);
-        let op = self.with_session(&stim, [false, false], |session| Ok(session.op()?))?;
-        let mut watts = 0.0;
-        for (name, level) in stim.levels() {
-            if let Some(i) = op.branch_current(&name) {
-                watts += level * -i;
-            }
-        }
-        Ok(units::Power::from_watts(watts))
-    }
-
-    /// Builds the 2-bit latch circuit with the given stimulus and the MTJ
-    /// pairs preset to `stored = [bit0 (lower pair), bit1 (upper pair)]`.
-    ///
-    /// Delegates to [`crate::generator::word_circuit`] at the family's
-    /// `bits = 2` point, which reproduces the original hand-wired
-    /// construction bit-for-bit (node, source and device order).
-    fn build(&self, stim: &Stimulus, stored: [bool; 2]) -> Result<Circuit, CellError> {
-        crate::generator::word_circuit(
-            &crate::generator::WordParams::new(2),
-            &self.config,
-            &stim.word_stimulus(),
-            &stored,
-        )
-    }
-}
-
-/// Complete stimulus set for one proposed-latch simulation, addressed by
-/// source name.
-#[derive(Debug, Clone)]
-struct Stimulus {
-    entries: Vec<(&'static str, SourceWaveform)>,
-}
-
-impl Stimulus {
-    fn idle(config: &LatchConfig) -> Self {
-        Self::idle_at(config.vdd())
-    }
-
-    fn idle_at(vdd: f64) -> Self {
-        let hi = SourceWaveform::Dc(vdd);
-        let lo = SourceWaveform::Dc(0.0);
-        Self {
-            entries: vec![
-                ("VDD", hi.clone()),
-                ("VPCVB", hi.clone()),
-                ("VPCG", lo.clone()),
-                ("VREN", lo.clone()),
-                ("VRENB", hi.clone()),
-                ("VSELB", hi.clone()),
-                ("VP4B", hi.clone()),
-                ("VN4", lo.clone()),
-                ("VD0", lo.clone()),
-                ("VD0B", hi.clone()),
-                ("VD1", lo.clone()),
-                ("VD1B", hi),
-                ("VWEN", lo.clone()),
-                ("VWENB", SourceWaveform::Dc(vdd)),
-            ],
-        }
-    }
-
-    fn restore(controls: &ProposedRestoreControls, vdd: f64) -> Self {
-        let mut s = Self::idle_at(vdd);
-        s.set("VPCVB", controls.pcv_b.clone());
-        s.set("VPCG", controls.pcg.clone());
-        s.set("VREN", controls.ren.clone());
-        s.set("VRENB", controls.ren_b.clone());
-        s.set("VSELB", controls.sel_b.clone());
-        s.set("VP4B", controls.p4_b.clone());
-        s.set("VN4", controls.n4.clone());
-        s
-    }
-
-    fn store(controls: &StoreControls, vdd: f64, data: [bool; 2]) -> Self {
-        let level = |b: bool| SourceWaveform::Dc(if b { vdd } else { 0.0 });
-        let mut s = Self::idle_at(vdd);
-        s.set("VWEN", controls.wen.clone());
-        s.set("VWENB", controls.wen_b.clone());
-        s.set("VPCG", controls.pcg.clone());
-        s.set("VD0", level(data[0]));
-        s.set("VD0B", level(!data[0]));
-        s.set("VD1", level(data[1]));
-        s.set("VD1B", level(!data[1]));
-        s
-    }
-
-    fn set(&mut self, name: &str, wave: SourceWaveform) {
-        let slot = self
-            .entries
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-            .expect("stimulus names are fixed");
-        slot.1 = wave;
-    }
-
-    /// The stimulus as the generator's name-addressed form.
-    fn word_stimulus(&self) -> crate::generator::WordStimulus {
-        crate::generator::WordStimulus::from_pairs(
-            self.entries
-                .iter()
-                .map(|(name, wave)| ((*name).to_owned(), wave.clone())),
-        )
-    }
-
-    /// `(source name, idle level)` pairs for leakage accounting.
-    fn levels(&self) -> Vec<(String, f64)> {
-        self.entries
-            .iter()
-            .map(|(n, w)| ((*n).to_owned(), w.value_at(0.0)))
-            .collect()
+        self.word.leakage()
     }
 }
 
@@ -558,9 +237,9 @@ mod tests {
 
     #[test]
     fn read_path_has_sixteen_transistors() {
-        assert_eq!(latch().read_path_transistors(), 16);
+        assert_eq!(latch().word.read_path_transistors(), 16);
         // Four tristate drivers add 16 more.
-        assert_eq!(latch().total_transistors(), 32);
+        assert_eq!(latch().word.total_transistors(), 32);
     }
 
     #[test]
@@ -625,7 +304,7 @@ mod tests {
             .expect("store");
         let again = l.simulate_restore([true, false]).expect("second restore");
         assert_eq!(first, again);
-        assert!(l.solver_stats().accepted_steps > 0);
+        assert!(l.word.solver_stats().accepted_steps > 0);
         let fresh = latch()
             .simulate_restore([true, false])
             .expect("fresh restore");

@@ -317,9 +317,14 @@ pub(crate) fn apply_override(
 /// service canonicalizes requests before keying its cache, so two
 /// spellings of the same override set hash identically.
 ///
+/// Each timing key is range-checked on its own; the combined timing
+/// must also sequence every control waveform of every variant the
+/// service accepts, or the control generators would panic mid-request.
+///
 /// # Errors
 ///
-/// Propagates `RequestError` from `apply_override`.
+/// Propagates `RequestError` from `apply_override`, and rejects a
+/// timing whose control windows collide.
 pub fn resolve_config(
     corner: Corner,
     overrides: &[(String, f64)],
@@ -327,6 +332,12 @@ pub fn resolve_config(
     let mut config = LatchConfig::default().at_corner(corner);
     for (key, value) in overrides {
         apply_override(&mut config, key, *value)?;
+    }
+    // Corners leave the timing alone and the default timing sequences
+    // every word (`control`'s tests pin that), so only a timing override
+    // can make the control windows collide.
+    if overrides.iter().any(|(key, _)| key.starts_with("timing.")) {
+        crate::control::check_timing(&config.timing, MAX_WORD_BITS).map_err(RequestError::new)?;
     }
     Ok(config)
 }
@@ -449,5 +460,68 @@ mod tests {
         let mut sorted = OVERRIDE_KEYS.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, OVERRIDE_KEYS);
+    }
+
+    fn overrides(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(k, v)| (k.to_owned(), v)).collect()
+    }
+
+    #[test]
+    fn colliding_timing_overrides_are_rejected() {
+        // Every key is in range alone; together with the defaults the
+        // control windows collide: a 250 ps edge outlasts the 200 ps
+        // pre-charge, a 5 ps evaluation is shorter than its own edge,
+        // and a 25 ps lead-in cannot park the outputs between two edges.
+        for bad in [
+            overrides(&[("timing.edge_ps", 250.0)]),
+            overrides(&[("timing.evaluate_ps", 5.0)]),
+            overrides(&[("timing.lead_in_ps", 25.0)]),
+        ] {
+            let err = resolve_config(Corner::typical(), &bad).unwrap_err();
+            assert!(err.to_string().contains("timing leaves no room"), "{err}");
+        }
+        // The same edge passes once every window has room for it.
+        let roomy = overrides(&[
+            ("timing.edge_ps", 250.0),
+            ("timing.evaluate_ps", 600.0),
+            ("timing.lead_in_ps", 800.0),
+            ("timing.precharge_ps", 600.0),
+        ]);
+        assert!(resolve_config(Corner::typical(), &roomy).is_ok());
+    }
+
+    proptest::proptest! {
+        /// Whatever timing `resolve_config` accepts, every control
+        /// generator sequences without panicking, for the largest word
+        /// the service builds and both proposed-latch schemes.
+        #[test]
+        fn accepted_timings_always_sequence(
+            edge in -0.5f64..2.5,
+            evaluate in 1.5f64..5.0,
+            lead_in in 1.5f64..5.0,
+            precharge in 1.5f64..5.0,
+            write_pulse in 0.5f64..3.0,
+        ) {
+            // A log-uniform edge, every other duration a few edges long:
+            // the picks straddle each window's limit, so both colliding
+            // and roomy sets occur.
+            let edge_ps = 10f64.powf(edge);
+            let picks = overrides(&[
+                ("timing.edge_ps", edge_ps),
+                ("timing.evaluate_ps", edge_ps * evaluate),
+                ("timing.lead_in_ps", edge_ps * lead_in),
+                ("timing.precharge_ps", edge_ps * precharge),
+                ("timing.write_pulse_ns", edge_ps * write_pulse * 1e-3),
+            ]);
+            let Ok(config) = resolve_config(Corner::typical(), &picks) else {
+                return Ok(());
+            };
+            let (timing, vdd) = (&config.timing, config.vdd());
+            let word = crate::control::word_restore(timing, vdd, MAX_WORD_BITS);
+            proptest::prop_assert_eq!(word.evals.len(), MAX_WORD_BITS);
+            let _ = crate::control::proposed_restore(timing, vdd);
+            let _ = crate::control::proposed_restore_optimized(timing, vdd);
+            let _ = crate::control::store(timing, vdd);
+        }
     }
 }

@@ -25,24 +25,15 @@
 //! pair to opposite states. 11 read-path transistors; the paper's 2-bit
 //! comparison baseline is two of these cells.
 
-use std::cell::RefCell;
-
-use mtj::MtjState;
-use spice::{analysis, Circuit, SimulationSession, SourceWaveform};
-use units::Time;
+use spice::{Circuit, TransientResult};
 
 use crate::config::LatchConfig;
-use crate::control::{self, StandardRestoreControls, StoreControls};
+use crate::control::{self, StoreControls, WordRestoreControls};
 use crate::error::CellError;
-use crate::metrics::{resolve_bit, sense_delay, RestoreOutcome, StoreOutcome};
+use crate::generator::{NvWord, WordParams, WordRestoreOutcome, WordStoreOutcome};
 
-/// A standard 1-bit NV shadow latch characterization harness.
-///
-/// The circuit is built once and bound to a cached
-/// [`SimulationSession`]; successive simulations retarget the source
-/// waveforms and MTJ presets in place, reusing the session's solver
-/// workspace. Corner sweeps stay trivially parallel — each thread
-/// creates its own latch (the cache is per-instance and never shared).
+/// A standard 1-bit NV shadow latch characterization harness: the
+/// family's `bits = 1` point of [`NvWord`], with fixed-width arguments.
 ///
 /// # Examples
 ///
@@ -56,28 +47,9 @@ use crate::metrics::{resolve_bit, sense_delay, RestoreOutcome, StoreOutcome};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StandardLatch {
-    config: LatchConfig,
-    session: RefCell<Option<SimulationSession>>,
-}
-
-impl Clone for StandardLatch {
-    /// Clones the configuration; the solver-session cache starts empty in
-    /// the clone (it is rebuilt lazily on first simulation).
-    fn clone(&self) -> Self {
-        Self::new(self.config.clone())
-    }
-}
-
-/// Node/source names used by the harness (kept in one place so tests and
-/// waveform dumps agree).
-mod names {
-    pub(crate) const VDD_SOURCE: &str = "VDD";
-    pub(crate) const Q: &str = "q";
-    pub(crate) const QB: &str = "qb";
-    pub(crate) const MTJ_A: &str = "MTJA";
-    pub(crate) const MTJ_B: &str = "MTJB";
+    word: NvWord,
 }
 
 impl StandardLatch {
@@ -85,44 +57,19 @@ impl StandardLatch {
     #[must_use]
     pub fn new(config: LatchConfig) -> Self {
         Self {
-            config,
-            session: RefCell::new(None),
+            word: NvWord::new(WordParams::new(1), config),
         }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub(crate) fn config(&self) -> &LatchConfig {
-        &self.config
+    /// The harness this latch views.
+    pub(crate) fn word(&self) -> &NvWord {
+        &self.word
     }
 
-    /// Cumulative solver work performed by this latch's cached session
-    /// (zero if nothing has been simulated yet).
-    #[must_use]
-    pub(crate) fn solver_stats(&self) -> spice::SolverStats {
-        self.session
-            .borrow()
-            .as_ref()
-            .map(spice::SimulationSession::stats)
-            .unwrap_or_default()
-    }
-
-    /// Number of read-path transistors (excluding write drivers) — the
-    /// paper counts 11 per bit, 22 for the two-cell baseline.
-    #[must_use]
-    pub(crate) fn read_path_transistors(&self) -> usize {
-        let ckt = self.idle_circuit().expect("reference build is valid");
-        ckt.devices()
-            .iter()
-            .filter(|d| d.is_transistor() && !d.name().starts_with('I'))
-            .count()
-    }
-
-    /// Total transistor count including the write drivers.
-    #[must_use]
-    pub(crate) fn total_transistors(&self) -> usize {
-        let ckt = self.idle_circuit().expect("reference build is valid");
-        ckt.transistor_count()
+    /// The restore schedule: pre-charge to VDD, then one evaluation.
+    fn restore_controls(&self) -> WordRestoreControls {
+        let config = self.word.config();
+        control::word_restore(&config.timing, config.vdd(), 1)
     }
 
     /// Simulates the restore (read) phase with the MTJ pair preset to
@@ -131,44 +78,9 @@ impl StandardLatch {
     ///
     /// # Errors
     ///
-    /// [`CellError::Simulation`] on solver failure,
-    /// [`CellError::SenseFailure`] if the outputs do not resolve, and
-    /// [`CellError::MeasurementFailure`] if no threshold crossing is
-    /// found inside the evaluation window.
-    pub fn simulate_restore(&self, stored: [bool; 1]) -> Result<RestoreOutcome<1>, CellError> {
-        let (result, controls) = self.restore_traces(stored)?;
-        let vdd = self.config.vdd();
-
-        let q = result.node(names::Q)?;
-        let qb = result.node(names::QB)?;
-        let sample_at = controls.eval_end.seconds();
-        let bit = resolve_bit(q.value_at(sample_at), qb.value_at(sample_at), vdd).ok_or(
-            CellError::SenseFailure {
-                bit: 0,
-                q: q.value_at(sample_at),
-                qb: qb.value_at(sample_at),
-            },
-        )?;
-
-        // The losing output falls from the VDD pre-charge level.
-        let loser = if bit { qb } else { q };
-        let delay = sense_delay(
-            loser,
-            vdd,
-            spice::measure::Edge::Falling,
-            controls.eval_start,
-            controls.eval_end,
-            "standard latch sense delay",
-        )?;
-        Ok(RestoreOutcome {
-            bits: [bit],
-            sense_delays: [delay],
-            read_delay: delay,
-            sequence_duration: controls.eval_end - controls.eval_start,
-            energy: result.total_source_energy(Time::ZERO, controls.total),
-            supply_energy: result.supply_energy(names::VDD_SOURCE, Time::ZERO, controls.total)?,
-            solver: result.solver_stats(),
-        })
+    /// See [`NvWord::simulate_restore`].
+    pub fn simulate_restore(&self, stored: [bool; 1]) -> Result<WordRestoreOutcome, CellError> {
+        self.word.simulate_restore(&stored)
     }
 
     /// Runs the restore transient and returns the raw waveforms together
@@ -181,25 +93,8 @@ impl StandardLatch {
     pub fn restore_traces(
         &self,
         stored: [bool; 1],
-    ) -> Result<(spice::TransientResult, StandardRestoreControls), CellError> {
-        let _span = telemetry::span("cells.standard.restore");
-        let vdd = self.config.vdd();
-        let controls = control::standard_restore(&self.config.timing, vdd);
-        let options = self
-            .config
-            .transient_options(analysis::StartCondition::Zero);
-        let result = self.with_session(
-            &IdleControls::from_restore(&controls, vdd),
-            stored,
-            |session| {
-                Ok(session.transient_with_options(
-                    controls.total,
-                    self.config.time_step,
-                    options,
-                )?)
-            },
-        )?;
-        Ok((result, controls))
+    ) -> Result<(TransientResult, WordRestoreControls), CellError> {
+        Ok((self.word.restore_traces(&stored)?, self.restore_controls()))
     }
 
     /// Builds the fully-stimulated restore circuit and its control
@@ -214,11 +109,8 @@ impl StandardLatch {
     pub fn restore_circuit(
         &self,
         stored: [bool; 1],
-    ) -> Result<(Circuit, StandardRestoreControls), CellError> {
-        let vdd = self.config.vdd();
-        let controls = control::standard_restore(&self.config.timing, vdd);
-        let ckt = self.build(&IdleControls::from_restore(&controls, vdd), stored)?;
-        Ok((ckt, controls))
+    ) -> Result<(Circuit, WordRestoreControls), CellError> {
+        Ok((self.word.restore_circuit(&stored)?, self.restore_controls()))
     }
 
     /// Builds the fully-stimulated store circuit and its control
@@ -233,10 +125,7 @@ impl StandardLatch {
         data: [bool; 1],
         initial: [bool; 1],
     ) -> Result<(Circuit, StoreControls), CellError> {
-        let vdd = self.config.vdd();
-        let controls = control::store(&self.config.timing, vdd);
-        let ckt = self.build(&IdleControls::from_store(&controls, vdd, data[0]), initial)?;
-        Ok((ckt, controls))
+        self.word.store_circuit(&data, &initial)
     }
 
     /// Builds the idle circuit used for the leakage operating point (see
@@ -246,7 +135,7 @@ impl StandardLatch {
     ///
     /// [`CellError::Simulation`] if the circuit cannot be built.
     pub fn idle_circuit(&self) -> Result<Circuit, CellError> {
-        self.build(&IdleControls::restore_idle(&self.config), [false])
+        self.word.idle_circuit()
     }
 
     /// Simulates the store (write) phase: the MTJ pair starts holding
@@ -254,51 +143,13 @@ impl StandardLatch {
     ///
     /// # Errors
     ///
-    /// [`CellError::Simulation`] on solver failure and
-    /// [`CellError::StoreFailure`] if the pair does not end up holding
-    /// `data` complementarily.
+    /// See [`NvWord::simulate_store`].
     pub fn simulate_store(
         &self,
         data: [bool; 1],
         initial: [bool; 1],
-    ) -> Result<StoreOutcome<1>, CellError> {
-        let _span = telemetry::span("cells.standard.store");
-        let vdd = self.config.vdd();
-        let controls = control::store(&self.config.timing, vdd);
-        // Write dynamics are nanosecond-scale; a coarser nominal step
-        // suffices to seed the controller.
-        let step = self.config.time_step * 5.0;
-        let options = self
-            .config
-            .transient_options(analysis::StartCondition::OperatingPoint);
-        let (result, a, b) = self.with_session(
-            &IdleControls::from_store(&controls, vdd, data[0]),
-            initial,
-            |session| {
-                let result = session.transient_with_options(controls.total, step, options)?;
-                let a = session
-                    .circuit()
-                    .mtj_state(names::MTJ_A)
-                    .expect("MTJA exists");
-                let b = session
-                    .circuit()
-                    .mtj_state(names::MTJ_B)
-                    .expect("MTJB exists");
-                Ok((result, a, b))
-            },
-        )?;
-        if a != MtjState::from_bit(data[0]) || b != a.toggled() {
-            return Err(CellError::StoreFailure { bit: 0 });
-        }
-        let (energy, pulse_energy, latency) = crate::metrics::store_energies(&result, &controls);
-        Ok(StoreOutcome {
-            stored: [data[0]],
-            energy,
-            pulse_energy,
-            latency,
-            switch_count: result.mtj_events().len(),
-            solver: result.solver_stats(),
-        })
+    ) -> Result<WordStoreOutcome, CellError> {
+        self.word.simulate_store(&data, &initial)
     }
 
     /// Static (leakage) power of the idle cell: the total DC power drawn
@@ -308,160 +159,7 @@ impl StandardLatch {
     ///
     /// [`CellError::Simulation`] if the operating point fails.
     pub fn leakage(&self) -> Result<units::Power, CellError> {
-        let _span = telemetry::span("cells.standard.leakage");
-        let idle = IdleControls::restore_idle(&self.config);
-        let op = self.with_session(&idle, [false], |session| Ok(session.op()?))?;
-        let vdd = self.config.vdd();
-        // Sum v·(−i) over every source; controls at 0 V contribute 0.
-        let mut watts = 0.0;
-        for (name, level) in idle.levels(vdd) {
-            if let Some(i) = op.branch_current(&name) {
-                watts += level * -i;
-            }
-        }
-        Ok(units::Power::from_watts(watts))
-    }
-
-    /// Runs `f` against the cached [`SimulationSession`], first aiming
-    /// the circuit at the given stimulus and MTJ preset.
-    ///
-    /// The circuit topology never changes between runs — only source
-    /// waveforms and MTJ states do — so the first call builds the
-    /// circuit and every later call retargets the existing session in
-    /// place, reusing its solver workspace.
-    fn with_session<T>(
-        &self,
-        controls: &IdleControls,
-        stored: [bool; 1],
-        f: impl FnOnce(&mut SimulationSession) -> Result<T, CellError>,
-    ) -> Result<T, CellError> {
-        let mut slot = self.session.borrow_mut();
-        let session = match slot.as_mut() {
-            Some(session) => {
-                telemetry::counter("cells.session_hit", 1);
-                session
-            }
-            None => {
-                telemetry::counter("cells.session_miss", 1);
-                let ckt = self.build(controls, stored)?;
-                slot.insert(SimulationSession::new(ckt).with_label("standard_latch"))
-            }
-        };
-        let ckt = session.circuit_mut();
-        for (name, wave) in controls.waves() {
-            ckt.set_source_waveform(name, wave.clone())?;
-        }
-        // `set_mtj_state` discards any switching progress, so this fully
-        // rewinds the previous run's writes.
-        let state_a = MtjState::from_bit(stored[0]);
-        ckt.set_mtj_state(names::MTJ_A, state_a)?;
-        ckt.set_mtj_state(names::MTJ_B, state_a.toggled())?;
-        f(session)
-    }
-
-    /// Builds the latch circuit with the given control stimulus and the
-    /// MTJ pair preset to hold `stored`.
-    ///
-    /// Delegates to [`crate::generator::word_circuit`] at the family's
-    /// `bits = 1` point, which reproduces the original hand-wired
-    /// construction bit-for-bit (node, source and device order).
-    fn build(&self, controls: &IdleControls, stored: [bool; 1]) -> Result<Circuit, CellError> {
-        crate::generator::word_circuit(
-            &crate::generator::WordParams::new(1),
-            &self.config,
-            &controls.stimulus(),
-            &stored,
-        )
-    }
-}
-
-/// Complete stimulus set for one standard-latch simulation.
-struct IdleControls {
-    vdd_wave: SourceWaveform,
-    pc_b: SourceWaveform,
-    sen: SourceWaveform,
-    sen_b: SourceWaveform,
-    d: SourceWaveform,
-    db: SourceWaveform,
-    wen: SourceWaveform,
-    wen_b: SourceWaveform,
-}
-
-impl IdleControls {
-    /// Everything inactive: used for the leakage operating point.
-    fn restore_idle(config: &LatchConfig) -> Self {
-        Self::restore_idle_at(config.vdd())
-    }
-
-    fn from_restore(controls: &StandardRestoreControls, vdd: f64) -> Self {
-        let mut idle = Self::restore_idle_at(vdd);
-        idle.pc_b = controls.pc_b.clone();
-        idle.sen = controls.sen.clone();
-        idle.sen_b = controls.sen_b.clone();
-        idle
-    }
-
-    fn from_store(controls: &StoreControls, vdd: f64, data: bool) -> Self {
-        let mut idle = Self::restore_idle_at(vdd);
-        idle.wen = controls.wen.clone();
-        idle.wen_b = controls.wen_b.clone();
-        idle.d = SourceWaveform::Dc(if data { vdd } else { 0.0 });
-        idle.db = SourceWaveform::Dc(if data { 0.0 } else { vdd });
-        idle
-    }
-
-    fn restore_idle_at(vdd: f64) -> Self {
-        let hi = SourceWaveform::Dc(vdd);
-        let lo = SourceWaveform::Dc(0.0);
-        Self {
-            vdd_wave: hi.clone(),
-            pc_b: hi.clone(),
-            sen: lo.clone(),
-            sen_b: hi.clone(),
-            d: lo.clone(),
-            db: hi,
-            wen: lo.clone(),
-            wen_b: SourceWaveform::Dc(vdd),
-        }
-    }
-
-    /// The stimulus as the generator's name-addressed form.
-    fn stimulus(&self) -> crate::generator::WordStimulus {
-        crate::generator::WordStimulus::from_pairs(
-            self.waves()
-                .into_iter()
-                .map(|(name, wave)| (name.to_owned(), wave.clone())),
-        )
-    }
-
-    /// `(source name, waveform)` pairs for retargeting an already-built
-    /// circuit between session runs.
-    fn waves(&self) -> [(&'static str, &SourceWaveform); 8] {
-        [
-            ("VDD", &self.vdd_wave),
-            ("VPCB", &self.pc_b),
-            ("VSEN", &self.sen),
-            ("VSENB", &self.sen_b),
-            ("VD", &self.d),
-            ("VDB", &self.db),
-            ("VWEN", &self.wen),
-            ("VWENB", &self.wen_b),
-        ]
-    }
-
-    /// `(source name, idle level)` pairs for leakage power accounting.
-    fn levels(&self, vdd: f64) -> Vec<(String, f64)> {
-        let level = |w: &SourceWaveform| w.value_at(0.0);
-        vec![
-            ("VDD".into(), vdd),
-            ("VPCB".into(), level(&self.pc_b)),
-            ("VSEN".into(), level(&self.sen)),
-            ("VSENB".into(), level(&self.sen_b)),
-            ("VD".into(), level(&self.d)),
-            ("VDB".into(), level(&self.db)),
-            ("VWEN".into(), level(&self.wen)),
-            ("VWENB".into(), level(&self.wen_b)),
-        ]
+        self.word.leakage()
     }
 }
 
@@ -469,6 +167,7 @@ impl IdleControls {
 mod tests {
     use super::*;
     use crate::config::Corner;
+    use units::Time;
 
     fn latch() -> StandardLatch {
         StandardLatch::new(LatchConfig::default())
@@ -476,9 +175,9 @@ mod tests {
 
     #[test]
     fn read_path_has_eleven_transistors() {
-        assert_eq!(latch().read_path_transistors(), 11);
+        assert_eq!(latch().word.read_path_transistors(), 11);
         // Two tristate drivers add 8 more.
-        assert_eq!(latch().total_transistors(), 19);
+        assert_eq!(latch().word.total_transistors(), 19);
     }
 
     #[test]
@@ -524,7 +223,7 @@ mod tests {
         let _ = l.simulate_store([false], [true]).expect("store");
         let again = l.simulate_restore([true]).expect("second restore");
         assert_eq!(first, again);
-        let stats = l.solver_stats();
+        let stats = l.word.solver_stats();
         assert!(stats.newton_iterations > 0);
         assert!(stats.accepted_steps > 0);
         // A fresh latch must agree with the reused session.

@@ -820,7 +820,7 @@ mod tests {
             r#"{"variant":"proposed","corner":"SS/worst","overrides":{"timing.write_pulse_ns":3}}"#,
             r#"{"variant":"proposed","analysis":"read","overrides":{"timing.write_pulse_ns":3}}"#,
             r#"{"variant":"proposed","overrides":{"timing.write_pulse_ns":3.0000001}}"#,
-            r#"{"variant":"proposed","overrides":{"timing.evaluate_ps":3}}"#,
+            r#"{"variant":"proposed","overrides":{"timing.evaluate_ps":300}}"#,
             r#"{"variant":"proposed"}"#,
         ];
         for text in variants {

@@ -199,6 +199,16 @@ fn characterize_service_end_to_end() {
     let (status, _, body) = post(addr, "/v1/characterize", r#"{"variant":"nv_word_99"}"#);
     assert_eq!(status, 400);
     assert!(body.contains("\"error\""), "{body}");
+    // Overrides each in range whose combined timing collides: rejected
+    // up front, not a worker panic turned into an uncached 500.
+    for colliding in [
+        r#"{"variant":"standard","overrides":{"timing.edge_ps":250}}"#,
+        r#"{"variant":"nv_word_3","overrides":{"timing.evaluate_ps":5}}"#,
+    ] {
+        let (status, _, body) = post(addr, "/v1/characterize", colliding);
+        assert_eq!(status, 400, "{colliding}: {body}");
+        assert!(body.contains("timing leaves no room"), "{body}");
+    }
 
     // --- Graceful drain. ---
     let (status, _, _) = get(addr, "/quitquitquit");

@@ -86,10 +86,13 @@ const ANALYSES: &[&str] = &["full", "read", "write", "leakage"];
 
 /// Override keys with a value range that stays valid under both the
 /// per-key checks and a 1.5× perturbation — so every generated request
-/// parses and the perturbed sibling does too.
+/// parses and the perturbed sibling does too. The edge range also keeps
+/// the combined timing sequenceable: the store parks the outputs inside
+/// the lead-in, which needs lead-in > 3 × edge (15 ps at most here
+/// against a 50 ps floor).
 const SAFE_OVERRIDES: &[(&str, f64, f64)] = &[
     ("time_step_ps", 0.5, 4.0),
-    ("timing.edge_ps", 20.0, 200.0),
+    ("timing.edge_ps", 2.0, 10.0),
     ("timing.evaluate_ps", 100.0, 1000.0),
     ("timing.lead_in_ps", 50.0, 500.0),
     ("timing.precharge_ps", 100.0, 1000.0),

@@ -120,6 +120,6 @@ fn behavioral_model_matches_circuit_restore() {
         let behavioral = [pair.q(0).expect("q0"), pair.q(1).expect("q1")];
         // Circuit path.
         let circuit = latch.simulate_restore(data).expect("restore").bits;
-        assert_eq!(behavioral, circuit);
+        assert_eq!(circuit, behavioral);
     }
 }

@@ -24,7 +24,7 @@
 //! percent between discretizations, so the metrics agree within 5 %
 //! relative.
 
-use cells::control::{ProposedRestoreControls, StandardRestoreControls, StoreControls};
+use cells::control::{ProposedRestoreControls, StoreControls, WordRestoreControls};
 use cells::metrics::{characterize_proposed, characterize_standard_pair, resolve_bit, sense_delay};
 use cells::{CellError, CellMetrics, Corner, LatchConfig, ProposedLatch, StandardLatch};
 use spice::analysis::{matrix_pattern, StartCondition};
@@ -92,7 +92,7 @@ fn proposed_store(corner: Corner) -> (Workload, StoreControls) {
     (w, controls)
 }
 
-fn standard_restore(corner: Corner, stored: bool) -> (Workload, StandardRestoreControls) {
+fn standard_restore(corner: Corner, stored: bool) -> (Workload, WordRestoreControls) {
     let config = LatchConfig::default().at_corner(corner);
     let latch = StandardLatch::new(config.clone());
     let (ckt, controls) = latch.restore_circuit([stored]).expect("restore circuit");
@@ -367,12 +367,13 @@ fn standard_pair_row(corner: Corner, policy: Policy) -> Table2Row {
         let (w, c) = standard_restore(corner, stored);
         let r = simulate(&w, policy);
         let (q, qb) = (r.node("q").expect("q"), r.node("qb").expect("qb"));
-        let at = c.eval_end.seconds();
+        let (eval_start, eval_end) = c.evals[0];
+        let at = eval_end.seconds();
         let bit = resolve_bit(q.value_at(at), qb.value_at(at), vdd)
             .unwrap_or_else(|| panic!("{} under {policy:?}: sense failure", w.name));
         // The losing output falls from the VDD pre-charge level.
         let loser = if bit { qb } else { q };
-        read_delay += sense_delay(loser, vdd, Edge::Falling, c.eval_start, c.eval_end, &w.name)
+        read_delay += sense_delay(loser, vdd, Edge::Falling, eval_start, eval_end, &w.name)
             .expect("standard sense delay");
         read_energy += r
             .supply_energy("VDD", Time::ZERO, c.total)
