@@ -202,12 +202,14 @@ impl ShmooReport {
     #[must_use]
     pub fn markdown(&self) -> String {
         let mut md = String::new();
+        // No wall-clock figure here (it is in the `rare_event` section):
+        // the text is deterministic, so builds can be compared byte for
+        // byte.
         md.push_str(&format!(
-            "{} surface points x {} samples/point ({} workers), surface wall {:.2} s\n\n",
+            "{} surface points x {} samples/point ({} workers)\n\n",
             self.rows.len(),
             self.samples,
             self.workers,
-            self.surface_wall_s,
         ));
         md.push_str(
             "| pulse (ns) | sigma(Isw) | T (C) | tilt |mu| | WER | 99% CI | \

@@ -19,10 +19,10 @@
 //! stays **unbiased for every tilt** and the tilt only moves its
 //! variance. Two estimators are offered ([`Estimator`]): the default
 //! **smooth** (Rao–Blackwellized) form integrates the per-device
-//! conditional failure probability
-//! `crate::wer::trial_failure_probability` exactly, and the
-//! **Bernoulli** form draws the stepped trial outcome, matching the
-//! brute-force kernel draw-for-draw in distribution.
+//! conditional failure probability `(1 − p_step)^steps` of the stepped
+//! trial exactly, and the **Bernoulli** form draws the stepped trial
+//! outcome, matching the brute-force kernel draw-for-draw in
+//! distribution.
 //!
 //! Device samples are stepped under a **reference-calibrated** switching
 //! model (`crate::switching::SwitchingModel::with_reference`): the
@@ -30,24 +30,47 @@
 //! excursion exactly at the nominal drive, which would make the WER
 //! variation-independent and this whole module a no-op.
 //!
+//! **The draw kernel.** A tilted draw is one branch-free, libm-free
+//! computation: Box–Muller on three uniform pairs (`√(−2 ln u₁)` and
+//! `cos(2πu₂)` from [`units::math`]), the weight `exp(−μ·ε − |μ|²/2)`,
+//! and the failure probability of the device at `z_Isw` through the
+//! per-point constants of `PointKernel` (`x = I/(Ic·m)`, the piecewise
+//! `ln τ` as selects, two `exp`, and `powi(steps)` by
+//! square-and-multiply). Each step is a plain pass over `[f64; L]`
+//! lane arrays, so the autovectorizer turns it into SIMD; the scalar
+//! draw runs the very same passes at `L = 1`, which makes the lane path
+//! bit-identical to it by construction. A lane whose Box–Muller draw
+//! hits the rejection branch (≈ 2⁻⁵³) is redrawn on the scalar path.
+//! The kernel agrees with the libm form of the same trial to within a
+//! few rounding errors of the problem's conditioning (see the
+//! `kernel_failure_probability_agrees_with_the_libm_trial_oracle`
+//! test).
+//!
 //! Everything composes with the repo's determinism discipline: each
 //! sample is counter-seeded ([`sweep::point_seed`]), drawn either on a
 //! scalar `StdRng` or in lockstep over [`rand::rngs::StdRngLanes`]
 //! structure-of-arrays banks (a fixed six/seven-uniform budget per
-//! sample — no retire/refill needed), and fanned over the [`sweep`]
-//! worker pool — results are **bit-identical for every `jobs` and
-//! `lanes` combination**. Surface campaigns
-//! ([`tail_surface`]) checkpoint through `nvff-sweep-checkpoint/1`
-//! and resume bit-identically.
+//! sample — no retire/refill needed), fanned over the [`sweep`] worker
+//! pool, and folded one sample at a time in grid order
+//! ([`sweep::fold_blocked`]) — results are **bit-identical for every
+//! `jobs` and `lanes` combination**. The variation-aware brute force
+//! ([`varied_wer_grid`]) runs on the same kernel in
+//! [`crate::lanes::count_varied_write_failures_batched`]. Surface
+//! campaigns ([`tail_surface`]) checkpoint their accumulator cells
+//! (fingerprint tag `nvff-rare-surface/2`) through
+//! `nvff-sweep-checkpoint/1` and resume bit-identically.
 
 use rand::rngs::{StdRng, StdRngLanes};
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{RngExt, SeedableRng};
+use units::math::{exp, select};
 use units::{Current, Temperature, Time};
 
+use crate::device::WritePolarity;
 use crate::params::MtjParams;
-use crate::switching::SwitchingModel;
+use crate::resistance::MtjState;
+use crate::switching::{LogTauCurve, SwitchingModel};
 use crate::thermal::ThermalModel;
-use crate::variation::{standard_normal, VariationModel};
+use crate::variation::{standard_normal, standard_normal_lanes, VariationModel};
 use crate::wer::{self, ConfidenceInterval, WerEstimate};
 
 /// Multiplier floor shared with [`VariationModel::sample`] — a deep
@@ -103,10 +126,11 @@ impl Tilt {
     }
 
     /// Likelihood-ratio weight `w = exp(ln w)`; satisfies
-    /// `E_{ε~N(0,I)}[w] = 1` for every tilt.
+    /// `E_{ε~N(0,I)}[w] = 1` for every tilt. The same bits as the
+    /// sampler's draws carry (same `ln w`, same libm-free `exp`).
     #[must_use]
     pub fn weight(&self, eps: [f64; 3]) -> f64 {
-        self.log_weight(eps).exp()
+        exp(self.log_weight(eps))
     }
 }
 
@@ -273,7 +297,9 @@ impl TailEnv {
     /// The deterministic `z ↦ θ(z)` map: standard-normal coordinates to
     /// a perturbed parameter set, `multiplier = max(1 + σ·z, 1e-3)` per
     /// coordinate — exactly the push-forward of
-    /// [`VariationModel::sample`].
+    /// [`VariationModel::sample`]. The samplers need only its critical
+    /// current, which [`PointKernel`] computes directly.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn params_from_z(&self, z: [f64; 3]) -> MtjParams {
         self.reference.perturbed(
@@ -286,6 +312,7 @@ impl TailEnv {
     /// Reference-calibrated switching model for a sampled device — see
     /// [`SwitchingModel::with_reference`] for why per-sample
     /// recalibration must not be used here.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn model_for(&self, device: &MtjParams) -> SwitchingModel {
         SwitchingModel::with_reference(&self.reference, device)
@@ -294,11 +321,107 @@ impl TailEnv {
     /// Conditional probability that one stochastic write trial of the
     /// device at coordinates `z` fails under `pulse` — the smooth
     /// integrand of the importance-sampling estimator.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn failure_probability(&self, z: [f64; 3], pulse: Time) -> f64 {
-        let params = self.params_from_z(z);
-        let model = self.model_for(&params);
-        wer::trial_failure_probability(&model, self.current, pulse)
+        PointKernel::new(self, pulse).failure_probability_lanes(&[z[2]])[0]
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The per-point kernel
+// ---------------------------------------------------------------------------
+
+/// Everything a write trial's switching statistics need at one
+/// `(environment, pulse)` point, computed once per point; per device
+/// only the `z_Isw`-dependent part is left.
+///
+/// A variation draw moves only the critical current (`τ₀`, `Δ` and the
+/// frozen `τ_p` are the reference's — see
+/// [`SwitchingModel::with_reference`]), so per device the kernel
+/// computes `x = |I|/(Ic·m)` with `m = max(1 + σ·z_Isw, 1e-3)`, the
+/// piecewise `ln τ(x)` as selects ([`LogTauCurve`]), the rate
+/// `1/τ = e^{−ln τ}`, the per-step switch probability `1 − e^{−dt/τ}`
+/// (a product, not a division, on the lanes), and, for the smooth
+/// estimator, the failure probability `(1 − p)^steps` by
+/// square-and-multiply. All of it is branch-free and libm-free
+/// ([`units::math`]); the `*_lanes` methods run it as plain passes over
+/// `[f64; L]` arrays that autovectorize, and the scalar paths call them
+/// at `L = 1`, so every lane width gives the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PointKernel {
+    curve: LogTauCurve,
+    /// `|I|`, amperes.
+    drive: f64,
+    /// The reference die's critical current, amperes.
+    critical_current: f64,
+    /// σ fraction of the switching current.
+    sigma_isw: f64,
+    /// Integration steps of one trial ([`wer::trial_step_plan`]).
+    pub(crate) steps: u32,
+    /// Step width, seconds.
+    dt: f64,
+    /// The trial preamble's guards: a drive without torque toward the
+    /// reversal, or a pulse with no steps, fails every trial.
+    pub(crate) certain_failure: bool,
+}
+
+impl PointKernel {
+    pub(crate) fn new(env: &TailEnv, pulse: Time) -> Self {
+        let (steps, step) = wer::trial_step_plan(pulse);
+        let torque = WritePolarity::PositiveSetsAntiParallel.target_state(env.current)
+            == Some(MtjState::AntiParallel);
+        Self {
+            // Every draw shares the reference's τ₀, Δ and τ_p.
+            curve: SwitchingModel::with_reference(&env.reference, &env.reference).log_tau_curve(),
+            drive: env.current.abs().amps(),
+            critical_current: env.reference.critical_current().amps(),
+            sigma_isw: env.variation.sigma_switching_current(),
+            steps: u32::try_from(steps).unwrap_or(u32::MAX),
+            dt: step.seconds(),
+            certain_failure: !torque || steps == 0,
+        }
+    }
+
+    /// Per-step switch probability `1 − e^{−dt/τ}` of the device at
+    /// switching-current coordinate `z_isw`.
+    #[inline(always)]
+    pub(crate) fn switch_probability(&self, z_isw: f64) -> f64 {
+        let multiplier = (1.0 + self.sigma_isw * z_isw).max(MULTIPLIER_FLOOR);
+        let x = self.drive / (self.critical_current * multiplier);
+        let rate = exp(-self.curve.log_tau(x));
+        1.0 - exp(-self.dt * rate)
+    }
+
+    /// Trial failure probability `(1 − p)^steps` over `L` devices: a
+    /// survival pass, then square-and-multiply over the lanes (the
+    /// exponent is the point's, so every lane takes the same steps).
+    #[inline(always)]
+    pub(crate) fn failure_probability_lanes<const L: usize>(&self, z_isw: &[f64; L]) -> [f64; L] {
+        if self.certain_failure {
+            return [1.0; L];
+        }
+        let mut base = [0.0; L];
+        for (b, &z) in base.iter_mut().zip(z_isw) {
+            *b = 1.0 - self.switch_probability(z);
+        }
+        let mut acc = [1.0; L];
+        let mut n = self.steps;
+        loop {
+            if n & 1 != 0 {
+                for (a, &b) in acc.iter_mut().zip(&base) {
+                    *a *= b;
+                }
+            }
+            n >>= 1;
+            if n == 0 {
+                break;
+            }
+            for b in &mut base {
+                *b *= *b;
+            }
+        }
+        acc
     }
 }
 
@@ -339,151 +462,162 @@ pub(crate) struct TiltedDraw {
     pub(crate) z: [f64; 3],
     /// Likelihood-ratio weight `w(ε)`.
     pub(crate) weight: f64,
-    /// Conditional trial-failure probability at `θ(z)`.
-    pub(crate) p_fail: f64,
     /// Estimator contribution (`w·p` or `w·1{fail}`).
     pub(crate) x: f64,
 }
 
-/// Completes a draw from its innovations (and, for the Bernoulli
-/// estimator, its seventh uniform). Shared verbatim by the scalar and
-/// lane paths so their arithmetic is bit-identical.
-fn finish_draw(
-    env: &TailEnv,
-    pulse: Time,
-    tilt: Tilt,
+/// The tilted draw at one point: the [`PointKernel`] plus the tilt.
+#[derive(Debug, Clone, Copy)]
+struct TiltKernel {
+    point: PointKernel,
+    mu: [f64; 3],
+    /// `|μ|²/2`, the constant term of `−ln w`.
+    half_mag2: f64,
     estimator: Estimator,
-    eps: [f64; 3],
-    bernoulli_u: f64,
-) -> TiltedDraw {
-    let z = [
-        tilt.mu[0] + eps[0],
-        tilt.mu[1] + eps[1],
-        tilt.mu[2] + eps[2],
-    ];
-    let weight = tilt.weight(eps);
-    let p_fail = env.failure_probability(z, pulse);
-    let x = match estimator {
-        Estimator::Smooth => weight * p_fail,
-        Estimator::Bernoulli => {
-            if bernoulli_u < p_fail {
-                weight
+}
+
+impl TiltKernel {
+    fn new(env: &TailEnv, pulse: Time, tilt: Tilt, estimator: Estimator) -> Self {
+        let mu = tilt.mu;
+        Self {
+            point: PointKernel::new(env, pulse),
+            mu,
+            half_mag2: 0.5 * (mu[0] * mu[0] + mu[1] * mu[1] + mu[2] * mu[2]),
+            estimator,
+        }
+    }
+
+    /// Completes `L` draws from their innovations `ε` (and, for the
+    /// Bernoulli estimator, their seventh uniforms) as plain passes
+    /// over the lanes: `z = μ + ε`, the weight `exp(−μ·ε − |μ|²/2)`,
+    /// the failure probability at `z_Isw`, and the contribution. The
+    /// scalar draw calls it at `L = 1`, so both paths run the same
+    /// operations per sample.
+    #[inline(always)]
+    fn finish_lanes<const L: usize>(
+        &self,
+        eps: &[[f64; L]; 3],
+        bernoulli_u: &[f64; L],
+    ) -> ([[f64; L]; 3], [f64; L], [f64; L]) {
+        let mut z = [[0.0; L]; 3];
+        for ((z_k, eps_k), mu_k) in z.iter_mut().zip(eps).zip(self.mu) {
+            for (z_l, &e) in z_k.iter_mut().zip(eps_k) {
+                *z_l = mu_k + e;
+            }
+        }
+        let mut weight = [0.0; L];
+        for (l, w) in weight.iter_mut().enumerate() {
+            let dot = self.mu[0] * eps[0][l] + self.mu[1] * eps[1][l] + self.mu[2] * eps[2][l];
+            *w = exp(-dot - self.half_mag2);
+        }
+        let p_fail = self.point.failure_probability_lanes(&z[2]);
+        let mut x = [0.0; L];
+        match self.estimator {
+            Estimator::Smooth => {
+                for ((x_l, &w), &p) in x.iter_mut().zip(&weight).zip(&p_fail) {
+                    *x_l = w * p;
+                }
+            }
+            Estimator::Bernoulli => {
+                for (((x_l, &w), &p), &u) in x.iter_mut().zip(&weight).zip(&p_fail).zip(bernoulli_u)
+                {
+                    *x_l = select(u < p, w, 0.0);
+                }
+            }
+        }
+        (z, weight, x)
+    }
+
+    /// The scalar reference draw for sample seed `seed` — the definition
+    /// of correct the lane path is held to.
+    fn draw_scalar(&self, seed: u64) -> TiltedDraw {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let eps = [
+            [standard_normal(&mut rng)],
+            [standard_normal(&mut rng)],
+            [standard_normal(&mut rng)],
+        ];
+        let bernoulli_u: f64 = match self.estimator {
+            Estimator::Smooth => 0.0,
+            Estimator::Bernoulli => rng.random(),
+        };
+        let (z, weight, x) = self.finish_lanes(&eps, &[bernoulli_u]);
+        TiltedDraw {
+            z: [z[0][0], z[1][0], z[2][0]],
+            weight: weight[0],
+            x: x[0],
+        }
+    }
+
+    /// Lane-batched draws over one block of sample seeds: the
+    /// structure-of-arrays RNG banks step all lanes through the fixed
+    /// six/seven-uniform budget in lockstep, then [`Self::finish_block`]
+    /// turns the uniforms into draws, appended to `out`.
+    fn draw_block_lanes<const L: usize>(&self, ctxs: &[sweep::JobCtx], out: &mut Vec<TiltedDraw>) {
+        let mut seeds = [0u64; L];
+        for (seed, ctx) in seeds.iter_mut().zip(ctxs) {
+            *seed = ctx.seed;
+        }
+        let mut rngs = StdRngLanes::<L>::new();
+        rngs.seed_lanes(&seeds);
+        let mut uniforms = [[0.0f64; L]; 7];
+        for block in uniforms.iter_mut().take(self.estimator.draw_rounds()) {
+            rngs.fill_unit_f64(block);
+        }
+        self.finish_block(&uniforms, ctxs, out);
+    }
+
+    /// Box–Muller over the lanes' uniforms, then [`Self::finish_lanes`].
+    ///
+    /// Box–Muller's rejection branch (first uniform ≤ `f64::MIN_POSITIVE`,
+    /// probability ≈ 2⁻⁵³ per draw) breaks the fixed budget; an affected
+    /// lane is recomputed wholesale from its own seed on the scalar path,
+    /// preserving bit-identity because [`StdRngLanes::seed_lane`]
+    /// reproduces `StdRng::seed_from_u64` exactly.
+    fn finish_block<const L: usize>(
+        &self,
+        uniforms: &[[f64; L]; 7],
+        ctxs: &[sweep::JobCtx],
+        out: &mut Vec<TiltedDraw>,
+    ) {
+        let eps = [
+            standard_normal_lanes(&uniforms[0], &uniforms[1]),
+            standard_normal_lanes(&uniforms[2], &uniforms[3]),
+            standard_normal_lanes(&uniforms[4], &uniforms[5]),
+        ];
+        let (z, weight, x) = self.finish_lanes(&eps, &uniforms[6]);
+        for (lane, ctx) in ctxs.iter().enumerate().take(L) {
+            let rejected = [0, 2, 4]
+                .iter()
+                .any(|&k| uniforms[k][lane] <= f64::MIN_POSITIVE);
+            out.push(if rejected {
+                self.draw_scalar(ctx.seed)
             } else {
-                0.0
-            }
+                TiltedDraw {
+                    z: [z[0][lane], z[1][lane], z[2][lane]],
+                    weight: weight[lane],
+                    x: x[lane],
+                }
+            });
         }
-    };
-    TiltedDraw {
-        z,
-        weight,
-        p_fail,
-        x,
-    }
-}
-
-/// The scalar reference draw for sample seed `seed` — the definition of
-/// correct the lane path is held to.
-fn draw_scalar(
-    env: &TailEnv,
-    pulse: Time,
-    tilt: Tilt,
-    estimator: Estimator,
-    seed: u64,
-) -> TiltedDraw {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let eps = [
-        standard_normal(&mut rng),
-        standard_normal(&mut rng),
-        standard_normal(&mut rng),
-    ];
-    let bernoulli_u: f64 = match estimator {
-        Estimator::Smooth => 0.0,
-        Estimator::Bernoulli => rng.random(),
-    };
-    finish_draw(env, pulse, tilt, estimator, eps, bernoulli_u)
-}
-
-/// Lane-batched draws over one block of sample seeds: the
-/// structure-of-arrays RNG banks step all lanes through the fixed
-/// six/seven-uniform budget in lockstep, then each lane's innovations
-/// finish on the shared scalar arithmetic.
-///
-/// Box–Muller's rejection branch (first uniform ≤ `f64::MIN_POSITIVE`,
-/// probability ≈ 2⁻⁵³ per draw) breaks the fixed budget; an affected
-/// lane is recomputed wholesale from its own seed on the scalar path,
-/// preserving bit-identity because
-/// [`StdRngLanes::seed_lane`] reproduces `StdRng::seed_from_u64`
-/// exactly.
-fn draw_block_lanes<const LANES: usize>(
-    env: &TailEnv,
-    pulse: Time,
-    tilt: Tilt,
-    estimator: Estimator,
-    ctxs: &[sweep::JobCtx],
-) -> Vec<TiltedDraw> {
-    let filled = ctxs.len().min(LANES);
-    let mut rngs = StdRngLanes::<LANES>::new();
-    for (lane, ctx) in ctxs.iter().enumerate().take(filled) {
-        rngs.seed_lane(lane, ctx.seed);
-    }
-    let mut uniforms = [[0.0f64; LANES]; 7];
-    for block in uniforms.iter_mut().take(estimator.draw_rounds()) {
-        rngs.fill_unit_f64(block);
-    }
-    let mut out = Vec::with_capacity(ctxs.len());
-    for (lane, ctx) in ctxs.iter().enumerate().take(filled) {
-        let mut eps = [0.0f64; 3];
-        let mut rejected = false;
-        for (k, eps_k) in eps.iter_mut().enumerate() {
-            let u1 = uniforms[2 * k][lane];
-            if u1 <= f64::MIN_POSITIVE {
-                rejected = true;
-                break;
-            }
-            let u2 = uniforms[2 * k + 1][lane];
-            *eps_k = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
-        }
-        if rejected {
-            out.push(draw_scalar(env, pulse, tilt, estimator, ctx.seed));
-        } else {
-            out.push(finish_draw(
-                env,
-                pulse,
-                tilt,
-                estimator,
-                eps,
-                uniforms[6][lane],
-            ));
+        // A block longer than the lane width cannot come from the pool,
+        // but degrade gracefully rather than truncate.
+        for ctx in ctxs.iter().skip(L) {
+            out.push(self.draw_scalar(ctx.seed));
         }
     }
-    // A block longer than the lane width cannot come from
-    // `run_blocked`, but degrade gracefully rather than truncate.
-    for ctx in ctxs.iter().skip(filled) {
-        out.push(draw_scalar(env, pulse, tilt, estimator, ctx.seed));
-    }
-    out
-}
 
-/// Runtime-width dispatch of one block of draws.
-fn draw_block(
-    env: &TailEnv,
-    pulse: Time,
-    tilt: Tilt,
-    estimator: Estimator,
-    ctxs: &[sweep::JobCtx],
-    lanes: usize,
-) -> Vec<TiltedDraw> {
-    match lanes {
-        2 => draw_block_lanes::<2>(env, pulse, tilt, estimator, ctxs),
-        4 => draw_block_lanes::<4>(env, pulse, tilt, estimator, ctxs),
-        8 => draw_block_lanes::<8>(env, pulse, tilt, estimator, ctxs),
-        16 => draw_block_lanes::<16>(env, pulse, tilt, estimator, ctxs),
-        32 => draw_block_lanes::<32>(env, pulse, tilt, estimator, ctxs),
-        64 => draw_block_lanes::<64>(env, pulse, tilt, estimator, ctxs),
-        _ => ctxs
-            .iter()
-            .map(|ctx| draw_scalar(env, pulse, tilt, estimator, ctx.seed))
-            .collect(),
+    /// Runtime-width dispatch of one block of draws, appended to `out`.
+    fn draw_block(&self, ctxs: &[sweep::JobCtx], lanes: usize, out: &mut Vec<TiltedDraw>) {
+        match lanes {
+            2 => self.draw_block_lanes::<2>(ctxs, out),
+            4 => self.draw_block_lanes::<4>(ctxs, out),
+            8 => self.draw_block_lanes::<8>(ctxs, out),
+            16 => self.draw_block_lanes::<16>(ctxs, out),
+            32 => self.draw_block_lanes::<32>(ctxs, out),
+            64 => self.draw_block_lanes::<64>(ctxs, out),
+            _ => out.extend(ctxs.iter().map(|ctx| self.draw_scalar(ctx.seed))),
+        }
     }
 }
 
@@ -493,15 +627,25 @@ fn draw_block(
 
 /// Running sums of a tilted campaign — everything the estimators, the
 /// confidence interval, the effective sample sizes, and the
-/// cross-entropy tilt update need, in nine cells. Folding is done in
+/// cross-entropy tilt update need, in ten cells. Folding is done in
 /// grid order after collection, so the sums are bit-identical for every
 /// `jobs`/`lanes` combination, and the fixed `Self::CELLS`-cell
 /// encoding (`Self::to_cells`) is what surface campaigns checkpoint.
+///
+/// The variance of the contributions comes from Welford's running mean
+/// and centred second moment, not from `Σx² − n·mean²`: that difference
+/// cancels when the contributions are nearly equal (a well-tilted deep
+/// tail), which is exactly when the interval matters. `Σx` and `Σx²`
+/// stay for the point estimate and the contribution ESS.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TailAccumulator {
     samples: u64,
     sum_x: f64,
     sum_x2: f64,
+    /// Welford running mean of `x`.
+    mean_x: f64,
+    /// Welford `Σ(x − mean)²`.
+    m2_x: f64,
     sum_w: f64,
     sum_w2: f64,
     sum_xz: [f64; 3],
@@ -509,13 +653,18 @@ pub struct TailAccumulator {
 
 impl TailAccumulator {
     /// Cells in the checkpoint encoding.
-    pub(crate) const CELLS: usize = 8;
+    pub(crate) const CELLS: usize = 10;
 
     /// Folds one draw.
     pub(crate) fn push(&mut self, draw: &TiltedDraw) {
         self.samples += 1;
         self.sum_x += draw.x;
         self.sum_x2 += draw.x * draw.x;
+        // The reciprocal is off the running mean's dependency chain.
+        let inv_n = 1.0 / self.samples as f64;
+        let delta = draw.x - self.mean_x;
+        self.mean_x += delta * inv_n;
+        self.m2_x += delta * (draw.x - self.mean_x);
         self.sum_w += draw.weight;
         self.sum_w2 += draw.weight * draw.weight;
         for (acc, z) in self.sum_xz.iter_mut().zip(draw.z) {
@@ -602,7 +751,7 @@ impl TailAccumulator {
         let variance = if self.samples < 2 {
             0.0
         } else {
-            ((self.sum_x2 - n * mean * mean) / (n - 1.0)).max(0.0)
+            self.m2_x / (n - 1.0)
         };
         let std_error = (variance / n).sqrt();
         TailEstimate {
@@ -626,13 +775,20 @@ impl TailAccumulator {
     }
 
     /// Fixed-layout cell encoding for checkpoints:
-    /// `[n, Σx, Σx², Σw, Σw², Σxz₀, Σxz₁, Σxz₂]` with `n` stored as an
-    /// exact `f64` (campaigns are far below 2⁵³ samples).
+    /// `[n, Σx, Σx², mean, M2, Σw, Σw², Σxz₀, Σxz₁, Σxz₂]` with `n`
+    /// stored as an exact `f64` (campaigns are far below 2⁵³ samples).
     #[must_use]
     pub(crate) fn to_cells(self) -> Vec<f64> {
         let mut cells = Vec::with_capacity(Self::CELLS);
         cells.push(self.samples as f64);
-        cells.extend_from_slice(&[self.sum_x, self.sum_x2, self.sum_w, self.sum_w2]);
+        cells.extend_from_slice(&[
+            self.sum_x,
+            self.sum_x2,
+            self.mean_x,
+            self.m2_x,
+            self.sum_w,
+            self.sum_w2,
+        ]);
         cells.extend_from_slice(&self.sum_xz);
         cells
     }
@@ -647,9 +803,11 @@ impl TailAccumulator {
             samples: cells[0] as u64,
             sum_x: cells[1],
             sum_x2: cells[2],
-            sum_w: cells[3],
-            sum_w2: cells[4],
-            sum_xz: [cells[5], cells[6], cells[7]],
+            mean_x: cells[3],
+            m2_x: cells[4],
+            sum_w: cells[5],
+            sum_w2: cells[6],
+            sum_xz: [cells[7], cells[8], cells[9]],
         })
     }
 }
@@ -748,14 +906,17 @@ pub fn accumulate_tilted(
         ..sweep::SweepOptions::default()
     };
     let lanes = crate::lanes::resolve_lanes(opts.lanes);
-    let outcome = sweep::run_blocked(&grid, &pool, lanes, |ctxs, _| {
-        draw_block(env, pulse, tilt, opts.estimator, ctxs, lanes)
-    });
+    let kernel = TiltKernel::new(env, pulse, tilt, opts.estimator);
     let mut acc = TailAccumulator::default();
-    for draw in &outcome.results {
-        acc.push(draw);
-    }
-    (acc, outcome.summary)
+    let summary = sweep::fold_blocked(
+        &grid,
+        &pool,
+        lanes,
+        &mut acc,
+        |ctxs, _, out| kernel.draw_block(ctxs, lanes, out),
+        |acc, draw| acc.push(&draw),
+    );
+    (acc, summary)
 }
 
 /// Adaptive tilt search configuration.
@@ -890,26 +1051,37 @@ pub fn estimate_tail(env: &TailEnv, pulse: Time, opts: &TailOptions) -> TailPoin
 
 /// One brute-force trial over the *same* measure as the tilted sampler:
 /// draw a device from the nominal variation measure (three standard
-/// normals → [`TailEnv::params_from_z`]), then run the stochastic
-/// stepped write under the reference-calibrated model.
-pub(crate) fn varied_write_trial<R: Rng + ?Sized>(
-    env: &TailEnv,
-    pulse: Time,
-    rng: &mut R,
-) -> wer::WriteTrial {
+/// normals, of which the switching-current one sets the device), then
+/// run the stochastic stepped write — one uniform per step against the
+/// device's per-step switch probability — until it reverses or the
+/// pulse ends. Returns whether the write failed.
+///
+/// This is the scalar form of the lane kernel
+/// [`crate::lanes::count_varied_write_failures_batched`], which falls
+/// back to it for a lane whose Box–Muller draw hits the rejection
+/// branch.
+pub(crate) fn varied_trial_fails(kernel: &PointKernel, seed: u64) -> bool {
+    if kernel.certain_failure {
+        return true;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
     let z = [
-        standard_normal(rng),
-        standard_normal(rng),
-        standard_normal(rng),
+        standard_normal(&mut rng),
+        standard_normal(&mut rng),
+        standard_normal(&mut rng),
     ];
-    let params = env.params_from_z(z);
-    let model = env.model_for(&params);
-    wer::write_trial_with_model(&params, model, env.current, pulse, rng)
+    let p = kernel.switch_probability(z[2]);
+    for _ in 0..kernel.steps {
+        if rng.random::<f64>() < p {
+            return false;
+        }
+    }
+    true
 }
 
 /// Counts variation-aware brute-force write failures, one counter seed
-/// per trial — the direct analogue of
-/// [`crate::wer::count_write_failures`] with per-trial device sampling.
+/// per trial — the scalar oracle the lane kernel is held to.
+#[cfg(test)]
 #[must_use]
 pub(crate) fn count_varied_write_failures(
     env: &TailEnv,
@@ -917,20 +1089,18 @@ pub(crate) fn count_varied_write_failures(
     trials: usize,
     seed: u64,
 ) -> usize {
-    let mut failures = 0usize;
-    for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, t as u64));
-        if varied_write_trial(env, pulse, &mut rng).failed {
-            failures += 1;
-        }
-    }
-    failures
+    let kernel = PointKernel::new(env, pulse);
+    (0..trials)
+        .filter(|&t| varied_trial_fails(&kernel, sweep::point_seed(seed, t as u64)))
+        .count()
 }
 
 /// Variation-aware brute-force WER over a pulse grid, fanned over the
-/// worker pool — the cross-check the differential suite holds the
-/// importance sampler to in the 1e-3 regime. Bit-identical for every
-/// `jobs` value.
+/// worker pool with the lane kernel
+/// ([`crate::lanes::count_varied_write_failures_batched`]) inside each
+/// worker — the cross-check the differential suite holds the importance
+/// sampler to in the 1e-3 regime. Bit-identical for every `jobs` value
+/// and to the scalar trial-by-trial count.
 pub fn varied_wer_grid(
     env: &TailEnv,
     pulses: &[Time],
@@ -949,7 +1119,13 @@ pub fn varied_wer_grid(
         current,
         pulse,
         trials,
-        failures: count_varied_write_failures(env, pulse, trials, ctx.seed),
+        failures: crate::lanes::count_varied_write_failures_batched(
+            env,
+            pulse,
+            trials,
+            ctx.seed,
+            crate::lanes::DEFAULT_LANES,
+        ),
     });
     (outcome.results, outcome.summary)
 }
@@ -1023,13 +1199,19 @@ pub struct TailSurface {
     pub summary: sweep::RunSummary,
 }
 
+/// Version tag of the surface checkpoint layout, hashed into
+/// [`surface_fingerprint`]. `/2`: the accumulator cells gained the
+/// Welford mean and second moment, so a `/1` checkpoint is rejected
+/// with the typed fingerprint mismatch instead of misread.
+const SURFACE_TAG: &str = "nvff-rare-surface/2";
+
 /// Canonical fingerprint of a surface campaign for
 /// [`sweep::CheckpointPolicy::fingerprint`] — covers the axes and every
 /// option that changes the numbers.
 #[must_use]
 pub fn surface_fingerprint(axes: &SurfaceAxes, opts: &TailOptions) -> u64 {
     use core::fmt::Write as _;
-    let mut desc = String::from("nvff-rare-surface/1");
+    let mut desc = String::from(SURFACE_TAG);
     for p in &axes.pulses {
         let _ = write!(desc, "|p={}", p.seconds());
     }
@@ -1246,6 +1428,48 @@ mod tests {
         assert!(slow > typical * 3.0, "slow {slow} vs typical {typical}");
     }
 
+    /// The kernel's failure probability against the libm form of the
+    /// same trial (`wer::trial_failure_probability` under the
+    /// reference-calibrated model of the device at `z`), over drives
+    /// spanning the thermal (`I < 0.8·Ic`), bridge and precessional
+    /// (`I > 1.2·Ic`) regimes, device excursions down to the clamp, and
+    /// pulses from a fraction of τ to 40 τ (p_fail from ≈ 0.8 down to
+    /// ≈ 4e-18). Both sides round the 64 survival factors `1 − p` and
+    /// `τ`, whose error enters `ln p_fail` scaled by its magnitude, so
+    /// the relative difference is measured in units of
+    /// `ε·(64 + ln(1/p_fail))` (ε = 2⁻⁵²): measured worst 0.60, bound 2
+    /// (in plain terms at most 1.4e-14 relative on these points).
+    #[test]
+    fn kernel_failure_probability_agrees_with_the_libm_trial_oracle() {
+        let p = MtjParams::date2018();
+        let ic = p.critical_current();
+        let mut worst = 0.0f64;
+        for ratio in [0.3, 0.6, 0.79, 0.8, 0.85, 1.0, 1.19, 1.2, 1.5, 2.5] {
+            let e = TailEnv::new(&p, VariationModel::default(), ic * ratio);
+            for z_isw in [-40.0, -3.0, -1.0, 0.0, 0.7, 2.5, 5.0] {
+                let z = [0.3, -0.2, z_isw];
+                let model = e.model_for(&e.params_from_z(z));
+                let tau = model.mean_switching_time(e.current());
+                for k in [0.2, 1.0, 5.0, 12.0, 40.0] {
+                    let pulse = tau * k;
+                    let want = wer::trial_failure_probability(&model, e.current(), pulse);
+                    let got = e.failure_probability(z, pulse);
+                    // In units of the problem's condition number:
+                    // an ulp of each of the `steps` survival factors
+                    // and of ln p_fail = −steps·dt/τ.
+                    let cond = f64::EPSILON * (64.0 - want.ln());
+                    let rel = (got - want).abs() / want / cond;
+                    assert!(
+                        rel <= 2.0,
+                        "I = {ratio}·Ic, z = {z_isw}, {k}τ: {got:e} vs {want:e}"
+                    );
+                    worst = worst.max(rel);
+                }
+            }
+        }
+        assert!(worst > 0.0, "the libm-free kernel is not libm");
+    }
+
     #[test]
     fn deep_negative_excursions_clamp_and_stay_finite() {
         let e = env();
@@ -1295,6 +1519,46 @@ mod tests {
                 )
                 .0;
                 assert_eq!(got, reference, "jobs={jobs} lanes={lanes} {estimator:?}");
+            }
+        }
+    }
+
+    /// A lane whose first Box–Muller uniform is 0 (the rejection
+    /// branch, ≈ 2⁻⁵³ per draw, so injected here) is redrawn on the
+    /// scalar path from its own seed; every other lane keeps its
+    /// lockstep value. Either way each lane equals `draw_scalar`.
+    #[test]
+    fn a_rejected_box_muller_lane_falls_back_to_the_scalar_draw() {
+        let e = env();
+        let pulse = pulse_for_wer(&e.reference_model(), e.current(), 1e-5);
+        for estimator in [Estimator::Smooth, Estimator::Bernoulli] {
+            let kernel = TiltKernel::new(&e, pulse, Tilt::along_switching_current(1.4), estimator);
+            let grid = sweep::Grid::samples(8, 5);
+            let ctxs = sweep::run_blocked(&grid, &sweep::SweepOptions::with_jobs(1), 8, |c, _| {
+                c.to_vec()
+            })
+            .results;
+            let mut rngs = StdRngLanes::<8>::new();
+            for (lane, ctx) in ctxs.iter().enumerate() {
+                rngs.seed_lane(lane, ctx.seed);
+            }
+            let mut uniforms = [[0.0f64; 8]; 7];
+            for block in &mut uniforms {
+                rngs.fill_unit_f64(block);
+            }
+            // Lane 3's first normal and lane 6's third hit the branch.
+            uniforms[0][3] = 0.0;
+            uniforms[4][6] = f64::MIN_POSITIVE;
+            let mut draws = Vec::new();
+            kernel.finish_block(&uniforms, &ctxs, &mut draws);
+            for (lane, (draw, ctx)) in draws.iter().zip(&ctxs).enumerate() {
+                assert_eq!(*draw, kernel.draw_scalar(ctx.seed), "lane {lane}");
+                assert!(draw.x.is_finite() && draw.weight > 0.0, "lane {lane}");
+            }
+            let mut lockstep = Vec::new();
+            kernel.draw_block_lanes::<8>(&ctxs, &mut lockstep);
+            for (lane, (draw, ctx)) in lockstep.iter().zip(&ctxs).enumerate() {
+                assert_eq!(*draw, kernel.draw_scalar(ctx.seed), "lane {lane}");
             }
         }
     }
@@ -1430,6 +1694,54 @@ mod tests {
         let (parallel, _) = varied_wer_grid(&e, &pulses, 400, 7, 2);
         assert_eq!(serial, parallel);
         assert!(serial[0].wer() > serial[1].wer());
+    }
+
+    #[test]
+    fn an_old_layout_checkpoint_no_longer_matches() {
+        // The `/1` description of the same campaign: its checkpoint's
+        // eight accumulator cells must not be read as the ten of `/2`.
+        let axes = SurfaceAxes {
+            pulses: vec![Time::from_nano_seconds(8.0)],
+            sigma_switching_currents: vec![0.05],
+            temperatures: vec![Temperature::from_celsius(27.0)],
+        };
+        let opts = TailOptions::default();
+        let old = format!(
+            "nvff-rare-surface/1|p={}|s=0.05|t=27|n={}|est={:?}|conf={}|tilt={:?}|rounds={}|pilot={}",
+            axes.pulses[0].seconds(),
+            opts.samples,
+            opts.estimator,
+            opts.confidence,
+            opts.tilt,
+            opts.pilot_rounds,
+            opts.pilot_samples
+        );
+        let new = old.replacen("/1", "/2", 1);
+        assert_eq!(surface_fingerprint(&axes, &opts), sweep::fingerprint(&new));
+        assert_ne!(surface_fingerprint(&axes, &opts), sweep::fingerprint(&old));
+    }
+
+    #[test]
+    fn welford_variance_survives_nearly_equal_contributions() {
+        // 1e4 contributions 1e-9·(1 + 1e-9·k), k = 0..9: the spread is
+        // 1e-18 against a mean of 1e-9, where Σx² − n·mean² has no
+        // correct digit left.
+        let mut acc = TailAccumulator::default();
+        for i in 0..10_000u32 {
+            acc.push(&TiltedDraw {
+                z: [0.0; 3],
+                weight: 1.0,
+                x: 1e-9 * (1.0 + 1e-9 * f64::from(i % 10)),
+            });
+        }
+        let est = acc.estimate(0.99);
+        // Population variance of k = 0..9 is 8.25, scaled by (1e-18)².
+        let want = (8.25e-36 * 10_000.0 / 9_999.0 / 10_000.0f64).sqrt();
+        assert!(
+            (est.std_error / want - 1.0).abs() < 1e-6,
+            "se {} vs {want}",
+            est.std_error
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! current (70 µA in Table I) switches in the paper's worst-case write
 //! latency of 2 ns; see [`SwitchingModel::new`].
 
+use units::math::{ln, select};
 use units::{Current, Time};
 
 use crate::params::MtjParams;
@@ -189,12 +190,58 @@ impl SwitchingModel {
         }
     }
 
+    /// The constants of this model's `ln τ(x)` curve, for evaluating it
+    /// over many devices that differ only in critical current (the
+    /// rare-event sampler's variation draws). The thermal prefactor,
+    /// `ln τ_p` and the bridge endpoints come from the methods behind
+    /// [`Self::mean_switching_time`], so they carry the same bits.
+    #[must_use]
+    pub(crate) fn log_tau_curve(&self) -> LogTauCurve {
+        LogTauCurve {
+            ln_attempt_time: self.attempt_time.seconds().ln(),
+            thermal_stability: self.thermal_stability,
+            ln_precessional_time: self.precessional_time_constant.seconds().ln(),
+            bridge_lo: self.log_tau_thermal(THERMAL_BOUNDARY),
+            bridge_hi: self.log_tau_precessional(PRECESSIONAL_BOUNDARY),
+        }
+    }
+
     fn log_tau_thermal(&self, x: f64) -> f64 {
         self.attempt_time.seconds().ln() + self.thermal_stability * (1.0 - x)
     }
 
     fn log_tau_precessional(&self, x: f64) -> f64 {
         self.precessional_time_constant.seconds().ln() - (x - 1.0).ln()
+    }
+}
+
+/// [`SwitchingModel`]'s piecewise `ln τ(x)` as per-model constants and
+/// a branch-free evaluator: every regime is computed and a select picks
+/// one, and `ln(x − 1)` is [`units::math::ln`], so a loop over lanes
+/// vectorizes. Thermal and bridge values equal the model's bit for bit;
+/// the precessional one differs only by that `ln`'s rounding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LogTauCurve {
+    ln_attempt_time: f64,
+    thermal_stability: f64,
+    ln_precessional_time: f64,
+    bridge_lo: f64,
+    bridge_hi: f64,
+}
+
+impl LogTauCurve {
+    /// `ln τ` at normalized current `x = I/Ic0`.
+    #[inline(always)]
+    pub(crate) fn log_tau(&self, x: f64) -> f64 {
+        let thermal = self.ln_attempt_time + self.thermal_stability * (1.0 - x);
+        let precessional = self.ln_precessional_time - ln(x - 1.0);
+        let t = (x - THERMAL_BOUNDARY) / (PRECESSIONAL_BOUNDARY - THERMAL_BOUNDARY);
+        let bridge = self.bridge_lo + t * (self.bridge_hi - self.bridge_lo);
+        select(
+            x <= THERMAL_BOUNDARY,
+            thermal,
+            select(x >= PRECESSIONAL_BOUNDARY, precessional, bridge),
+        )
     }
 }
 
@@ -281,6 +328,29 @@ mod tests {
     fn zero_write_time_panics() {
         let p = MtjParams::date2018();
         let _ = SwitchingModel::with_write_time(&p, Time::ZERO);
+    }
+
+    #[test]
+    fn log_tau_curve_matches_the_model_in_every_regime() {
+        let (p, m) = model();
+        let curve = m.log_tau_curve();
+        let ic = p.critical_current().amps();
+        for step in 1..600 {
+            let x = 0.005 * f64::from(step);
+            let want = m.log_tau(x);
+            let got = curve.log_tau(x);
+            if x <= THERMAL_BOUNDARY || x < PRECESSIONAL_BOUNDARY {
+                assert_eq!(got.to_bits(), want.to_bits(), "x = {x}");
+            } else {
+                // ln τ_p − ln(x − 1): the libm-free ln is within an ulp.
+                assert!(
+                    (got - want).abs() <= 4.0 * f64::EPSILON * want.abs(),
+                    "x = {x}"
+                );
+            }
+            let tau = m.mean_switching_time(Current::from_amps(x * ic)).seconds();
+            assert!((got.exp() / tau - 1.0).abs() < 1e-13, "x = {x}");
+        }
     }
 
     #[test]

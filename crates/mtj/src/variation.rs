@@ -11,6 +11,7 @@ use core::fmt;
 use std::error::Error;
 
 use rand::{Rng, RngExt};
+use units::math::{cos_tau, ln};
 
 use crate::params::MtjParams;
 
@@ -195,15 +196,41 @@ impl Error for VariationBoundsError {}
 
 /// Standard normal deviate via the Box–Muller transform (rand 0.10 does
 /// not bundle a normal distribution; `rand_distr` would be an extra
-/// dependency for one function).
+/// dependency for one function): two uniforms per deviate, redrawn
+/// while the first is not above `f64::MIN_POSITIVE` (never, in
+/// practice: the uniforms sit on a 2⁻⁵³ grid).
 pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random();
         let u2: f64 = rng.random();
         if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
+            return box_muller_radius(u1) * cos_tau(u2);
         }
     }
+}
+
+/// The radius `√(−2·ln u₁)` of the Box–Muller transform, libm-free.
+#[inline(always)]
+fn box_muller_radius(u1: f64) -> f64 {
+    (-2.0 * ln(u1)).sqrt()
+}
+
+/// [`standard_normal`]'s transform over `L` lanes of uniform pairs, as
+/// two plain passes (radius, then angle) and a product — the same
+/// operations per lane as the scalar deviate, so the bits agree. Lanes
+/// whose `u1` is not above `f64::MIN_POSITIVE` hold garbage; callers
+/// recompute them on the scalar path.
+#[inline(always)]
+pub(crate) fn standard_normal_lanes<const L: usize>(u1: &[f64; L], u2: &[f64; L]) -> [f64; L] {
+    let mut radius = [0.0; L];
+    for (r, &u) in radius.iter_mut().zip(u1) {
+        *r = box_muller_radius(u);
+    }
+    let mut out = [0.0; L];
+    for ((o, &r), &u) in out.iter_mut().zip(&radius).zip(u2) {
+        *o = r * cos_tau(u);
+    }
+    out
 }
 
 #[cfg(test)]

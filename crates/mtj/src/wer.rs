@@ -129,12 +129,14 @@ pub fn trial_step_plan(pulse: Time) -> (usize, Time) {
 /// certainty).
 ///
 /// This is the Rao–Blackwellized ("smooth") form of [`write_trial`]: it
-/// returns the trial's failure probability instead of a Bernoulli draw,
-/// and is what the importance-sampling engine in [`crate::rare`]
-/// integrates over the variation space. It matches the stepped trial's
-/// distribution exactly — `(1 − p_step)^steps = exp(−steps·step/τ)` —
-/// where [`write_error_rate`] uses the un-discretized pulse length and
-/// no polarity guard.
+/// returns the trial's failure probability instead of a Bernoulli draw.
+/// It matches the stepped trial's distribution exactly —
+/// `(1 − p_step)^steps = exp(−steps·step/τ)` — where
+/// [`write_error_rate`] uses the un-discretized pulse length and no
+/// polarity guard. The importance sampler in [`crate::rare`] integrates
+/// the same quantity through its vectorized per-point kernel; this libm
+/// form is the oracle that kernel is held to.
+#[cfg(test)]
 #[must_use]
 pub(crate) fn trial_failure_probability(
     model: &SwitchingModel,
@@ -391,7 +393,7 @@ impl Default for WerGridOptions {
 }
 
 /// Monte-Carlo WER over a `(current, pulse)` grid, fanned out over a
-/// [`sweep`] worker pool with the lane-batched kernel inside each
+/// [`sweep`](::sweep) worker pool with the lane-batched kernel inside each
 /// worker (lanes × workers composed).
 ///
 /// Each grid point runs its `trials` stochastic writes with per-trial

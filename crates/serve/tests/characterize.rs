@@ -84,7 +84,7 @@ fn characterize_service_end_to_end() {
     telemetry::reset_for_tests();
     telemetry::init(telemetry::TraceMode::Collect);
     let options = ServiceOptions {
-        workers: 2,
+        workers: 1,
         queue_capacity: 16,
         cache_capacity: 256,
         cache_dir: None,
@@ -93,10 +93,40 @@ fn characterize_service_end_to_end() {
     let service = Arc::new(CharacterizeService::new(&options));
     let mut server = MetricsServer::bind_with("127.0.0.1:0", Some(service)).expect("bind port 0");
     let addr = server.local_addr();
+    let misses = || counter_value(&get(addr, "/metrics").2, "nvff_serve_cache_misses_total");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let wait_for_misses = |n: u64, what: &str| {
+        while misses() < n {
+            assert!(Instant::now() < deadline, "{what} never reached the queue");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    // --- Single-flight coalescing under real concurrency. ---
+    // Followers posted while the leader is in flight must coalesce
+    // rather than compute again. The service has one worker, and the
+    // first request (a cold 4-bit-word characterization, also the
+    // subject of the cache contract below) occupies it; the leader, a
+    // 200k-sample `wer_tail` point, is posted as soon as that request
+    // is queued and waits behind it. A request is in flight from the
+    // moment it is queued (the misses counter moves under the same lock
+    // that registers it), so the followers' window is the word's
+    // computation plus the leader's own. Measured on a 2-vCPU x86 box:
+    // about 660 ms in debug (leader alone 265 ms) and 53 ms in release
+    // (leader alone 16 ms), against under 4 ms for the three followers
+    // to reach the queue.
+    let request = r#"{"variant":"nv_word_4"}"#;
+    let occupant = std::thread::spawn(move || post(addr, "/v1/characterize", request));
+    wait_for_misses(1, "the occupying request");
+    let slow = r#"{"variant":"standard","analysis":"wer_tail","wer":{"samples":200000}}"#;
+    let leader = std::thread::spawn(move || post(addr, "/v1/characterize", slow));
+    wait_for_misses(2, "the leader");
+    let followers: Vec<_> = (0..3)
+        .map(|_| std::thread::spawn(move || post(addr, "/v1/characterize", slow)))
+        .collect();
 
     // --- The cache contract: miss, then byte-identical hit. ---
-    let request = r#"{"variant":"standard"}"#;
-    let (status, headers, first) = post(addr, "/v1/characterize", request);
+    let (status, headers, first) = occupant.join().expect("occupying request");
     assert_eq!(status, 200, "{first}");
     assert_eq!(header(&headers, "X-NVFF-Cache"), Some("miss"));
     assert!(
@@ -114,7 +144,7 @@ fn characterize_service_end_to_end() {
     let respelled = r#" {
         "analysis": "full",
         "corner": "tt/TYPICAL",
-        "variant": "standard",
+        "variant": "nv_word_4",
         "overrides": {}
     } "#;
     let (status, headers, third) = post(addr, "/v1/characterize", respelled);
@@ -122,40 +152,6 @@ fn characterize_service_end_to_end() {
     assert_eq!(header(&headers, "X-NVFF-Cache"), Some("hit"), "{third}");
     assert_eq!(first, third, "canonicalization must unify spellings");
 
-    // Exactly one simulation happened: misses count computations.
-    let (status, _, scrape) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    assert_eq!(counter_value(&scrape, "nvff_serve_cache_misses_total"), 1);
-    assert_eq!(counter_value(&scrape, "nvff_serve_cache_hits_total"), 2);
-
-    // --- Single-flight coalescing under real concurrency. ---
-    // Followers posted while the leader computes must coalesce rather
-    // than compute again. They are posted as soon as the leader is in
-    // flight: the misses counter moves under the same lock that
-    // registers the in-flight entry. The leader is a 200k-sample
-    // `wer_tail` point, whose work is importance sampling with no
-    // circuit solve, so solver speedups do not shrink it. It computes
-    // for about 90 ms in release and 280 ms in debug (2-vCPU x86 box),
-    // against a few milliseconds for a follower to reach the queue.
-    let slow = r#"{"variant":"standard","analysis":"wer_tail","wer":{"samples":200000}}"#;
-    let leader = {
-        let slow = slow.to_owned();
-        std::thread::spawn(move || post(addr, "/v1/characterize", &slow))
-    };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while counter_value(&get(addr, "/metrics").2, "nvff_serve_cache_misses_total") < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "the leader never reached the queue"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let followers: Vec<_> = (0..3)
-        .map(|_| {
-            let slow = slow.to_owned();
-            std::thread::spawn(move || post(addr, "/v1/characterize", &slow))
-        })
-        .collect();
     let (status, headers, slow_body) = leader.join().expect("leader");
     assert_eq!(status, 200, "{slow_body}");
     assert_eq!(header(&headers, "X-NVFF-Cache"), Some("miss"));
@@ -169,12 +165,17 @@ fn characterize_service_end_to_end() {
         );
         assert_eq!(body, slow_body, "coalesced shares the one result");
     }
-    let (_, _, scrape) = get(addr, "/metrics");
+
+    // Exactly one simulation per fingerprint happened — the word and
+    // the slow point: misses count computations.
+    let (status, _, scrape) = get(addr, "/metrics");
+    assert_eq!(status, 200);
     assert_eq!(
         counter_value(&scrape, "nvff_serve_cache_misses_total"),
         2,
-        "the slow point simulated exactly once: {scrape}"
+        "each point simulated exactly once: {scrape}"
     );
+    assert_eq!(counter_value(&scrape, "nvff_serve_cache_hits_total"), 2);
     assert_eq!(counter_value(&scrape, "nvff_serve_coalesced_total"), 3);
 
     // --- HTTP edges. ---

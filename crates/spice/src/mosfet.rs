@@ -31,18 +31,18 @@
 //! `x = u/2`, `F(u) = softplus(x)²` and `F'(u) = softplus(x)·sigmoid(x)`,
 //! where `softplus(x) = max(x, 0) + log1p(e^{−|x|})` and `sigmoid(x)` is
 //! `1/(1 + e^{−|x|})` for `x ≥ 0` and `e^{−|x|}/(1 + e^{−|x|})` below.
-//! The two primitives are
+//! The two primitives come from [`units::math`], shared with the
+//! Monte-Carlo kernels in `mtj`:
 //!
-//! * `e^y` for `y ≤ 0` by Cody–Waite reduction `y = k·ln2 + r`,
-//!   `|r| ≤ ln2/2`, and the classic degree-5 rational remainder; the
-//!   argument is clamped at −746, where `e^y` has rounded to zero, and
-//!   `2^k` is applied as two normal factors so subnormal results round
-//!   once;
-//! * `log1p(e)` for `e ∈ [0, 1]` as `2·atanh(s)`, `s = f/(2 + f)`, with
-//!   a degree-7 minimax polynomial in `s²`, after folding `e > √2 − 1`
-//!   to `ln 2 + log1p((e − 1)/2)`.
+//! * `e^y` ([`units::math::exp`], here always at `y ≤ 0`) by Cody–Waite
+//!   reduction `y = k·ln2 + r`, `|r| ≤ ln2/2`, and the classic degree-5
+//!   rational remainder, with `2^k` applied as two normal factors so
+//!   subnormal results round once;
+//! * `log1p(e)` for `e ∈ [0, 1]` ([`units::math::ln_1p_unit`]) as
+//!   `2·atanh(s)`, `s = f/(2 + f)`, with a degree-7 minimax polynomial
+//!   in `s²`, after folding `e > √2 − 1` to `ln 2 + log1p((e − 1)/2)`.
 //!
-//! Each is within about 1 ulp. Softplus and sigmoid are within 1e-15
+//! Each is within 1 ulp. Softplus and sigmoid are within 1e-15
 //! relative of an independent libm reference over `x ∈ [−1500, 1500]`
 //! (one step of the subnormal grid where the result is subnormal), and
 //! `±∞` and NaN give the limits and NaN. The formula this replaced
@@ -66,6 +66,8 @@
 //! the dominant first-order corner effects on both delay and leakage.
 
 use core::fmt;
+
+use units::math::{exp, ln_1p_unit, select};
 
 /// Thermal voltage kT/q at the paper's fixed 27 °C operating point.
 pub(crate) const THERMAL_VOLTAGE: f64 = 0.025_852;
@@ -299,17 +301,6 @@ impl MosfetBatch {
     }
 }
 
-/// `if c { a } else { b }` on values both sides have already computed,
-/// which LLVM lowers to a select (a blend in vector code).
-#[inline(always)]
-fn select(c: bool, a: f64, b: f64) -> f64 {
-    if c {
-        a
-    } else {
-        b
-    }
-}
-
 /// The device evaluation kernel: drain→source channel current and its
 /// terminal derivatives at absolute voltages `(vg, vd, vs)`.
 #[inline(always)]
@@ -355,73 +346,10 @@ fn kernel(p: KernelParams, vg: f64, vd: f64, vs: f64) -> MosfetOperatingPoint {
 /// `(ln(1 + e^x), 1/(1 + e^{−x}))`, overflow-free for every `x`.
 #[inline(always)]
 fn softplus_sigmoid(x: f64) -> (f64, f64) {
-    let e = exp_nonpositive(-x.abs());
-    let sp = select(x > 0.0, x, 0.0) + log1p_unit(e);
+    let e = exp(-x.abs());
+    let sp = select(x > 0.0, x, 0.0) + ln_1p_unit(e);
     let sg = select(x >= 0.0, 1.0, e) / (1.0 + e);
     (sp, sg)
-}
-
-/// `ln 2` split so that `k·LN2_HI` is exact for `|k| < 2^20`.
-const LN2_HI: f64 = 0.6931471803691238;
-const LN2_LO: f64 = 1.9082149292705877e-10;
-
-/// `e^y` for `y ≤ 0` (NaN propagates), within 1 ulp.
-#[inline(always)]
-fn exp_nonpositive(y: f64) -> f64 {
-    // 1.5·2^52: adding it rounds to an integer held in the low mantissa bits.
-    const SHIFTER: f64 = 6_755_399_441_055_744.0;
-    // Remez coefficients of the remainder on |r| ≤ ln2/2.
-    const P1: f64 = 0.16666666666666602;
-    const P2: f64 = -0.0027777777777015593;
-    const P3: f64 = 6.613756321437934e-05;
-    const P4: f64 = -1.6533902205465252e-06;
-    const P5: f64 = 4.1381367970572385e-08;
-
-    // e^−746 is below half the smallest subnormal; the clamp keeps
-    // k ≥ −1077 (a comparison, so NaN passes through).
-    let y = select(y < -746.0, -746.0, y);
-    let t = y * core::f64::consts::LOG2_E + SHIFTER;
-    let k = t - SHIFTER;
-    let hi = y - k * LN2_HI;
-    let lo = k * LN2_LO;
-    let r = hi - lo;
-    let rr = r * r;
-    let c = r - rr * (P1 + rr * (P2 + rr * (P3 + rr * (P4 + rr * P5))));
-    let er = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-    // 2^k with k ∈ [−1077, 0] as 2^k1 · 2^k2, both normal: er·2^k1 is
-    // exact and the second product rounds once, also into subnormals.
-    let ki = (t.to_bits() as i64).wrapping_sub(SHIFTER.to_bits() as i64);
-    let k1 = ki >> 1;
-    let k2 = ki.wrapping_sub(k1);
-    let pow2 = |k: i64| f64::from_bits((k.wrapping_add(1023) as u64) << 52);
-    er * pow2(k1) * pow2(k2)
-}
-
-/// `ln(1 + e)` for `e ∈ [0, 1]` (NaN propagates), within 1 ulp.
-#[inline(always)]
-fn log1p_unit(e: f64) -> f64 {
-    const SQRT2_M1: f64 = 0.41421356237309503;
-    // Remez coefficients of (2·atanh(s) − 2s)/s in z = s², |s| ≤ 0.1716.
-    const LG1: f64 = 0.6666666666666735;
-    const LG2: f64 = 0.3999999999940942;
-    const LG3: f64 = 0.2857142874366239;
-    const LG4: f64 = 0.22222198432149784;
-    const LG5: f64 = 0.1818357216161805;
-    const LG6: f64 = 0.15313837699209373;
-    const LG7: f64 = 0.14798198605116586;
-
-    // 1 + e = 2^kk·(1 + f) with 1 + f ∈ [1/√2, √2].
-    let fold = e > SQRT2_M1;
-    let f = select(fold, (e - 1.0) * 0.5, e);
-    let kk = select(fold, 1.0, 0.0);
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let odd = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    let even = w * (LG2 + w * (LG4 + w * LG6));
-    let r = odd + even;
-    let hfsq = 0.5 * f * f;
-    kk * LN2_HI - ((hfsq - (s * (hfsq + r) + kk * LN2_LO)) - f)
 }
 
 /// A CMOS process corner.

@@ -14,6 +14,9 @@
 //! auditable set of relations a circuit simulator needs, kept honest by the
 //! type system (see C-NEWTYPE).
 //!
+//! [`math`] holds the branch-free, libm-free `exp`, `ln` and `cos(2πu)`
+//! kernels that the vectorized MOSFET and Monte-Carlo loops share.
+//!
 //! # Examples
 //!
 //! ```
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod fmt_eng;
+pub mod math;
 mod quantities;
 
 pub use fmt_eng::format_engineering;

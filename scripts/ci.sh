@@ -50,15 +50,17 @@ echo "==> perfbench: build and test the benchmark against the library API"
 # gate; --locked keeps its lock file unchanged.
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
-echo "==> ISA independence: table2 and table3, x86-64 baseline build vs native build"
+echo "==> ISA independence: table2, table3 and shmoo --quick, x86-64 baseline build vs native build"
 # .cargo/config.toml builds for the host CPU and lets the autovectorizer
 # turn the batched MOSFET kernel into SIMD. The kernel is IEEE f64
 # arithmetic without FP contraction or libm calls, so a build for the
 # SSE2 baseline must print the same Table II bytes over all 9 corners
 # (a release run takes about a tenth of a second). The same holds for
 # Table III's measured flow (generate, place, merge at the 40k-gate
-# cap) and its replay. RUSTFLAGS replaces the config's rustflags; the
-# separate target dir keeps the two builds apart.
+# cap) and its replay, and for the rare-event shmoo, whose tilted-draw
+# and brute-force kernels run the same libm-free lane passes. RUSTFLAGS
+# replaces the config's rustflags; the separate target dir keeps the
+# two builds apart.
 isa_check() {
     local bin="$1"
     shift
@@ -76,6 +78,7 @@ isa_check() {
 }
 isa_check table2
 isa_check table3
+isa_check shmoo --quick
 
 echo "==> Fig. 6 smoke: fig6 and fig6 --explicit"
 # Drives both restore controllers of the proposed latch through

@@ -3,11 +3,13 @@
 //! for every supported lane width and every worker count, and the
 //! scalar kernel's own draw accounting must be pulse-scale invariant
 //! (the property that makes the lane batching legal in the first
-//! place).
+//! place). The rare-event kernels — the tilted draw and the
+//! variation-aware brute force — are held to the same standard.
 
 use mtj::lanes::{self, SUPPORTED_LANE_COUNTS};
+use mtj::rare::{self, Estimator, TailEnv, TailOptions, Tilt};
 use mtj::wer::{self, WerGridOptions, TRIAL_STEPS};
-use mtj::{MtjParams, SwitchingModel};
+use mtj::{MtjParams, SwitchingModel, VariationModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,6 +80,85 @@ fn batched_kernel_matches_scalar_at_awkward_trial_counts() {
                 lanes::count_write_failures_batched(&params, drive, pulse, trials, 7, lanes);
             assert_eq!(batched, scalar, "lanes={lanes} trials={trials}");
         }
+    }
+}
+
+/// Every lane width the tilted-draw kernel can run at: `0` (the
+/// default) and each supported width, `1` being the scalar draw.
+fn all_lane_widths() -> impl Iterator<Item = usize> {
+    std::iter::once(0).chain(SUPPORTED_LANE_COUNTS)
+}
+
+/// The importance sampler's lane kernel (Box–Muller, weight and
+/// failure probability as passes over the lanes) folds to the same
+/// accumulator bits as the scalar draw, for both estimators, at every
+/// lane width and worker count — with a sample count that leaves a
+/// ragged last block at every width.
+#[test]
+fn tilted_sampler_matches_the_scalar_draw_at_every_lane_width_and_worker_count() {
+    let params = MtjParams::date2018();
+    let drive = params.nominal_write_current();
+    let env = TailEnv::new(&params, VariationModel::default(), drive);
+    let pulse = wer::pulse_for_wer(&env.reference_model(), drive, 1e-6);
+    let tilt = Tilt::along_switching_current(2.0);
+    for estimator in [Estimator::Smooth, Estimator::Bernoulli] {
+        let opts = |jobs: usize, lanes: usize| TailOptions {
+            samples: 777,
+            seed: 2022,
+            jobs,
+            lanes,
+            estimator,
+            tilt: Some(tilt),
+            ..TailOptions::default()
+        };
+        let (scalar, _) = rare::accumulate_tilted(&env, pulse, tilt, &opts(1, 1));
+        for lanes in all_lane_widths() {
+            for jobs in [1, 2, 4] {
+                let (got, summary) = rare::accumulate_tilted(&env, pulse, tilt, &opts(jobs, lanes));
+                assert_eq!(got, scalar, "{estimator:?} lanes={lanes} jobs={jobs}");
+                assert_eq!(summary.points, 777);
+            }
+        }
+    }
+}
+
+/// The variation-aware brute force on lanes (device draws a block at a
+/// time, then lockstep stepping against per-lane integer thresholds)
+/// counts the same failures as its one-lane form at every width, across
+/// the shallow and moderate regimes and at trial counts straddling the
+/// widths; the pooled grid is identical for every worker count.
+#[test]
+fn varied_brute_force_is_bit_identical_at_every_lane_width_and_worker_count() {
+    let params = MtjParams::date2018();
+    let drive = params.nominal_write_current();
+    let env = TailEnv::new(&params, VariationModel::default(), drive);
+    let pulses: Vec<Time> = [0.3, 0.02, 1e-3]
+        .iter()
+        .map(|&t| wer::pulse_for_wer(&env.reference_model(), drive, t))
+        .collect();
+    for (k, &pulse) in pulses.iter().enumerate() {
+        for trials in [0usize, 1, 63, 65, 1000] {
+            let seed = 90 + k as u64;
+            let one_lane = lanes::count_varied_write_failures_batched(&env, pulse, trials, seed, 1);
+            for width in all_lane_widths() {
+                let got =
+                    lanes::count_varied_write_failures_batched(&env, pulse, trials, seed, width);
+                assert_eq!(got, one_lane, "pulse {k}, trials {trials}, lanes {width}");
+            }
+        }
+    }
+    let expected: Vec<usize> = pulses
+        .iter()
+        .enumerate()
+        .map(|(i, &pulse)| {
+            let seed = sweep::point_seed(31, i as u64);
+            lanes::count_varied_write_failures_batched(&env, pulse, 2000, seed, 1)
+        })
+        .collect();
+    for jobs in [1, 2, 4] {
+        let (grid, _) = rare::varied_wer_grid(&env, &pulses, 2000, 31, jobs);
+        let failures: Vec<usize> = grid.iter().map(|e| e.failures).collect();
+        assert_eq!(failures, expected, "jobs={jobs}");
     }
 }
 
