@@ -1563,6 +1563,81 @@ mod tests {
         }
     }
 
+    /// libm and `units::math` agree on nearly every input, so a lane
+    /// path that slipped back to libm `ln` or `cos` would still match
+    /// the scalar draw on most seeds. This test picks sample seeds whose
+    /// Box–Muller deviates in the untilted components (where `z = ε`
+    /// exactly) come out differently under libm's radius or angle,
+    /// checks that they do, and only then holds the lane draws to the
+    /// scalar ones bit for bit.
+    #[test]
+    fn lane_draws_match_the_scalar_draw_where_libm_and_units_math_differ() {
+        use std::f64::consts::TAU;
+        use units::math::{cos_tau, ln};
+        let radius = |u1: f64| (-2.0 * ln(u1)).sqrt();
+        // The uniform pairs of a sample's first two normals, as
+        // `draw_scalar` consumes them.
+        let pairs = |seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let u: [f64; 4] = std::array::from_fn(|_| rng.random());
+            [(u[0], u[1]), (u[2], u[3])]
+        };
+        let libm_ln_differs = |(u1, u2): (f64, f64)| {
+            (-2.0 * u1.ln()).sqrt() * cos_tau(u2) != radius(u1) * cos_tau(u2)
+        };
+        let libm_cos_differs =
+            |(u1, u2): (f64, f64)| radius(u1) * (TAU * u2).cos() != radius(u1) * cos_tau(u2);
+
+        let grid = sweep::Grid::samples(4096, 17);
+        let all = sweep::run_blocked(&grid, &sweep::SweepOptions::with_jobs(1), 64, |c, _| {
+            c.to_vec()
+        })
+        .results;
+        let pick = |differs: &dyn Fn((f64, f64)) -> bool| -> Vec<sweep::JobCtx> {
+            all.iter()
+                .filter(|ctx| pairs(ctx.seed).into_iter().any(differs))
+                .take(4)
+                .cloned()
+                .collect()
+        };
+        let by_ln = pick(&libm_ln_differs);
+        let by_cos = pick(&libm_cos_differs);
+        assert_eq!(
+            by_ln.len(),
+            4,
+            "too few seeds where libm ln changes a deviate"
+        );
+        assert_eq!(
+            by_cos.len(),
+            4,
+            "too few seeds where libm cos changes a deviate"
+        );
+        let ctxs: Vec<sweep::JobCtx> = by_ln.into_iter().chain(by_cos).collect();
+
+        let e = env();
+        let pulse = pulse_for_wer(&e.reference_model(), e.current(), 1e-5);
+        for estimator in [Estimator::Smooth, Estimator::Bernoulli] {
+            let kernel = TiltKernel::new(&e, pulse, Tilt::along_switching_current(1.4), estimator);
+            let scalar: Vec<TiltedDraw> = ctxs
+                .iter()
+                .map(|ctx| kernel.draw_scalar(ctx.seed))
+                .collect();
+            for lanes in [2, 4, 8] {
+                let mut draws = Vec::new();
+                for block in ctxs.chunks(lanes) {
+                    kernel.draw_block(block, lanes, &mut draws);
+                }
+                for (k, (got, want)) in draws.iter().zip(&scalar).enumerate() {
+                    for (g, w) in got.z.iter().zip(&want.z) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "z, sample {k}, lanes {lanes}");
+                    }
+                    assert_eq!(got.weight.to_bits(), want.weight.to_bits(), "weight, {k}");
+                    assert_eq!(got.x.to_bits(), want.x.to_bits(), "x, sample {k}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn tilted_estimate_agrees_with_untilted_within_ci() {
         let e = env();

@@ -45,7 +45,7 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cells::{CellMetrics, CellVariant, Corner, LatchConfig, NvWord};
+use cells::{CellMetrics, CellVariant, Corner, LatchConfig};
 use telemetry::JsonValue;
 
 use crate::cache::{ResultCache, DEFAULT_CAPACITY};
@@ -59,7 +59,7 @@ pub(crate) const RESPONSE_SCHEMA: &str = "nvff-characterize/1";
 /// run the same characterization (the store/restore/leakage phases are
 /// one sequenced simulation); the kind selects which metrics the
 /// response carries, and distinct kinds are distinct cache entries over
-/// the same pooled circuit.
+/// the same memoized circuit metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalysisKind {
     /// Everything: read, write, and leakage metrics.
@@ -337,7 +337,7 @@ impl CharacterizeRequest {
 
     /// Fingerprint of the circuit identity alone (request minus
     /// analysis kind): requests differing only in `analysis` share one
-    /// pooled harness and batch together.
+    /// memoized characterization and batch together.
     #[must_use]
     pub(crate) fn circuit_fingerprint(&self) -> u128 {
         let canonical = JsonValue::object(vec![
@@ -613,61 +613,62 @@ impl ApiResponse {
     }
 }
 
-/// Most circuits one worker keeps warm before recycling its pool.
-const MAX_POOLED_CIRCUITS: usize = 32;
+/// Most circuits whose metrics one worker remembers before clearing
+/// its memo.
+const MAX_MEMO_CIRCUITS: usize = 32;
 
 /// The characterization service: content-addressed cache in front of a
-/// single-flight batching queue in front of pooled simulation
-/// harnesses.
+/// single-flight batching queue in front of workers that memoize each
+/// circuit's metrics.
 pub struct CharacterizeService {
     cache: Arc<ResultCache>,
     queue: JobQueue,
     max_body_bytes: usize,
 }
 
-/// One worker-resident circuit: the harness plus its memoized metrics
-/// (computed at most once per worker, shared across analysis kinds).
-struct PooledCircuit {
-    word: NvWord,
-    metrics: Option<CellMetrics>,
-}
-
 thread_local! {
-    /// Per-worker harness pool, keyed by circuit fingerprint. Worker
-    /// threads are dedicated to the queue, so thread-locals give each
-    /// worker a private pool with zero synchronization — the same
-    /// ownership shape as `sweep`'s `make_state` hook.
-    static CIRCUITS: RefCell<sweep::LazyPool<u128, PooledCircuit>> =
+    /// Per-worker metrics memo, keyed by circuit fingerprint: one
+    /// characterization per circuit serves every analysis kind. Only the
+    /// outcome is kept; the circuit's harness is dropped as soon as it
+    /// has been characterized. Worker threads are dedicated to the
+    /// queue, so thread-locals give each worker a private memo with zero
+    /// synchronization — the same ownership shape as `sweep`'s
+    /// `make_state` hook.
+    static METRICS_MEMO: RefCell<sweep::LazyPool<u128, Result<CellMetrics, String>>> =
         RefCell::new(sweep::LazyPool::new());
 }
 
-/// Executes one job: resolve the canonical request, reuse or build the
-/// worker's harness for its circuit, characterize once, render.
+/// Executes one job: resolve the canonical request, characterize its
+/// circuit unless the worker's memo already holds the outcome, render.
 fn execute(job: &Job) -> Result<String, String> {
     let request = CharacterizeRequest::parse(&job.canonical)
         .map_err(|e| format!("internal: canonical request failed to re-parse: {e}"))?;
     if let Some(wer) = &request.wer {
-        // The rare-event arm runs on the MTJ compact model — no pooled
+        // The rare-event arm runs on the MTJ compact model — no
         // circuit, no characterization.
         let _span = telemetry::span("serve.wer_tail");
         return Ok(execute_wer_tail(&request, wer));
     }
-    let config = request.resolve_config()?;
-    CIRCUITS.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        if pool.len() >= MAX_POOLED_CIRCUITS {
-            pool.clear();
+    METRICS_MEMO.with(|cell| {
+        let mut memo = cell.borrow_mut();
+        if memo.len() >= MAX_MEMO_CIRCUITS {
+            memo.clear();
         }
-        let circuit = pool.get_or_build(job.batch_key, || PooledCircuit {
-            word: request.variant.instantiate(config),
-            metrics: None,
-        });
-        if circuit.metrics.is_none() {
+        // A failure is as much a pure function of the circuit as its
+        // metrics, so it is remembered too.
+        let metrics = memo.get_or_build(job.batch_key, || {
+            let config = request.resolve_config()?;
             let _span = telemetry::span("serve.characterize");
-            circuit.metrics = Some(circuit.word.characterize().map_err(|e| e.to_string())?);
+            request
+                .variant
+                .instantiate(config)
+                .characterize()
+                .map_err(|e| e.to_string())
+        });
+        match metrics {
+            Ok(metrics) => Ok(render_response(&request, metrics)),
+            Err(message) => Err(message.clone()),
         }
-        let metrics = circuit.metrics.as_ref().expect("just computed");
-        Ok(render_response(&request, metrics))
     })
 }
 

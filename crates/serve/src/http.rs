@@ -80,6 +80,11 @@ pub(crate) enum ReadError {
 /// client cannot make the server buffer it. The whole request must
 /// arrive within [`READ_TIMEOUT`] of the call.
 ///
+/// The first read runs on the receive timeout the stream already
+/// carries, which must be at most [`READ_TIMEOUT`]: the server's
+/// listener sets exactly that, and accepted sockets inherit it. Only
+/// the reads after the first re-arm the timeout to the time left.
+///
 /// # Errors
 ///
 /// See [`ReadError`].
@@ -96,7 +101,8 @@ pub(crate) fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Re
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(ReadError::Malformed);
         }
-        let n = read_before(stream, &mut chunk, deadline)?;
+        // Only the request's first read finds `buf` empty.
+        let n = read_before(stream, &mut chunk, deadline, !buf.is_empty())?;
         buf.extend_from_slice(&chunk[..n]);
     };
     // The read that completed the head may have crossed the cap.
@@ -116,7 +122,7 @@ pub(crate) fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Re
     }
     let mut body = buf[head_len..].to_vec();
     while body.len() < content_length {
-        let n = read_before(stream, &mut chunk, deadline)?;
+        let n = read_before(stream, &mut chunk, deadline, true)?;
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
@@ -124,19 +130,24 @@ pub(crate) fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Re
     Ok(request)
 }
 
-/// One read into `chunk` that must finish by `deadline`: the socket
-/// timeout is set to the time remaining, so a client cannot stretch the
-/// request by sending a byte just before each read would time out.
-/// A passed deadline, a timeout, a reset, or a peer that closed
-/// mid-request are all [`ReadError::Malformed`].
+/// One read into `chunk` that must finish by `deadline`. With `rearm`
+/// the socket timeout is first set to the time remaining, so a client
+/// cannot stretch the request by sending a byte just before each read
+/// would time out; the first read of a request skips that, as its
+/// stream arrives armed with the whole [`READ_TIMEOUT`]. A passed
+/// deadline, a timeout, a reset, or a peer that closed mid-request are
+/// all [`ReadError::Malformed`].
 fn read_before(
     stream: &mut TcpStream,
     chunk: &mut [u8],
     deadline: Instant,
+    rearm: bool,
 ) -> Result<usize, ReadError> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
-        return Err(ReadError::Malformed);
+    if rearm {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
+            return Err(ReadError::Malformed);
+        }
     }
     match stream.read(chunk) {
         Ok(0) | Err(_) => Err(ReadError::Malformed),
@@ -201,8 +212,9 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete response with `Content-Length` and
-/// `Connection: close`. Errors are swallowed — the peer hanging up
-/// mid-response is its own problem, not the server's.
+/// `Connection: close`, head and body in one write. Errors are
+/// swallowed — the peer hanging up mid-response is its own problem, not
+/// the server's.
 pub(crate) fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     write_response_with(stream, status, content_type, &[], body);
 }
@@ -217,21 +229,21 @@ pub(crate) fn write_response_with(
     extra_headers: &[(&str, &str)],
     body: &str,
 ) {
-    let mut head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         reason(status),
         body.len()
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        response.push_str(name);
+        response.push_str(": ");
+        response.push_str(value);
+        response.push_str("\r\n");
     }
-    head.push_str("Connection: close\r\n\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    response.push_str("Connection: close\r\n\r\n");
+    response.reserve_exact(body.len());
+    response.push_str(body);
+    let _ = stream.write_all(response.as_bytes());
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! slice of HTTP/1.1 a Prometheus scrape and a JSON POST need over
 //! `std::net`, and `metrics` renders the live [`telemetry`] registry
 //! snapshot in the text exposition format. [`server::MetricsServer`]
-//! ties them together as a background accept thread.
+//! ties them together: a background accept thread handing connections
+//! to persistent handler threads.
 //!
 //! On top of the metrics routes sits the characterization service
 //! (`POST /v1/characterize`), three layers deep:
@@ -50,4 +51,4 @@ mod server;
 pub use api::{CharacterizeRequest, CharacterizeService, ServiceOptions};
 pub use http::READ_TIMEOUT;
 pub use metrics::{escape_label_value, render_prometheus, sanitize_metric_name};
-pub use server::MetricsServer;
+pub use server::{MetricsServer, MAX_ACTIVE_CONNECTIONS};

@@ -13,9 +13,10 @@
 //! - **batching** — a worker dequeuing a job also claims every queued
 //!   job with the same `batch_key` (same circuit topology), up to
 //!   [`BATCH_MAX`], and runs them back-to-back. Combined with the
-//!   per-worker harness pools in the executor, points of one topology
-//!   amortize session setup instead of interleaving with unrelated
-//!   work. Batch sizes land in the `serve.batch_size` histogram.
+//!   per-worker metrics memo in the executor, the analysis kinds of one
+//!   circuit share a single characterization instead of interleaving
+//!   with unrelated work. Batch sizes land in the `serve.batch_size`
+//!   histogram.
 //! - **bounded** — at most `capacity` jobs wait. Past that, submission
 //!   fails fast as [`SubmitOutcome::Shed`] and the server answers
 //!   `429` with a `Retry-After` derived from the backlog

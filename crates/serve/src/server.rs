@@ -1,6 +1,6 @@
 //! The HTTP server proper: a `TcpListener` accept loop on its own
-//! thread, answering one request per connection on a short-lived
-//! handler thread.
+//! thread, handing each connection to a persistent handler thread that
+//! answers its one request.
 //!
 //! Routes (each with its allowed methods — anything else on a known
 //! path is `405` with an `Allow` header, unknown paths are `404`):
@@ -17,31 +17,47 @@
 //!   [`CharacterizeService`]): JSON in, cached JSON out, cache status
 //!   in the `X-NVFF-Cache` header.
 //!
-//! Connections are handled on their own threads — required for the
-//! service shapes: coalescing is only observable when several requests
-//! are in flight at once, and a long characterization must not block a
-//! metrics scrape. The thread count is capped at
-//! [`MAX_ACTIVE_CONNECTIONS`]; past that the accept loop answers `503`
-//! inline rather than queueing unbounded handler threads.
+//! **Thread model.** Connections are served concurrently — required for
+//! the service shapes: coalescing is only observable when several
+//! requests are in flight at once, and a long characterization must not
+//! block a metrics scrape. The accept thread pushes each accepted
+//! stream onto one handoff queue (a `Mutex<VecDeque<TcpStream>>` plus a
+//! `Condvar`); handler threads (`nvff-serve/conn`) park on it, take a
+//! stream, answer it, close it, and park again. A new handler is
+//! spawned only when every existing one is busy, so a steady stream of
+//! requests reuses the same few threads instead of paying a thread
+//! spawn and join per connection. Busy plus queued connections count
+//! against [`MAX_ACTIVE_CONNECTIONS`]; past it the accept thread
+//! answers `503` inline, which also caps the handler count. Handlers
+//! live until [`MetricsServer::shutdown`], which closes the handoff,
+//! lets them finish every connection already accepted, and joins them.
+//!
+//! Every socket the listener accepts inherits its
+//! [`READ_TIMEOUT`](crate::READ_TIMEOUT) receive timeout, so a
+//! request's first read needs no `setsockopt` of its own.
 
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::OwnedFd;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::api::CharacterizeService;
 use crate::http::{
     read_request, write_response, write_response_with, ReadError, Request, DEFAULT_MAX_BODY_BYTES,
+    READ_TIMEOUT,
 };
 use crate::metrics::render_prometheus;
 
-/// Most connections served concurrently; beyond it new connections get
-/// an inline `503` from the accept thread. Handler threads live for one
-/// request (bounded by [`crate::http::READ_TIMEOUT`]), so this bounds
-/// worst-case thread count, not steady-state throughput.
-pub(crate) const MAX_ACTIVE_CONNECTIONS: usize = 64;
+/// Most connections in hand at once, busy or queued for a handler;
+/// beyond it new connections get an inline `503` from the accept
+/// thread. A handler is spawned only for a connection no other handler
+/// is free to take, so this also bounds the handler thread count.
+pub const MAX_ACTIVE_CONNECTIONS: usize = 64;
 
 const TEXT: &str = "text/plain; charset=utf-8";
 const JSON: &str = "application/json";
@@ -56,6 +72,28 @@ struct Shared {
     stop: AtomicBool,
     /// The characterization service, when this server fronts one.
     service: Option<Arc<CharacterizeService>>,
+    /// Accepted connections on their way to the handler threads.
+    handoff: Mutex<Handoff>,
+    /// Woken when a connection is queued or the handoff closes.
+    handoff_cv: Condvar,
+}
+
+/// The accept thread's queue of connections for the handler threads.
+struct Handoff {
+    /// Accepted connections no handler has taken yet.
+    queue: VecDeque<TcpStream>,
+    /// Connections accepted and not yet closed: queued plus busy.
+    active: usize,
+    /// Set at shutdown: handlers exit once the queue is empty.
+    closed: bool,
+}
+
+impl Shared {
+    fn handoff(&self) -> MutexGuard<'_, Handoff> {
+        self.handoff
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// A running service handle. Dropping it shuts the server down, joins
@@ -87,13 +125,19 @@ impl MetricsServer {
         addr: A,
         service: Option<Arc<CharacterizeService>>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = with_read_timeout(TcpListener::bind(addr)?)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             quit: Mutex::new(false),
             quit_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             service,
+            handoff: Mutex::new(Handoff {
+                queue: VecDeque::new(),
+                active: 0,
+                closed: false,
+            }),
+            handoff_cv: Condvar::new(),
         });
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -177,6 +221,18 @@ fn signal_quit(shared: &Shared) {
     shared.quit_cv.notify_all();
 }
 
+/// Sets [`READ_TIMEOUT`] as the listening socket's receive timeout.
+/// Accepted sockets inherit it, so every connection starts armed for
+/// its first read. `std` only exposes the option on `TcpStream`; the
+/// descriptor is the same socket either way. On the listener itself the
+/// option bounds each `accept` wait, so an idle accept loop wakes once
+/// per [`READ_TIMEOUT`] with an error it skips, and accepts again.
+fn with_read_timeout(listener: TcpListener) -> std::io::Result<TcpListener> {
+    let socket = TcpStream::from(OwnedFd::from(listener));
+    socket.set_read_timeout(Some(READ_TIMEOUT))?;
+    Ok(TcpListener::from(OwnedFd::from(socket)))
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
@@ -184,24 +240,72 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             break;
         }
         let Ok(mut stream) = stream else { continue };
-        // Reap finished handlers; what's left is the live count.
-        handlers.retain(|handle| !handle.is_finished());
-        if handlers.len() >= MAX_ACTIVE_CONNECTIONS {
+        let mut handoff = shared.handoff();
+        if handoff.active >= MAX_ACTIVE_CONNECTIONS {
+            drop(handoff);
             write_response(&mut stream, 503, TEXT, "server overloaded\n");
+            continue;
+        }
+        handoff.active += 1;
+        handoff.queue.push_back(stream);
+        // Handlers not holding a connection take queued ones; spawn
+        // only when every handler already has one. A handler is added
+        // only while there are fewer than the active connections, so
+        // their number never exceeds the cap.
+        let spawn = handlers.len() < handoff.active;
+        drop(handoff);
+        shared.handoff_cv.notify_one();
+        if !spawn {
             continue;
         }
         let conn_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
             .name("nvff-serve/conn".into())
-            .spawn(move || handle(&mut stream, &conn_shared));
-        if let Ok(handle) = spawned {
-            handlers.push(handle);
+            .spawn(move || handler_loop(&conn_shared));
+        match spawned {
+            Ok(handle) => handlers.push(handle),
+            Err(_) => {
+                // The OS is out of threads: give up one queued
+                // connection (the client sees a reset and retries), so
+                // none waits for a handler that will never exist.
+                let mut handoff = shared.handoff();
+                if handoff.queue.pop_back().is_some() {
+                    handoff.active -= 1;
+                }
+            }
         }
-        // On spawn failure (the OS is out of threads) the connection is
-        // dropped; the client sees a reset and retries.
     }
+    shared.handoff().closed = true;
+    shared.handoff_cv.notify_all();
     for handle in handlers {
         let _ = handle.join();
+    }
+}
+
+/// One persistent handler: take a connection, answer it, close it,
+/// repeat until the handoff is closed and empty.
+fn handler_loop(shared: &Shared) {
+    let mut handoff = shared.handoff();
+    loop {
+        let Some(mut stream) = handoff.queue.pop_front() else {
+            if handoff.closed {
+                return;
+            }
+            handoff = shared
+                .handoff_cv
+                .wait(handoff)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            continue;
+        };
+        drop(handoff);
+        // A panicking request must not take the handler (and its slot)
+        // down with it; the client sees the connection close.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle(&mut stream, shared)));
+        handoff = shared.handoff();
+        handoff.active -= 1;
+        // Close only after the slot is free: a client that has seen
+        // the close never finds its connection still counted.
+        drop(stream);
     }
 }
 
@@ -324,4 +428,28 @@ fn characterize(stream: &mut TcpStream, service: &CharacterizeService, req: &Req
         headers.push(("Retry-After", seconds));
     }
     write_response_with(stream, response.status, JSON, &headers, &response.body);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first read of every request relies on this: accepted
+    /// sockets start with the listener's receive timeout (the kernel
+    /// may round it up to its tick).
+    #[test]
+    fn accepted_sockets_inherit_the_listener_read_timeout() {
+        let listener =
+            with_read_timeout(TcpListener::bind("127.0.0.1:0").expect("bind")).expect("timeout");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let timeout = accepted
+            .read_timeout()
+            .expect("read timeout")
+            .expect("a timeout is set");
+        assert!(
+            timeout >= READ_TIMEOUT && timeout < READ_TIMEOUT + Duration::from_millis(100),
+            "{timeout:?}"
+        );
+    }
 }

@@ -178,6 +178,35 @@ fn characterize_service_end_to_end() {
     assert_eq!(counter_value(&scrape, "nvff_serve_cache_hits_total"), 2);
     assert_eq!(counter_value(&scrape, "nvff_serve_coalesced_total"), 3);
 
+    // --- The worker memo: another analysis kind of a known circuit. ---
+    // A new fingerprint, so a miss, but the worker already holds the
+    // circuit's metrics: no second characterization, and the solver
+    // counters are those of the one run.
+    let characterizations = || -> u64 {
+        telemetry::snapshot()
+            .spans
+            .iter()
+            .filter(|span| span.path.ends_with("serve.characterize"))
+            .map(|span| span.count)
+            .sum()
+    };
+    assert_eq!(characterizations(), 1, "only the word was characterized");
+    let (status, headers, read_view) = post(
+        addr,
+        "/v1/characterize",
+        r#"{"variant":"nv_word_4","analysis":"read"}"#,
+    );
+    assert_eq!(status, 200, "{read_view}");
+    assert_eq!(header(&headers, "X-NVFF-Cache"), Some("miss"));
+    assert_eq!(characterizations(), 1, "the memo serves the second kind");
+    let solver = |body: &str| {
+        body.split_once("\"solver\":")
+            .expect("solver counters")
+            .1
+            .to_owned()
+    };
+    assert_eq!(solver(&read_view), solver(&first));
+
     // --- HTTP edges. ---
     // Wrong method on a known path: 405 with an Allow header.
     let (status, headers, _) = get(addr, "/v1/characterize");

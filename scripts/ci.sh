@@ -80,6 +80,24 @@ isa_check table2
 isa_check table3
 isa_check shmoo --quick
 
+echo "==> 512-bit codegen: the native release shmoo is built on zmm registers"
+# .cargo/config.toml asks for full-width vectors with -prefer-256-bit,
+# a target feature rustc does not list (every build warns about it).
+# On an AVX-512 host the lane kernels in the release shmoo binary must
+# then run on zmm registers. A few zmm instructions appear even without
+# the flag (58 on a 2-vCPU AVX-512 Xeon, against 11,006 with it), so the
+# gate is a floor well between the two rather than "any zmm at all".
+# Skipped where objdump or AVX-512 is missing.
+if command -v objdump >/dev/null 2>&1 && grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+    zmm="$(objdump -d --no-show-raw-insn target/release/shmoo | grep -c zmm || true)"
+    if [ "${zmm:-0}" -lt 1000 ]; then
+        echo "release shmoo has only ${zmm:-0} zmm instructions on an AVX-512 host:" \
+            "-prefer-256-bit no longer reaches the code generator" >&2
+        exit 1
+    fi
+    echo "    $zmm zmm instructions"
+fi
+
 echo "==> Fig. 6 smoke: fig6 and fig6 --explicit"
 # Drives both restore controllers of the proposed latch through
 # restore_traces and store_traces from a binary, which no test suite
