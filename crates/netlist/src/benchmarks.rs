@@ -9,11 +9,20 @@
 //! consecutive modules). What the downstream flow consumes — flip-flop
 //! count and post-placement flip-flop proximity statistics — is
 //! preserved by this construction; see DESIGN.md's substitution table.
+//!
+//! The construction runs on module ranges. Nets are created in output
+//! order, so cell `k` drives net `n_inputs + k` and each module's
+//! outputs are one contiguous range of net handles (flip-flops first).
+//! A module's source pool is that range, or the prefix of it wired so
+//! far; only the design-wide wired pool is a vector. Every name goes
+//! into the netlist's name buffers as a static prefix plus decimal
+//! digits (`pi7`, `q3_1`, `n42`, `U42`, …) without `core::fmt`, into
+//! buffers reserved up front.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::ir::{CellKind, NetId, Netlist};
+use crate::ir::{decimal_len, CellKind, Instance, NameBuf, NetId, Netlist};
 
 /// Which suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,162 +177,245 @@ pub fn generate(spec: BenchmarkSpec) -> Netlist {
 /// benchmark name.
 #[must_use]
 pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
-    let gates = spec.gates.min(max_gates);
-    let mut rng = StdRng::seed_from_u64(seed_from_name(spec.name));
-    let mut netlist = Netlist::new(spec.name);
+    CellPlan::new(spec, max_gates).wire(spec)
+}
 
-    // Primary inputs.
-    let n_inputs = (gates / 100).clamp(4, 256);
-    let input_nets: Vec<NetId> = (0..n_inputs)
-        .map(|k| {
-            let net = netlist.add_net(format_args!("pi{k}"));
-            netlist.add_instance(format_args!("PI{k}"), CellKind::Input, &[], Some(net));
-            net
-        })
-        .collect();
+/// The first phase of the construction: the primary inputs, the
+/// module plan and every cell's kind and output net, before any wiring.
+///
+/// Nets are created in output order — the primary inputs' nets
+/// `0..n_inputs`, then cell `k`'s output net `n_inputs + k` — so module
+/// `m`'s outputs are the one contiguous range `starts[m]..starts[m + 1]`,
+/// its flip-flops first and then its gates. A pool of candidate source
+/// nets is then a range (or a prefix of one), not a vector.
+#[derive(Debug)]
+struct CellPlan {
+    /// The generator's RNG, past every planning draw.
+    rng: StdRng,
+    /// Combinational gate count after the cap.
+    gates: usize,
+    /// Primary inputs (nets `0..n_inputs`).
+    n_inputs: usize,
+    /// First net of each module's range, plus the end of the last.
+    starts: Vec<usize>,
+    /// Flip-flops leading each module's range.
+    ffs: Vec<usize>,
+    /// Kind of cell `k`, which drives net `n_inputs + k`.
+    kinds: Vec<CellKind>,
+    /// Every net's name, in net order.
+    nets: NameBuf,
+}
 
-    // Plan the modules: total placeable cells split into locality groups,
-    // with flip-flops assigned in banks to consecutive modules.
-    let total_cells = gates + spec.flip_flops;
-    let module_count = total_cells.div_ceil(MODULE_SIZE).max(1);
-    let mut ff_per_module = vec![0usize; module_count];
-    let mut remaining_ffs = spec.flip_flops;
-    let mut module_cursor = rng.random_range(0..module_count);
-    while remaining_ffs > 0 {
-        let bank = REGISTER_BANK.min(remaining_ffs);
-        ff_per_module[module_cursor] += bank;
-        remaining_ffs -= bank;
-        // Banks land on consecutive modules with occasional jumps, the
-        // register-file-plus-scattered-state pattern of real designs.
-        module_cursor = if rng.random_bool(0.8) {
-            (module_cursor + 1) % module_count
-        } else {
-            rng.random_range(0..module_count)
-        };
-    }
+impl CellPlan {
+    fn new(spec: BenchmarkSpec, max_gates: usize) -> Self {
+        let gates = spec.gates.min(max_gates);
+        let mut rng = StdRng::seed_from_u64(seed_from_name(spec.name));
+        let n_inputs = (gates / 100).clamp(4, 256);
 
-    // Create instances module by module; wiring comes afterwards so
-    // every output net exists first.
-    let mut module_outputs: Vec<Vec<NetId>> = vec![Vec::new(); module_count];
-    let mut all_outputs: Vec<NetId> = input_nets.clone();
-    let mut pending: Vec<(usize, CellKind, NetId)> = Vec::new(); // (module, kind, out)
-    let mut gate_budget = gates;
-    let mut idx = 0usize;
-    for module in 0..module_count {
-        let mut cells_here = MODULE_SIZE.min(gate_budget + spec.flip_flops);
-        let ffs_here = ff_per_module[module];
-        for k in 0..ffs_here {
-            let out = netlist.add_net(format_args!("q{module}_{k}"));
-            pending.push((module, CellKind::Dff, out));
-            module_outputs[module].push(out);
-            all_outputs.push(out);
-            cells_here = cells_here.saturating_sub(1);
-        }
-        let gates_here = cells_here.min(gate_budget);
-        gate_budget -= gates_here;
-        for _ in 0..gates_here {
-            let kind = random_gate(&mut rng);
-            let out = netlist.add_net(format_args!("n{idx}"));
-            idx += 1;
-            pending.push((module, kind, out));
-            module_outputs[module].push(out);
-            all_outputs.push(out);
-        }
-    }
-    // Any leftover combinational budget goes to the last module.
-    while gate_budget > 0 {
-        let kind = random_gate(&mut rng);
-        let out = netlist.add_net(format_args!("n{idx}"));
-        idx += 1;
-        pending.push((module_count - 1, kind, out));
-        module_outputs[module_count - 1].push(out);
-        all_outputs.push(out);
-        gate_budget -= 1;
-    }
-
-    // Wire and instantiate: inputs drawn with Rent-style locality. The
-    // combinational part must stay acyclic (as in any mapped synchronous
-    // design), so a gate may only source primary inputs, flip-flop
-    // outputs (registered, so no combinational path), or gates wired
-    // before it; flip-flop D-inputs may come from anywhere. `wired`
-    // mirrors `module_outputs` but grows as wiring proceeds.
-    let mut wired: Vec<Vec<NetId>> = (0..module_count)
-        .map(|m| {
-            module_outputs[m]
-                .iter()
-                .copied()
-                .take(ff_per_module[m])
-                .collect()
-        })
-        .collect();
-    let registered: Vec<NetId> = input_nets
-        .iter()
-        .copied()
-        .chain(wired.iter().flatten().copied())
-        .collect();
-    let mut wired_global = registered.clone();
-    for (k, (module, kind, out)) in pending.iter().enumerate() {
-        let mut inputs = [NetId(0); 2];
-        let inputs = &mut inputs[..kind.input_count()];
-        for input in inputs.iter_mut() {
-            *input = if kind.is_flip_flop() {
-                pick_source(
-                    &mut rng,
-                    *module,
-                    &module_outputs,
-                    &all_outputs,
-                    &input_nets,
-                )
+        // Plan the modules: total placeable cells split into locality
+        // groups, with flip-flops assigned in banks to consecutive
+        // modules.
+        let total_cells = gates + spec.flip_flops;
+        let module_count = total_cells.div_ceil(MODULE_SIZE).max(1);
+        let mut ffs = vec![0usize; module_count];
+        let mut remaining_ffs = spec.flip_flops;
+        let mut module_cursor = rng.random_range(0..module_count);
+        while remaining_ffs > 0 {
+            let bank = REGISTER_BANK.min(remaining_ffs);
+            ffs[module_cursor] += bank;
+            remaining_ffs -= bank;
+            // Banks land on consecutive modules with occasional jumps,
+            // the register-file-plus-scattered-state pattern of real
+            // designs.
+            module_cursor = if rng.random_bool(0.8) {
+                (module_cursor + 1) % module_count
             } else {
-                pick_source(&mut rng, *module, &wired, &wired_global, &input_nets)
+                rng.random_range(0..module_count)
             };
         }
-        let prefix = if kind.is_flip_flop() { "FF" } else { "U" };
-        netlist.add_instance(format_args!("{prefix}{k}"), *kind, inputs, Some(*out));
-        if !kind.is_flip_flop() {
-            wired[*module].push(*out);
-            wired_global.push(*out);
+
+        let most_ffs = ffs.iter().copied().max().unwrap_or(0);
+        let mut nets = NameBuf::with_capacity(
+            n_inputs + total_cells,
+            numbered_bytes("pi", n_inputs)
+                + spec.flip_flops
+                    * ("q_".len()
+                        + decimal_len(module_count - 1)
+                        + decimal_len(most_ffs.saturating_sub(1)))
+                + numbered_bytes("n", gates),
+        );
+        for k in 0..n_inputs {
+            nets.push_numbered("pi", k);
+        }
+
+        // Create the cells module by module; wiring comes afterwards so
+        // every output net exists first.
+        let mut starts = Vec::with_capacity(module_count + 1);
+        let mut kinds = Vec::with_capacity(total_cells);
+        let mut gate_budget = gates;
+        let mut idx = 0usize;
+        for (module, &ffs_here) in ffs.iter().enumerate() {
+            starts.push(n_inputs + kinds.len());
+            for k in 0..ffs_here {
+                nets.push_numbered_pair("q", module, k);
+                kinds.push(CellKind::Dff);
+            }
+            // Any leftover combinational budget goes to the last module.
+            let gates_here = if module + 1 == module_count {
+                gate_budget
+            } else {
+                MODULE_SIZE
+                    .min(gate_budget + spec.flip_flops)
+                    .saturating_sub(ffs_here)
+                    .min(gate_budget)
+            };
+            gate_budget -= gates_here;
+            for _ in 0..gates_here {
+                kinds.push(random_gate(&mut rng));
+                nets.push_numbered("n", idx);
+                idx += 1;
+            }
+        }
+        starts.push(n_inputs + kinds.len());
+
+        Self {
+            rng,
+            gates,
+            n_inputs,
+            starts,
+            ffs,
+            kinds,
+            nets,
         }
     }
 
-    // Primary outputs sample arbitrary internal nets.
-    let n_outputs = (gates / 120).clamp(4, 256);
-    for k in 0..n_outputs {
-        let net = all_outputs[rng.random_range(0..all_outputs.len())];
-        netlist.add_instance(format_args!("PO{k}"), CellKind::Output, &[net], None);
-    }
+    /// The second phase: wires every cell and adds the ports.
+    ///
+    /// Inputs are drawn with Rent-style locality. The combinational
+    /// part must stay acyclic (as in any mapped synchronous design), so
+    /// a gate may only source primary inputs, flip-flop outputs
+    /// (registered, so no combinational path), or gates wired before
+    /// it; flip-flop D-inputs may come from anywhere. A module's wired
+    /// nets are a prefix of its range that grows as its gates are
+    /// wired; the design-wide wired pool, in wiring order, is the one
+    /// pool kept as a vector.
+    fn wire(self, spec: BenchmarkSpec) -> Netlist {
+        let Self {
+            mut rng,
+            gates,
+            n_inputs,
+            starts,
+            ffs,
+            kinds,
+            nets,
+        } = self;
+        let n_nets = nets.len();
+        let n_outputs = (gates / 120).clamp(4, 256);
+        let module_len: Vec<usize> = starts.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut wired = ffs.clone();
+        let mut wired_global: Vec<NetId> = Vec::with_capacity(n_nets);
+        wired_global.extend((0..n_inputs).map(NetId::from_index));
+        for (&start, &ffs_here) in starts.iter().zip(&ffs) {
+            wired_global.extend((start..start + ffs_here).map(NetId::from_index));
+        }
 
-    netlist
+        let mut names = NameBuf::with_capacity(
+            n_nets + n_outputs,
+            numbered_bytes("PI", n_inputs)
+                + numbered_bytes("FF", kinds.len())
+                + numbered_bytes("PO", n_outputs),
+        );
+        let mut instances = Vec::with_capacity(n_nets + n_outputs);
+        for k in 0..n_inputs {
+            names.push_numbered("PI", k);
+            instances.push(Instance::new(
+                CellKind::Input,
+                &[],
+                Some(NetId::from_index(k)),
+            ));
+        }
+        for module in 0..ffs.len() {
+            for out in starts[module]..starts[module + 1] {
+                let k = out - n_inputs;
+                let kind = kinds[k];
+                let mut inputs = [NetId(0); 2];
+                let inputs = &mut inputs[..kind.input_count()];
+                for input in inputs.iter_mut() {
+                    *input = if kind.is_flip_flop() {
+                        // Whole module ranges; the global pool is every
+                        // net, net `i` being the `i`-th output created.
+                        let (len, all) = (n_nets, NetId::from_index);
+                        pick_source(&mut rng, &starts, &module_len, module, n_inputs, len, all)
+                    } else {
+                        // Wired prefixes and the wired pool.
+                        let (len, global) = (wired_global.len(), |i| wired_global[i]);
+                        pick_source(&mut rng, &starts, &wired, module, n_inputs, len, global)
+                    };
+                }
+                let out = NetId::from_index(out);
+                if kind.is_flip_flop() {
+                    names.push_numbered("FF", k);
+                } else {
+                    names.push_numbered("U", k);
+                    wired[module] += 1;
+                    wired_global.push(out);
+                }
+                instances.push(Instance::new(kind, inputs, Some(out)));
+            }
+        }
+
+        // Primary outputs sample arbitrary internal nets.
+        for k in 0..n_outputs {
+            let net = NetId::from_index(rng.random_range(0..n_nets));
+            names.push_numbered("PO", k);
+            instances.push(Instance::new(CellKind::Output, &[net], None));
+        }
+
+        Netlist::from_parts(spec.name, nets, names, instances)
+    }
+}
+
+/// Upper bound on the bytes of the names `{prefix}0` to
+/// `{prefix}{count - 1}`.
+fn numbered_bytes(prefix: &str, count: usize) -> usize {
+    count * (prefix.len() + decimal_len(count.saturating_sub(1)))
 }
 
 /// Locality-weighted source selection: 78 % same module, 15 % a
 /// neighbouring module, 7 % anywhere (global nets / primary inputs).
+///
+/// Module `m`'s pool is its first `counts[m]` nets, from net
+/// `starts[m]`; the primary inputs are nets `0..n_inputs`; the global
+/// pool has `global_len` nets, `global(i)` the `i`-th.
 fn pick_source(
     rng: &mut StdRng,
+    starts: &[usize],
+    counts: &[usize],
     module: usize,
-    module_outputs: &[Vec<NetId>],
-    all_outputs: &[NetId],
-    input_nets: &[NetId],
+    n_inputs: usize,
+    global_len: usize,
+    global: impl Fn(usize) -> NetId,
 ) -> NetId {
     let roll: f64 = rng.random();
-    let from = |pool: &[NetId], rng: &mut StdRng| pool[rng.random_range(0..pool.len())];
-    if roll < 0.78 && !module_outputs[module].is_empty() {
-        return from(&module_outputs[module], rng);
+    let from =
+        |m: usize, rng: &mut StdRng| NetId::from_index(starts[m] + rng.random_range(0..counts[m]));
+    if roll < 0.78 && counts[module] > 0 {
+        return from(module, rng);
     }
     if roll < 0.93 {
-        let neighbor = if rng.random_bool(0.5) && module + 1 < module_outputs.len() {
+        let neighbor = if rng.random_bool(0.5) && module + 1 < counts.len() {
             module + 1
         } else {
             module.saturating_sub(1)
         };
-        if !module_outputs[neighbor].is_empty() {
-            return from(&module_outputs[neighbor], rng);
+        if counts[neighbor] > 0 {
+            return from(neighbor, rng);
         }
     }
-    if roll < 0.97 || all_outputs.is_empty() {
-        return from(input_nets, rng);
+    if roll < 0.97 || global_len == 0 {
+        return NetId::from_index(rng.random_range(0..n_inputs));
     }
-    from(all_outputs, rng)
+    global(rng.random_range(0..global_len))
 }
 
 /// Combinational kind distribution of a typical mapped netlist.
@@ -427,8 +519,49 @@ mod tests {
         let n = generate_scaled(by_name("s838").unwrap(), 500);
         for inst in n.instances() {
             for net in inst.inputs() {
-                assert!(net.0 < n.net_count());
+                assert!(net.index() < n.net_count());
             }
+        }
+    }
+
+    #[test]
+    fn cell_outputs_follow_net_order_in_contiguous_module_ranges() {
+        // The flat construction relies on both: cell `k` drives net
+        // `n_inputs + k`, and each module's outputs are one range with
+        // its flip-flops first.
+        for (name, cap) in [("s344", usize::MAX), ("s13207", 2000), ("b14", 9767)] {
+            let spec = by_name(name).unwrap();
+            let plan = CellPlan::new(spec, cap);
+            let n_inputs = plan.n_inputs;
+            let cells = plan.kinds.len();
+            assert_eq!(plan.starts.first(), Some(&n_inputs), "{name}");
+            assert_eq!(plan.starts.last(), Some(&(n_inputs + cells)), "{name}");
+            for (m, w) in plan.starts.windows(2).enumerate() {
+                assert!(w[0] <= w[1], "{name}: module {m}");
+                let kinds = &plan.kinds[w[0] - n_inputs..w[1] - n_inputs];
+                let (ffs, gates) = kinds.split_at(plan.ffs[m]);
+                assert!(ffs.iter().all(|k| k.is_flip_flop()), "{name}: module {m}");
+                assert!(
+                    gates.iter().all(|k| !k.is_flip_flop()),
+                    "{name}: module {m}"
+                );
+                for k in 0..ffs.len() {
+                    assert_eq!(plan.nets.get(w[0] + k), format!("q{m}_{k}"));
+                }
+            }
+            let kinds = plan.kinds.clone();
+            let n = plan.wire(spec);
+            assert_eq!(n, generate_scaled(spec, cap), "{name}");
+            let instances = n.instances();
+            assert!(instances[..n_inputs]
+                .iter()
+                .all(|i| i.kind == CellKind::Input));
+            for (k, kind) in kinds.iter().enumerate() {
+                let inst = &instances[n_inputs + k];
+                assert_eq!(inst.kind, *kind, "{name}: cell {k}");
+                assert_eq!(inst.output, Some(NetId::from_index(n_inputs + k)));
+            }
+            assert_eq!(n.net_count(), n_inputs + cells);
         }
     }
 

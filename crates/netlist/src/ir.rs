@@ -1,4 +1,14 @@
 //! The gate-level intermediate representation.
+//!
+//! Everything is a flat array on 32-bit handles: [`NetId`] and
+//! [`InstId`] wrap `u32`, an [`Instance`] is a 20-byte `Copy` record
+//! (its kind, two inline input slots and its output), and
+//! [`NetPins`] is a CSR table of `u32` offsets and instance handles.
+//! A `usize` becomes a handle through one checked conversion, which
+//! panics past `u32::MAX` like the pin-count assert does on a
+//! malformed instance. Net and instance names each live in one
+//! [`NameBuf`]: the text of every name back to back plus 32-bit end
+//! offsets.
 
 use core::fmt;
 use std::fmt::Write as _;
@@ -82,34 +92,109 @@ impl fmt::Display for CellKind {
     }
 }
 
+/// Converts an index or a length to a 32-bit handle value: the one
+/// place a `usize` becomes a [`NetId`], an [`InstId`], a [`NetPins`]
+/// offset or a [`NameBuf`] end.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX` — netlists are built programmatically, so a
+/// design that large is a generator bug, like a pin-count mismatch.
+#[must_use]
+pub(crate) fn handle(index: usize) -> u32 {
+    u32::try_from(index)
+        .unwrap_or_else(|_| panic!("netlist index {index} does not fit a 32-bit handle"))
+}
+
 /// Handle of a net within one [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NetId(pub usize);
+pub struct NetId(pub u32);
+
+impl NetId {
+    /// The handle of net number `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > u32::MAX`.
+    #[must_use]
+    pub fn from_index(index: usize) -> Self {
+        Self(handle(index))
+    }
+
+    /// The net's position in its netlist.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Handle of an instance within one [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct InstId(pub usize);
+pub struct InstId(pub u32);
+
+impl InstId {
+    /// The handle of instance number `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > u32::MAX`.
+    #[must_use]
+    pub fn from_index(index: usize) -> Self {
+        Self(handle(index))
+    }
+
+    /// The instance's position in its netlist.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Many short names in one buffer: the text of every name back to
-/// back, plus the end offset of each. Pushing a name formats it
-/// straight into the buffer, so no per-name `String` is built.
+/// back, plus the 32-bit end offset of each. Pushing a name writes it
+/// straight into the buffer, so no per-name `String` is built; the
+/// numbered names of the benchmark generator skip `core::fmt` too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NameBuf {
     text: String,
-    ends: Vec<usize>,
+    ends: Vec<u32>,
 }
 
 impl NameBuf {
+    /// An empty buffer with room for `names` names of `bytes` bytes in
+    /// total.
+    #[must_use]
+    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
+        Self {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(names),
+        }
+    }
+
     /// Appends a name; names are indexed in push order from 0.
     pub fn push(&mut self, name: impl fmt::Display) {
         write!(self.text, "{name}").expect("formatting into a String cannot fail");
-        self.ends.push(self.text.len());
+        self.end_name();
     }
 
-    /// Appends a name that is already text (no formatting pass).
-    pub fn push_str(&mut self, name: &str) {
-        self.text.push_str(name);
-        self.ends.push(self.text.len());
+    /// Appends `{prefix}{n}` without a formatting pass.
+    pub(crate) fn push_numbered(&mut self, prefix: &str, n: usize) {
+        self.text.push_str(prefix);
+        push_decimal(&mut self.text, n);
+        self.end_name();
+    }
+
+    /// Appends `{prefix}{a}_{b}` without a formatting pass.
+    pub(crate) fn push_numbered_pair(&mut self, prefix: &str, a: usize, b: usize) {
+        self.text.push_str(prefix);
+        push_decimal(&mut self.text, a);
+        self.text.push('_');
+        push_decimal(&mut self.text, b);
+        self.end_name();
+    }
+
+    fn end_name(&mut self) {
+        self.ends.push(handle(self.text.len()));
     }
 
     /// The name at `index`.
@@ -119,8 +204,12 @@ impl NameBuf {
     /// Panics if `index ≥ len()`.
     #[must_use]
     pub fn get(&self, index: usize) -> &str {
-        let start = if index == 0 { 0 } else { self.ends[index - 1] };
-        &self.text[start..self.ends[index]]
+        let start = if index == 0 {
+            0
+        } else {
+            self.ends[index - 1] as usize
+        };
+        &self.text[start..self.ends[index] as usize]
     }
 
     /// Number of names.
@@ -130,8 +219,33 @@ impl NameBuf {
     }
 }
 
-/// One placed-able cell instance. Its name lives in the netlist's name
-/// buffer ([`Netlist::instance_name`]).
+/// Appends the decimal digits of `n` (as `{n}` formats it).
+fn push_decimal(text: &mut String, mut n: usize) {
+    // usize::MAX has 20 decimal digits on 64-bit targets.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        text.push(char::from(d));
+    }
+}
+
+/// Number of decimal digits of `n` (the length [`push_decimal`]
+/// appends), for sizing name buffers up front.
+pub(crate) fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// One placed-able cell instance (20 bytes: a kind and three 32-bit
+/// net handles). Its name lives in the netlist's name buffer
+/// ([`Netlist::instance_name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instance {
     /// Cell type.
@@ -143,6 +257,29 @@ pub struct Instance {
 }
 
 impl Instance {
+    /// An instance of `kind` driven by `inputs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pin count does not match the kind — instance
+    /// construction is programmatic, so a mismatch is a generator bug.
+    pub(crate) fn new(kind: CellKind, inputs: &[NetId], output: Option<NetId>) -> Self {
+        assert_eq!(
+            inputs.len(),
+            kind.input_count(),
+            "{kind} takes {} inputs",
+            kind.input_count()
+        );
+        assert_eq!(
+            output.is_none(),
+            kind == CellKind::Output,
+            "only OUTPUT ports lack an output net"
+        );
+        let mut pins = [NetId(0); 2];
+        pins[..inputs.len()].copy_from_slice(inputs);
+        Self { kind, pins, output }
+    }
+
     /// Input nets, length = the kind's input count.
     #[must_use]
     pub fn inputs(&self) -> &[NetId] {
@@ -157,10 +294,11 @@ impl Instance {
 
 /// The instances on every net, in compressed sparse rows: net `k`'s
 /// pins are `pins[offsets[k]..offsets[k + 1]]`, in instance order (an
-/// instance appears once per pin it has on the net).
+/// instance appears once per pin it has on the net). Offsets and pins
+/// are 32-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetPins {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     pins: Vec<InstId>,
 }
 
@@ -172,19 +310,23 @@ impl NetPins {
     /// Panics if `net` belongs to another netlist.
     #[must_use]
     pub fn net(&self, net: NetId) -> &[InstId] {
-        &self.pins[self.offsets[net.0]..self.offsets[net.0 + 1]]
+        let k = net.index();
+        &self.pins[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
     /// Every net's pin list, in net order.
     pub fn iter(&self) -> impl Iterator<Item = &[InstId]> {
-        self.offsets.windows(2).map(|w| &self.pins[w[0]..w[1]])
+        self.offsets
+            .windows(2)
+            .map(|w| &self.pins[w[0] as usize..w[1] as usize])
     }
 }
 
 /// A flat gate-level netlist.
 ///
 /// Net and instance names each live in one [`NameBuf`]; instances are
-/// plain `Copy` records with their input nets inline.
+/// plain `Copy` records with their input nets inline, and every handle
+/// is 32-bit.
 ///
 /// # Examples
 ///
@@ -211,11 +353,23 @@ impl Netlist {
     /// Creates an empty netlist.
     #[must_use]
     pub fn new(name: &str) -> Self {
+        Self::from_parts(name, NameBuf::default(), NameBuf::default(), Vec::new())
+    }
+
+    /// A netlist from its net names, instance names and instances (one
+    /// name per instance, in instance order).
+    pub(crate) fn from_parts(
+        name: &str,
+        nets: NameBuf,
+        instance_names: NameBuf,
+        instances: Vec<Instance>,
+    ) -> Self {
+        debug_assert_eq!(instance_names.len(), instances.len());
         Self {
             name: name.to_owned(),
-            nets: NameBuf::default(),
-            instance_names: NameBuf::default(),
-            instances: Vec::new(),
+            nets,
+            instance_names,
+            instances,
         }
     }
 
@@ -229,8 +383,9 @@ impl Netlist {
     /// that may meet a name twice keeps its own map (as
     /// [`crate::bench_format::parse`] does).
     pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
+        let id = NetId::from_index(self.nets.len());
         self.nets.push(name);
-        NetId(self.nets.len() - 1)
+        id
     }
 
     /// Name of a net.
@@ -240,7 +395,7 @@ impl Netlist {
     /// Panics if `net` belongs to another netlist.
     #[must_use]
     pub(crate) fn net_name(&self, net: NetId) -> &str {
-        self.nets.get(net.0)
+        self.nets.get(net.index())
     }
 
     /// Adds an instance.
@@ -256,22 +411,10 @@ impl Netlist {
         inputs: &[NetId],
         output: Option<NetId>,
     ) -> InstId {
-        assert_eq!(
-            inputs.len(),
-            kind.input_count(),
-            "{kind} takes {} inputs",
-            kind.input_count()
-        );
-        assert_eq!(
-            output.is_none(),
-            kind == CellKind::Output,
-            "only OUTPUT ports lack an output net"
-        );
-        let mut pins = [NetId(0); 2];
-        pins[..inputs.len()].copy_from_slice(inputs);
-        let id = InstId(self.instances.len());
+        let instance = Instance::new(kind, inputs, output);
+        let id = InstId::from_index(self.instances.len());
         self.instance_names.push(name);
-        self.instances.push(Instance { kind, pins, output });
+        self.instances.push(instance);
         id
     }
 
@@ -288,7 +431,7 @@ impl Netlist {
     /// Panics if `id` belongs to another netlist.
     #[must_use]
     pub fn instance(&self, id: InstId) -> &Instance {
-        &self.instances[id.0]
+        &self.instances[id.index()]
     }
 
     /// Name of an instance (unique within the netlists this crate
@@ -299,7 +442,15 @@ impl Netlist {
     /// Panics if `id` belongs to another netlist.
     #[must_use]
     pub fn instance_name(&self, id: InstId) -> &str {
-        self.instance_names.get(id.0)
+        self.instance_names.get(id.index())
+    }
+
+    /// Every instance name, in instance order: name `k` is instance
+    /// `k`'s. A placement clones this buffer whole instead of copying
+    /// names one by one.
+    #[must_use]
+    pub fn instance_names(&self) -> &NameBuf {
+        &self.instance_names
     }
 
     /// Number of instances (ports included).
@@ -331,7 +482,7 @@ impl Netlist {
             .iter()
             .enumerate()
             .filter(|(_, i)| i.kind.is_flip_flop())
-            .map(|(idx, _)| InstId(idx))
+            .map(|(idx, _)| InstId::from_index(idx))
             .collect()
     }
 
@@ -342,7 +493,7 @@ impl Netlist {
             .iter()
             .enumerate()
             .filter(|(_, i)| !i.kind.is_port())
-            .map(|(idx, _)| InstId(idx))
+            .map(|(idx, _)| InstId::from_index(idx))
             .collect()
     }
 
@@ -360,23 +511,31 @@ impl Netlist {
     /// Adjacency: for every net, the instances touching it, as one CSR
     /// table (a counting pass, then a fill pass). Used by the placer
     /// for connectivity-driven clustering and by HPWL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has more than `u32::MAX` pins.
     #[must_use]
     pub fn net_pins(&self) -> NetPins {
-        let mut offsets = vec![0usize; self.nets.len() + 1];
+        let mut offsets = vec![0u32; self.nets.len() + 1];
         for inst in &self.instances {
             for net in inst.nets() {
-                offsets[net.0 + 1] += 1;
+                offsets[net.index() + 1] += 1;
             }
         }
-        for k in 0..self.nets.len() {
-            offsets[k + 1] += offsets[k];
+        let mut total = 0usize;
+        for offset in &mut offsets {
+            total += *offset as usize;
+            *offset = handle(total);
         }
         let mut next = offsets.clone();
-        let mut pins = vec![InstId(0); offsets[self.nets.len()]];
+        let mut pins = vec![InstId(0); total];
         for (idx, inst) in self.instances.iter().enumerate() {
+            let id = InstId::from_index(idx);
             for net in inst.nets() {
-                pins[next[net.0]] = InstId(idx);
-                next[net.0] += 1;
+                let slot = &mut next[net.index()];
+                pins[*slot as usize] = id;
+                *slot += 1;
             }
         }
         NetPins { offsets, pins }
@@ -446,6 +605,48 @@ mod tests {
         let a = n.add_net("a");
         let y = n.add_net("y");
         n.add_instance("U1", CellKind::Nand2, &[a], Some(y));
+    }
+
+    #[test]
+    fn numbered_names_match_format() {
+        let values = [0, 9, 10, 99, 100, 999_999, u32::MAX as usize, usize::MAX];
+        let mut buf = NameBuf::default();
+        let mut expected = Vec::new();
+        for &a in &values {
+            buf.push_numbered("U", a);
+            expected.push(format!("U{a}"));
+            for &b in &values {
+                buf.push_numbered_pair("q", a, b);
+                expected.push(format!("q{a}_{b}"));
+            }
+        }
+        assert_eq!(buf.len(), expected.len());
+        for (k, name) in expected.iter().enumerate() {
+            assert_eq!(buf.get(k), name);
+        }
+        for &n in &values {
+            assert_eq!(decimal_len(n), n.to_string().len(), "{n}");
+        }
+    }
+
+    #[test]
+    fn handles_cover_the_32_bit_range() {
+        assert_eq!(handle(0), 0);
+        assert_eq!(handle(u32::MAX as usize), u32::MAX);
+        assert_eq!(NetId::from_index(7).index(), 7);
+        assert_eq!(InstId::from_index(7), InstId(7));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "netlist index 4294967296 does not fit a 32-bit handle")]
+    fn handle_past_u32_panics() {
+        let _ = handle(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn instances_are_20_bytes() {
+        assert_eq!(std::mem::size_of::<Instance>(), 20);
     }
 
     #[test]

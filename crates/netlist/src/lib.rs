@@ -15,9 +15,10 @@
 //!
 //! The IR ([`Netlist`], `Instance`, [`CellKind`]) is deliberately
 //! small and flat: net and instance names each live in one
-//! [`NameBuf`], every instance is a `Copy` record with its input nets
-//! inline, and [`Netlist::net_pins`] gives the net → instance adjacency
-//! as one compressed-sparse-row table. A [`CellLibrary`] holds per-kind
+//! [`NameBuf`], every instance is a 20-byte `Copy` record with its
+//! input nets inline, handles (`NetId`, [`InstId`]) are 32-bit, and
+//! [`Netlist::net_pins`] gives the net → instance adjacency as one
+//! compressed-sparse-row table. A [`CellLibrary`] holds per-kind
 //! footprints, and a structural-Verilog writer serves inspection.
 //!
 //! # Examples

@@ -39,7 +39,7 @@ pub fn write(netlist: &Netlist) -> String {
             _ => continue,
         };
         if let Some(net) = net {
-            is_port[net.0] = true;
+            is_port[net.index()] = true;
             list.push(netlist.net_name(net));
         }
     }
@@ -56,7 +56,11 @@ pub fn write(netlist: &Netlist) -> String {
     // Wires: everything that is not a port net.
     for (net_idx, &port) in is_port.iter().enumerate() {
         if !port {
-            let _ = writeln!(out, "  wire {};", netlist.net_name(NetId(net_idx)));
+            let _ = writeln!(
+                out,
+                "  wire {};",
+                netlist.net_name(NetId::from_index(net_idx))
+            );
         }
     }
     for (idx, inst) in netlist.instances().iter().enumerate() {
@@ -76,7 +80,7 @@ pub fn write(netlist: &Netlist) -> String {
         for (k, net) in inst.inputs().iter().enumerate() {
             pins.push(format!(".{}({})", input_pins[k], netlist.net_name(*net)));
         }
-        let name = netlist.instance_name(InstId(idx));
+        let name = netlist.instance_name(InstId::from_index(idx));
         let _ = writeln!(out, "  {} {name} ({});", inst.kind, pins.join(", "));
     }
     let _ = writeln!(out, "endmodule");

@@ -1,5 +1,11 @@
 //! The placement engine: cluster-growth ordering and snake-order row
 //! packing.
+//!
+//! Both run on the netlist's 32-bit handles: the BFS walks the
+//! netlist's `u32` net → instance CSR ([`Netlist::net_pins`]) with a
+//! `u32` instance queue. A [`PlacedDesign`] shares the netlist's
+//! names: it holds one clone of the instance-name buffer, and a cell's
+//! name is read at its instance handle.
 
 use netlist::{CellKind, CellLibrary, InstId, NameBuf, Netlist};
 use units::Length;
@@ -34,8 +40,9 @@ pub struct PlacedCell {
     pub row: usize,
 }
 
-/// A placed design: floorplan plus cell coordinates, with the cell
-/// names in one buffer in cell order.
+/// A placed design: floorplan plus cell coordinates, with the source
+/// netlist's instance names in one buffer (a clone of
+/// [`Netlist::instance_names`], indexed by instance handle).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacedDesign {
     design_name: String,
@@ -70,15 +77,14 @@ impl PlacedDesign {
     /// Panics if `index ≥ cells().len()`.
     #[must_use]
     pub fn cell_name(&self, index: usize) -> &str {
-        self.names.get(index)
+        self.names.get(self.cells[index].inst.index())
     }
 
     /// Every placed cell with its instance name.
     pub fn named_cells(&self) -> impl Iterator<Item = (&str, &PlacedCell)> {
         self.cells
             .iter()
-            .enumerate()
-            .map(|(i, cell)| (self.cell_name(i), cell))
+            .map(|cell| (self.names.get(cell.inst.index()), cell))
     }
 
     /// The placed flip-flops.
@@ -94,7 +100,7 @@ impl PlacedDesign {
         let mut pos: Vec<Option<(f64, f64)>> = vec![None; netlist.instance_count()];
         for cell in &self.cells {
             let w = library.footprint(cell.kind).width.meters();
-            pos[cell.inst.0] = Some((cell.x.meters() + w / 2.0, cell.y.meters()));
+            pos[cell.inst.index()] = Some((cell.x.meters() + w / 2.0, cell.y.meters()));
         }
         let mut total = 0.0;
         for pins in netlist.net_pins().iter() {
@@ -104,7 +110,7 @@ impl PlacedDesign {
             let mut max_y = f64::NEG_INFINITY;
             let mut seen = false;
             for inst in pins {
-                if let Some((x, y)) = pos[inst.0] {
+                if let Some((x, y)) = pos[inst.index()] {
                     min_x = min_x.min(x);
                     max_x = max_x.max(x);
                     min_y = min_y.min(y);
@@ -119,22 +125,18 @@ impl PlacedDesign {
         total
     }
 
-    /// Assembles a design, copying each cell's instance name from
-    /// `netlist` into the name buffer.
+    /// Assembles a design, cloning `netlist`'s instance-name buffer
+    /// whole (one copy, not one push per cell).
     pub(crate) fn from_parts(
         netlist: &Netlist,
         floorplan: Floorplan,
         cells: Vec<PlacedCell>,
     ) -> Self {
-        let mut names = NameBuf::default();
-        for cell in &cells {
-            names.push_str(netlist.instance_name(cell.inst));
-        }
         Self {
             design_name: netlist.name().to_owned(),
             floorplan,
             cells,
-            names,
+            names: netlist.instance_names().clone(),
         }
     }
 }
@@ -172,17 +174,17 @@ fn cluster_growth_order(netlist: &Netlist) -> Vec<InstId> {
             continue;
         }
         visited[seed] = true;
-        order.push(InstId(seed));
+        order.push(InstId::from_index(seed));
         while head < order.len() {
             let inst = order[head];
             head += 1;
-            for net in instances[inst.0].nets() {
-                if std::mem::replace(&mut scanned[net.0], true) {
+            for net in instances[inst.index()].nets() {
+                if std::mem::replace(&mut scanned[net.index()], true) {
                     continue;
                 }
                 for &other in pins.net(net) {
-                    if !visited[other.0] {
-                        visited[other.0] = true;
+                    if !visited[other.index()] {
+                        visited[other.index()] = true;
                         order.push(other);
                     }
                 }
@@ -204,25 +206,26 @@ fn pack_rows(
     let sites_per_row = floorplan.sites_per_row();
     let mut row = 0usize;
     let mut used_sites = 0usize;
-    let mut row_cells: Vec<(InstId, usize)> = Vec::new(); // (inst, sites)
+    // The open row's cells: (inst, kind, sites).
+    let mut row_cells: Vec<(InstId, CellKind, usize)> = Vec::new();
 
-    let mut flush = |row: usize, row_cells: &mut Vec<(InstId, usize)>| {
+    let mut flush = |row: usize, used_sites: usize, row_cells: &mut Vec<_>| {
         floorplan.grow_rows(row + 1);
         // Even rows fill left→right, odd rows right→left (snake), which
         // keeps order-adjacent cells physically adjacent across row
         // boundaries.
-        let total: usize = row_cells.iter().map(|&(_, s)| s).sum();
         let mut site = if row.is_multiple_of(2) {
             0usize
         } else {
-            sites_per_row.saturating_sub(total)
+            sites_per_row.saturating_sub(used_sites)
         };
-        for &(inst, sites) in row_cells.iter() {
+        let y = floorplan.row_y(row);
+        for &(inst, kind, sites) in row_cells.iter() {
             cells.push(PlacedCell {
                 inst,
-                kind: netlist.instance(inst).kind,
+                kind,
                 x: floorplan.site_width() * site as f64,
-                y: floorplan.row_y(row),
+                y,
                 row,
             });
             site += sites;
@@ -231,16 +234,17 @@ fn pack_rows(
     };
 
     for &inst in order {
-        let sites = library.sites(netlist.instance(inst).kind).max(1);
+        let kind = netlist.instance(inst).kind;
+        let sites = library.sites(kind).max(1);
         if used_sites + sites > sites_per_row && !row_cells.is_empty() {
-            flush(row, &mut row_cells);
+            flush(row, used_sites, &mut row_cells);
             row += 1;
             used_sites = 0;
         }
-        row_cells.push((inst, sites));
+        row_cells.push((inst, kind, sites));
         used_sites += sites;
     }
-    flush(row, &mut row_cells);
+    flush(row, used_sites, &mut row_cells);
     cells
 }
 
@@ -258,7 +262,7 @@ mod tests {
         let n = s344();
         let placed = place(&n, &CellLibrary::n40(), &PlacerOptions::default());
         assert_eq!(placed.cells().len(), n.placeable().len());
-        let mut seen: Vec<usize> = placed.cells().iter().map(|c| c.inst.0).collect();
+        let mut seen: Vec<usize> = placed.cells().iter().map(|c| c.inst.index()).collect();
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), placed.cells().len());

@@ -5,11 +5,18 @@
 //! half-perimeter wirelength bit for bit, and the merged-pair count;
 //! then both Table III averages bit for bit.
 //!
+//! The two largest designs are pinned again at full size (b18 and b19
+//! uncapped, the largest netlists the repository builds), and the DEF
+//! text of two placed designs is pinned byte for byte by digest, which
+//! covers every placed name and coordinate.
+//!
 //! Any change to the generator, placer or merge flow that moves one
 //! placed coordinate or one pair shows up here.
 
+use merge::{MergeOptions, Strategy};
 use netlist::{benchmarks, CellLibrary, InstId, Netlist};
 use nvff::system::{self, SystemCosts};
+use place::def;
 use place::placer::{self, PlacerOptions};
 
 /// The combinational cap of the measured flow (`table3` without `--full`).
@@ -35,6 +42,20 @@ const GOLDEN: [(&str, usize, u64, u64); 13] = [
 /// Mean area and energy improvements, bit for bit.
 const AVERAGES: (u64, u64) = (0x3fd0_9066_3464_34b2, 0x3fc2_1e93_5418_6b1e);
 
+/// (design, merged pairs, HPWL bits, netlist digest) at full size.
+const UNCAPPED: [(&str, usize, u64, u64); 2] = [
+    ("b18", 1032, 0x4030_6ff4_d681_2b99, 0xab99_8304_d7d7_d825),
+    ("b19", 2086, 0x4047_aab5_63a4_94b6, 0x0631_ce65_ca22_d616),
+];
+
+/// (design, FNV-1a of its DEF text) at the 40k-gate cap.
+const DEF_DIGESTS: [(&str, u64); 2] = [
+    ("s838", 0xf53b_4ce5_4c94_569d),
+    ("or1200", 0x2052_6308_50bc_066b),
+];
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
@@ -46,10 +67,10 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// separator, its kind's name, its input net indices and its output
 /// net index (`u64::MAX` for none), indices as little-endian u64.
 fn digest(n: &Netlist) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     fnv1a(&mut h, &(n.net_count() as u64).to_le_bytes());
     for (idx, inst) in n.instances().iter().enumerate() {
-        fnv1a(&mut h, n.instance_name(InstId(idx)).as_bytes());
+        fnv1a(&mut h, n.instance_name(InstId::from_index(idx)).as_bytes());
         fnv1a(&mut h, &[0xff]);
         fnv1a(&mut h, inst.kind.to_string().as_bytes());
         for net in inst.inputs() {
@@ -89,4 +110,40 @@ fn measured_table3_is_pinned_bit_for_bit() {
         AVERAGES,
         "averages {area} / {energy}"
     );
+}
+
+#[test]
+fn uncapped_b18_and_b19_are_pinned() {
+    let lib = CellLibrary::n40();
+    let options = MergeOptions {
+        threshold: layout::cells::merge_threshold(&layout::DesignRules::n40()),
+        strategy: Strategy::GreedyClosest,
+    };
+    for &(name, pairs, hpwl_bits, netlist_digest) in &UNCAPPED {
+        let n = benchmarks::generate(benchmarks::by_name(name).expect("a Table III design"));
+        let placed = placer::place(&n, &lib, &PlacerOptions::default());
+        let hpwl = placed.hpwl(&n, &lib);
+        let merged = merge::plan(&placed, &options).merged_pairs();
+        assert_eq!(digest(&n), netlist_digest, "{name}: generated netlist");
+        assert_eq!(
+            hpwl.to_bits(),
+            hpwl_bits,
+            "{name}: placement HPWL {hpwl:e} m"
+        );
+        assert_eq!(merged, pairs, "{name}: merged pairs");
+    }
+}
+
+#[test]
+fn placed_def_text_is_pinned() {
+    let lib = CellLibrary::n40();
+    for &(name, def_digest) in &DEF_DIGESTS {
+        let spec = benchmarks::by_name(name).expect("a Table III design");
+        let n = benchmarks::generate_scaled(spec, MAX_GATES);
+        let placed = placer::place(&n, &lib, &PlacerOptions::default());
+        let text = def::write(&placed);
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, text.as_bytes());
+        assert_eq!(h, def_digest, "{name}: DEF text ({} bytes)", text.len());
+    }
 }
