@@ -16,12 +16,17 @@
 //! them at 40 k gates, which does not change flip-flop clustering
 //! statistics materially. `--own-costs` uses this repository's measured
 //! cell costs instead of the paper's constants.
+//!
+//! `NVFF_TRACE=summary` prints the span table on exit: each measured
+//! design's `nvff.benchmark` span splits into `netlist.generate`,
+//! `place.place` and `merge.plan`.
 
 use netlist::benchmarks::Benchmark;
 use nvff::paper;
 use nvff::system::{self, EvaluationMode, SystemCosts};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    telemetry::init_from_env();
     let full = std::env::args().any(|a| a == "--full");
     let own_costs = std::env::args().any(|a| a == "--own-costs");
     let max_gates = if full { usize::MAX } else { 40_000 };
@@ -83,5 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             2.0 * published.merged_pairs as f64 / published.total_ffs as f64 * 100.0,
         );
     }
+    telemetry::finish();
     Ok(())
 }

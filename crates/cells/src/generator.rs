@@ -956,12 +956,19 @@ impl NvWord {
 
     /// Read-path transistor count (excluding write drivers): 11 for the
     /// 1-bit cell, 16 for the 2-bit cell, `6 + 5n` for banked words.
+    /// Counted on the cached session's circuit when there is one (the
+    /// topology never changes between runs), else on a fresh idle build.
     pub(crate) fn read_path_transistors(&self) -> usize {
-        let ckt = self.idle_circuit().expect("reference build is valid");
-        ckt.devices()
-            .iter()
-            .filter(|d| d.is_transistor() && !d.name().starts_with('I'))
-            .count()
+        let count = |ckt: &Circuit| {
+            ckt.devices()
+                .iter()
+                .filter(|d| d.is_transistor() && !d.name().starts_with('I'))
+                .count()
+        };
+        if let Some(session) = self.session.borrow().as_ref() {
+            return count(session.circuit());
+        }
+        count(&self.idle_circuit().expect("reference build is valid"))
     }
 
     /// Total transistor count including write drivers.

@@ -159,6 +159,8 @@ pub fn evaluate_replay(spec: BenchmarkSpec, costs: &SystemCosts) -> BenchmarkRes
 
 /// Runs the full measured flow for one benchmark: synthesize the
 /// synthetic netlist, place it, find neighbour flip-flops, roll up.
+/// Each layer runs in its own telemetry span (`netlist.generate`,
+/// `place.place`, `merge.plan`) under `nvff.benchmark`.
 #[must_use]
 pub fn evaluate_measured(
     spec: BenchmarkSpec,
@@ -166,15 +168,22 @@ pub fn evaluate_measured(
     max_gates: usize,
 ) -> BenchmarkResult {
     let _span = telemetry::span("nvff.benchmark");
-    let netlist = benchmarks::generate_scaled(spec, max_gates);
-    let placed = placer::place(&netlist, &CellLibrary::n40(), &PlacerOptions::default());
-    let plan = merge::plan(
-        &placed,
-        &MergeOptions {
-            threshold: layout::cells::merge_threshold(&layout::DesignRules::n40()),
-            strategy: Strategy::GreedyClosest,
-        },
-    );
+    let options = MergeOptions {
+        threshold: layout::cells::merge_threshold(&layout::DesignRules::n40()),
+        strategy: Strategy::GreedyClosest,
+    };
+    let netlist = {
+        let _span = telemetry::span("netlist.generate");
+        benchmarks::generate_scaled(spec, max_gates)
+    };
+    let placed = {
+        let _span = telemetry::span("place.place");
+        placer::place(&netlist, &CellLibrary::n40(), &PlacerOptions::default())
+    };
+    let plan = {
+        let _span = telemetry::span("merge.plan");
+        merge::plan(&placed, &options)
+    };
     roll_up(spec.name, spec.flip_flops, plan.merged_pairs(), costs)
 }
 

@@ -6,8 +6,9 @@
 //! "script executed over the DEF file":
 //!
 //! 1. [`candidates`](pairing::candidates) finds every flip-flop pair
-//!    within the distance threshold (one sorted-bucket grid scan,
-//!    linear in design size);
+//!    within the distance threshold (one query per flip-flop on a
+//!    bucket grid that stores only occupied buckets, linear in design
+//!    size);
 //! 2. a pairing strategy ([`pairing::Strategy`]) selects a disjoint set
 //!    of pairs — closest-first greedy (the baseline), or the
 //!    degree-aware variant that prefers isolated flip-flops first and
@@ -68,7 +69,8 @@ impl Default for MergeOptions {
     }
 }
 
-/// Runs the merge analysis over a placed design.
+/// Runs the merge analysis over a placed design. Each point carries
+/// its cell's index; the names stay in the design.
 #[must_use]
 pub fn plan(design: &PlacedDesign, options: &MergeOptions) -> MergePlan {
     let points: Vec<FlipFlopPoint> = design
@@ -76,8 +78,8 @@ pub fn plan(design: &PlacedDesign, options: &MergeOptions) -> MergePlan {
         .iter()
         .enumerate()
         .filter(|(_, c)| c.kind.is_flip_flop())
-        .map(|(i, c)| FlipFlopPoint {
-            name: design.cell_name(i).to_owned(),
+        .map(|(cell, c)| FlipFlopPoint {
+            cell,
             x: c.x.micro_meters(),
             y: c.y.micro_meters(),
         })
@@ -86,13 +88,14 @@ pub fn plan(design: &PlacedDesign, options: &MergeOptions) -> MergePlan {
 }
 
 /// Runs the merge analysis over a parsed DEF design (the paper's
-/// script-over-DEF interface).
+/// script-over-DEF interface). Each point carries its component's
+/// index in [`DefDesign::cells`](place::def::DefDesign::cells).
 #[must_use]
 pub fn plan_from_def(def: &place::def::DefDesign, options: &MergeOptions) -> MergePlan {
     let points: Vec<FlipFlopPoint> = def
         .flip_flops()
-        .map(|c| FlipFlopPoint {
-            name: c.name.clone(),
+        .map(|(cell, c)| FlipFlopPoint {
+            cell,
             x: c.x.micro_meters(),
             y: c.y.micro_meters(),
         })

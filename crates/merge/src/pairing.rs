@@ -7,11 +7,15 @@ use units::Length;
 
 /// A flip-flop location in micrometres (left-bottom corner, as DEF
 /// records it — both cells of a pair have the same footprint so corner
-/// distance and centre distance coincide).
-#[derive(Debug, Clone, PartialEq)]
+/// distance and centre distance coincide), with the index of its cell
+/// in the analysed design; the name stays with the design.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlipFlopPoint {
-    /// Instance name.
-    pub name: String,
+    /// Index of the flip-flop's cell in its design
+    /// ([`PlacedDesign::cells`](place::PlacedDesign::cells), or
+    /// [`DefDesign::cells`](place::def::DefDesign::cells) for a parsed
+    /// DEF).
+    pub cell: usize,
     /// x in µm.
     pub x: f64,
     /// y in µm.
@@ -19,7 +23,7 @@ pub struct FlipFlopPoint {
 }
 
 /// One merged pair.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergedPair {
     /// First flip-flop (index into the analysis point list).
     pub a: usize,
@@ -124,24 +128,20 @@ impl MergePlan {
     }
 }
 
-/// All flip-flop pairs within `threshold`, with their distances.
+/// All flip-flop pairs within `threshold` (inclusive), with their
+/// distances, by `a` then `b` ascending.
 #[must_use]
 pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair> {
     let t = threshold.micro_meters();
     let coords: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
-    if coords.is_empty() {
-        return Vec::new();
-    }
     let index = GridIndex::new(&coords, t.max(1e-3));
     let mut out = Vec::new();
     let mut near = Vec::new();
     for (a, &(x, y)) in coords.iter().enumerate() {
-        index.within_radius_into(&coords, (x, y), t, &mut near);
-        for &b in &near {
-            if b > a {
-                let d = ((coords[b].0 - x).powi(2) + (coords[b].1 - y).powi(2)).sqrt();
-                out.push(MergedPair { a, b, distance: d });
-            }
+        index.within_radius_into(a, t, &mut near);
+        for &b in near.iter().filter(|&&b| b > a) {
+            let d = ((coords[b].0 - x).powi(2) + (coords[b].1 - y).powi(2)).sqrt();
+            out.push(MergedPair { a, b, distance: d });
         }
     }
     out
@@ -152,7 +152,10 @@ pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair
 #[must_use]
 pub fn pair(points: Vec<FlipFlopPoint>, threshold: Length, strategy: Strategy) -> MergePlan {
     let mut cand = candidates(&points, threshold);
-    cand.sort_by(|p, q| p.distance.partial_cmp(&q.distance).expect("finite"));
+    // Closest first, ties in candidate order (a stable sort). Candidate
+    // distances are square roots of non-negative finite sums, never
+    // -0.0 or NaN, and such values order like their IEEE-754 bits.
+    cand.sort_by_key(|p| p.distance.to_bits());
     let pairs = match strategy {
         Strategy::GreedyClosest => greedy_closest(points.len(), &cand),
         Strategy::DegreeAware => degree_aware(points.len(), &cand),
@@ -172,7 +175,7 @@ fn greedy_closest(n: usize, sorted_candidates: &[MergedPair]) -> Vec<MergedPair>
         if !taken[c.a] && !taken[c.b] {
             taken[c.a] = true;
             taken[c.b] = true;
-            out.push(c.clone());
+            out.push(*c);
         }
     }
     out
@@ -216,11 +219,7 @@ mod tests {
         coords
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| FlipFlopPoint {
-                name: format!("FF{i}"),
-                x,
-                y,
-            })
+            .map(|(cell, &(x, y))| FlipFlopPoint { cell, x, y })
             .collect()
     }
 
@@ -235,6 +234,48 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!((c[0].a, c[0].b), (0, 1));
         assert!((c[0].distance - 2.0).abs() < 1e-12);
+    }
+
+    /// `candidates` against a scan of every pair: the same pairs in
+    /// `(a, b)` order with the same distance bits. The points sit on
+    /// bucket borders (multiples of the threshold), pairs lie exactly
+    /// at the threshold, coordinates go negative, two points coincide
+    /// and one pair lies a metre from the rest.
+    #[test]
+    fn candidates_match_brute_force() {
+        let mut coords = Vec::new();
+        for i in -6..=6 {
+            for j in -4..=4 {
+                coords.push((f64::from(i) * 0.5, f64::from(j) * 1.5));
+            }
+        }
+        coords.extend([
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (-0.9, -1.2),
+            (1e6, -1e6),
+            (1e6 + 1.5, -1e6),
+        ]);
+        let pts = points(&coords);
+        for t in [1.5, 0.5, 3.35, 0.0] {
+            let limit = t * t + 1e-18;
+            let mut brute = Vec::new();
+            for a in 0..coords.len() {
+                for b in a + 1..coords.len() {
+                    let d2 =
+                        (coords[b].0 - coords[a].0).powi(2) + (coords[b].1 - coords[a].1).powi(2);
+                    if d2 <= limit {
+                        brute.push((a, b, d2.sqrt().to_bits()));
+                    }
+                }
+            }
+            let found: Vec<(usize, usize, u64)> = candidates(&pts, um(t))
+                .iter()
+                .map(|p| (p.a, p.b, p.distance.to_bits()))
+                .collect();
+            assert!(!found.is_empty(), "threshold {t}");
+            assert_eq!(found, brute, "threshold {t}");
+        }
     }
 
     #[test]

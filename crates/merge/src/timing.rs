@@ -116,11 +116,7 @@ mod tests {
         let points: Vec<FlipFlopPoint> = [(0.0, 0.0), (2.0, 0.0), (100.0, 0.0), (290.0, 0.0)]
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| FlipFlopPoint {
-                name: format!("FF{i}"),
-                x,
-                y,
-            })
+            .map(|(cell, &(x, y))| FlipFlopPoint { cell, x, y })
             .collect();
         // A huge threshold lets the distant pair form too.
         let plan = pairing::pair(
@@ -144,7 +140,7 @@ mod tests {
     fn default_plan_at_paper_threshold_never_violates() {
         let points: Vec<FlipFlopPoint> = (0..20)
             .map(|i| FlipFlopPoint {
-                name: format!("FF{i}"),
+                cell: i as usize,
                 x: f64::from(i) * 1.7,
                 y: 0.0,
             })

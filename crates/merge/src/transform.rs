@@ -69,13 +69,20 @@ impl MergedDesign {
 /// Applies a merge plan to a placed design: every paired flip-flop
 /// couple becomes one `NVDFF2` at the midpoint of the pair, every
 /// remaining flip-flop an `NVDFF1` in place; other cells pass through.
+/// Flip-flop names are read from the design at each point's cell index.
 ///
 /// # Panics
 ///
-/// Panics if the plan was computed for a different design (flip-flop
-/// names must resolve).
+/// Panics if the plan was computed for a different design (its point
+/// count must be the design's flip-flop count, and every point's cell
+/// must exist).
 #[must_use]
 pub fn apply(design: &PlacedDesign, plan: &MergePlan) -> MergedDesign {
+    assert_eq!(
+        plan.points().len(),
+        design.flip_flops().count(),
+        "merge plan was computed for a different design"
+    );
     let mut components = Vec::with_capacity(design.cells().len());
     // Non-FF cells pass through.
     for (name, cell) in design.named_cells() {
@@ -95,7 +102,7 @@ pub fn apply(design: &PlacedDesign, plan: &MergePlan) -> MergedDesign {
         let a = &points[pair.a];
         let b = &points[pair.b];
         components.push(MergedComponent {
-            name: format!("{}+{}", a.name, b.name),
+            name: format!("{}+{}", design.cell_name(a.cell), design.cell_name(b.cell)),
             master: "NVDFF2".to_owned(),
             x: (a.x + b.x) / 2.0,
             y: (a.y + b.y) / 2.0,
@@ -106,20 +113,13 @@ pub fn apply(design: &PlacedDesign, plan: &MergePlan) -> MergedDesign {
     for idx in plan.unmerged_indices() {
         let p = &points[idx];
         components.push(MergedComponent {
-            name: p.name.clone(),
+            name: design.cell_name(p.cell).to_owned(),
             master: "NVDFF1".to_owned(),
             x: p.x,
             y: p.y,
             nv_bits: 1,
         });
     }
-    // Sanity: the plan must cover the design's flip-flops.
-    let ff_count = design.flip_flops().count();
-    assert_eq!(
-        plan.points().len(),
-        ff_count,
-        "merge plan was computed for a different design"
-    );
 
     MergedDesign {
         name: design.name().to_owned(),
@@ -142,6 +142,58 @@ mod tests {
         let plan = crate::plan(&placed, &MergeOptions::default());
         let merged = apply(&placed, &plan);
         (placed, merged)
+    }
+
+    /// FNV-1a over every component in order: its name, a 0xff
+    /// separator, its master, a 0xff separator, then the bits of x and
+    /// y and `nv_bits` as little-endian u64.
+    fn component_digest(merged: &MergedDesign) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for c in merged.components() {
+            eat(c.name.as_bytes());
+            eat(&[0xff]);
+            eat(c.master.as_bytes());
+            eat(&[0xff]);
+            eat(&c.x.to_bits().to_le_bytes());
+            eat(&c.y.to_bits().to_le_bytes());
+            eat(&(c.nv_bits as u64).to_le_bytes());
+        }
+        h
+    }
+
+    /// The component list of two Table III designs at the measured
+    /// flow's 40k-gate cap, merged at the paper's threshold: (design,
+    /// components, merged pairs, digest).
+    #[test]
+    fn components_are_pinned_for_s838_and_or1200() {
+        const PINS: [(&str, usize, usize, u64); 2] = [
+            ("s838", 465, 13, 0x15d7_22cf_ab7e_25fd),
+            ("or1200", 41_767, 1120, 0x49ea_699a_ac8c_94c6),
+        ];
+        for (name, components, pairs, digest) in PINS {
+            let spec = benchmarks::by_name(name).expect("a Table III design");
+            let n = benchmarks::generate_scaled(spec, 40_000);
+            let placed = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+            let merged = apply(&placed, &crate::plan(&placed, &MergeOptions::default()));
+            assert_eq!(merged.components().len(), components, "{name}");
+            assert_eq!(merged.merged_pairs(), pairs, "{name}");
+            assert_eq!(component_digest(&merged), digest, "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different design")]
+    fn a_plan_for_another_design_is_refused() {
+        let (placed, _) = merged_s344();
+        let n = benchmarks::generate(benchmarks::by_name("s838").unwrap());
+        let other = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+        let _ = apply(&placed, &crate::plan(&other, &MergeOptions::default()));
     }
 
     #[test]

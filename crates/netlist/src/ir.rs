@@ -285,11 +285,6 @@ impl Instance {
     pub fn inputs(&self) -> &[NetId] {
         &self.pins[..self.kind.input_count()]
     }
-
-    /// Every net the instance touches: its inputs, then its output.
-    pub fn nets(&self) -> impl Iterator<Item = NetId> + '_ {
-        self.inputs().iter().chain(self.output.iter()).copied()
-    }
 }
 
 /// The instances on every net, in compressed sparse rows: net `k`'s
@@ -509,33 +504,47 @@ impl Netlist {
     }
 
     /// Adjacency: for every net, the instances touching it, as one CSR
-    /// table (a counting pass, then a fill pass). Used by the placer
-    /// for connectivity-driven clustering and by HPWL.
+    /// table. A counting pass leaves each net's pin count in its
+    /// offset slot; a running sum turns the slots into net ends; a
+    /// fill pass over the instances in reverse steps each end back to
+    /// its net's start, writing the pins of every net in instance
+    /// order. Used by the placer for connectivity-driven clustering
+    /// and by HPWL.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has more than `u32::MAX` pins.
     #[must_use]
     pub fn net_pins(&self) -> NetPins {
-        let mut offsets = vec![0u32; self.nets.len() + 1];
+        let nets = self.nets.len();
+        let mut offsets = vec![0u32; nets + 1];
         for inst in &self.instances {
-            for net in inst.nets() {
-                offsets[net.index() + 1] += 1;
+            for net in inst.inputs() {
+                offsets[net.index()] += 1;
+            }
+            if let Some(net) = inst.output {
+                offsets[net.index()] += 1;
             }
         }
         let mut total = 0usize;
-        for offset in &mut offsets {
+        for offset in &mut offsets[..nets] {
             total += *offset as usize;
             *offset = handle(total);
         }
-        let mut next = offsets.clone();
+        offsets[nets] = handle(total);
         let mut pins = vec![InstId(0); total];
-        for (idx, inst) in self.instances.iter().enumerate() {
+        for (idx, inst) in self.instances.iter().enumerate().rev() {
             let id = InstId::from_index(idx);
-            for net in inst.nets() {
-                let slot = &mut next[net.index()];
+            let mut fill = |net: NetId| {
+                let slot = &mut offsets[net.index()];
+                *slot -= 1;
                 pins[*slot as usize] = id;
-                *slot += 1;
+            };
+            if let Some(net) = inst.output {
+                fill(net);
+            }
+            for &net in inst.inputs().iter().rev() {
+                fill(net);
             }
         }
         NetPins { offsets, pins }

@@ -16,7 +16,7 @@
 //! The IR ([`Netlist`], `Instance`, [`CellKind`]) is deliberately
 //! small and flat: net and instance names each live in one
 //! [`NameBuf`], every instance is a 20-byte `Copy` record with its
-//! input nets inline, handles (`NetId`, [`InstId`]) are 32-bit, and
+//! input nets inline, handles ([`NetId`], [`InstId`]) are 32-bit, and
 //! [`Netlist::net_pins`] gives the net → instance adjacency as one
 //! compressed-sparse-row table. A [`CellLibrary`] holds per-kind
 //! footprints, and a structural-Verilog writer serves inspection.
@@ -41,5 +41,5 @@ mod library;
 pub mod verilog;
 
 pub use benchmarks::{Benchmark, BenchmarkSpec};
-pub use ir::{CellKind, InstId, NameBuf, Netlist};
+pub use ir::{CellKind, InstId, NameBuf, NetId, Netlist};
 pub use library::CellLibrary;

@@ -124,9 +124,12 @@ impl DefDesign {
         &self.components
     }
 
-    /// The placed flip-flops.
-    pub fn flip_flops(&self) -> impl Iterator<Item = &DefComponent> {
-        self.components.iter().filter(|c| c.is_flip_flop())
+    /// The placed flip-flops, each with its index in [`Self::cells`].
+    pub fn flip_flops(&self) -> impl Iterator<Item = (usize, &DefComponent)> {
+        self.components
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.is_flip_flop())
     }
 }
 

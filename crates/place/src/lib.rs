@@ -13,8 +13,10 @@
 //!   wirelength ([`PlacedDesign::hpwl`]) measures the result;
 //! * [`def`] writes and parses the (subset of the) Design Exchange
 //!   Format the paper's merge script operates on;
-//! * `spatial` offers grid-bucketed radius queries (one sorted bucket
-//!   array, no hashing) used to find neighbouring flip-flops.
+//! * `spatial` offers bucket-grid radius queries ([`GridIndex`]: only
+//!   occupied buckets are stored, and a query reaches its neighbouring
+//!   buckets through precomputed entry runs, with no search or
+//!   hashing) used to find neighbouring flip-flops.
 //!
 //! # Examples
 //!

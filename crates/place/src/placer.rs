@@ -7,7 +7,7 @@
 //! names: it holds one clone of the instance-name buffer, and a cell's
 //! name is read at its instance handle.
 
-use netlist::{CellKind, CellLibrary, InstId, NameBuf, Netlist};
+use netlist::{CellKind, CellLibrary, InstId, NameBuf, NetId, Netlist};
 use units::Length;
 
 use crate::floorplan::Floorplan;
@@ -158,36 +158,42 @@ pub fn place(netlist: &Netlist, library: &CellLibrary, options: &PlacerOptions) 
 /// packed rows).
 ///
 /// `order` doubles as the BFS queue (`head` is the next instance to
-/// expand). Ports start visited, and each net's pin list is scanned at
-/// most once: after its first scan every instance on it is visited or
-/// a port, so a rescan would enqueue nothing.
+/// expand; it scans its input nets, then its output net). Ports start
+/// visited, and each net's pin list is scanned at most once: after its
+/// first scan every instance on it is visited or a port, so a rescan
+/// would enqueue nothing. The net → instance table lives only for this
+/// pass.
 fn cluster_growth_order(netlist: &Netlist) -> Vec<InstId> {
-    let pins = netlist.net_pins();
     let instances = netlist.instances();
     let mut visited: Vec<bool> = instances.iter().map(|i| i.kind.is_port()).collect();
     let mut scanned = vec![false; netlist.net_count()];
+    let pins = netlist.net_pins();
     let mut order = Vec::with_capacity(instances.len());
     let mut head = 0;
+    let mut scan = |net: NetId, visited: &mut [bool], order: &mut Vec<InstId>| {
+        if std::mem::replace(&mut scanned[net.index()], true) {
+            return;
+        }
+        for &other in pins.net(net) {
+            if !std::mem::replace(&mut visited[other.index()], true) {
+                order.push(other);
+            }
+        }
+    };
 
     for seed in 0..instances.len() {
-        if visited[seed] {
+        if std::mem::replace(&mut visited[seed], true) {
             continue;
         }
-        visited[seed] = true;
         order.push(InstId::from_index(seed));
         while head < order.len() {
-            let inst = order[head];
+            let inst = &instances[order[head].index()];
             head += 1;
-            for net in instances[inst.index()].nets() {
-                if std::mem::replace(&mut scanned[net.index()], true) {
-                    continue;
-                }
-                for &other in pins.net(net) {
-                    if !visited[other.index()] {
-                        visited[other.index()] = true;
-                        order.push(other);
-                    }
-                }
+            for &net in inst.inputs() {
+                scan(net, &mut visited, &mut order);
+            }
+            if let Some(net) = inst.output {
+                scan(net, &mut visited, &mut order);
             }
         }
     }
@@ -196,6 +202,8 @@ fn cluster_growth_order(netlist: &Netlist) -> Vec<InstId> {
 
 /// Packs ordered cells into rows boustrophedon-style, growing the
 /// floorplan's row count if the cells need more rows than it planned.
+/// A cell is pushed with its row when it joins the open row; closing
+/// the row sets its x and y in place.
 fn pack_rows(
     netlist: &Netlist,
     library: &CellLibrary,
@@ -206,10 +214,9 @@ fn pack_rows(
     let sites_per_row = floorplan.sites_per_row();
     let mut row = 0usize;
     let mut used_sites = 0usize;
-    // The open row's cells: (inst, kind, sites).
-    let mut row_cells: Vec<(InstId, CellKind, usize)> = Vec::new();
+    let mut row_start = 0;
 
-    let mut flush = |row: usize, used_sites: usize, row_cells: &mut Vec<_>| {
+    let mut close = |row: usize, used_sites: usize, row_cells: &mut [PlacedCell]| {
         floorplan.grow_rows(row + 1);
         // Even rows fill left→right, odd rows right→left (snake), which
         // keeps order-adjacent cells physically adjacent across row
@@ -220,31 +227,32 @@ fn pack_rows(
             sites_per_row.saturating_sub(used_sites)
         };
         let y = floorplan.row_y(row);
-        for &(inst, kind, sites) in row_cells.iter() {
-            cells.push(PlacedCell {
-                inst,
-                kind,
-                x: floorplan.site_width() * site as f64,
-                y,
-                row,
-            });
-            site += sites;
+        for cell in row_cells {
+            cell.x = floorplan.site_width() * site as f64;
+            cell.y = y;
+            site += library.sites(cell.kind).max(1);
         }
-        row_cells.clear();
     };
 
     for &inst in order {
         let kind = netlist.instance(inst).kind;
         let sites = library.sites(kind).max(1);
-        if used_sites + sites > sites_per_row && !row_cells.is_empty() {
-            flush(row, used_sites, &mut row_cells);
+        if used_sites + sites > sites_per_row && cells.len() > row_start {
+            close(row, used_sites, &mut cells[row_start..]);
             row += 1;
             used_sites = 0;
+            row_start = cells.len();
         }
-        row_cells.push((inst, kind, sites));
+        cells.push(PlacedCell {
+            inst,
+            kind,
+            x: Length::ZERO,
+            y: Length::ZERO,
+            row,
+        });
         used_sites += sites;
     }
-    flush(row, used_sites, &mut row_cells);
+    close(row, used_sites, &mut cells[row_start..]);
     cells
 }
 

@@ -36,7 +36,7 @@ impl FlipFlopStats {
             nn.clear();
             let index = GridIndex::new(&points, radius);
             for (i, &p) in points.iter().enumerate() {
-                index.within_radius_into(&points, p, radius, &mut near);
+                index.within_radius_into(i, radius, &mut near);
                 let best = near
                     .iter()
                     .filter(|&&j| j != i)

@@ -119,7 +119,6 @@ impl TransientResult {
     #[must_use]
     pub fn total_source_energy(&self, from: Time, to: Time) -> Energy {
         self.branch_names
-            .clone()
             .iter()
             .map(|name| {
                 self.supply_energy(name, from, to)

@@ -50,7 +50,7 @@ echo "==> perfbench: build and test the benchmark against the library API"
 # gate; --locked keeps its lock file unchanged.
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
-echo "==> ISA independence: table2, table3, table3 --full and shmoo --quick, x86-64 baseline build vs native build"
+echo "==> ISA independence: table2, table3, table3 --full, ablations and shmoo --quick, x86-64 baseline build vs native build"
 # .cargo/config.toml builds for the host CPU and lets the autovectorizer
 # turn the batched MOSFET kernel into SIMD. The kernel is IEEE f64
 # arithmetic without FP contraction or libm calls, so a build for the
@@ -58,8 +58,9 @@ echo "==> ISA independence: table2, table3, table3 --full and shmoo --quick, x86
 # (a release run takes about a tenth of a second). The same holds for
 # Table III's measured flow (generate, place, merge at the 40k-gate
 # cap, and uncapped with --full, whose b18 and b19 are the largest
-# netlists the repository builds) and its replay, and for the
-# rare-event shmoo, whose tilted-draw
+# netlists the repository builds) and its replay, for the merge
+# ablations (threshold sweep and degree-aware pairing on the same
+# spatial index), and for the rare-event shmoo, whose tilted-draw
 # and brute-force kernels run the same libm-free lane passes. RUSTFLAGS
 # replaces the config's rustflags; the separate target dir keeps the
 # two builds apart.
@@ -81,6 +82,7 @@ isa_check() {
 isa_check table2
 isa_check table3
 isa_check table3 --full
+isa_check ablations
 isa_check shmoo --quick
 
 echo "==> 512-bit codegen: the native release shmoo is built on zmm registers"

@@ -53,7 +53,7 @@ proptest! {
         let points: Vec<FlipFlopPoint> = coords
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| FlipFlopPoint { name: format!("FF{i}"), x, y })
+            .map(|(cell, &(x, y))| FlipFlopPoint { cell, x, y })
             .collect();
         let strategy = if degree_aware { Strategy::DegreeAware } else { Strategy::GreedyClosest };
         let plan = pairing::pair(points.clone(), Length::from_micro_meters(threshold_um), strategy);
@@ -81,7 +81,7 @@ proptest! {
         let points: Vec<FlipFlopPoint> = coords
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| FlipFlopPoint { name: format!("FF{i}"), x, y })
+            .map(|(cell, &(x, y))| FlipFlopPoint { cell, x, y })
             .collect();
         let threshold = Length::from_micro_meters(4.0);
         let greedy = pairing::pair(points.clone(), threshold, Strategy::GreedyClosest);
