@@ -19,7 +19,10 @@
 //!
 //! `NVFF_TRACE=summary` prints the span table on exit: each measured
 //! design's `nvff.benchmark` span splits into `netlist.generate`,
-//! `place.place` and `merge.plan`.
+//! `place.place` and `merge.plan`. Two counters follow:
+//! `netlist.names_built` (generated names the run built, 0 because the
+//! flow reads none) and `process.minor_faults` (the run's minor page
+//! faults from `/proc/self/stat`, left out where that file is absent).
 
 use netlist::benchmarks::Benchmark;
 use nvff::paper;
@@ -88,6 +91,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             2.0 * published.merged_pairs as f64 / published.total_ffs as f64 * 100.0,
         );
     }
+    telemetry::counter("netlist.names_built", netlist::names_built());
+    if let Some(faults) = minor_faults() {
+        telemetry::counter("process.minor_faults", faults);
+    }
     telemetry::finish();
     Ok(())
+}
+
+/// This process's minor page faults so far: field 10 (`minflt`) of
+/// `/proc/self/stat`, or `None` where that file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2, the command name, is parenthesized and may hold spaces;
+    // field 3 is the first after its closing parenthesis.
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(7)?.parse().ok()
 }

@@ -2,10 +2,11 @@
 //! benchmark, with and without 2-bit merging.
 
 use core::fmt;
+use std::cell::RefCell;
 
-use merge::{MergeOptions, Strategy};
-use netlist::{benchmarks, BenchmarkSpec, CellLibrary};
-use place::placer::{self, PlacerOptions};
+use merge::{MergeOptions, MergePlan, Strategy};
+use netlist::{benchmarks, BenchmarkSpec, CellLibrary, Netlist};
+use place::placer::{self, PlaceBuffers, PlacedDesign, PlacerOptions};
 use units::{Area, Energy};
 
 use crate::paper;
@@ -157,10 +158,28 @@ pub fn evaluate_replay(spec: BenchmarkSpec, costs: &SystemCosts) -> BenchmarkRes
     roll_up(spec.name, spec.flip_flops, spec.paper_merged_pairs, costs)
 }
 
+/// The measured flow's working set, kept per thread from one design to
+/// the next: refilling these buffers instead of freeing them keeps the
+/// memory of the largest design mapped, so later designs fault no
+/// pages in.
+#[derive(Default)]
+struct FlowBuffers {
+    netlist: Netlist,
+    place: PlaceBuffers,
+    placed: PlacedDesign,
+    plan: MergePlan,
+}
+
+thread_local! {
+    static FLOW: RefCell<FlowBuffers> = RefCell::new(FlowBuffers::default());
+}
+
 /// Runs the full measured flow for one benchmark: synthesize the
 /// synthetic netlist, place it, find neighbour flip-flops, roll up.
 /// Each layer runs in its own telemetry span (`netlist.generate`,
-/// `place.place`, `merge.plan`) under `nvff.benchmark`.
+/// `place.place`, `merge.plan`) under `nvff.benchmark`, on the calling
+/// thread's flow buffers. No name is built: the flow reads only
+/// counts and positions.
 #[must_use]
 pub fn evaluate_measured(
     spec: BenchmarkSpec,
@@ -172,19 +191,26 @@ pub fn evaluate_measured(
         threshold: layout::cells::merge_threshold(&layout::DesignRules::n40()),
         strategy: Strategy::GreedyClosest,
     };
-    let netlist = {
-        let _span = telemetry::span("netlist.generate");
-        benchmarks::generate_scaled(spec, max_gates)
-    };
-    let placed = {
-        let _span = telemetry::span("place.place");
-        placer::place(&netlist, &CellLibrary::n40(), &PlacerOptions::default())
-    };
-    let plan = {
+    let merged_pairs = FLOW.with_borrow_mut(|flow| {
+        {
+            let _span = telemetry::span("netlist.generate");
+            benchmarks::generate_scaled_into(spec, max_gates, &mut flow.netlist);
+        }
+        {
+            let _span = telemetry::span("place.place");
+            placer::place_into(
+                &flow.netlist,
+                &CellLibrary::n40(),
+                &PlacerOptions::default(),
+                &mut flow.place,
+                &mut flow.placed,
+            );
+        }
         let _span = telemetry::span("merge.plan");
-        merge::plan(&placed, &options)
-    };
-    roll_up(spec.name, spec.flip_flops, plan.merged_pairs(), costs)
+        merge::plan_into(&flow.placed, &options, &mut flow.plan);
+        flow.plan.merged_pairs()
+    });
+    roll_up(spec.name, spec.flip_flops, merged_pairs, costs)
 }
 
 /// Evaluates all 13 benchmarks.

@@ -73,18 +73,28 @@ impl Default for MergeOptions {
 /// its cell's index; the names stay in the design.
 #[must_use]
 pub fn plan(design: &PlacedDesign, options: &MergeOptions) -> MergePlan {
-    let points: Vec<FlipFlopPoint> = design
-        .cells()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.kind.is_flip_flop())
-        .map(|(cell, c)| FlipFlopPoint {
-            cell,
-            x: c.x.micro_meters(),
-            y: c.y.micro_meters(),
-        })
-        .collect();
-    pairing::pair(points, options.threshold, options.strategy)
+    let mut plan = MergePlan::default();
+    plan_into(design, options, &mut plan);
+    plan
+}
+
+/// [`plan`] into an existing plan, which is replaced; its point and
+/// pair vectors keep their capacity, so a flow merging design after
+/// design reuses them. The points are the design's flip-flops in cell
+/// order, read at the indices the placer recorded.
+pub fn plan_into(design: &PlacedDesign, options: &MergeOptions, out: &mut MergePlan) {
+    let cells = design.cells();
+    out.points.clear();
+    out.points
+        .extend(design.flip_flop_indices().iter().map(|&cell| {
+            let c = &cells[cell];
+            FlipFlopPoint {
+                cell,
+                x: c.x.micro_meters(),
+                y: c.y.micro_meters(),
+            }
+        }));
+    pairing::pair_points(out, options.threshold, options.strategy);
 }
 
 /// Runs the merge analysis over a parsed DEF design (the paper's
@@ -101,4 +111,31 @@ pub fn plan_from_def(def: &place::def::DefDesign, options: &MergeOptions) -> Mer
         })
         .collect();
     pairing::pair(points, options.threshold, options.strategy)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netlist::{benchmarks, CellLibrary};
+    use place::{placer, PlacerOptions};
+
+    #[test]
+    fn a_reused_plan_matches_a_fresh_one() {
+        let mut reused = MergePlan::default();
+        for (name, strategy) in [
+            ("s5378", Strategy::GreedyClosest),
+            ("s344", Strategy::DegreeAware),
+            ("s838", Strategy::GreedyClosest),
+        ] {
+            let n = benchmarks::generate(benchmarks::by_name(name).unwrap());
+            let placed = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+            let options = MergeOptions {
+                strategy,
+                ..MergeOptions::default()
+            };
+            plan_into(&placed, &options, &mut reused);
+            assert_eq!(reused, plan(&placed, &options), "{name}");
+            assert_eq!(reused.total_flip_flops(), placed.flip_flops().count());
+        }
+    }
 }

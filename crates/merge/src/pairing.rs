@@ -57,9 +57,9 @@ impl fmt::Display for Strategy {
 }
 
 /// Result of the merge analysis.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergePlan {
-    points: Vec<FlipFlopPoint>,
+    pub(crate) points: Vec<FlipFlopPoint>,
     pairs: Vec<MergedPair>,
     threshold: Length,
     strategy: Strategy,
@@ -132,10 +132,17 @@ impl MergePlan {
 /// distances, by `a` then `b` ascending.
 #[must_use]
 pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair> {
+    let mut out = Vec::new();
+    candidates_into(points, threshold, &mut out);
+    out
+}
+
+/// [`candidates`] into `out` (cleared first).
+fn candidates_into(points: &[FlipFlopPoint], threshold: Length, out: &mut Vec<MergedPair>) {
+    out.clear();
     let t = threshold.micro_meters();
     let coords: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
     let index = GridIndex::new(&coords, t.max(1e-3));
-    let mut out = Vec::new();
     let mut near = Vec::new();
     for (a, &(x, y)) in coords.iter().enumerate() {
         index.within_radius_into(a, t, &mut near);
@@ -144,41 +151,50 @@ pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair
             out.push(MergedPair { a, b, distance: d });
         }
     }
-    out
 }
 
 /// Selects a disjoint pair set from the candidate graph. The plan keeps
 /// the points.
 #[must_use]
 pub fn pair(points: Vec<FlipFlopPoint>, threshold: Length, strategy: Strategy) -> MergePlan {
-    let mut cand = candidates(&points, threshold);
+    let mut plan = MergePlan {
+        points,
+        ..MergePlan::default()
+    };
+    pair_points(&mut plan, threshold, strategy);
+    plan
+}
+
+/// [`pair`] over the points `out` already holds, replacing its pairs.
+/// The candidates are listed, sorted and (for the greedy strategy)
+/// thinned in the pair vector itself, which keeps its capacity.
+pub(crate) fn pair_points(out: &mut MergePlan, threshold: Length, strategy: Strategy) {
+    let cand = &mut out.pairs;
+    candidates_into(&out.points, threshold, cand);
     // Closest first, ties in candidate order (a stable sort). Candidate
     // distances are square roots of non-negative finite sums, never
     // -0.0 or NaN, and such values order like their IEEE-754 bits.
     cand.sort_by_key(|p| p.distance.to_bits());
-    let pairs = match strategy {
-        Strategy::GreedyClosest => greedy_closest(points.len(), &cand),
-        Strategy::DegreeAware => degree_aware(points.len(), &cand),
-    };
-    MergePlan {
-        points,
-        pairs,
-        threshold,
-        strategy,
+    match strategy {
+        Strategy::GreedyClosest => greedy_closest(out.points.len(), cand),
+        Strategy::DegreeAware => *cand = degree_aware(out.points.len(), cand),
     }
+    out.threshold = threshold;
+    out.strategy = strategy;
 }
 
-fn greedy_closest(n: usize, sorted_candidates: &[MergedPair]) -> Vec<MergedPair> {
+/// Keeps, in order, each sorted candidate whose flip-flops are both
+/// still free.
+fn greedy_closest(n: usize, sorted_candidates: &mut Vec<MergedPair>) {
     let mut taken = vec![false; n];
-    let mut out = Vec::new();
-    for c in sorted_candidates {
-        if !taken[c.a] && !taken[c.b] {
+    sorted_candidates.retain(|c| {
+        let free = !taken[c.a] && !taken[c.b];
+        if free {
             taken[c.a] = true;
             taken[c.b] = true;
-            out.push(*c);
         }
-    }
-    out
+        free
+    });
 }
 
 fn degree_aware(n: usize, sorted_candidates: &[MergedPair]) -> Vec<MergedPair> {

@@ -14,10 +14,13 @@
 //! order, so cell `k` drives net `n_inputs + k` and each module's
 //! outputs are one contiguous range of net handles (flip-flops first).
 //! A module's source pool is that range, or the prefix of it wired so
-//! far; only the design-wide wired pool is a vector. Every name goes
-//! into the netlist's name buffers as a static prefix plus decimal
-//! digits (`pi7`, `q3_1`, `n42`, `U42`, …) without `core::fmt`, into
-//! buffers reserved up front.
+//! far; only the design-wide wired pool is a vector.
+//!
+//! Every name is a static prefix plus decimal digits (`pi7`, `q3_1`,
+//! `n42`, `U42`, …), a pure function of the module plan. The netlist
+//! therefore keeps only that plan ([`GeneratedNames`]) and writes each
+//! name list, without `core::fmt`, into a buffer sized up front, the
+//! first time something reads it.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -177,7 +180,109 @@ pub fn generate(spec: BenchmarkSpec) -> Netlist {
 /// benchmark name.
 #[must_use]
 pub fn generate_scaled(spec: BenchmarkSpec, max_gates: usize) -> Netlist {
-    CellPlan::new(spec, max_gates).wire(spec)
+    let mut netlist = Netlist::new(spec.name);
+    generate_scaled_into(spec, max_gates, &mut netlist);
+    netlist
+}
+
+/// [`generate_scaled`] into an existing netlist, whose instance vector
+/// keeps its capacity: a caller that generates design after design
+/// reuses one buffer instead of allocating (and faulting in) a new one
+/// each time. Whatever `out` held before is replaced.
+pub fn generate_scaled_into(spec: BenchmarkSpec, max_gates: usize, out: &mut Netlist) {
+    out.regenerate(spec.name, |instances| {
+        CellPlan::new(spec, max_gates).wire(instances)
+    });
+}
+
+/// What a generated netlist's names are a pure function of: the module
+/// plan and the port counts. Net names are `pi{k}` for the primary
+/// inputs, then per module `q{m}_{k}` for its flip-flops and `n{i}` for
+/// its gates (`i` counting gates design-wide); instance names are
+/// `PI{k}`, then `FF{k}` or `U{k}` for cell `k`, then `PO{k}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct GeneratedNames {
+    /// Primary inputs (nets `0..n_inputs`).
+    n_inputs: usize,
+    /// First net of each module's range, plus the end of the last.
+    starts: Vec<usize>,
+    /// Flip-flops leading each module's range.
+    ffs: Vec<usize>,
+    /// Primary outputs.
+    n_outputs: usize,
+}
+
+impl GeneratedNames {
+    /// Number of nets: the primary inputs and one per cell.
+    pub(crate) fn net_count(&self) -> usize {
+        self.starts.last().copied().unwrap_or(self.n_inputs)
+    }
+
+    /// Every net name, in net order.
+    pub(crate) fn nets(&self) -> NameBuf {
+        let Self {
+            n_inputs,
+            ref starts,
+            ref ffs,
+            ..
+        } = *self;
+        let flip_flops: usize = ffs.iter().sum();
+        let gates = self.net_count() - n_inputs - flip_flops;
+        let most_ffs = ffs.iter().copied().max().unwrap_or(0);
+        let mut nets = NameBuf::with_capacity(
+            self.net_count(),
+            numbered_bytes("pi", n_inputs)
+                + flip_flops
+                    * ("q_".len()
+                        + decimal_len(ffs.len().saturating_sub(1))
+                        + decimal_len(most_ffs.saturating_sub(1)))
+                + numbered_bytes("n", gates),
+        );
+        for k in 0..n_inputs {
+            nets.push_numbered("pi", k);
+        }
+        let mut gate = 0usize;
+        for (module, (w, &ffs_here)) in starts.windows(2).zip(ffs).enumerate() {
+            for k in 0..ffs_here {
+                nets.push_numbered_pair("q", module, k);
+            }
+            for _ in ffs_here..w[1] - w[0] {
+                nets.push_numbered("n", gate);
+                gate += 1;
+            }
+        }
+        nets
+    }
+
+    /// Every instance name, in instance order.
+    pub(crate) fn instances(&self) -> NameBuf {
+        let Self {
+            n_inputs,
+            ref starts,
+            ref ffs,
+            n_outputs,
+        } = *self;
+        let cells = self.net_count() - n_inputs;
+        let mut names = NameBuf::with_capacity(
+            n_inputs + cells + n_outputs,
+            numbered_bytes("PI", n_inputs)
+                + numbered_bytes("FF", cells)
+                + numbered_bytes("PO", n_outputs),
+        );
+        for k in 0..n_inputs {
+            names.push_numbered("PI", k);
+        }
+        for (w, &ffs_here) in starts.windows(2).zip(ffs) {
+            for out in w[0]..w[1] {
+                let prefix = if out - w[0] < ffs_here { "FF" } else { "U" };
+                names.push_numbered(prefix, out - n_inputs);
+            }
+        }
+        for k in 0..n_outputs {
+            names.push_numbered("PO", k);
+        }
+        names
+    }
 }
 
 /// The first phase of the construction: the primary inputs, the
@@ -202,8 +307,6 @@ struct CellPlan {
     ffs: Vec<usize>,
     /// Kind of cell `k`, which drives net `n_inputs + k`.
     kinds: Vec<CellKind>,
-    /// Every net's name, in net order.
-    nets: NameBuf,
 }
 
 impl CellPlan {
@@ -234,32 +337,14 @@ impl CellPlan {
             };
         }
 
-        let most_ffs = ffs.iter().copied().max().unwrap_or(0);
-        let mut nets = NameBuf::with_capacity(
-            n_inputs + total_cells,
-            numbered_bytes("pi", n_inputs)
-                + spec.flip_flops
-                    * ("q_".len()
-                        + decimal_len(module_count - 1)
-                        + decimal_len(most_ffs.saturating_sub(1)))
-                + numbered_bytes("n", gates),
-        );
-        for k in 0..n_inputs {
-            nets.push_numbered("pi", k);
-        }
-
         // Create the cells module by module; wiring comes afterwards so
         // every output net exists first.
         let mut starts = Vec::with_capacity(module_count + 1);
         let mut kinds = Vec::with_capacity(total_cells);
         let mut gate_budget = gates;
-        let mut idx = 0usize;
         for (module, &ffs_here) in ffs.iter().enumerate() {
             starts.push(n_inputs + kinds.len());
-            for k in 0..ffs_here {
-                nets.push_numbered_pair("q", module, k);
-                kinds.push(CellKind::Dff);
-            }
+            kinds.extend(std::iter::repeat_n(CellKind::Dff, ffs_here));
             // Any leftover combinational budget goes to the last module.
             let gates_here = if module + 1 == module_count {
                 gate_budget
@@ -272,8 +357,6 @@ impl CellPlan {
             gate_budget -= gates_here;
             for _ in 0..gates_here {
                 kinds.push(random_gate(&mut rng));
-                nets.push_numbered("n", idx);
-                idx += 1;
             }
         }
         starts.push(n_inputs + kinds.len());
@@ -285,7 +368,6 @@ impl CellPlan {
             starts,
             ffs,
             kinds,
-            nets,
         }
     }
 
@@ -298,8 +380,9 @@ impl CellPlan {
     /// it; flip-flop D-inputs may come from anywhere. A module's wired
     /// nets are a prefix of its range that grows as its gates are
     /// wired; the design-wide wired pool, in wiring order, is the one
-    /// pool kept as a vector.
-    fn wire(self, spec: BenchmarkSpec) -> Netlist {
+    /// pool kept as a vector. Appends every instance to `instances`
+    /// and returns the plan the names derive from.
+    fn wire(self, instances: &mut Vec<Instance>) -> GeneratedNames {
         let Self {
             mut rng,
             gates,
@@ -307,9 +390,8 @@ impl CellPlan {
             starts,
             ffs,
             kinds,
-            nets,
         } = self;
-        let n_nets = nets.len();
+        let n_nets = n_inputs + kinds.len();
         let n_outputs = (gates / 120).clamp(4, 256);
         let module_len: Vec<usize> = starts.windows(2).map(|w| w[1] - w[0]).collect();
         let mut wired = ffs.clone();
@@ -319,15 +401,8 @@ impl CellPlan {
             wired_global.extend((start..start + ffs_here).map(NetId::from_index));
         }
 
-        let mut names = NameBuf::with_capacity(
-            n_nets + n_outputs,
-            numbered_bytes("PI", n_inputs)
-                + numbered_bytes("FF", kinds.len())
-                + numbered_bytes("PO", n_outputs),
-        );
-        let mut instances = Vec::with_capacity(n_nets + n_outputs);
+        instances.reserve(n_nets + n_outputs);
         for k in 0..n_inputs {
-            names.push_numbered("PI", k);
             instances.push(Instance::new(
                 CellKind::Input,
                 &[],
@@ -353,10 +428,7 @@ impl CellPlan {
                     };
                 }
                 let out = NetId::from_index(out);
-                if kind.is_flip_flop() {
-                    names.push_numbered("FF", k);
-                } else {
-                    names.push_numbered("U", k);
+                if !kind.is_flip_flop() {
                     wired[module] += 1;
                     wired_global.push(out);
                 }
@@ -365,13 +437,17 @@ impl CellPlan {
         }
 
         // Primary outputs sample arbitrary internal nets.
-        for k in 0..n_outputs {
+        for _ in 0..n_outputs {
             let net = NetId::from_index(rng.random_range(0..n_nets));
-            names.push_numbered("PO", k);
             instances.push(Instance::new(CellKind::Output, &[net], None));
         }
 
-        Netlist::from_parts(spec.name, nets, names, instances)
+        GeneratedNames {
+            n_inputs,
+            starts,
+            ffs,
+            n_outputs,
+        }
     }
 }
 
@@ -418,18 +494,30 @@ fn pick_source(
     global(rng.random_range(0..global_len))
 }
 
-/// Combinational kind distribution of a typical mapped netlist.
+/// Combinational kind distribution of a typical mapped netlist: NAND2
+/// 30 %, INV 20 %, NOR2 15 %, AND2 10 %, OR2 10 %, XOR2 5 %, BUF 10 %.
 fn random_gate(rng: &mut StdRng) -> CellKind {
-    let roll: f64 = rng.random();
-    match roll {
-        r if r < 0.30 => CellKind::Nand2,
-        r if r < 0.50 => CellKind::Inv,
-        r if r < 0.65 => CellKind::Nor2,
-        r if r < 0.75 => CellKind::And2,
-        r if r < 0.85 => CellKind::Or2,
-        r if r < 0.90 => CellKind::Xor2,
-        _ => CellKind::Buf,
-    }
+    gate_kind(rng.random())
+}
+
+/// The kind a uniform `roll` in `[0, 1)` selects: the number of
+/// cumulative edges at or below it, counted without a branch per edge
+/// (a chain of compares on a random roll mispredicts on most gates).
+fn gate_kind(roll: f64) -> CellKind {
+    const KINDS: [CellKind; 7] = [
+        CellKind::Nand2,
+        CellKind::Inv,
+        CellKind::Nor2,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Xor2,
+        CellKind::Buf,
+    ];
+    const EDGES: [f64; 6] = [0.30, 0.50, 0.65, 0.75, 0.85, 0.90];
+    KINDS[EDGES
+        .iter()
+        .map(|&edge| usize::from(roll >= edge))
+        .sum::<usize>()]
 }
 
 /// Deterministic 64-bit seed from a benchmark name (FNV-1a).
@@ -536,22 +624,23 @@ mod tests {
             let cells = plan.kinds.len();
             assert_eq!(plan.starts.first(), Some(&n_inputs), "{name}");
             assert_eq!(plan.starts.last(), Some(&(n_inputs + cells)), "{name}");
-            for (m, w) in plan.starts.windows(2).enumerate() {
+            let (starts, ffs, kinds) = (plan.starts.clone(), plan.ffs.clone(), plan.kinds.clone());
+            let mut n = Netlist::new("");
+            n.regenerate(spec.name, |instances| plan.wire(instances));
+            assert_eq!(n, generate_scaled(spec, cap), "{name}");
+            for (m, w) in starts.windows(2).enumerate() {
                 assert!(w[0] <= w[1], "{name}: module {m}");
-                let kinds = &plan.kinds[w[0] - n_inputs..w[1] - n_inputs];
-                let (ffs, gates) = kinds.split_at(plan.ffs[m]);
+                let kinds = &kinds[w[0] - n_inputs..w[1] - n_inputs];
+                let (ffs, gates) = kinds.split_at(ffs[m]);
                 assert!(ffs.iter().all(|k| k.is_flip_flop()), "{name}: module {m}");
                 assert!(
                     gates.iter().all(|k| !k.is_flip_flop()),
                     "{name}: module {m}"
                 );
                 for k in 0..ffs.len() {
-                    assert_eq!(plan.nets.get(w[0] + k), format!("q{m}_{k}"));
+                    assert_eq!(n.names().net(w[0] + k), format!("q{m}_{k}"));
                 }
             }
-            let kinds = plan.kinds.clone();
-            let n = plan.wire(spec);
-            assert_eq!(n, generate_scaled(spec, cap), "{name}");
             let instances = n.instances();
             assert!(instances[..n_inputs]
                 .iter()
@@ -562,6 +651,27 @@ mod tests {
                 assert_eq!(inst.output, Some(NetId::from_index(n_inputs + k)));
             }
             assert_eq!(n.net_count(), n_inputs + cells);
+        }
+    }
+
+    #[test]
+    fn gate_kinds_follow_the_cumulative_edges() {
+        let chain = |r: f64| match r {
+            r if r < 0.30 => CellKind::Nand2,
+            r if r < 0.50 => CellKind::Inv,
+            r if r < 0.65 => CellKind::Nor2,
+            r if r < 0.75 => CellKind::And2,
+            r if r < 0.85 => CellKind::Or2,
+            r if r < 0.90 => CellKind::Xor2,
+            _ => CellKind::Buf,
+        };
+        let mut rolls = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for edge in [0.30, 0.50, 0.65, 0.75, 0.85, 0.90_f64] {
+            rolls.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        rolls.extend((0..1000).map(|k| f64::from(k) / 1000.0));
+        for r in rolls {
+            assert_eq!(gate_kind(r), chain(r), "roll {r}");
         }
     }
 

@@ -6,12 +6,18 @@
 //! [`NetPins`] is a CSR table of `u32` offsets and instance handles.
 //! A `usize` becomes a handle through one checked conversion, which
 //! panics past `u32::MAX` like the pin-count assert does on a
-//! malformed instance. Net and instance names each live in one
-//! [`NameBuf`]: the text of every name back to back plus 32-bit end
-//! offsets.
+//! malformed instance. A netlist's net and instance names are one
+//! shared [`Names`]: each list is one `NameBuf` (the text of every
+//! name back to back plus 32-bit end offsets), stored as pushed or,
+//! for a generated netlist, built from the generator's module plan on
+//! first read.
 
 use core::fmt;
+use std::cell::Cell;
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
+
+use crate::benchmarks::GeneratedNames;
 
 /// Logic cell types of the small standard-cell library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,7 +161,7 @@ impl InstId {
 /// straight into the buffer, so no per-name `String` is built; the
 /// numbered names of the benchmark generator skip `core::fmt` too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NameBuf {
+pub(crate) struct NameBuf {
     text: String,
     ends: Vec<u32>,
 }
@@ -172,7 +178,7 @@ impl NameBuf {
     }
 
     /// Appends a name; names are indexed in push order from 0.
-    pub fn push(&mut self, name: impl fmt::Display) {
+    pub(crate) fn push(&mut self, name: impl fmt::Display) {
         write!(self.text, "{name}").expect("formatting into a String cannot fail");
         self.end_name();
     }
@@ -203,7 +209,7 @@ impl NameBuf {
     ///
     /// Panics if `index ≥ len()`.
     #[must_use]
-    pub fn get(&self, index: usize) -> &str {
+    pub(crate) fn get(&self, index: usize) -> &str {
         let start = if index == 0 {
             0
         } else {
@@ -242,6 +248,138 @@ fn push_decimal(text: &mut String, mut n: usize) {
 pub(crate) fn decimal_len(n: usize) -> usize {
     n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
+
+thread_local! {
+    static NAMES_BUILT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Generated names built on the calling thread so far: each first read
+/// of a generated netlist's net or instance names adds the number of
+/// names it wrote. Names pushed one by one
+/// ([`Netlist::add_net`], [`Netlist::add_instance`]) do not count.
+#[must_use]
+pub fn names_built() -> u64 {
+    NAMES_BUILT.with(Cell::get)
+}
+
+const STORED: &str = "stored names are always set";
+
+/// A netlist's net and instance names, shared by handle between the
+/// netlist and the designs placed from it.
+///
+/// A netlist built name by name stores its names as they are pushed.
+/// A generated netlist keeps only what its names are a pure function
+/// of (the module plan: the ranges, flip-flop counts and port counts),
+/// and builds each list once, on its first read; the Table III flow
+/// reads none of them. Either way, reading a name returns `&str`.
+#[derive(Debug, Clone)]
+pub struct Names {
+    /// The generator's plan, while the names are derived from it.
+    generated: Option<GeneratedNames>,
+    nets: OnceLock<NameBuf>,
+    instances: OnceLock<NameBuf>,
+}
+
+impl Names {
+    /// Names derived from a generator's plan, none built yet.
+    pub(crate) fn generated(plan: GeneratedNames) -> Self {
+        Self {
+            generated: Some(plan),
+            nets: OnceLock::new(),
+            instances: OnceLock::new(),
+        }
+    }
+
+    /// Number of nets, without building their names.
+    fn net_count(&self) -> usize {
+        match &self.generated {
+            Some(plan) => plan.net_count(),
+            None => self.nets().len(),
+        }
+    }
+
+    /// Builds a generated list on first read (stored lists are always
+    /// set).
+    fn list<'a>(
+        &'a self,
+        cell: &'a OnceLock<NameBuf>,
+        build: fn(&GeneratedNames) -> NameBuf,
+    ) -> &'a NameBuf {
+        cell.get_or_init(|| {
+            let plan = self.generated.as_ref().expect(STORED);
+            let names = build(plan);
+            NAMES_BUILT.with(|n| n.set(n.get() + names.len() as u64));
+            names
+        })
+    }
+
+    fn nets(&self) -> &NameBuf {
+        self.list(&self.nets, GeneratedNames::nets)
+    }
+
+    fn instances(&self) -> &NameBuf {
+        self.list(&self.instances, GeneratedNames::instances)
+    }
+
+    /// Name of net number `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has no net `index`.
+    #[must_use]
+    pub(crate) fn net(&self, index: usize) -> &str {
+        self.nets().get(index)
+    }
+
+    /// Name of instance number `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has no instance `index`.
+    #[must_use]
+    pub fn instance(&self, index: usize) -> &str {
+        self.instances().get(index)
+    }
+
+    /// Both lists as stored buffers, built first if generated.
+    fn stored_mut(&mut self) -> (&mut NameBuf, &mut NameBuf) {
+        if self.generated.is_some() {
+            self.nets();
+            self.instances();
+            self.generated = None;
+        }
+        (
+            self.nets.get_mut().expect(STORED),
+            self.instances.get_mut().expect(STORED),
+        )
+    }
+}
+
+impl Default for Names {
+    /// No names, stored.
+    fn default() -> Self {
+        Self {
+            generated: None,
+            nets: OnceLock::from(NameBuf::default()),
+            instances: OnceLock::from(NameBuf::default()),
+        }
+    }
+}
+
+impl PartialEq for Names {
+    /// Equal plans give equal names, so comparing two netlists
+    /// generated alike builds none; otherwise the lists are compared.
+    fn eq(&self, other: &Self) -> bool {
+        if let (Some(a), Some(b)) = (&self.generated, &other.generated) {
+            if a == b {
+                return true;
+            }
+        }
+        self.nets() == other.nets() && self.instances() == other.instances()
+    }
+}
+
+impl Eq for Names {}
 
 /// One placed-able cell instance (20 bytes: a kind and three 32-bit
 /// net handles). Its name lives in the netlist's name buffer
@@ -291,7 +429,7 @@ impl Instance {
 /// pins are `pins[offsets[k]..offsets[k + 1]]`, in instance order (an
 /// instance appears once per pin it has on the net). Offsets and pins
 /// are 32-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetPins {
     offsets: Vec<u32>,
     pins: Vec<InstId>,
@@ -319,9 +457,9 @@ impl NetPins {
 
 /// A flat gate-level netlist.
 ///
-/// Net and instance names each live in one [`NameBuf`]; instances are
-/// plain `Copy` records with their input nets inline, and every handle
-/// is 32-bit.
+/// Its names are one shared [`Names`] handle; instances are plain
+/// `Copy` records with their input nets inline, and every handle is
+/// 32-bit.
 ///
 /// # Examples
 ///
@@ -336,11 +474,10 @@ impl NetPins {
 /// assert_eq!(n.net_count(), 2);
 /// assert_eq!(n.instance_name(u1), "U1");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Netlist {
     name: String,
-    nets: NameBuf,
-    instance_names: NameBuf,
+    names: Arc<Names>,
     instances: Vec<Instance>,
 }
 
@@ -348,24 +485,25 @@ impl Netlist {
     /// Creates an empty netlist.
     #[must_use]
     pub fn new(name: &str) -> Self {
-        Self::from_parts(name, NameBuf::default(), NameBuf::default(), Vec::new())
-    }
-
-    /// A netlist from its net names, instance names and instances (one
-    /// name per instance, in instance order).
-    pub(crate) fn from_parts(
-        name: &str,
-        nets: NameBuf,
-        instance_names: NameBuf,
-        instances: Vec<Instance>,
-    ) -> Self {
-        debug_assert_eq!(instance_names.len(), instances.len());
         Self {
             name: name.to_owned(),
-            nets,
-            instance_names,
-            instances,
+            ..Self::default()
         }
+    }
+
+    /// Refills this netlist with a generated design, keeping its
+    /// instance vector's capacity: `fill` gets the emptied vector and
+    /// returns the plan the names derive from.
+    pub(crate) fn regenerate(
+        &mut self,
+        name: &str,
+        fill: impl FnOnce(&mut Vec<Instance>) -> GeneratedNames,
+    ) {
+        self.name.clear();
+        self.name.push_str(name);
+        self.instances.clear();
+        let plan = fill(&mut self.instances);
+        self.names = Arc::new(Names::generated(plan));
     }
 
     /// Design name.
@@ -378,8 +516,8 @@ impl Netlist {
     /// that may meet a name twice keeps its own map (as
     /// [`crate::bench_format::parse`] does).
     pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
-        let id = NetId::from_index(self.nets.len());
-        self.nets.push(name);
+        let id = NetId::from_index(self.net_count());
+        Arc::make_mut(&mut self.names).stored_mut().0.push(name);
         id
     }
 
@@ -390,7 +528,7 @@ impl Netlist {
     /// Panics if `net` belongs to another netlist.
     #[must_use]
     pub(crate) fn net_name(&self, net: NetId) -> &str {
-        self.nets.get(net.index())
+        self.names.net(net.index())
     }
 
     /// Adds an instance.
@@ -408,7 +546,7 @@ impl Netlist {
     ) -> InstId {
         let instance = Instance::new(kind, inputs, output);
         let id = InstId::from_index(self.instances.len());
-        self.instance_names.push(name);
+        Arc::make_mut(&mut self.names).stored_mut().1.push(name);
         self.instances.push(instance);
         id
     }
@@ -437,15 +575,15 @@ impl Netlist {
     /// Panics if `id` belongs to another netlist.
     #[must_use]
     pub fn instance_name(&self, id: InstId) -> &str {
-        self.instance_names.get(id.index())
+        self.names.instance(id.index())
     }
 
-    /// Every instance name, in instance order: name `k` is instance
-    /// `k`'s. A placement clones this buffer whole instead of copying
-    /// names one by one.
+    /// The netlist's names: instance `k`'s name is
+    /// `names().instance(k)`. A placement keeps a clone of this handle
+    /// instead of copying names.
     #[must_use]
-    pub fn instance_names(&self) -> &NameBuf {
-        &self.instance_names
+    pub fn names(&self) -> &Arc<Names> {
+        &self.names
     }
 
     /// Number of instances (ports included).
@@ -457,7 +595,7 @@ impl Netlist {
     /// Number of nets.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.names.net_count()
     }
 
     /// Number of flip-flops.
@@ -504,20 +642,33 @@ impl Netlist {
     }
 
     /// Adjacency: for every net, the instances touching it, as one CSR
-    /// table. A counting pass leaves each net's pin count in its
-    /// offset slot; a running sum turns the slots into net ends; a
-    /// fill pass over the instances in reverse steps each end back to
-    /// its net's start, writing the pins of every net in instance
-    /// order. Used by the placer for connectivity-driven clustering
-    /// and by HPWL.
+    /// table. Used by HPWL; the placer reuses one table across designs
+    /// through [`Netlist::net_pins_into`].
     ///
     /// # Panics
     ///
     /// Panics if the netlist has more than `u32::MAX` pins.
     #[must_use]
     pub fn net_pins(&self) -> NetPins {
-        let nets = self.nets.len();
-        let mut offsets = vec![0u32; nets + 1];
+        let mut pins = NetPins::default();
+        self.net_pins_into(&mut pins);
+        pins
+    }
+
+    /// Fills `out` with [`Netlist::net_pins`], reusing its buffers. A
+    /// counting pass leaves each net's pin count in its offset slot; a
+    /// running sum turns the slots into net ends; a fill pass over the
+    /// instances in reverse steps each end back to its net's start,
+    /// writing the pins of every net in instance order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has more than `u32::MAX` pins.
+    pub fn net_pins_into(&self, out: &mut NetPins) {
+        let nets = self.net_count();
+        let NetPins { offsets, pins } = out;
+        offsets.clear();
+        offsets.resize(nets + 1, 0);
         for inst in &self.instances {
             for net in inst.inputs() {
                 offsets[net.index()] += 1;
@@ -532,7 +683,8 @@ impl Netlist {
             *offset = handle(total);
         }
         offsets[nets] = handle(total);
-        let mut pins = vec![InstId(0); total];
+        pins.clear();
+        pins.resize(total, InstId(0));
         for (idx, inst) in self.instances.iter().enumerate().rev() {
             let id = InstId::from_index(idx);
             let mut fill = |net: NetId| {
@@ -547,7 +699,6 @@ impl Netlist {
                 fill(net);
             }
         }
-        NetPins { offsets, pins }
     }
 }
 
@@ -656,6 +807,76 @@ mod tests {
     #[test]
     fn instances_are_20_bytes() {
         assert_eq!(std::mem::size_of::<Instance>(), 20);
+    }
+
+    fn generated() -> Netlist {
+        let spec = crate::benchmarks::by_name("s344").unwrap();
+        crate::benchmarks::generate_scaled(spec, 100)
+    }
+
+    #[test]
+    fn generated_names_are_built_once_on_first_read() {
+        let n = generated();
+        let before = names_built();
+        let copy = n.clone();
+        assert_eq!(copy, n);
+        assert_eq!(
+            n.net_count(),
+            n.instance_count() - 4,
+            "every PO is a net-less port"
+        );
+        assert_eq!(
+            names_built(),
+            before,
+            "counting and comparing build nothing"
+        );
+        assert_eq!(n.instance_name(InstId(0)), "PI0");
+        let instances = n.instance_count() as u64;
+        assert_eq!(names_built(), before + instances);
+        // The copy shares the handle, so it reads the same buffer.
+        assert_eq!(copy.instance_name(InstId(1)), "PI1");
+        assert_eq!(names_built(), before + instances);
+        assert_eq!(n.net_name(NetId(0)), "pi0");
+        assert_eq!(names_built(), before + instances + n.net_count() as u64);
+    }
+
+    #[test]
+    fn adding_to_a_generated_netlist_keeps_its_names() {
+        let original = generated();
+        let mut n = original.clone();
+        let extra = n.add_net("extra");
+        let ff = n.add_instance("FFX", CellKind::Dff, &[NetId(0)], Some(extra));
+        assert_eq!(extra.index(), original.net_count());
+        assert_eq!(n.net_name(extra), "extra");
+        assert_eq!(n.instance_name(ff), "FFX");
+        for k in 0..original.net_count() {
+            let net = NetId::from_index(k);
+            assert_eq!(n.net_name(net), original.net_name(net));
+        }
+        for k in 0..original.instance_count() {
+            let id = InstId::from_index(k);
+            assert_eq!(n.instance_name(id), original.instance_name(id));
+        }
+        assert_ne!(n, original);
+    }
+
+    #[test]
+    fn a_netlist_rebuilt_name_by_name_equals_the_generated_one() {
+        let g = generated();
+        let rebuild = |renamed: Option<usize>| {
+            let mut n = Netlist::new(g.name());
+            for k in 0..g.net_count() {
+                n.add_net(g.net_name(NetId::from_index(k)));
+            }
+            for (k, inst) in g.instances().iter().enumerate() {
+                let name = g.instance_name(InstId::from_index(k));
+                let name = if renamed == Some(k) { "renamed" } else { name };
+                n.add_instance(name, inst.kind, inst.inputs(), inst.output);
+            }
+            n
+        };
+        assert_eq!(rebuild(None), g);
+        assert_ne!(rebuild(Some(7)), g);
     }
 
     #[test]

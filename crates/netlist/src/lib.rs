@@ -14,8 +14,9 @@
 //!   cluster, the very property the merge flow exploits.
 //!
 //! The IR ([`Netlist`], `Instance`, [`CellKind`]) is deliberately
-//! small and flat: net and instance names each live in one
-//! [`NameBuf`], every instance is a 20-byte `Copy` record with its
+//! small and flat: net and instance names are one shared [`Names`]
+//! handle (a generated netlist builds its names only when something
+//! reads them), every instance is a 20-byte `Copy` record with its
 //! input nets inline, handles ([`NetId`], [`InstId`]) are 32-bit, and
 //! [`Netlist::net_pins`] gives the net → instance adjacency as one
 //! compressed-sparse-row table. A [`CellLibrary`] holds per-kind
@@ -41,5 +42,5 @@ mod library;
 pub mod verilog;
 
 pub use benchmarks::{Benchmark, BenchmarkSpec};
-pub use ir::{CellKind, InstId, NameBuf, NetId, Netlist};
+pub use ir::{names_built, CellKind, InstId, Names, NetId, NetPins, Netlist};
 pub use library::CellLibrary;

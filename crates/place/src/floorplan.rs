@@ -4,7 +4,7 @@ use netlist::{CellLibrary, Netlist};
 use units::Length;
 
 /// A row-based floorplan: a near-square die of uniform-height rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Floorplan {
     rows: usize,
     sites_per_row: usize,

@@ -2,12 +2,19 @@
 //! packing.
 //!
 //! Both run on the netlist's 32-bit handles: the BFS walks the
-//! netlist's `u32` net → instance CSR ([`Netlist::net_pins`]) with a
-//! `u32` instance queue. A [`PlacedDesign`] shares the netlist's
-//! names: it holds one clone of the instance-name buffer, and a cell's
-//! name is read at its instance handle.
+//! netlist's `u32` net → instance CSR ([`Netlist::net_pins_into`])
+//! with a `u32` instance queue. A [`PlacedDesign`] shares the
+//! netlist's names by handle (a cell's name is read at its instance
+//! handle, and a generated netlist builds its names only then), and
+//! records its flip-flops' cell indices as it packs them.
+//!
+//! [`place_into`] works in caller-held [`PlaceBuffers`] and refills a
+//! caller-held design, so a flow that places design after design
+//! reuses one set of buffers; [`place`] is its owning form.
 
-use netlist::{CellKind, CellLibrary, InstId, NameBuf, NetId, Netlist};
+use std::sync::Arc;
+
+use netlist::{CellKind, CellLibrary, InstId, Names, NetId, NetPins, Netlist};
 use units::Length;
 
 use crate::floorplan::Floorplan;
@@ -40,15 +47,17 @@ pub struct PlacedCell {
     pub row: usize,
 }
 
-/// A placed design: floorplan plus cell coordinates, with the source
-/// netlist's instance names in one buffer (a clone of
-/// [`Netlist::instance_names`], indexed by instance handle).
-#[derive(Debug, Clone, PartialEq)]
+/// A placed design: floorplan plus cell coordinates, the index of
+/// every flip-flop among the cells, and a handle to the source
+/// netlist's names (indexed by instance handle).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlacedDesign {
     design_name: String,
     floorplan: Floorplan,
     cells: Vec<PlacedCell>,
-    names: NameBuf,
+    /// `cells` indices of the flip-flops, ascending.
+    flip_flops: Vec<usize>,
+    names: Arc<Names>,
 }
 
 impl PlacedDesign {
@@ -77,19 +86,26 @@ impl PlacedDesign {
     /// Panics if `index ≥ cells().len()`.
     #[must_use]
     pub fn cell_name(&self, index: usize) -> &str {
-        self.names.get(self.cells[index].inst.index())
+        self.names.instance(self.cells[index].inst.index())
     }
 
     /// Every placed cell with its instance name.
     pub fn named_cells(&self) -> impl Iterator<Item = (&str, &PlacedCell)> {
         self.cells
             .iter()
-            .map(|cell| (self.names.get(cell.inst.index()), cell))
+            .map(|cell| (self.names.instance(cell.inst.index()), cell))
     }
 
-    /// The placed flip-flops.
+    /// Indices in [`PlacedDesign::cells`] of the flip-flops, ascending
+    /// (recorded by the placer; no scan of the cells).
+    #[must_use]
+    pub fn flip_flop_indices(&self) -> &[usize] {
+        &self.flip_flops
+    }
+
+    /// The placed flip-flops, in cell order.
     pub fn flip_flops(&self) -> impl Iterator<Item = &PlacedCell> {
-        self.cells.iter().filter(|c| c.kind.is_flip_flop())
+        self.flip_flops.iter().map(|&i| &self.cells[i])
     }
 
     /// Half-perimeter wirelength against the source netlist, in metres
@@ -124,21 +140,17 @@ impl PlacedDesign {
         }
         total
     }
+}
 
-    /// Assembles a design, cloning `netlist`'s instance-name buffer
-    /// whole (one copy, not one push per cell).
-    pub(crate) fn from_parts(
-        netlist: &Netlist,
-        floorplan: Floorplan,
-        cells: Vec<PlacedCell>,
-    ) -> Self {
-        Self {
-            design_name: netlist.name().to_owned(),
-            floorplan,
-            cells,
-            names: netlist.instance_names().clone(),
-        }
-    }
+/// The placer's working buffers: the net → instance table, the BFS
+/// flags and the growth order. [`place_into`] refills them, so a
+/// caller placing many designs keeps one set.
+#[derive(Debug, Default)]
+pub struct PlaceBuffers {
+    pins: NetPins,
+    visited: Vec<bool>,
+    scanned: Vec<bool>,
+    order: Vec<InstId>,
 }
 
 /// Places a netlist: plans the floorplan, orders cells by cluster
@@ -147,37 +159,73 @@ impl PlacedDesign {
 /// end-of-row waste can need one or more extra rows).
 #[must_use]
 pub fn place(netlist: &Netlist, library: &CellLibrary, options: &PlacerOptions) -> PlacedDesign {
+    let mut placed = PlacedDesign::default();
+    place_into(
+        netlist,
+        library,
+        options,
+        &mut PlaceBuffers::default(),
+        &mut placed,
+    );
+    placed
+}
+
+/// [`place`] into caller-held buffers: `out` is replaced by the
+/// placement of `netlist`, reusing its cell and flip-flop vectors, and
+/// `buffers` keep their capacity for the next design.
+pub fn place_into(
+    netlist: &Netlist,
+    library: &CellLibrary,
+    options: &PlacerOptions,
+    buffers: &mut PlaceBuffers,
+    out: &mut PlacedDesign,
+) {
     let mut floorplan = Floorplan::plan(netlist, library, options.utilization);
-    let order = cluster_growth_order(netlist);
-    let cells = pack_rows(netlist, library, &mut floorplan, &order);
-    PlacedDesign::from_parts(netlist, floorplan, cells)
+    cluster_growth_order(netlist, buffers);
+    pack_rows(netlist, library, &mut floorplan, &buffers.order, out);
+    out.design_name.clear();
+    out.design_name.push_str(netlist.name());
+    out.floorplan = floorplan;
+    out.names = Arc::clone(netlist.names());
 }
 
 /// Orders placeable instances by BFS over the net hypergraph so
 /// connected cells are adjacent in the ordering (and therefore in the
-/// packed rows).
+/// packed rows), into `buffers.order`.
 ///
 /// `order` doubles as the BFS queue (`head` is the next instance to
-/// expand; it scans its input nets, then its output net). Ports start
-/// visited, and each net's pin list is scanned at most once: after its
-/// first scan every instance on it is visited or a port, so a rescan
-/// would enqueue nothing. The net → instance table lives only for this
-/// pass.
-fn cluster_growth_order(netlist: &Netlist) -> Vec<InstId> {
+/// expand; it scans its input nets, then its output net; `tail` ends
+/// the queue). Ports start visited, and each net's pin list is scanned
+/// at most once: after its first scan every instance on it is visited
+/// or a port, so a rescan would enqueue nothing. A pin is enqueued
+/// without a branch: every instance is written at `tail`, which
+/// advances only if it was unvisited (the visited test on a random
+/// pin mispredicts too often to branch on); `order` has one spare slot
+/// for the write past the last instance.
+fn cluster_growth_order(netlist: &Netlist, buffers: &mut PlaceBuffers) {
+    let PlaceBuffers {
+        pins,
+        visited,
+        scanned,
+        order,
+    } = buffers;
     let instances = netlist.instances();
-    let mut visited: Vec<bool> = instances.iter().map(|i| i.kind.is_port()).collect();
-    let mut scanned = vec![false; netlist.net_count()];
-    let pins = netlist.net_pins();
-    let mut order = Vec::with_capacity(instances.len());
-    let mut head = 0;
-    let mut scan = |net: NetId, visited: &mut [bool], order: &mut Vec<InstId>| {
+    visited.clear();
+    visited.extend(instances.iter().map(|i| i.kind.is_port()));
+    scanned.clear();
+    scanned.resize(netlist.net_count(), false);
+    netlist.net_pins_into(pins);
+    order.clear();
+    order.resize(instances.len() + 1, InstId(0));
+    let (mut head, mut tail) = (0, 0);
+    let mut scan = |net: NetId, visited: &mut [bool], order: &mut [InstId], tail: &mut usize| {
         if std::mem::replace(&mut scanned[net.index()], true) {
             return;
         }
         for &other in pins.net(net) {
-            if !std::mem::replace(&mut visited[other.index()], true) {
-                order.push(other);
-            }
+            let seen = std::mem::replace(&mut visited[other.index()], true);
+            order[*tail] = other;
+            *tail += usize::from(!seen);
         }
     };
 
@@ -185,32 +233,40 @@ fn cluster_growth_order(netlist: &Netlist) -> Vec<InstId> {
         if std::mem::replace(&mut visited[seed], true) {
             continue;
         }
-        order.push(InstId::from_index(seed));
-        while head < order.len() {
+        order[tail] = InstId::from_index(seed);
+        tail += 1;
+        while head < tail {
             let inst = &instances[order[head].index()];
             head += 1;
             for &net in inst.inputs() {
-                scan(net, &mut visited, &mut order);
+                scan(net, visited, order, &mut tail);
             }
             if let Some(net) = inst.output {
-                scan(net, &mut visited, &mut order);
+                scan(net, visited, order, &mut tail);
             }
         }
     }
-    order
+    order.truncate(tail);
 }
 
-/// Packs ordered cells into rows boustrophedon-style, growing the
-/// floorplan's row count if the cells need more rows than it planned.
-/// A cell is pushed with its row when it joins the open row; closing
-/// the row sets its x and y in place.
+/// Packs ordered cells into `out`'s rows boustrophedon-style, growing
+/// the floorplan's row count if the cells need more rows than it
+/// planned, and records each flip-flop's cell index as it goes. A cell
+/// is pushed with its row when it joins the open row; closing the row
+/// sets its x and y in place.
 fn pack_rows(
     netlist: &Netlist,
     library: &CellLibrary,
     floorplan: &mut Floorplan,
     order: &[InstId],
-) -> Vec<PlacedCell> {
-    let mut cells = Vec::with_capacity(order.len());
+    out: &mut PlacedDesign,
+) {
+    let PlacedDesign {
+        cells, flip_flops, ..
+    } = out;
+    cells.clear();
+    cells.reserve(order.len());
+    flip_flops.clear();
     let sites_per_row = floorplan.sites_per_row();
     let mut row = 0usize;
     let mut used_sites = 0usize;
@@ -243,6 +299,9 @@ fn pack_rows(
             used_sites = 0;
             row_start = cells.len();
         }
+        if kind.is_flip_flop() {
+            flip_flops.push(cells.len());
+        }
         cells.push(PlacedCell {
             inst,
             kind,
@@ -253,7 +312,6 @@ fn pack_rows(
         used_sites += sites;
     }
     close(row, used_sites, &mut cells[row_start..]);
-    cells
 }
 
 #[cfg(test)]
@@ -350,7 +408,14 @@ mod tests {
         let n = benchmarks::generate(benchmarks::by_name("s838").unwrap());
         let lib = CellLibrary::n40();
         let mut fp = Floorplan::plan(&n, &lib, 0.7);
-        let clustered = pack_rows(&n, &lib, &mut fp, &cluster_growth_order(&n));
+        let packed = |fp: &mut Floorplan, order: &[InstId]| {
+            let mut design = PlacedDesign::default();
+            pack_rows(&n, &lib, fp, order, &mut design);
+            design
+        };
+        let mut buffers = PlaceBuffers::default();
+        cluster_growth_order(&n, &mut buffers);
+        let clustered = packed(&mut fp, &buffers.order);
         // Locality-destroying baseline: a coprime-stride permutation
         // separates previously adjacent instances.
         let ids = n.placeable();
@@ -358,10 +423,9 @@ mod tests {
         let random_order: Vec<InstId> = (0..ids.len())
             .map(|k| ids[(k * stride) % ids.len()])
             .collect();
-        let shuffled = pack_rows(&n, &lib, &mut fp, &random_order);
-        let as_design = |cells: Vec<PlacedCell>| PlacedDesign::from_parts(&n, fp.clone(), cells);
-        let hp_clustered = as_design(clustered).hpwl(&n, &lib);
-        let hp_shuffled = as_design(shuffled).hpwl(&n, &lib);
+        let shuffled = packed(&mut fp, &random_order);
+        let hp_clustered = clustered.hpwl(&n, &lib);
+        let hp_shuffled = shuffled.hpwl(&n, &lib);
         assert!(
             hp_clustered < hp_shuffled,
             "clustered {hp_clustered} vs reversed {hp_shuffled}"
@@ -373,6 +437,36 @@ mod tests {
         let n = s344();
         let placed = place(&n, &CellLibrary::n40(), &PlacerOptions::default());
         assert_eq!(placed.flip_flops().count(), 15);
+    }
+
+    #[test]
+    fn flip_flop_indices_are_the_flip_flop_cells_in_order() {
+        let n = benchmarks::generate(benchmarks::by_name("s838").unwrap());
+        let placed = place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+        let filtered: Vec<usize> = placed
+            .cells()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.kind.is_flip_flop())
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(placed.flip_flop_indices(), filtered);
+        assert_eq!(placed.flip_flops().count(), 32);
+    }
+
+    #[test]
+    fn reused_buffers_place_like_fresh_ones() {
+        // Larger, smaller, then larger again: each refill must leave
+        // nothing of the previous design behind.
+        let lib = CellLibrary::n40();
+        let options = PlacerOptions::default();
+        let mut buffers = PlaceBuffers::default();
+        let mut reused = PlacedDesign::default();
+        for name in ["s5378", "s344", "s838", "s5378"] {
+            let n = benchmarks::generate(benchmarks::by_name(name).unwrap());
+            place_into(&n, &lib, &options, &mut buffers, &mut reused);
+            assert_eq!(reused, place(&n, &lib, &options), "{name}");
+        }
     }
 
     #[test]

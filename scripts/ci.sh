@@ -50,7 +50,7 @@ echo "==> perfbench: build and test the benchmark against the library API"
 # gate; --locked keeps its lock file unchanged.
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
-echo "==> ISA independence: table2, table3, table3 --full, ablations and shmoo --quick, x86-64 baseline build vs native build"
+echo "==> ISA independence: table2, table3, table3 --full, fig9, ablations and shmoo --quick, x86-64 baseline build vs native build"
 # .cargo/config.toml builds for the host CPU and lets the autovectorizer
 # turn the batched MOSFET kernel into SIMD. The kernel is IEEE f64
 # arithmetic without FP contraction or libm calls, so a build for the
@@ -60,7 +60,8 @@ echo "==> ISA independence: table2, table3, table3 --full, ablations and shmoo -
 # cap, and uncapped with --full, whose b18 and b19 are the largest
 # netlists the repository builds) and its replay, for the merge
 # ablations (threshold sweep and degree-aware pairing on the same
-# spatial index), and for the rare-event shmoo, whose tilted-draw
+# spatial index), for fig9 (which reads the generated names back through
+# the merge transform), and for the rare-event shmoo, whose tilted-draw
 # and brute-force kernels run the same libm-free lane passes. RUSTFLAGS
 # replaces the config's rustflags; the separate target dir keeps the
 # two builds apart.
@@ -82,6 +83,7 @@ isa_check() {
 isa_check table2
 isa_check table3
 isa_check table3 --full
+isa_check fig9
 isa_check ablations
 isa_check shmoo --quick
 
@@ -102,6 +104,32 @@ if command -v objdump >/dev/null 2>&1 && grep -qw avx512f /proc/cpuinfo 2>/dev/n
     fi
     echo "    $zmm zmm instructions"
 fi
+
+echo "==> Table III trace smoke: NVFF_TRACE=summary table3"
+# The measured flow's per-layer spans and counters. The flow reads no
+# instance or net name, so it must build none of a generated netlist's
+# names (netlist.names_built stays 0), and tracing must not change its
+# stdout.
+table3_plain="target/ci_table3_plain.txt"
+table3_traced="target/ci_table3_traced.txt"
+table3_summary="target/ci_table3_summary.txt"
+cargo run --offline -q --release -p nvff-bench --bin table3 > "$table3_plain" 2>/dev/null
+NVFF_TRACE=summary cargo run --offline -q --release -p nvff-bench --bin table3 \
+    > "$table3_traced" 2> "$table3_summary"
+cmp -s "$table3_plain" "$table3_traced" || {
+    echo "table3 stdout changes under NVFF_TRACE=summary" >&2
+    exit 1
+}
+for span in netlist.generate place.place merge.plan; do
+    grep -q "^  $span " "$table3_summary" || {
+        echo "table3 trace is missing the $span span" >&2
+        exit 1
+    }
+done
+grep -Eq '^netlist\.names_built +0$' "$table3_summary" || {
+    echo "the measured Table III flow built generated names" >&2
+    exit 1
+}
 
 echo "==> Fig. 6 smoke: fig6 and fig6 --explicit"
 # Drives both restore controllers of the proposed latch through

@@ -8,7 +8,13 @@
 //! The two largest designs are pinned again at full size (b18 and b19
 //! uncapped, the largest netlists the repository builds), and the DEF
 //! text of two placed designs is pinned byte for byte by digest, which
-//! covers every placed name and coordinate.
+//! covers every placed name and coordinate. The structural Verilog of
+//! three netlists is pinned the same way: it is the one reader of net
+//! names, which a generated netlist builds only on demand.
+//!
+//! `evaluate_measured` runs on per-thread buffers reused from design to
+//! design; running it in other design orders on one thread must give
+//! the same pairs, and the flow must build no name.
 //!
 //! Any change to the generator, placer or merge flow that moves one
 //! placed coordinate or one pair shows up here.
@@ -46,6 +52,13 @@ const AVERAGES: (u64, u64) = (0x3fd0_9066_3464_34b2, 0x3fc2_1e93_5418_6b1e);
 const UNCAPPED: [(&str, usize, u64, u64); 2] = [
     ("b18", 1032, 0x4030_6ff4_d681_2b99, 0xab99_8304_d7d7_d825),
     ("b19", 2086, 0x4047_aab5_63a4_94b6, 0x0631_ce65_ca22_d616),
+];
+
+/// (design, gate cap, FNV-1a of its structural Verilog).
+const VERILOG_DIGESTS: [(&str, usize, u64); 3] = [
+    ("s838", MAX_GATES, 0x9b86_d711_713b_c44e),
+    ("or1200", MAX_GATES, 0x5a9a_e4af_8250_306e),
+    ("s344", usize::MAX, 0xaf3c_caa5_315c_6f1d),
 ];
 
 /// (design, FNV-1a of its DEF text) at the 40k-gate cap.
@@ -146,4 +159,89 @@ fn placed_def_text_is_pinned() {
         fnv1a(&mut h, text.as_bytes());
         assert_eq!(h, def_digest, "{name}: DEF text ({} bytes)", text.len());
     }
+}
+
+#[test]
+fn verilog_text_is_pinned() {
+    for &(name, cap, verilog_digest) in &VERILOG_DIGESTS {
+        let spec = benchmarks::by_name(name).expect("a Table III design");
+        let text = netlist::verilog::write(&benchmarks::generate_scaled(spec, cap));
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, text.as_bytes());
+        assert_eq!(
+            h,
+            verilog_digest,
+            "{name}: Verilog text ({} bytes)",
+            text.len()
+        );
+    }
+}
+
+/// The merged pairs `evaluate_measured` finds for design `k` (Table III
+/// order) on this thread's flow buffers, whatever ran before.
+fn measured_pairs(k: usize) -> usize {
+    let spec = benchmarks::Benchmark::ALL[k];
+    system::evaluate_measured(spec, &SystemCosts::paper(), MAX_GATES).merged_pairs
+}
+
+#[test]
+fn reused_flow_buffers_give_the_pinned_pairs_in_any_order() {
+    // Reverse order: every design after a larger one (b19 and or1200
+    // first), so a buffer is refilled shorter than it was.
+    for k in (0..GOLDEN.len()).rev() {
+        assert_eq!(
+            measured_pairs(k),
+            GOLDEN[k].1,
+            "{}: reverse order",
+            GOLDEN[k].0
+        );
+    }
+    // Largest and smallest interleaved: each refill swings between the
+    // extremes of the buffers' sizes.
+    let mut by_size: Vec<usize> = (0..GOLDEN.len()).collect();
+    by_size.sort_by_key(|&k| {
+        let spec = benchmarks::Benchmark::ALL[k];
+        spec.flip_flops + benchmarks::generate_scaled(spec, MAX_GATES).instance_count()
+    });
+    let (mut lo, mut hi) = (0, by_size.len());
+    while lo < hi {
+        hi -= 1;
+        for k in [by_size[hi], by_size[lo]] {
+            assert_eq!(
+                measured_pairs(k),
+                GOLDEN[k].1,
+                "{}: interleaved",
+                GOLDEN[k].0
+            );
+        }
+        lo += 1;
+    }
+}
+
+#[test]
+fn the_measured_flow_builds_no_names() {
+    // The counter is per thread, so other tests cannot move it here.
+    let before = netlist::names_built();
+    for k in 0..GOLDEN.len() {
+        measured_pairs(k);
+    }
+    assert_eq!(
+        netlist::names_built(),
+        before,
+        "evaluate_measured built names"
+    );
+    let spec = benchmarks::by_name("s838").expect("a Table III design");
+    let n = benchmarks::generate_scaled(spec, MAX_GATES);
+    let placed = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+    assert_eq!(
+        netlist::names_built(),
+        before,
+        "generate and place built names"
+    );
+    let _ = def::write(&placed);
+    assert_eq!(
+        netlist::names_built() - before,
+        n.instance_count() as u64,
+        "the DEF writer builds the instance names, and only those"
+    );
 }
