@@ -6,11 +6,6 @@
 //! [`spice::join_path`], so a helper expanded inside a
 //! [`spice::Subckt`] body nests cleanly when the definition is
 //! flattened (`U0.T1.MN`, …).
-//!
-//! The free `add_*` functions are **deprecated**: cells are now emitted
-//! by [`crate::generator`], which expands these primitives as part of a
-//! [`crate::generator::word_circuit`] / [`crate::generator::word_subckt`]
-//! build rather than as ad-hoc additions to a flat circuit.
 
 use spice::{join_path, Circuit, NodeId, SpiceError, Technology};
 use units::Length;
@@ -38,8 +33,12 @@ pub(crate) fn inverter(
 /// Expands a transmission gate between `a` and `b`, conducting when `en`
 /// is high (and its complement `en_b` low). Device names are
 /// `<name>.MN` / `<name>.MP`.
+///
+/// # Errors
+///
+/// Propagates [`SpiceError`] from device construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn transmission_gate(
+pub fn transmission_gate(
     ckt: &mut Circuit,
     name: &str,
     a: NodeId,
@@ -62,8 +61,12 @@ pub(crate) fn transmission_gate(
 /// MNI(g=in) → gnd`. Device names are `<name>.MPI`, `<name>.MPE`,
 /// `<name>.MNE`, `<name>.MNI`; the stack's internal nodes are interned
 /// as `<name>.mp` / `<name>.mn`.
+///
+/// # Errors
+///
+/// Propagates [`SpiceError`] from device construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tristate_inverter(
+pub fn tristate_inverter(
     ckt: &mut Circuit,
     name: &str,
     input: NodeId,
@@ -83,64 +86,6 @@ pub(crate) fn tristate_inverter(
     ckt.add_nmos(&join_path(name, "MNE"), output, en, mid_n, tech, wn)?;
     ckt.add_nmos(&join_path(name, "MNI"), mid_n, input, gnd, tech, wn)?;
     Ok(())
-}
-
-/// Adds a transmission gate between `a` and `b`, conducting when `en` is
-/// high (and its complement `en_b` low).
-///
-/// Device names are `<name>.MN` / `<name>.MP`.
-///
-/// # Errors
-///
-/// Propagates [`SpiceError`] from device construction.
-#[deprecated(
-    since = "0.6.0",
-    note = "build cells through `cells::generator`, which emits this primitive internally"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn add_transmission_gate(
-    ckt: &mut Circuit,
-    name: &str,
-    a: NodeId,
-    b: NodeId,
-    en: NodeId,
-    en_b: NodeId,
-    tech: &Technology,
-    w: Length,
-) -> Result<(), SpiceError> {
-    transmission_gate(ckt, name, a, b, en, en_b, tech, w)
-}
-
-/// Adds a tristate inverter: `out = !in` when `en` high / `en_b` low,
-/// high-impedance otherwise. This is the write driver of both latch
-/// designs (paper Fig. 5, inverters I1–I4).
-///
-/// Stack order: `vdd → MPI(g=in) → MPE(g=en_b) → out → MNE(g=en) →
-/// MNI(g=in) → gnd`. Device names are `<name>.MPI`, `<name>.MPE`,
-/// `<name>.MNE`, `<name>.MNI`.
-///
-/// # Errors
-///
-/// Propagates [`SpiceError`] from device construction.
-#[deprecated(
-    since = "0.6.0",
-    note = "build cells through `cells::generator`, which emits this primitive internally"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn add_tristate_inverter(
-    ckt: &mut Circuit,
-    name: &str,
-    input: NodeId,
-    output: NodeId,
-    en: NodeId,
-    en_b: NodeId,
-    vdd: NodeId,
-    gnd: NodeId,
-    tech: &Technology,
-    wp: Length,
-    wn: Length,
-) -> Result<(), SpiceError> {
-    tristate_inverter(ckt, name, input, output, en, en_b, vdd, gnd, tech, wp, wn)
 }
 
 #[cfg(test)]

@@ -19,7 +19,6 @@ use spice::{Circuit, NodeId, SimulationSession};
 type CellResult<T> = Result<T, Box<dyn std::error::Error>>;
 
 /// Frozen pre-refactor build of the standard 1-bit latch.
-#[allow(deprecated)]
 fn legacy_standard(cfg: &LatchConfig, stim: &WordStimulus, stored: bool) -> CellResult<Circuit> {
     let tech = &cfg.tech;
     let s = &cfg.sizing;
@@ -60,8 +59,8 @@ fn legacy_standard(cfg: &LatchConfig, stim: &WordStimulus, stored: bool) -> Cell
     ckt.add_pmos("P2", qb, q, vdd, tech, s.cross_pmos)?;
     ckt.add_nmos("N1", q, qb, sl, tech, s.cross_nmos)?;
     ckt.add_nmos("N2", qb, q, sr, tech, s.cross_nmos)?;
-    cells::subckt::add_transmission_gate(&mut ckt, "T1", sl, w1, sen, sen_b, tech, s.transmission)?;
-    cells::subckt::add_transmission_gate(&mut ckt, "T2", sr, w2, sen, sen_b, tech, s.transmission)?;
+    cells::subckt::transmission_gate(&mut ckt, "T1", sl, w1, sen, sen_b, tech, s.transmission)?;
+    cells::subckt::transmission_gate(&mut ckt, "T2", sr, w2, sen, sen_b, tech, s.transmission)?;
     ckt.add_nmos("NEN", wm, sen, gnd, tech, s.sense_enable)?;
     let state_a = MtjState::from_bit(stored);
     ckt.add_mtj(
@@ -84,7 +83,7 @@ fn legacy_standard(cfg: &LatchConfig, stim: &WordStimulus, stored: bool) -> Cell
             WritePolarity::PositiveSetsParallel,
         ),
     )?;
-    cells::subckt::add_tristate_inverter(
+    cells::subckt::tristate_inverter(
         &mut ckt,
         "IA",
         db,
@@ -97,7 +96,7 @@ fn legacy_standard(cfg: &LatchConfig, stim: &WordStimulus, stored: bool) -> Cell
         s.write_pmos,
         s.write_nmos,
     )?;
-    cells::subckt::add_tristate_inverter(
+    cells::subckt::tristate_inverter(
         &mut ckt,
         "IB",
         d,
@@ -121,7 +120,6 @@ fn legacy_standard(cfg: &LatchConfig, stim: &WordStimulus, stored: bool) -> Cell
 }
 
 /// Frozen pre-refactor build of the proposed 2-bit latch.
-#[allow(deprecated)]
 fn legacy_proposed(
     cfg: &LatchConfig,
     stim: &WordStimulus,
@@ -179,8 +177,8 @@ fn legacy_proposed(
     ckt.add_nmos("N3", m, ren, gnd, tech, s.sense_enable)?;
     ckt.add_pmos("P4", tl, p4_b, tr, tech, s.equalizer)?;
     ckt.add_nmos("N4", nl, n4, nr, tech, s.equalizer)?;
-    cells::subckt::add_transmission_gate(&mut ckt, "T1", nl, a3, ren, ren_b, tech, s.transmission)?;
-    cells::subckt::add_transmission_gate(&mut ckt, "T2", nr, a4, ren, ren_b, tech, s.transmission)?;
+    cells::subckt::transmission_gate(&mut ckt, "T1", nl, a3, ren, ren_b, tech, s.transmission)?;
+    cells::subckt::transmission_gate(&mut ckt, "T2", nr, a4, ren, ren_b, tech, s.transmission)?;
 
     let state1 = MtjState::from_bit(stored[1]);
     ckt.add_mtj(
@@ -220,7 +218,7 @@ fn legacy_proposed(
             WritePolarity::PositiveSetsParallel,
         ),
     )?;
-    cells::subckt::add_tristate_inverter(
+    cells::subckt::tristate_inverter(
         &mut ckt,
         "I3",
         d0b,
@@ -233,7 +231,7 @@ fn legacy_proposed(
         s.write_pmos,
         s.write_nmos,
     )?;
-    cells::subckt::add_tristate_inverter(
+    cells::subckt::tristate_inverter(
         &mut ckt,
         "I4",
         d0,
@@ -246,7 +244,7 @@ fn legacy_proposed(
         s.write_pmos,
         s.write_nmos,
     )?;
-    cells::subckt::add_tristate_inverter(
+    cells::subckt::tristate_inverter(
         &mut ckt,
         "I1",
         d1,
@@ -259,7 +257,7 @@ fn legacy_proposed(
         s.write_pmos,
         s.write_nmos,
     )?;
-    cells::subckt::add_tristate_inverter(
+    cells::subckt::tristate_inverter(
         &mut ckt,
         "I2",
         d1b,

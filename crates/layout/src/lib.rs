@@ -35,7 +35,6 @@
 pub mod cells;
 pub mod chain;
 mod geometry;
-pub mod lef;
 mod rules;
 mod spec;
 pub mod svg;

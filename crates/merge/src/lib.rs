@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod pairing;
-pub mod timing;
 pub mod transform;
 
 use place::PlacedDesign;
@@ -47,7 +46,6 @@ use units::Length;
 
 use pairing::FlipFlopPoint;
 pub use pairing::{MergePlan, Strategy};
-pub use timing::TimingModel;
 
 /// Options of the merge flow.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -513,8 +513,7 @@ impl Netlist {
     }
 
     /// Appends a net named `name`. Names are not interned: a caller
-    /// that may meet a name twice keeps its own map (as
-    /// [`crate::bench_format::parse`] does).
+    /// that may meet a name twice keeps its own map.
     pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
         let id = NetId::from_index(self.net_count());
         Arc::make_mut(&mut self.names).stored_mut().0.push(name);

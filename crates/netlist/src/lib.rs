@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_format;
 pub mod benchmarks;
 mod ir;
 mod library;

@@ -37,7 +37,6 @@ pub mod def;
 mod floorplan;
 pub mod placer;
 mod spatial;
-pub mod stats;
 
 pub use placer::{PlacedDesign, PlacerOptions};
 pub use spatial::GridIndex;

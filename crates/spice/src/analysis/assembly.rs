@@ -709,10 +709,197 @@ impl StampPlan {
 mod tests {
     use super::*;
     use crate::analysis::session::{Engine, Workspace};
-    use crate::deck::{self, DeckContext};
+    use crate::circuit::NodeId;
+    use crate::mosfet::{MosfetModel, Technology};
+    use crate::source::SourceWaveform;
+    use mtj::{Mtj, MtjParams, MtjState, WritePolarity};
+    use units::{Capacitance, Length};
 
-    /// The proposed latch's restore circuit (provenance in its header).
-    const PROPOSED_RESTORE: &str = include_str!("testdata/proposed_restore.sp");
+    /// Adds `(name, drain, gate, source, model, width in metres)`
+    /// MOSFETs at the technology's minimum length.
+    fn add_mosfets(
+        ckt: &mut Circuit,
+        tech: &Technology,
+        cards: &[(&str, NodeId, NodeId, NodeId, MosfetModel, f64)],
+    ) {
+        let l = Length::from_meters(tech.l_min);
+        for &(name, d, g, s, model, w) in cards {
+            ckt.add_mosfet(name, d, g, s, model, Length::from_meters(w), l)
+                .expect(name);
+        }
+    }
+
+    /// The proposed 2-bit latch's restore circuit with `[true, false]`
+    /// stored, as `cells::ProposedLatch::restore_circuit` builds it at
+    /// `LatchConfig::default()` (TT, typical): 46 unknowns and 52
+    /// devices, in that build's node and device order.
+    fn proposed_restore() -> Circuit {
+        let tech = Technology::tsmc40lp();
+        let (p, n) = (tech.pmos, tech.nmos);
+        let mut ckt = Circuit::new();
+        let [vdd, pcv_b, pcg, ren, ren_b, sel_b, p4_b, n4, d0, d0b, d1, d1b, wen, wen_b] = [
+            "vdd", "pcv_b", "pcg", "ren", "ren_b", "sel_b", "p4_b", "n4", "d0", "d0b", "d1", "d1b",
+            "wen", "wen_b",
+        ]
+        .map(|name| ckt.node(name));
+        let [q, q_b, tl, tr, nl, nr, mt, m, a3, a4] = [
+            "mtj_read",
+            "mtj_read_b",
+            "tl",
+            "tr",
+            "nl",
+            "nr",
+            "mt",
+            "m",
+            "a3",
+            "a4",
+        ]
+        .map(|name| ckt.node(name));
+        let [i3_mp, i3_mn, i4_mp, i4_mn, i1_mp, i1_mn, i2_mp, i2_mn] = [
+            "I3.mp", "I3.mn", "I4.mp", "I4.mn", "I1.mp", "I1.mn", "I2.mp", "I2.mn",
+        ]
+        .map(|name| ckt.node(name));
+        let gnd = Circuit::GROUND;
+
+        let pwl = |points: &[(f64, f64)]| SourceWaveform::Pwl(points.to_vec());
+        let ren_b_wave = [
+            (0.0, 1.1),
+            (2.6000000000000003e-10, 1.1),
+            (2.7000000000000005e-10, 0.0),
+            (7.500000000000001e-10, 0.0),
+            (7.600000000000001e-10, 1.1),
+            (9.6e-10, 1.1),
+            (9.7e-10, 0.0),
+            (1.4500000000000002e-9, 0.0),
+            (1.4600000000000001e-9, 1.1),
+        ];
+        let ren_wave = ren_b_wave.map(|(t, v)| (t, if v == 0.0 { 1.1 } else { 0.0 }));
+        let n4_wave = [
+            (0.0, 0.0),
+            (7.600000000000001e-10, 0.0),
+            (7.7e-10, 1.1),
+            (1.5000000000000002e-9, 1.1),
+            (1.5100000000000002e-9, 0.0),
+        ];
+        let sources = [
+            ("VDD", vdd, SourceWaveform::Dc(1.1)),
+            (
+                "VPCVB",
+                pcv_b,
+                pwl(&[
+                    (0.0, 1.1),
+                    (5e-11, 1.1),
+                    (6e-11, 0.0),
+                    (2.5e-10, 0.0),
+                    (2.6000000000000003e-10, 1.1),
+                ]),
+            ),
+            (
+                "VPCG",
+                pcg,
+                pwl(&[
+                    (0.0, 0.0),
+                    (7.600000000000001e-10, 0.0),
+                    (7.7e-10, 1.1),
+                    (9.5e-10, 1.1),
+                    (9.6e-10, 0.0),
+                    (1.4600000000000001e-9, 0.0),
+                    (1.47e-9, 1.1),
+                    (1.5000000000000002e-9, 1.1),
+                    (1.5100000000000002e-9, 0.0),
+                ]),
+            ),
+            ("VREN", ren, pwl(&ren_wave)),
+            ("VRENB", ren_b, pwl(&ren_b_wave)),
+            ("VSELB", sel_b, pwl(&ren_b_wave)),
+            ("VP4B", p4_b, pwl(&n4_wave)),
+            ("VN4", n4, pwl(&n4_wave)),
+            ("VD0", d0, SourceWaveform::Dc(0.0)),
+            ("VD0B", d0b, SourceWaveform::Dc(1.1)),
+            ("VD1", d1, SourceWaveform::Dc(0.0)),
+            ("VD1B", d1b, SourceWaveform::Dc(1.1)),
+            ("VWEN", wen, SourceWaveform::Dc(0.0)),
+            ("VWENB", wen_b, SourceWaveform::Dc(1.1)),
+        ];
+        for (name, node, wave) in sources {
+            ckt.add_voltage_source(name, node, gnd, wave).expect(name);
+        }
+
+        let (w240, w360, w400, w480) = (
+            2.4000000000000003e-7,
+            3.6000000000000005e-7,
+            4.0000000000000003e-7,
+            4.800000000000001e-7,
+        );
+        add_mosfets(
+            &mut ckt,
+            &tech,
+            &[
+                ("MPCVA", q, pcv_b, vdd, p, w400),
+                ("MPCVB2", q_b, pcv_b, vdd, p, w400),
+                ("MPCGA", q, pcg, gnd, n, w400),
+                ("MPCGB", q_b, pcg, gnd, n, w400),
+                ("MP1", q, q_b, tl, p, w400),
+                ("MP2", q_b, q, tr, p, w400),
+                ("MN1", q, q_b, nl, n, w360),
+                ("MN2", q_b, q, nr, n, w360),
+                ("MP3", mt, sel_b, vdd, p, w480),
+                ("MN3", m, ren, gnd, n, w480),
+                ("MP4", tl, p4_b, tr, p, w240),
+                ("MN4", nl, n4, nr, n, w240),
+                ("MT1.MN", nl, ren, a3, n, w240),
+                ("MT1.MP", nl, ren_b, a3, p, w240),
+                ("MT2.MN", nr, ren, a4, n, w240),
+                ("MT2.MP", nr, ren_b, a4, p, w240),
+            ],
+        );
+
+        let (ap, par) = (MtjState::AntiParallel, MtjState::Parallel);
+        let (to_ap, to_p) = (
+            WritePolarity::PositiveSetsAntiParallel,
+            WritePolarity::PositiveSetsParallel,
+        );
+        for (name, a, b, state, polarity) in [
+            ("XMTJ1", tl, mt, ap, to_ap),
+            ("XMTJ2", mt, tr, par, to_p),
+            ("XMTJ3", a3, m, ap, to_ap),
+            ("XMTJ4", m, a4, par, to_p),
+        ] {
+            let device = Mtj::new(MtjParams::date2018(), state, polarity);
+            ckt.add_mtj(name, a, b, device).expect(name);
+        }
+
+        // The four write drivers: a gated inverter per MTJ terminal.
+        let (wp, wn) = (6.000000000000001e-7, 3.0000000000000004e-7);
+        add_mosfets(
+            &mut ckt,
+            &tech,
+            &[
+                ("MI3.MPI", i3_mp, d0b, vdd, p, wp),
+                ("MI3.MPE", a3, wen_b, i3_mp, p, wp),
+                ("MI3.MNE", a3, wen, i3_mn, n, wn),
+                ("MI3.MNI", i3_mn, d0b, gnd, n, wn),
+                ("MI4.MPI", i4_mp, d0, vdd, p, wp),
+                ("MI4.MPE", a4, wen_b, i4_mp, p, wp),
+                ("MI4.MNE", a4, wen, i4_mn, n, wn),
+                ("MI4.MNI", i4_mn, d0, gnd, n, wn),
+                ("MI1.MPI", i1_mp, d1, vdd, p, wp),
+                ("MI1.MPE", tl, wen_b, i1_mp, p, wp),
+                ("MI1.MNE", tl, wen, i1_mn, n, wn),
+                ("MI1.MNI", i1_mn, d1, gnd, n, wn),
+                ("MI2.MPI", i2_mp, d1b, vdd, p, wp),
+                ("MI2.MPE", tr, wen_b, i2_mp, p, wp),
+                ("MI2.MNE", tr, wen, i2_mn, n, wn),
+                ("MI2.MNI", i2_mn, d1b, gnd, n, wn),
+            ],
+        );
+
+        for (name, node) in [("CQ", q), ("CQB", q_b)] {
+            ckt.add_capacitor(name, node, gnd, Capacitance::from_farads(8e-15))
+                .expect(name);
+        }
+        ckt
+    }
 
     /// SplitMix64 stream mapped to uniform draws.
     struct SplitMix(u64);
@@ -747,7 +934,7 @@ mod tests {
     /// carried over from the previous solve would fail.
     #[test]
     fn split_assembly_matches_full_restamp_on_the_proposed_latch() {
-        let ckt = deck::parse(PROPOSED_RESTORE, &DeckContext::default()).expect("fixture parses");
+        let ckt = proposed_restore();
         let sparse_plan = StampPlan::build(&ckt, SolverKind::Sparse);
         let dense_plan = StampPlan::build(&ckt, SolverKind::Dense);
         let (n, n_nodes) = (sparse_plan.n_unknowns, sparse_plan.n_nodes);

@@ -53,15 +53,6 @@ pub enum SpiceError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// A structural error in a SPICE deck, tied to a source line
-    /// (duplicate `.subckt` definition, unterminated `.subckt` block,
-    /// reference to an undefined subcircuit, …).
-    DeckSyntax {
-        /// 1-based line number of the offending (or opening) line.
-        line: usize,
-        /// Human-readable description of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for SpiceError {
@@ -97,9 +88,6 @@ impl fmt::Display for SpiceError {
             }
             Self::InvalidDevice { device, reason } => {
                 write!(f, "invalid device {device}: {reason}")
-            }
-            Self::DeckSyntax { line, reason } => {
-                write!(f, "deck syntax error at line {line}: {reason}")
             }
         }
     }

@@ -64,7 +64,6 @@
 
 pub mod analysis;
 mod circuit;
-pub mod deck;
 mod device;
 mod error;
 mod linalg;
@@ -73,7 +72,6 @@ mod mosfet;
 pub mod result;
 mod source;
 pub mod subckt;
-pub mod vcd;
 
 pub use analysis::{SimulationSession, SolverKind, SolverStats, TransientOptions};
 pub use circuit::{Circuit, NodeId};

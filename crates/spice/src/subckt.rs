@@ -232,32 +232,14 @@ impl FlattenPlan {
     }
 }
 
-/// A nested instance of another definition inside a [`Subckt`] body.
+/// A nested instance of another definition inside a [`Subckt`] body:
+/// its instance name, the definition, and the parent-body nodes bound
+/// to the child's ports, in port order.
 #[derive(Debug, Clone)]
-pub struct ChildInstance {
+struct ChildInstance {
     inst: String,
     def: Arc<Subckt>,
     bindings: Vec<NodeId>,
-}
-
-impl ChildInstance {
-    /// Instance name within the parent definition.
-    #[must_use]
-    pub(crate) fn inst(&self) -> &str {
-        &self.inst
-    }
-
-    /// The instantiated definition.
-    #[must_use]
-    pub(crate) fn def(&self) -> &Arc<Subckt> {
-        &self.def
-    }
-
-    /// Parent-body nodes bound to the child's ports, in port order.
-    #[must_use]
-    pub(crate) fn bindings(&self) -> &[NodeId] {
-        &self.bindings
-    }
 }
 
 /// A subcircuit definition: ports, a device body and nested children.
@@ -330,23 +312,11 @@ impl Subckt {
         &self.ports
     }
 
-    /// Read access to the body circuit.
-    #[must_use]
-    pub(crate) fn body(&self) -> &Circuit {
-        &self.body
-    }
-
     /// Mutable access to the body circuit for building; invalidates any
     /// cached flatten plan.
     pub fn body_mut(&mut self) -> &mut Circuit {
         self.plan = OnceLock::new();
         &mut self.body
-    }
-
-    /// Nested instances, in declaration order.
-    #[must_use]
-    pub fn child_instances(&self) -> &[ChildInstance] {
-        &self.children
     }
 
     /// Nests an instance of another definition, binding `bindings` (body
@@ -401,20 +371,6 @@ impl Subckt {
             bindings: bindings.to_vec(),
         });
         Ok(())
-    }
-
-    /// Number of primitive devices one instantiation stamps (recursive
-    /// through nested children).
-    #[must_use]
-    pub fn flattened_device_count(&self) -> usize {
-        self.plan().devices.len()
-    }
-
-    /// Number of internal (non-port) nodes one instantiation creates
-    /// (recursive through nested children).
-    #[must_use]
-    pub fn flattened_internal_count(&self) -> usize {
-        self.plan().internal_nodes.len()
     }
 
     /// The shared flatten plan, compiled on first use.
@@ -617,7 +573,6 @@ mod tests {
         let m = quarter.body_mut().node("m");
         quarter.add_instance("A", &div, &[i, m]).expect("A");
         quarter.add_instance("B", &div, &[m, o]).expect("B");
-        assert_eq!(quarter.flattened_device_count(), 4);
 
         let mut ckt = Circuit::new();
         let vin = ckt.node("vin");
@@ -630,6 +585,7 @@ mod tests {
         )
         .expect("V1");
         ckt.instantiate("X0", &quarter, &[vin, out]).expect("X0");
+        assert_eq!(ckt.devices().len(), 1 + 4);
         assert!(ckt.devices().iter().any(|d| d.name() == "X0.A.R1"));
         assert!(ckt.find_node("X0.m").is_some());
         // Loaded voltage division: B loads A's output, so out is not
@@ -698,8 +654,14 @@ mod tests {
 
     #[test]
     fn body_edits_invalidate_the_plan() {
+        let stamped = |div: &Subckt| {
+            let mut ckt = Circuit::new();
+            let (a, b) = (ckt.node("a"), ckt.node("b"));
+            ckt.instantiate("X0", div, &[a, b]).expect("X0");
+            ckt.devices().len()
+        };
         let mut div = divider();
-        assert_eq!(div.flattened_device_count(), 2);
+        assert_eq!(stamped(&div), 2);
         let o = div.body_mut().node("out");
         div.body_mut()
             .add_capacitor(
@@ -709,7 +671,7 @@ mod tests {
                 Capacitance::from_femto_farads(1.0),
             )
             .expect("CL");
-        assert_eq!(div.flattened_device_count(), 3);
+        assert_eq!(stamped(&div), 3);
     }
 
     #[test]
