@@ -5,10 +5,7 @@
 //! Usage: `family [--quick] [--json <path>] [--serve <addr>]`. Default
 //! sweeps n ∈ {1, 2, 4, 8}; `--quick` stops at n = 4 (the CI smoke
 //! configuration). With `--json`, emits a machine-readable run report
-//! whose `family` section carries the per-width metrics, and whose
-//! telemetry counters expose the shared-`StampPlan` accounting
-//! (`spice.subckt.plan_builds` / `plan_reuses` / `instances`) from the
-//! subcircuit instantiations this bench performs per width. `--serve`
+//! whose `family` section carries the per-width metrics. `--serve`
 //! exposes the live registry at `http://<addr>/metrics` while the
 //! characterizations run (companion flags: `--serve-addr-file` writes
 //! the bound address, `--serve-linger <secs>` keeps serving after the
@@ -28,28 +25,6 @@ struct FamilyPoint {
     metrics: cells::CellMetrics,
     area_um2: f64,
     total_transistors: usize,
-}
-
-/// Flattens the word's subcircuit twice into one scratch circuit, so
-/// every width contributes `plan_builds = 1`, `plan_reuses ≥ 1` to the
-/// telemetry counters and the instance transistor budget is checked.
-fn exercise_subckt(word: &NvWord) -> Result<usize, Box<dyn std::error::Error>> {
-    let sub = word.subckt()?;
-    let mut ckt = spice::Circuit::new();
-    for inst in ["U0", "U1"] {
-        let ports: Vec<spice::NodeId> = sub
-            .ports()
-            .iter()
-            .map(|p| ckt.node(&format!("{inst}_{p}")))
-            .collect();
-        ckt.instantiate(inst, &sub, &ports)?;
-    }
-    assert_eq!(
-        ckt.transistor_count(),
-        2 * word.total_transistors(),
-        "flattened instances must carry the word's transistor budget"
-    );
-    Ok(ckt.transistor_count())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -79,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
         let word = NvWord::new(WordParams::new(bits), config.clone());
         let metrics = word.characterize()?;
-        exercise_subckt(&word)?;
         points.push(FamilyPoint {
             bits,
             area_um2: layout::cells::word_area(bits, &rules).square_micro_meters(),

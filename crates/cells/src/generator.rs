@@ -2,9 +2,8 @@
 //!
 //! A [`WordParams`] names a point in the design space — `bits` MTJ
 //! pairs around one shared pre-charge sense amplifier, with
-//! `series_mtjs` devices per branch. The generator emits it either as a
-//! flat [`Circuit`] ([`word_circuit`]) or as a reusable hierarchical
-//! definition ([`word_subckt`]) for [`spice::Circuit::instantiate`].
+//! `series_mtjs` devices per branch. The generator emits it as one flat
+//! [`Circuit`] ([`word_circuit`]).
 //!
 //! The paper's two hand-wired designs are the family's first members and
 //! are reproduced **bit-for-bit** (node, source and device order):
@@ -31,8 +30,7 @@ use std::cell::RefCell;
 use mtj::{Mtj, MtjParams, MtjState, WritePolarity};
 use spice::measure::Edge;
 use spice::{
-    analysis, join_path, Circuit, NodeId, SimulationSession, SourceWaveform, SpiceError, Subckt,
-    TransientResult,
+    analysis, Circuit, NodeId, SimulationSession, SourceWaveform, SpiceError, TransientResult,
 };
 use units::{Energy, Time};
 
@@ -41,7 +39,7 @@ use crate::control::{self, ProposedRestoreControls, StoreControls, WordRestoreCo
 use crate::error::CellError;
 use crate::metrics::{resolve_bit, sense_delay, CellMetrics};
 use crate::proposed::ControlScheme;
-use crate::subckt::{transmission_gate, tristate_inverter};
+use crate::subckt::{join_path, transmission_gate, tristate_inverter};
 
 /// A point in the NV-word design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,16 +90,6 @@ impl WordParams {
         self
     }
 
-    /// The canonical subcircuit-definition name for this point.
-    #[must_use]
-    pub(crate) fn subckt_name(&self) -> String {
-        if self.series_mtjs == 1 {
-            format!("NVWORD{}", self.bits)
-        } else {
-            format!("NVWORD{}X{}", self.bits, self.series_mtjs)
-        }
-    }
-
     fn arm(&self) -> WordArm {
         match (self.bits, self.series_mtjs) {
             (1, 1) => WordArm::Standard,
@@ -139,7 +127,7 @@ impl WordParams {
         }
     }
 
-    /// The cell's internal taps (nodes that are not subcircuit ports), in
+    /// The cell's internal taps (neither source-driven nor outputs), in
     /// interning order.
     fn taps(&self) -> Vec<String> {
         if self.arm() == WordArm::Proposed {
@@ -476,16 +464,6 @@ fn word_node_names(params: &WordParams) -> Vec<String> {
     names
 }
 
-/// Port names of the word's subcircuit definition: every node except the
-/// internal taps.
-fn word_port_names(params: &WordParams) -> Vec<String> {
-    let taps = params.taps();
-    word_node_names(params)
-        .into_iter()
-        .filter(|n| !taps.contains(n))
-        .collect()
-}
-
 fn resolve(ckt: &Circuit, name: &str) -> NodeId {
     ckt.find_node(name)
         .expect("word nodes are interned before device emission")
@@ -772,36 +750,6 @@ pub fn word_circuit(
     Ok(ckt)
 }
 
-/// Builds the word as a reusable [`Subckt`] definition — the cell body
-/// without any stimulus sources, its supply/output/control/data nodes
-/// exposed as ports. Instances flatten under canonical dotted paths and
-/// share one flatten plan per definition (see [`spice::subckt`]).
-///
-/// # Errors
-///
-/// Propagates [`CellError::Simulation`] from construction.
-///
-/// # Panics
-///
-/// Panics if `stored.len() != params.bits`.
-pub fn word_subckt(
-    params: &WordParams,
-    config: &LatchConfig,
-    stored: &[bool],
-) -> Result<Subckt, CellError> {
-    assert_eq!(stored.len(), params.bits, "one preset per stored bit");
-    telemetry::counter("cells.generator.subckts", 1);
-    let ports = word_port_names(params);
-    let port_refs: Vec<&str> = ports.iter().map(String::as_str).collect();
-    let mut sub = Subckt::new(&params.subckt_name(), &port_refs)?;
-    let body = sub.body_mut();
-    for name in word_node_names(params) {
-        body.node(&name);
-    }
-    emit_devices(body, params, config, stored)?;
-    Ok(sub)
-}
-
 /// The rail an evaluation's outputs were pre-charged to, which decides
 /// the output whose edge times the sense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -932,16 +880,6 @@ impl NvWord {
     /// The proposed cell's restore controller.
     pub(crate) fn scheme(&self) -> ControlScheme {
         self.scheme
-    }
-
-    /// The word as a reusable subcircuit definition (all MTJs preset to
-    /// logic 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CellError::Simulation`] from construction.
-    pub fn subckt(&self) -> Result<Subckt, CellError> {
-        word_subckt(&self.params, &self.config, &vec![false; self.params.bits])
     }
 
     /// Cumulative solver work performed by the cached session (zero if
@@ -1312,11 +1250,6 @@ mod tests {
             WordParams::new(1).with_series_mtjs(2).arm(),
             WordArm::Banked
         );
-        assert_eq!(WordParams::new(4).subckt_name(), "NVWORD4");
-        assert_eq!(
-            WordParams::new(2).with_series_mtjs(3).subckt_name(),
-            "NVWORD2X3"
-        );
     }
 
     #[test]
@@ -1432,52 +1365,26 @@ mod tests {
     }
 
     #[test]
-    fn word_subckt_exposes_ports_and_flattens() {
+    fn flat_word_carries_its_nodes_and_devices() {
         let params = WordParams::new(2);
-        let sub = word_subckt(&params, &config(), &[false, true]).expect("subckt");
-        assert_eq!(sub.name(), "NVWORD2");
-        assert!(sub.ports().iter().any(|p| p == "vdd"));
-        assert!(sub.ports().iter().any(|p| p == "mtj_read"));
-        assert!(sub.ports().iter().any(|p| p == "wen_b"));
-
-        // Two instances share one flatten plan and land under their own
-        // dotted prefixes.
-        let mut ckt = Circuit::new();
-        let ports: Vec<spice::NodeId> = sub
-            .ports()
-            .iter()
-            .map(|p| ckt.node(&format!("u0_{p}")))
-            .collect();
-        ckt.instantiate("U0", &sub, &ports).expect("U0");
-        let ports1: Vec<spice::NodeId> = sub
-            .ports()
-            .iter()
-            .map(|p| ckt.node(&format!("u1_{p}")))
-            .collect();
-        ckt.instantiate("U1", &sub, &ports1).expect("U1");
-        assert!(ckt.find_node("U0.tl").is_some());
-        assert!(ckt.find_node("U1.tl").is_some());
-        assert!(ckt.mtj_state("U0.MTJ1").is_some());
-        assert!(ckt.mtj_state("U1.MTJ4").is_some());
-        // 32 transistors per 2-bit instance.
-        assert_eq!(ckt.transistor_count(), 64);
+        let stim = WordStimulus::idle(&params, config().vdd());
+        let ckt = word_circuit(&params, &config(), &stim, &[false, true]).expect("build");
+        for node in ["vdd", "mtj_read", "wen_b", "tl"] {
+            assert!(ckt.find_node(node).is_some(), "missing node {node}");
+        }
+        assert!(ckt.mtj_state("MTJ1").is_some());
+        assert!(ckt.mtj_state("MTJ4").is_some());
+        assert_eq!(ckt.transistor_count(), 32);
     }
 
     #[test]
-    fn banked_subckt_counts_scale() {
+    fn banked_word_counts_scale() {
         let params = WordParams::new(4);
-        let sub = word_subckt(&params, &config(), &[false; 4]).expect("subckt");
-        assert_eq!(sub.name(), "NVWORD4");
-        let mut ckt = Circuit::new();
-        let ports: Vec<spice::NodeId> = sub
-            .ports()
-            .iter()
-            .map(|p| ckt.node(&format!("x_{p}")))
-            .collect();
-        ckt.instantiate("X0", &sub, &ports).expect("instantiate");
+        let stim = WordStimulus::idle(&params, config().vdd());
+        let ckt = word_circuit(&params, &config(), &stim, &[false; 4]).expect("build");
         assert_eq!(ckt.transistor_count(), 58);
-        assert!(ckt.find_node("X0.w1_3").is_some());
-        assert!(ckt.mtj_state("X0.MTJA3").is_some());
+        assert!(ckt.find_node("w1_3").is_some());
+        assert!(ckt.mtj_state("MTJA3").is_some());
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!
 //! Both cells are the first two points of one family, emitted by the
 //! parameterized [`generator`]: a sense amplifier shared by n MTJ pairs
-//! ([`generator::WordParams`]), packageable as a reusable
-//! [`spice::Subckt`] definition. One harness, [`generator::NvWord`],
+//! ([`generator::WordParams`]), each emitted as one flat
+//! [`spice::Circuit`] by [`generator::word_circuit`]. One harness,
+//! [`generator::NvWord`],
 //! simulates every point — restore, store, leakage and
 //! characterization — with one cached solver session; the two cell
 //! types are fixed-width views of it.

@@ -435,6 +435,13 @@ mod tests {
         assert!(err.to_string().contains("timing.write_pulse_ns"));
         assert!(apply_override(&mut config, "time_step_ps", 0.0).is_err());
         assert!(apply_override(&mut config, "time_step_ps", f64::NAN).is_err());
+        // ±∞ is refused as non-finite, before any range or timing check.
+        for key in ["timing.write_pulse_ns", "mtj.thermal_stability"] {
+            for value in [f64::INFINITY, -f64::INFINITY] {
+                let err = resolve_config(Corner::typical(), &[(key.into(), value)]).unwrap_err();
+                assert!(err.to_string().contains("finite"), "{key} = {value}: {err}");
+            }
+        }
         assert!(apply_override(&mut config, "sizing.output_load_mismatch", 1.5).is_err());
         // Physically inconsistent MTJ sets are caught by the builder.
         let err = apply_override(&mut config, "mtj.nominal_write_current_ua", 1.0).unwrap_err();

@@ -1,14 +1,25 @@
-//! Reusable transistor-level sub-circuits (transmission gate, tristate
-//! inverter, static inverter) instantiated into a [`spice::Circuit`] with
-//! hierarchical instance names.
+//! Transistor-level building blocks (transmission gate, tristate
+//! inverter, static inverter) expanded in place into a flat
+//! [`spice::Circuit`].
 //!
-//! Instance device names are joined onto the parent name with
-//! [`spice::join_path`], so a helper expanded inside a
-//! [`spice::Subckt`] body nests cleanly when the definition is
-//! flattened (`U0.T1.MN`, …).
+//! Each helper names its devices and internal nodes below the name it
+//! is given, joined with [`join_path`] (`T1` → `T1.MN`, `T1.MP`), so
+//! the generator's flat word keeps one unambiguous dotted namespace.
 
-use spice::{join_path, Circuit, NodeId, SpiceError, Technology};
+use spice::{Circuit, NodeId, SpiceError, Technology};
 use units::Length;
+
+/// Joins a name prefix and a leaf segment with the canonical `.`
+/// separator; an empty prefix yields the leaf unchanged.
+#[must_use]
+pub(crate) fn join_path(prefix: &str, leaf: &str) -> String {
+    debug_assert!(!leaf.is_empty(), "path leaf must be non-empty");
+    if prefix.is_empty() {
+        leaf.to_owned()
+    } else {
+        format!("{prefix}.{leaf}")
+    }
+}
 
 /// Expands a static CMOS inverter `out = !in` between the given rails.
 /// Device names are `<name>.MP` / `<name>.MN`.
@@ -93,6 +104,13 @@ mod tests {
     use super::*;
     use spice::{analysis, SourceWaveform};
     use units::Voltage;
+
+    #[test]
+    fn join_path_rules() {
+        assert_eq!(join_path("", "MP"), "MP");
+        assert_eq!(join_path("X0", "MP"), "X0.MP");
+        assert_eq!(join_path("X0.I1", "MP"), "X0.I1.MP");
+    }
 
     fn rails(ckt: &mut Circuit) -> (NodeId, NodeId) {
         let vdd = ckt.node("vdd");

@@ -1,7 +1,6 @@
-//! Equivalence suite for the hierarchy refactor: the `cells::generator`
-//! netlists must reproduce the pre-refactor hand-wired latches
-//! bit-for-bit, and flattened subcircuit instances must behave like the
-//! flat netlists they replay.
+//! Equivalence suite for the cell generator: the flat
+//! `cells::generator` netlists must reproduce the paper's hand-wired
+//! latches bit-for-bit.
 //!
 //! The legacy builders below are *frozen copies* of the hand-wired
 //! `standard.rs` / `proposed.rs` construction as it existed before the
@@ -10,11 +9,11 @@
 //! generator so any drift in its emission order fails here.
 
 use cells::control::word_restore;
-use cells::generator::{word_circuit, word_subckt};
+use cells::generator::word_circuit;
 use cells::{LatchConfig, WordParams, WordStimulus};
 use mtj::{Mtj, MtjState, WritePolarity};
 use spice::analysis::matrix_pattern;
-use spice::{Circuit, NodeId, SimulationSession};
+use spice::{Circuit, SimulationSession};
 
 type CellResult<T> = Result<T, Box<dyn std::error::Error>>;
 
@@ -345,63 +344,5 @@ fn standard_restore_transient_is_bit_for_bit() -> CellResult<()> {
     // Identical circuits through the same deterministic solver: the
     // traces agree to the last bit, not just to a tolerance.
     assert_eq!(a, b);
-    Ok(())
-}
-
-#[test]
-fn instantiated_word_tracks_the_flat_netlist() -> CellResult<()> {
-    let cfg = LatchConfig::default();
-    let params = WordParams::new(1);
-    let controls = word_restore(&cfg.timing, cfg.vdd(), 1);
-    let stim = WordStimulus::restore(&params, &controls, cfg.vdd());
-
-    // Flat reference.
-    let flat = word_circuit(&params, &cfg, &stim, &[true])?;
-
-    // Hierarchical build: the source-free definition instantiated once,
-    // with the same stimulus bound to its ports (the standard cell's
-    // fixed source-to-node map).
-    let sub = word_subckt(&params, &cfg, &[true])?;
-    let mut ckt = Circuit::new();
-    let ports: Vec<NodeId> = sub.ports().iter().map(|p| ckt.node(p)).collect();
-    ckt.instantiate("X0", &sub, &ports)?;
-    for (source, node) in [
-        ("VDD", "vdd"),
-        ("VPCB", "pc_b"),
-        ("VSEN", "sen"),
-        ("VSENB", "sen_b"),
-        ("VD", "d"),
-        ("VDB", "db"),
-        ("VWEN", "wen"),
-        ("VWENB", "wen_b"),
-    ] {
-        let id = ckt.find_node(node).expect("bound port");
-        ckt.add_voltage_source(source, id, Circuit::GROUND, stim.wave(source))?;
-    }
-    assert_eq!(ckt.transistor_count(), flat.transistor_count());
-
-    let sample = |result: &spice::TransientResult, name: &str| -> CellResult<Vec<f64>> {
-        let trace = result.node(name)?;
-        Ok((1..=100)
-            .map(|k| trace.value_at(controls.total.seconds() * f64::from(k) / 100.0))
-            .collect())
-    };
-    let mut flat_session = SimulationSession::new(flat);
-    let flat_result = flat_session.transient(controls.total, cfg.time_step)?;
-    let mut hier_session = SimulationSession::new(ckt);
-    let hier_result = hier_session.transient(controls.total, cfg.time_step)?;
-
-    // Node order (and hence factorization order) differs between the
-    // two builds, so agreement is to solver accuracy, not bit-exact.
-    for (flat_name, hier_name) in [("q", "q"), ("qb", "qb")] {
-        let f = sample(&flat_result, flat_name)?;
-        let h = sample(&hier_result, hier_name)?;
-        for (i, (x, y)) in f.iter().zip(&h).enumerate() {
-            assert!(
-                (x - y).abs() < 1e-6,
-                "{flat_name} diverged at sample {i}: {x} vs {y}"
-            );
-        }
-    }
     Ok(())
 }

@@ -91,12 +91,6 @@ impl ThermalModel {
             .build()
             .expect("thermal scaling keeps parameters physical")
     }
-
-    /// Retention time at the given temperature (`τ₀·e^{Δ(T)}`).
-    #[must_use]
-    pub fn retention_at(&self, reference: &MtjParams, temperature: Temperature) -> units::Time {
-        self.at_temperature(reference, temperature).retention_time()
-    }
 }
 
 #[cfg(test)]
@@ -140,9 +134,12 @@ mod tests {
     fn retention_collapses_by_orders_of_magnitude_at_heat() {
         let p = nominal();
         let model = ThermalModel::default();
-        let r27 = model.retention_at(&p, Temperature::from_celsius(27.0));
-        let r85 = model.retention_at(&p, Temperature::from_celsius(85.0));
-        let r125 = model.retention_at(&p, Temperature::from_celsius(125.0));
+        let retention = |celsius: f64| {
+            model
+                .at_temperature(&p, Temperature::from_celsius(celsius))
+                .retention_time()
+        };
+        let (r27, r85, r125) = (retention(27.0), retention(85.0), retention(125.0));
         assert!(r85 < r27);
         assert!(r125 < r85);
         // Δ drops ~16 % at 85 °C → retention loses ≥ 3 decades.

@@ -229,6 +229,11 @@ fn characterize_service_end_to_end() {
     let (status, _, body) = post(addr, "/v1/characterize", r#"{"variant":"nv_word_99"}"#);
     assert_eq!(status, 400);
     assert!(body.contains("\"error\""), "{body}");
+    // `1e400` parses to +∞: refused as non-finite, not by a later check.
+    let overflow = r#"{"variant":"standard","overrides":{"timing.write_pulse_ns":1e400}}"#;
+    let (status, _, body) = post(addr, "/v1/characterize", overflow);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("finite"), "{body}");
     // Overrides each in range whose combined timing collides: rejected
     // up front, not a worker panic turned into an uncached 500.
     for colliding in [

@@ -6,8 +6,11 @@
 //!
 //! * **Modified nodal analysis** (MNA): unknowns are node voltages plus
 //!   one branch current per voltage source; every device *stamps* its
-//!   linearized contribution into a dense system solved by LU with
-//!   partial pivoting (`linalg`).
+//!   linearized contribution into a sparse system solved by sparse LU
+//!   (`linalg`): the pattern is frozen when the circuit's stamp plan is
+//!   built, the pivot order is chosen once per analysis, and every
+//!   Newton step refactors in place. A dense LU with partial pivoting
+//!   stays as a correctness oracle.
 //! * **Newton–Raphson** for nonlinear devices, with `gmin` stepping for
 //!   the operating point and voltage-step damping for robustness
 //!   ([`analysis`]).
@@ -19,10 +22,11 @@
 //!   its resistance follows the magnetisation state and the transient
 //!   loop integrates switching progress from the solved branch current.
 //!
-//! Circuits are built programmatically with [`Circuit`], simulated with
-//! [`analysis::op`], [`analysis::transient`] or a [`SimulationSession`],
-//! and interrogated through [`TransientResult`] and the measurement
-//! helpers in [`measure`] (threshold crossings, delays, supply energy).
+//! Circuits are built flat, programmatically, with [`Circuit`],
+//! simulated with [`analysis::op`], [`analysis::transient`] or a
+//! [`SimulationSession`], and interrogated through [`TransientResult`]
+//! and the measurement helpers in [`measure`] (threshold crossings,
+//! delays, supply energy).
 //!
 //! Repeated simulation of one circuit — corner sweeps, margin scans,
 //! restore/store characterization — should go through a
@@ -71,7 +75,6 @@ pub mod measure;
 mod mosfet;
 pub mod result;
 mod source;
-pub mod subckt;
 
 pub use analysis::{SimulationSession, SolverKind, SolverStats, TransientOptions};
 pub use circuit::{Circuit, NodeId};
@@ -80,4 +83,3 @@ pub use error::SpiceError;
 pub use mosfet::{CmosCorner, Technology};
 pub use result::TransientResult;
 pub use source::SourceWaveform;
-pub use subckt::{join_path, Subckt};

@@ -519,6 +519,20 @@ mod tests {
         )
         .expect_err("length mismatch");
         assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
+
+        // So is the same grid under another base seed: its per-point
+        // seeds differ, so the recorded results do not belong to it.
+        let reseeded = Grid::with_seed(vec![1u64, 2, 3], 10);
+        let err = run_checkpointed(
+            &reseeded,
+            &SweepOptions::with_jobs(1),
+            &policy,
+            |_| (),
+            job,
+            None,
+        )
+        .expect_err("base seed mismatch");
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -42,6 +42,6 @@ mod quantities;
 
 pub use fmt_eng::format_engineering;
 pub use quantities::{
-    Area, Capacitance, Charge, Current, Energy, Frequency, Length, Power, Resistance, Temperature,
-    Time, Voltage,
+    Area, Capacitance, Charge, Current, Energy, Length, Power, Resistance, Temperature, Time,
+    Voltage,
 };

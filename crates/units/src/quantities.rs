@@ -246,15 +246,6 @@ quantity!(
     ]
 );
 
-quantity!(
-    /// Frequency, stored in hertz.
-    Frequency, "Hz", from_hertz, hertz,
-    [
-        (from_mega_hertz, mega_hertz, 1e6),
-        (from_giga_hertz, giga_hertz, 1e9),
-    ]
-);
-
 /// Planar area, stored in square metres.
 ///
 /// Areas in physical design are usually quoted in µm²; see
@@ -502,21 +493,6 @@ impl Div<Length> for Area {
     }
 }
 
-impl Time {
-    /// Reciprocal: `f = 1 / t`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let period = units::Time::from_nano_seconds(1.0);
-    /// assert!((period.to_frequency().giga_hertz() - 1.0).abs() < 1e-12);
-    /// ```
-    #[must_use]
-    pub fn to_frequency(self) -> Frequency {
-        Frequency::from_hertz(1.0 / self.seconds())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,12 +539,6 @@ mod tests {
         let a = w * h;
         assert!((a.square_micro_meters() - 3.35).abs() < EPS);
         assert!(((a / h).micro_meters() - 1.675).abs() < EPS);
-    }
-
-    #[test]
-    fn frequency_period_round_trip() {
-        let t = Time::from_nano_seconds(50.0);
-        assert!((t.to_frequency().mega_hertz() - 20.0).abs() < EPS);
     }
 
     #[test]

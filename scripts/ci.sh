@@ -227,15 +227,14 @@ grep -q '"traceEvents"' "$chrome_trace" || {
 }
 
 echo "==> family smoke: family --quick --json (n = 1, 2, 4)"
-# The cell-family bench characterizes the generator's n-bit words and
-# flattens each word's subcircuit twice, so the validated report must
-# carry the shared-StampPlan counters (spice.subckt.plan_reuses > 0).
+# The cell-family bench characterizes the generator's n-bit words, so
+# the validated report must carry the widest quick point's values.
 family_json="target/ci_family_report.json"
 cargo run --offline -q -p nvff-bench --bin family -- --quick --json "$family_json" \
     >/dev/null
 cargo run --offline -q -p telemetry --example validate -- "$family_json"
-grep -q '"spice.subckt.plan_reuses"' "$family_json" || {
-    echo "family report is missing the shared-plan counters" >&2
+grep -q '"n4.total_transistors":58' "$family_json" || {
+    echo "family report is missing the 4-bit word's transistor count" >&2
     exit 1
 }
 
