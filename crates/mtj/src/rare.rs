@@ -40,25 +40,33 @@
 //! lane arrays, so the autovectorizer turns it into SIMD; the scalar
 //! draw runs the very same passes at `L = 1`, which makes the lane path
 //! bit-identical to it by construction. A lane whose Box–Muller draw
-//! hits the rejection branch (≈ 2⁻⁵³) is redrawn on the scalar path.
+//! hits the rejection branch (≈ 2⁻⁵³) takes its inputs from the scalar
+//! path.
 //! The kernel agrees with the libm form of the same trial to within a
 //! few rounding errors of the problem's conditioning (see the
 //! `kernel_failure_probability_agrees_with_the_libm_trial_oracle`
 //! test).
 //!
-//! Everything composes with the repo's determinism discipline: each
-//! sample is counter-seeded ([`sweep::point_seed`]), drawn either on a
-//! scalar `StdRng` or in lockstep over [`rand::rngs::StdRngLanes`]
-//! structure-of-arrays banks (a fixed six/seven-uniform budget per
-//! sample — no retire/refill needed), fanned over the [`sweep`] worker
-//! pool, and folded one sample at a time in grid order
-//! ([`sweep::fold_blocked`]) — results are **bit-identical for every
-//! `jobs` and `lanes` combination**. The variation-aware brute force
+//! **One pass per block.** Each sample is counter-seeded
+//! ([`sweep::point_seed`]) and drawn in lockstep over a
+//! [`rand::rngs::StdRngLanes`] structure-of-arrays bank (a fixed
+//! six/seven-uniform budget per sample — no retire/refill needed). One
+//! block routine draws `L` samples into `z`/weight/contribution lane
+//! arrays, and the accumulator folds them lane by lane in sample order:
+//! a serial campaign draws and folds block after block with no
+//! per-sample record and no allocation; a multi-worker one draws blocks
+//! on the [`sweep`] pool and folds them in order afterwards. Results are
+//! **bit-identical for every `jobs` and `lanes` combination**. The
+//! adaptive tilt search scores its candidates on one common batch, so
+//! it draws that batch's innovations once and runs only the
+//! tilt-dependent passes per candidate. The variation-aware brute force
 //! ([`varied_wer_grid`]) runs on the same kernel in
 //! [`crate::lanes::count_varied_write_failures_batched`]. Surface
 //! campaigns ([`tail_surface`]) checkpoint their accumulator cells
 //! (fingerprint tag `nvff-rare-surface/2`) through
 //! `nvff-sweep-checkpoint/1` and resume bit-identically.
+
+use std::time::Instant;
 
 use rand::rngs::{StdRng, StdRngLanes};
 use rand::{RngExt, SeedableRng};
@@ -455,15 +463,114 @@ impl Estimator {
     }
 }
 
-/// One tilted draw — the per-sample record the accumulator folds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct TiltedDraw {
+/// `L` tilted draws as lane arrays: what one block of the sampler hands
+/// the accumulator, and, at `L = 1`, one scalar draw.
+#[derive(Debug, Clone, Copy)]
+struct TiltedLanes<const L: usize> {
     /// Variation coordinates under the tilted measure, `z = μ + ε`.
-    pub(crate) z: [f64; 3],
-    /// Likelihood-ratio weight `w(ε)`.
-    pub(crate) weight: f64,
-    /// Estimator contribution (`w·p` or `w·1{fail}`).
-    pub(crate) x: f64,
+    z: [[f64; L]; 3],
+    /// Likelihood-ratio weights `w(ε)`.
+    weight: [f64; L],
+    /// Estimator contributions (`w·p` or `w·1{fail}`).
+    x: [f64; L],
+}
+
+/// The random inputs of `L` samples: the innovations `ε` and, for the
+/// Bernoulli estimator, the seventh uniform. None of it depends on the
+/// tilt, which is what lets the tilt search score every candidate on
+/// one batch of inputs.
+#[derive(Debug, Clone, Copy)]
+struct Innovations<const L: usize> {
+    eps: [[f64; L]; 3],
+    bernoulli_u: [f64; L],
+}
+
+impl Innovations<1> {
+    /// One sample's inputs on the scalar path — the definition of
+    /// correct the lane path is held to.
+    fn scalar(seed: u64, estimator: Estimator) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let eps = [
+            [standard_normal(&mut rng)],
+            [standard_normal(&mut rng)],
+            [standard_normal(&mut rng)],
+        ];
+        let bernoulli_u: f64 = match estimator {
+            Estimator::Smooth => 0.0,
+            Estimator::Bernoulli => rng.random(),
+        };
+        Self {
+            eps,
+            bernoulli_u: [bernoulli_u],
+        }
+    }
+}
+
+impl<const L: usize> Innovations<L> {
+    /// The inputs of the samples seeded `seeds[..n]`: the
+    /// structure-of-arrays RNG bank steps every lane through the fixed
+    /// six/seven-uniform budget in lockstep, then
+    /// [`Self::from_uniforms`].
+    #[inline(always)]
+    fn draw(seeds: &[u64; L], n: usize, estimator: Estimator) -> Self {
+        let mut rngs = StdRngLanes::<L>::new();
+        rngs.seed_lanes(seeds);
+        let mut uniforms = [[0.0f64; L]; 7];
+        for round in uniforms.iter_mut().take(estimator.draw_rounds()) {
+            rngs.fill_unit_f64(round);
+        }
+        Self::from_uniforms(&uniforms, seeds, n, estimator)
+    }
+
+    /// Box–Muller over the lanes' uniforms.
+    ///
+    /// Box–Muller's rejection branch (first uniform ≤ `f64::MIN_POSITIVE`,
+    /// probability ≈ 2⁻⁵³ per draw) breaks the fixed budget; an affected
+    /// lane among the first `n` takes its inputs from the scalar path,
+    /// seeded with its own seed, which keeps it bit-identical because
+    /// [`StdRngLanes::seed_lanes`] reproduces `StdRng::seed_from_u64`
+    /// exactly.
+    #[inline(always)]
+    fn from_uniforms(
+        uniforms: &[[f64; L]; 7],
+        seeds: &[u64; L],
+        n: usize,
+        estimator: Estimator,
+    ) -> Self {
+        let mut inputs = Self {
+            eps: [
+                standard_normal_lanes(&uniforms[0], &uniforms[1]),
+                standard_normal_lanes(&uniforms[2], &uniforms[3]),
+                standard_normal_lanes(&uniforms[4], &uniforms[5]),
+            ],
+            bernoulli_u: uniforms[6],
+        };
+        let rejected = |lane: usize| {
+            (uniforms[0][lane] <= f64::MIN_POSITIVE)
+                | (uniforms[2][lane] <= f64::MIN_POSITIVE)
+                | (uniforms[4][lane] <= f64::MIN_POSITIVE)
+        };
+        // One branch-free pass over the lanes finds whether any lane
+        // needs the slow path at all.
+        if (0..L).fold(false, |any, lane| any | rejected(lane)) {
+            for lane in (0..n.min(L)).filter(|&lane| rejected(lane)) {
+                let scalar = Innovations::scalar(seeds[lane], estimator);
+                for (eps_k, scalar_k) in inputs.eps.iter_mut().zip(scalar.eps) {
+                    eps_k[lane] = scalar_k[0];
+                }
+                inputs.bernoulli_u[lane] = scalar.bernoulli_u[0];
+            }
+        }
+        inputs
+    }
+}
+
+/// Counter seeds ([`sweep::point_seed`]) of samples `lo..lo + L` of the
+/// campaign rooted at `seed`; lanes past the campaign's end get seeds
+/// too, and their draws are never folded.
+#[inline(always)]
+fn block_seeds<const L: usize>(seed: u64, lo: usize) -> [u64; L] {
+    std::array::from_fn(|lane| sweep::point_seed(seed, (lo + lane) as u64))
 }
 
 /// The tilted draw at one point: the [`PointKernel`] plus the tilt.
@@ -478,27 +585,33 @@ struct TiltKernel {
 
 impl TiltKernel {
     fn new(env: &TailEnv, pulse: Time, tilt: Tilt, estimator: Estimator) -> Self {
-        let mu = tilt.mu;
         Self {
             point: PointKernel::new(env, pulse),
+            mu: [0.0; 3],
+            half_mag2: 0.0,
+            estimator,
+        }
+        .with_tilt(tilt)
+    }
+
+    /// The same point under another tilt.
+    fn with_tilt(self, tilt: Tilt) -> Self {
+        let mu = tilt.mu;
+        Self {
             mu,
             half_mag2: 0.5 * (mu[0] * mu[0] + mu[1] * mu[1] + mu[2] * mu[2]),
-            estimator,
+            ..self
         }
     }
 
-    /// Completes `L` draws from their innovations `ε` (and, for the
-    /// Bernoulli estimator, their seventh uniforms) as plain passes
-    /// over the lanes: `z = μ + ε`, the weight `exp(−μ·ε − |μ|²/2)`,
-    /// the failure probability at `z_Isw`, and the contribution. The
-    /// scalar draw calls it at `L = 1`, so both paths run the same
-    /// operations per sample.
+    /// Completes `L` draws from their inputs as plain passes over the
+    /// lanes: `z = μ + ε`, the weight `exp(−μ·ε − |μ|²/2)`, the failure
+    /// probability at `z_Isw`, and the contribution. The scalar draw
+    /// calls it at `L = 1`, so both paths run the same operations per
+    /// sample.
     #[inline(always)]
-    fn finish_lanes<const L: usize>(
-        &self,
-        eps: &[[f64; L]; 3],
-        bernoulli_u: &[f64; L],
-    ) -> ([[f64; L]; 3], [f64; L], [f64; L]) {
+    fn finish_lanes<const L: usize>(&self, inputs: &Innovations<L>) -> TiltedLanes<L> {
+        let eps = &inputs.eps;
         let mut z = [[0.0; L]; 3];
         for ((z_k, eps_k), mu_k) in z.iter_mut().zip(eps).zip(self.mu) {
             for (z_l, &e) in z_k.iter_mut().zip(eps_k) {
@@ -519,105 +632,79 @@ impl TiltKernel {
                 }
             }
             Estimator::Bernoulli => {
-                for (((x_l, &w), &p), &u) in x.iter_mut().zip(&weight).zip(&p_fail).zip(bernoulli_u)
+                for (((x_l, &w), &p), &u) in x
+                    .iter_mut()
+                    .zip(&weight)
+                    .zip(&p_fail)
+                    .zip(&inputs.bernoulli_u)
                 {
                     *x_l = select(u < p, w, 0.0);
                 }
             }
         }
-        (z, weight, x)
+        TiltedLanes { z, weight, x }
     }
 
-    /// The scalar reference draw for sample seed `seed` — the definition
-    /// of correct the lane path is held to.
-    fn draw_scalar(&self, seed: u64) -> TiltedDraw {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let eps = [
-            [standard_normal(&mut rng)],
-            [standard_normal(&mut rng)],
-            [standard_normal(&mut rng)],
-        ];
-        let bernoulli_u: f64 = match self.estimator {
-            Estimator::Smooth => 0.0,
-            Estimator::Bernoulli => rng.random(),
-        };
-        let (z, weight, x) = self.finish_lanes(&eps, &[bernoulli_u]);
-        TiltedDraw {
-            z: [z[0][0], z[1][0], z[2][0]],
-            weight: weight[0],
-            x: x[0],
-        }
+    /// The scalar reference draw for sample seed `seed`.
+    #[cfg(test)]
+    fn draw_scalar(&self, seed: u64) -> TiltedLanes<1> {
+        self.finish_lanes(&Innovations::scalar(seed, self.estimator))
     }
 
-    /// Lane-batched draws over one block of sample seeds: the
-    /// structure-of-arrays RNG banks step all lanes through the fixed
-    /// six/seven-uniform budget in lockstep, then [`Self::finish_block`]
-    /// turns the uniforms into draws, appended to `out`.
-    fn draw_block_lanes<const L: usize>(&self, ctxs: &[sweep::JobCtx], out: &mut Vec<TiltedDraw>) {
-        let mut seeds = [0u64; L];
-        for (seed, ctx) in seeds.iter_mut().zip(ctxs) {
-            *seed = ctx.seed;
-        }
-        let mut rngs = StdRngLanes::<L>::new();
-        rngs.seed_lanes(&seeds);
-        let mut uniforms = [[0.0f64; L]; 7];
-        for block in uniforms.iter_mut().take(self.estimator.draw_rounds()) {
-            rngs.fill_unit_f64(block);
-        }
-        self.finish_block(&uniforms, ctxs, out);
+    /// The sampler's block routine: the draws of the samples seeded
+    /// `seeds[..n]`, in lockstep over `L` lanes.
+    #[inline(always)]
+    fn draw_block<const L: usize>(&self, seeds: &[u64; L], n: usize) -> TiltedLanes<L> {
+        self.finish_lanes(&Innovations::draw(seeds, n, self.estimator))
     }
 
-    /// Box–Muller over the lanes' uniforms, then [`Self::finish_lanes`].
+    /// `samples` draws of the campaign rooted at `seed`, one block of
+    /// `L` at a time, folded in sample order.
     ///
-    /// Box–Muller's rejection branch (first uniform ≤ `f64::MIN_POSITIVE`,
-    /// probability ≈ 2⁻⁵³ per draw) breaks the fixed budget; an affected
-    /// lane is recomputed wholesale from its own seed on the scalar path,
-    /// preserving bit-identity because [`StdRngLanes::seed_lane`]
-    /// reproduces `StdRng::seed_from_u64` exactly.
-    fn finish_block<const L: usize>(
+    /// With one worker each block is folded as soon as it is drawn, so
+    /// the campaign allocates nothing. With several, workers draw
+    /// blocks from the [`sweep`] pool and the blocks are folded in
+    /// order after the run, so the sums are the same bits.
+    fn accumulate<const L: usize>(
         &self,
-        uniforms: &[[f64; L]; 7],
-        ctxs: &[sweep::JobCtx],
-        out: &mut Vec<TiltedDraw>,
-    ) {
-        let eps = [
-            standard_normal_lanes(&uniforms[0], &uniforms[1]),
-            standard_normal_lanes(&uniforms[2], &uniforms[3]),
-            standard_normal_lanes(&uniforms[4], &uniforms[5]),
-        ];
-        let (z, weight, x) = self.finish_lanes(&eps, &uniforms[6]);
-        for (lane, ctx) in ctxs.iter().enumerate().take(L) {
-            let rejected = [0, 2, 4]
-                .iter()
-                .any(|&k| uniforms[k][lane] <= f64::MIN_POSITIVE);
-            out.push(if rejected {
-                self.draw_scalar(ctx.seed)
-            } else {
-                TiltedDraw {
-                    z: [z[0][lane], z[1][lane], z[2][lane]],
-                    weight: weight[lane],
-                    x: x[lane],
-                }
-            });
+        samples: usize,
+        seed: u64,
+        jobs: usize,
+    ) -> (TailAccumulator, sweep::RunSummary) {
+        let blocks = samples.div_ceil(L);
+        let len = |block: usize| L.min(samples - block * L);
+        let draw = |block: usize| self.draw_block::<L>(&block_seeds(seed, block * L), len(block));
+        let mut acc = TailAccumulator::default();
+        let pool = sweep::SweepOptions {
+            jobs,
+            span_label: "mtj.rare_block",
+            ..sweep::SweepOptions::default()
+        };
+        if pool.effective_workers(blocks) > 1 {
+            let grid = sweep::Grid::new((0..blocks).collect());
+            let outcome = sweep::run(&grid, &pool, |_, &block| draw(block));
+            for (block, draws) in outcome.results.iter().enumerate() {
+                acc.fold(draws, len(block));
+            }
+            let summary = sweep::RunSummary {
+                points: samples,
+                ..outcome.summary
+            };
+            return (acc, summary);
         }
-        // A block longer than the lane width cannot come from the pool,
-        // but degrade gracefully rather than truncate.
-        for ctx in ctxs.iter().skip(L) {
-            out.push(self.draw_scalar(ctx.seed));
+        let start = Instant::now();
+        for block in 0..blocks {
+            acc.fold(&draw(block), len(block));
         }
-    }
-
-    /// Runtime-width dispatch of one block of draws, appended to `out`.
-    fn draw_block(&self, ctxs: &[sweep::JobCtx], lanes: usize, out: &mut Vec<TiltedDraw>) {
-        match lanes {
-            2 => self.draw_block_lanes::<2>(ctxs, out),
-            4 => self.draw_block_lanes::<4>(ctxs, out),
-            8 => self.draw_block_lanes::<8>(ctxs, out),
-            16 => self.draw_block_lanes::<16>(ctxs, out),
-            32 => self.draw_block_lanes::<32>(ctxs, out),
-            64 => self.draw_block_lanes::<64>(ctxs, out),
-            _ => out.extend(ctxs.iter().map(|ctx| self.draw_scalar(ctx.seed))),
-        }
+        let wall_s = start.elapsed().as_secs_f64();
+        let summary = sweep::RunSummary {
+            points: samples,
+            resumed: 0,
+            workers: 1,
+            wall_s,
+            busy_s: wall_s,
+        };
+        (acc, summary)
     }
 }
 
@@ -627,8 +714,8 @@ impl TiltKernel {
 
 /// Running sums of a tilted campaign — everything the estimators, the
 /// confidence interval, the effective sample sizes, and the
-/// cross-entropy tilt update need, in ten cells. Folding is done in
-/// grid order after collection, so the sums are bit-identical for every
+/// cross-entropy tilt update need, in ten cells. Draws are folded in
+/// sample order, so the sums are bit-identical for every
 /// `jobs`/`lanes` combination, and the fixed `Self::CELLS`-cell
 /// encoding (`Self::to_cells`) is what surface campaigns checkpoint.
 ///
@@ -655,20 +742,25 @@ impl TailAccumulator {
     /// Cells in the checkpoint encoding.
     pub(crate) const CELLS: usize = 10;
 
-    /// Folds one draw.
-    pub(crate) fn push(&mut self, draw: &TiltedDraw) {
-        self.samples += 1;
-        self.sum_x += draw.x;
-        self.sum_x2 += draw.x * draw.x;
-        // The reciprocal is off the running mean's dependency chain.
-        let inv_n = 1.0 / self.samples as f64;
-        let delta = draw.x - self.mean_x;
-        self.mean_x += delta * inv_n;
-        self.m2_x += delta * (draw.x - self.mean_x);
-        self.sum_w += draw.weight;
-        self.sum_w2 += draw.weight * draw.weight;
-        for (acc, z) in self.sum_xz.iter_mut().zip(draw.z) {
-            *acc += draw.x * z;
+    /// Folds the first `n` draws of a block, in lane order.
+    #[inline(always)]
+    fn fold<const L: usize>(&mut self, draws: &TiltedLanes<L>, n: usize) {
+        for lane in 0..n.min(L) {
+            let x = draws.x[lane];
+            let weight = draws.weight[lane];
+            self.samples += 1;
+            self.sum_x += x;
+            self.sum_x2 += x * x;
+            // The reciprocal is off the running mean's dependency chain.
+            let inv_n = 1.0 / self.samples as f64;
+            let delta = x - self.mean_x;
+            self.mean_x += delta * inv_n;
+            self.m2_x += delta * (x - self.mean_x);
+            self.sum_w += weight;
+            self.sum_w2 += weight * weight;
+            for (acc, z) in self.sum_xz.iter_mut().zip(&draws.z) {
+                *acc += x * z[lane];
+            }
         }
     }
 
@@ -891,7 +983,7 @@ impl Default for TailOptions {
 /// Accumulates `opts.samples` tilted draws at one pulse width, fanned
 /// over the worker pool with the lane-batched sampler inside each
 /// worker. The returned sums are bit-identical for every
-/// `jobs`/`lanes` combination (per-sample counter seeds; grid-order
+/// `jobs`/`lanes` combination (per-sample counter seeds; sample-order
 /// fold).
 pub fn accumulate_tilted(
     env: &TailEnv,
@@ -899,24 +991,17 @@ pub fn accumulate_tilted(
     tilt: Tilt,
     opts: &TailOptions,
 ) -> (TailAccumulator, sweep::RunSummary) {
-    let grid = sweep::Grid::samples(opts.samples, opts.seed);
-    let pool = sweep::SweepOptions {
-        jobs: opts.jobs,
-        span_label: "mtj.rare_block",
-        ..sweep::SweepOptions::default()
-    };
-    let lanes = crate::lanes::resolve_lanes(opts.lanes);
     let kernel = TiltKernel::new(env, pulse, tilt, opts.estimator);
-    let mut acc = TailAccumulator::default();
-    let summary = sweep::fold_blocked(
-        &grid,
-        &pool,
-        lanes,
-        &mut acc,
-        |ctxs, _, out| kernel.draw_block(ctxs, lanes, out),
-        |acc, draw| acc.push(&draw),
-    );
-    (acc, summary)
+    let (samples, seed, jobs) = (opts.samples, opts.seed, opts.jobs);
+    match crate::lanes::resolve_lanes(opts.lanes) {
+        2 => kernel.accumulate::<2>(samples, seed, jobs),
+        4 => kernel.accumulate::<4>(samples, seed, jobs),
+        8 => kernel.accumulate::<8>(samples, seed, jobs),
+        16 => kernel.accumulate::<16>(samples, seed, jobs),
+        32 => kernel.accumulate::<32>(samples, seed, jobs),
+        64 => kernel.accumulate::<64>(samples, seed, jobs),
+        _ => kernel.accumulate::<1>(samples, seed, jobs),
+    }
 }
 
 /// Adaptive tilt search configuration.
@@ -953,11 +1038,14 @@ pub struct TiltSearchResult {
 /// (`TailAccumulator::cross_entropy_tilt`); every visited candidate
 /// is then scored by contribution ESS on **one common batch** (common
 /// random numbers — identical innovations for every candidate, so the
-/// comparison is noise-free in the differences) and the best wins.
+/// comparison is noise-free in the differences) and the best wins. The
+/// batch's innovations are drawn once; each candidate runs only the
+/// tilt-dependent rest of the draw and the fold.
 ///
 /// Pilot seeds are salted counter seeds off `seed`, disjoint from any
 /// final estimation round rooted at `seed` itself; the whole search is
-/// serial and deterministic.
+/// serial and deterministic, and its result is the same for every
+/// `lanes` value.
 #[must_use]
 pub fn adaptive_tilt(
     env: &TailEnv,
@@ -966,32 +1054,57 @@ pub fn adaptive_tilt(
     seed: u64,
     lanes: usize,
 ) -> TiltSearchResult {
-    let pilot_opts = |tilt: Tilt, round: u64| TailOptions {
-        samples: search.pilot_samples.max(1),
-        seed: sweep::point_seed(seed ^ PILOT_SALT, round),
-        jobs: 1,
-        lanes,
-        estimator: Estimator::Smooth,
-        confidence: 0.99,
-        tilt: Some(tilt),
-        pilot_rounds: 0,
-        pilot_samples: 0,
-    };
-    let mut candidates = vec![Tilt::ZERO];
-    let mut current = Tilt::ZERO;
+    let kernel = TiltKernel::new(env, pulse, Tilt::ZERO, Estimator::Smooth);
+    match crate::lanes::resolve_lanes(lanes) {
+        2 => search_tilt::<2>(kernel, search, seed),
+        4 => search_tilt::<4>(kernel, search, seed),
+        8 => search_tilt::<8>(kernel, search, seed),
+        16 => search_tilt::<16>(kernel, search, seed),
+        32 => search_tilt::<32>(kernel, search, seed),
+        64 => search_tilt::<64>(kernel, search, seed),
+        _ => search_tilt::<1>(kernel, search, seed),
+    }
+}
+
+/// [`adaptive_tilt`] over `L` lanes, from a smooth-estimator kernel at
+/// the null tilt.
+fn search_tilt<const L: usize>(
+    kernel: TiltKernel,
+    search: &TiltSearch,
+    seed: u64,
+) -> TiltSearchResult {
+    let samples = search.pilot_samples.max(1);
+    let pilot_seed = |round: u64| sweep::point_seed(seed ^ PILOT_SALT, round);
+    let mut candidates = Vec::with_capacity(search.rounds + 1);
+    candidates.push(Tilt::ZERO);
+    let mut current = kernel;
     for round in 0..search.rounds {
-        let (acc, _) = accumulate_tilted(env, pulse, current, &pilot_opts(current, round as u64));
+        let (acc, _) = current.accumulate::<L>(samples, pilot_seed(round as u64), 1);
         let Some(next) = acc.cross_entropy_tilt() else {
             break;
         };
-        current = next;
+        current = kernel.with_tilt(next);
         candidates.push(next);
     }
-    let eval_round = u64::MAX;
+    let eval_seed = pilot_seed(u64::MAX);
+    let len = |block: usize| L.min(samples - block * L);
+    let batch: Vec<Innovations<L>> = (0..samples.div_ceil(L))
+        .map(|block| {
+            Innovations::draw(
+                &block_seeds(eval_seed, block * L),
+                len(block),
+                Estimator::Smooth,
+            )
+        })
+        .collect();
     let mut evaluated = Vec::with_capacity(candidates.len());
     let mut best = (Tilt::ZERO, f64::NEG_INFINITY);
     for &tilt in &candidates {
-        let (acc, _) = accumulate_tilted(env, pulse, tilt, &pilot_opts(tilt, eval_round));
+        let candidate = kernel.with_tilt(tilt);
+        let mut acc = TailAccumulator::default();
+        for (block, inputs) in batch.iter().enumerate() {
+            acc.fold(&candidate.finish_lanes(inputs), len(block));
+        }
         let ess = acc.contribution_ess();
         evaluated.push((tilt, ess));
         if ess > best.1 {
@@ -1523,42 +1636,79 @@ mod tests {
         }
     }
 
+    impl<const L: usize> TiltedLanes<L> {
+        /// Lane `lane` as a one-lane draw.
+        fn lane(&self, lane: usize) -> TiltedLanes<1> {
+            TiltedLanes {
+                z: self.z.map(|z_k| [z_k[lane]]),
+                weight: [self.weight[lane]],
+                x: [self.x[lane]],
+            }
+        }
+    }
+
+    /// The bits of a one-lane draw: `z`, weight, contribution.
+    fn draw_bits(draw: &TiltedLanes<1>) -> [u64; 5] {
+        [
+            draw.z[0][0].to_bits(),
+            draw.z[1][0].to_bits(),
+            draw.z[2][0].to_bits(),
+            draw.weight[0].to_bits(),
+            draw.x[0].to_bits(),
+        ]
+    }
+
+    /// The sampler's block routine over `seeds`, `L` at a time (the last
+    /// block partial), as one-lane draws.
+    fn block_draws<const L: usize>(kernel: &TiltKernel, seeds: &[u64]) -> Vec<TiltedLanes<1>> {
+        let mut draws = Vec::new();
+        for chunk in seeds.chunks(L) {
+            let mut block = [0u64; L];
+            block[..chunk.len()].copy_from_slice(chunk);
+            let lanes = kernel.draw_block(&block, chunk.len());
+            draws.extend((0..chunk.len()).map(|lane| lanes.lane(lane)));
+        }
+        draws
+    }
+
     /// A lane whose first Box–Muller uniform is 0 (the rejection
-    /// branch, ≈ 2⁻⁵³ per draw, so injected here) is redrawn on the
-    /// scalar path from its own seed; every other lane keeps its
-    /// lockstep value. Either way each lane equals `draw_scalar`.
+    /// branch, ≈ 2⁻⁵³ per draw, so injected here) takes its inputs from
+    /// the scalar path, seeded with its own seed; every other lane keeps
+    /// its lockstep value. Either way each lane equals `draw_scalar`.
     #[test]
     fn a_rejected_box_muller_lane_falls_back_to_the_scalar_draw() {
         let e = env();
         let pulse = pulse_for_wer(&e.reference_model(), e.current(), 1e-5);
         for estimator in [Estimator::Smooth, Estimator::Bernoulli] {
             let kernel = TiltKernel::new(&e, pulse, Tilt::along_switching_current(1.4), estimator);
-            let grid = sweep::Grid::samples(8, 5);
-            let ctxs = sweep::run_blocked(&grid, &sweep::SweepOptions::with_jobs(1), 8, |c, _| {
-                c.to_vec()
-            })
-            .results;
+            let seeds: [u64; 8] = block_seeds(5, 0);
             let mut rngs = StdRngLanes::<8>::new();
-            for (lane, ctx) in ctxs.iter().enumerate() {
-                rngs.seed_lane(lane, ctx.seed);
-            }
+            rngs.seed_lanes(&seeds);
             let mut uniforms = [[0.0f64; 8]; 7];
-            for block in &mut uniforms {
-                rngs.fill_unit_f64(block);
+            for round in &mut uniforms {
+                rngs.fill_unit_f64(round);
             }
             // Lane 3's first normal and lane 6's third hit the branch.
             uniforms[0][3] = 0.0;
             uniforms[4][6] = f64::MIN_POSITIVE;
-            let mut draws = Vec::new();
-            kernel.finish_block(&uniforms, &ctxs, &mut draws);
-            for (lane, (draw, ctx)) in draws.iter().zip(&ctxs).enumerate() {
-                assert_eq!(*draw, kernel.draw_scalar(ctx.seed), "lane {lane}");
-                assert!(draw.x.is_finite() && draw.weight > 0.0, "lane {lane}");
+            let inputs = Innovations::from_uniforms(&uniforms, &seeds, 8, estimator);
+            let draws = kernel.finish_lanes(&inputs);
+            for (lane, &seed) in seeds.iter().enumerate() {
+                let draw = draws.lane(lane);
+                assert_eq!(
+                    draw_bits(&draw),
+                    draw_bits(&kernel.draw_scalar(seed)),
+                    "lane {lane}"
+                );
+                assert!(draw.x[0].is_finite() && draw.weight[0] > 0.0, "lane {lane}");
             }
-            let mut lockstep = Vec::new();
-            kernel.draw_block_lanes::<8>(&ctxs, &mut lockstep);
-            for (lane, (draw, ctx)) in lockstep.iter().zip(&ctxs).enumerate() {
-                assert_eq!(*draw, kernel.draw_scalar(ctx.seed), "lane {lane}");
+            let lockstep = kernel.draw_block(&seeds, 8);
+            for (lane, &seed) in seeds.iter().enumerate() {
+                assert_eq!(
+                    draw_bits(&lockstep.lane(lane)),
+                    draw_bits(&kernel.draw_scalar(seed)),
+                    "lane {lane}"
+                );
             }
         }
     }
@@ -1568,8 +1718,8 @@ mod tests {
     /// the scalar draw on most seeds. This test picks sample seeds whose
     /// Box–Muller deviates in the untilted components (where `z = ε`
     /// exactly) come out differently under libm's radius or angle,
-    /// checks that they do, and only then holds the lane draws to the
-    /// scalar ones bit for bit.
+    /// checks that they do, and only then holds the block routine's
+    /// draws to the scalar ones bit for bit.
     #[test]
     fn lane_draws_match_the_scalar_draw_where_libm_and_units_math_differ() {
         use std::f64::consts::TAU;
@@ -1588,16 +1738,11 @@ mod tests {
         let libm_cos_differs =
             |(u1, u2): (f64, f64)| radius(u1) * (TAU * u2).cos() != radius(u1) * cos_tau(u2);
 
-        let grid = sweep::Grid::samples(4096, 17);
-        let all = sweep::run_blocked(&grid, &sweep::SweepOptions::with_jobs(1), 64, |c, _| {
-            c.to_vec()
-        })
-        .results;
-        let pick = |differs: &dyn Fn((f64, f64)) -> bool| -> Vec<sweep::JobCtx> {
-            all.iter()
-                .filter(|ctx| pairs(ctx.seed).into_iter().any(differs))
+        let pick = |differs: &dyn Fn((f64, f64)) -> bool| -> Vec<u64> {
+            (0..4096)
+                .map(|i| sweep::point_seed(17, i))
+                .filter(|&seed| pairs(seed).into_iter().any(differs))
                 .take(4)
-                .cloned()
                 .collect()
         };
         let by_ln = pick(&libm_ln_differs);
@@ -1612,30 +1757,65 @@ mod tests {
             4,
             "too few seeds where libm cos changes a deviate"
         );
-        let ctxs: Vec<sweep::JobCtx> = by_ln.into_iter().chain(by_cos).collect();
+        // Seven seeds, so the widest block below is partial.
+        let seeds: Vec<u64> = by_ln.into_iter().chain(by_cos).take(7).collect();
 
         let e = env();
         let pulse = pulse_for_wer(&e.reference_model(), e.current(), 1e-5);
         for estimator in [Estimator::Smooth, Estimator::Bernoulli] {
             let kernel = TiltKernel::new(&e, pulse, Tilt::along_switching_current(1.4), estimator);
-            let scalar: Vec<TiltedDraw> = ctxs
+            let scalar: Vec<[u64; 5]> = seeds
                 .iter()
-                .map(|ctx| kernel.draw_scalar(ctx.seed))
+                .map(|&seed| draw_bits(&kernel.draw_scalar(seed)))
                 .collect();
-            for lanes in [2, 4, 8] {
-                let mut draws = Vec::new();
-                for block in ctxs.chunks(lanes) {
-                    kernel.draw_block(block, lanes, &mut draws);
-                }
+            let by_width = [
+                block_draws::<2>(&kernel, &seeds),
+                block_draws::<4>(&kernel, &seeds),
+                block_draws::<8>(&kernel, &seeds),
+            ];
+            for (lanes, draws) in [2, 4, 8].into_iter().zip(&by_width) {
+                assert_eq!(draws.len(), seeds.len());
                 for (k, (got, want)) in draws.iter().zip(&scalar).enumerate() {
-                    for (g, w) in got.z.iter().zip(&want.z) {
-                        assert_eq!(g.to_bits(), w.to_bits(), "z, sample {k}, lanes {lanes}");
-                    }
-                    assert_eq!(got.weight.to_bits(), want.weight.to_bits(), "weight, {k}");
-                    assert_eq!(got.x.to_bits(), want.x.to_bits(), "x, sample {k}");
+                    assert_eq!(draw_bits(got), *want, "sample {k}, lanes {lanes}");
                 }
             }
         }
+    }
+
+    /// The tilt search draws its common batch once and scores every
+    /// candidate on it: each candidate's ESS equals, bit for bit, that
+    /// candidate's own campaign at the evaluation seed, at every lane
+    /// width, with a partial last block.
+    #[test]
+    fn tilt_candidates_are_scored_on_one_common_batch() {
+        let e = env();
+        let pulse = pulse_for_wer(&e.reference_model(), e.current(), 1e-7);
+        let search = TiltSearch {
+            rounds: 3,
+            pilot_samples: 517,
+        };
+        let seed = 13;
+        let mut by_width = Vec::new();
+        for lanes in [1, 8, 64] {
+            let result = adaptive_tilt(&e, pulse, &search, seed, lanes);
+            assert_eq!(result.evaluated.len(), 4, "lanes {lanes}");
+            for &(tilt, ess) in &result.evaluated {
+                let own = TailOptions {
+                    samples: 517,
+                    seed: sweep::point_seed(seed ^ PILOT_SALT, u64::MAX),
+                    jobs: 1,
+                    lanes,
+                    tilt: Some(tilt),
+                    ..TailOptions::default()
+                };
+                let want = accumulate_tilted(&e, pulse, tilt, &own)
+                    .0
+                    .contribution_ess();
+                assert_eq!(ess.to_bits(), want.to_bits(), "lanes {lanes}, {tilt:?}");
+            }
+            by_width.push(result);
+        }
+        assert!(by_width.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
@@ -1803,11 +1983,12 @@ mod tests {
         // correct digit left.
         let mut acc = TailAccumulator::default();
         for i in 0..10_000u32 {
-            acc.push(&TiltedDraw {
-                z: [0.0; 3],
-                weight: 1.0,
-                x: 1e-9 * (1.0 + 1e-9 * f64::from(i % 10)),
-            });
+            let draw = TiltedLanes {
+                z: [[0.0]; 3],
+                weight: [1.0],
+                x: [1e-9 * (1.0 + 1e-9 * f64::from(i % 10))],
+            };
+            acc.fold(&draw, 1);
         }
         let est = acc.estimate(0.99);
         // Population variance of k = 0..9 is 8.25, scaled by (1e-18)².

@@ -13,11 +13,7 @@
 //!   pool (chunked self-scheduling over an atomic cursor, zero external
 //!   dependencies) that executes the grid and returns results in
 //!   **grid order**. `--jobs 1` takes a true serial fast path on the
-//!   calling thread. [`run_blocked`] hands workers contiguous
-//!   lane-sized blocks of points (same per-point seeds) so SIMD
-//!   lane-batched kernels compose with thread-level parallelism;
-//!   [`fold_blocked`] folds their results in grid order instead of
-//!   collecting them.
+//!   calling thread.
 //! - [`LazyPool`] — worker-owned keyed caches for expensive job state,
 //!   e.g. one `SimulationSession` per circuit topology per worker.
 //! - [`run_checkpointed`] — the same execution with completed points
@@ -40,7 +36,4 @@ mod pool;
 pub use cache::LazyPool;
 pub use checkpoint::{run_checkpointed, CheckpointError, CheckpointPolicy, CHECKPOINT_SCHEMA};
 pub use grid::{fingerprint, fingerprint128, fingerprint_bytes, point_seed, Fnv1a, Grid};
-pub use pool::{
-    available_parallelism, fold_blocked, run, run_blocked, run_with_state, JobCtx, RunSummary,
-    SweepOptions,
-};
+pub use pool::{available_parallelism, run, run_with_state, JobCtx, RunSummary, SweepOptions};

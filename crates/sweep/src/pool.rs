@@ -171,164 +171,6 @@ where
     run_with_state(grid, opts, |_| (), |(), ctx, point| job(ctx, point), None)
 }
 
-/// Runs a *blocked* job over every grid point: workers claim
-/// contiguous blocks of up to `lanes` points and evaluate each block
-/// with one call — the composition point between thread-level
-/// parallelism (this pool) and lane-level SIMD batching (the job
-/// evaluates its block in lockstep).
-///
-/// The job receives index-aligned slices: one [`JobCtx`] per point —
-/// carrying the **same** per-point counter seed [`Grid::seed_of`]
-/// would hand the pointwise [`run`] — and the block's points. It must
-/// return exactly one result per point, in block order. Under that
-/// contract the flattened results are bit-identical to a pointwise
-/// [`run`] of the same per-point computation, for every `lanes` and
-/// every `jobs` value.
-///
-/// # Panics
-///
-/// Panics if the job returns a result count different from its block
-/// length.
-///
-/// # Examples
-///
-/// ```
-/// let grid = sweep::Grid::with_seed(vec![10u64, 20, 30, 40, 50], 9);
-/// let opts = sweep::SweepOptions::with_jobs(2);
-/// let out = sweep::run_blocked(&grid, &opts, 2, |ctxs, points| {
-///     ctxs.iter()
-///         .zip(points)
-///         .map(|(ctx, &p)| p + ctx.index as u64)
-///         .collect()
-/// });
-/// assert_eq!(out.results, vec![10, 21, 32, 43, 54]); // grid order
-/// assert_eq!(out.summary.points, 5);
-/// ```
-pub fn run_blocked<P, T>(
-    grid: &Grid<P>,
-    opts: &SweepOptions,
-    lanes: usize,
-    job: impl Fn(&[JobCtx], &[P]) -> Vec<T> + Sync,
-) -> SweepOutcome<T>
-where
-    P: Sync,
-    T: Send,
-{
-    let mut results = Vec::with_capacity(grid.len());
-    let summary = fold_blocked(
-        grid,
-        opts,
-        lanes,
-        &mut results,
-        |ctxs, points, out| out.extend(job(ctxs, points)),
-        |results, result| results.push(result),
-    );
-    SweepOutcome { results, summary }
-}
-
-/// [`run_blocked`] without the collected results: every point's result
-/// is handed to `fold`, once and in grid order, so any aggregate folded
-/// here is bit-identical for every `lanes` and `jobs` value. The job
-/// appends its block's results to the (emptied) buffer it is given.
-///
-/// With one worker each block is folded as soon as it is computed,
-/// through one reused context buffer and one reused result buffer, so a
-/// long campaign streams through a few kilobytes instead of
-/// materializing every point's result. With several workers blocks
-/// complete out of order; they are collected and folded in grid order
-/// after the run.
-///
-/// # Panics
-///
-/// Panics if the job appends a result count different from its block
-/// length.
-pub fn fold_blocked<P, T, A>(
-    grid: &Grid<P>,
-    opts: &SweepOptions,
-    lanes: usize,
-    acc: &mut A,
-    job: impl Fn(&[JobCtx], &[P], &mut Vec<T>) + Sync,
-    mut fold: impl FnMut(&mut A, T),
-) -> RunSummary
-where
-    P: Sync,
-    T: Send,
-{
-    let lanes = lanes.max(1);
-    let total = grid.len();
-    let blocks = total.div_ceil(lanes);
-    let bounds = |block: usize| (block * lanes, ((block + 1) * lanes).min(total));
-    let checked = |out: &Vec<T>, lo: usize, hi: usize| {
-        assert_eq!(
-            out.len(),
-            hi - lo,
-            "blocked job returned {} results for a block of {}",
-            out.len(),
-            hi - lo
-        );
-    };
-    if opts.effective_workers(blocks) > 1 {
-        let block_grid = Grid::new((0..blocks).map(bounds).collect());
-        let outcome = run(&block_grid, opts, |block_ctx, &(lo, hi)| {
-            let ctxs: Vec<JobCtx> = (lo..hi)
-                .map(|index| JobCtx {
-                    index,
-                    seed: grid.seed_of(index),
-                    worker: block_ctx.worker,
-                })
-                .collect();
-            let mut out = Vec::with_capacity(hi - lo);
-            job(&ctxs, &grid.points()[lo..hi], &mut out);
-            checked(&out, lo, hi);
-            out
-        });
-        for result in outcome.results.into_iter().flatten() {
-            fold(acc, result);
-        }
-        return RunSummary {
-            points: total,
-            ..outcome.summary
-        };
-    }
-    // The serial path of `run_pending`, block by block.
-    let start = Instant::now();
-    telemetry::counter("sweep.runs", 1);
-    telemetry::counter("sweep.jobs_resumed", 0);
-    let mut busy_s = 0.0f64;
-    let mut ctxs = Vec::with_capacity(lanes);
-    let mut out = Vec::with_capacity(lanes);
-    for (lo, hi) in (0..blocks).map(bounds) {
-        ctxs.clear();
-        ctxs.extend((lo..hi).map(|index| JobCtx {
-            index,
-            seed: grid.seed_of(index),
-            worker: 0,
-        }));
-        let t0 = Instant::now();
-        {
-            let _span = telemetry::span(opts.span_label);
-            job(&ctxs, &grid.points()[lo..hi], &mut out);
-        }
-        telemetry::counter("sweep.jobs", 1);
-        busy_s += t0.elapsed().as_secs_f64();
-        checked(&out, lo, hi);
-        for result in out.drain(..) {
-            fold(acc, result);
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    if telemetry::enabled() {
-        telemetry::histogram("sweep.run_wall_s", wall_s);
-    }
-    RunSummary {
-        points: total,
-        resumed: 0,
-        workers: 1,
-        wall_s,
-        busy_s,
-    }
-}
-
 /// Runs a job over every grid point with per-worker state.
 ///
 /// `make_state` is called once per worker, **on that worker's thread**,
@@ -663,93 +505,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .expect("panic payload is a string");
         assert_eq!(message, "boom at point 7");
-    }
-
-    #[test]
-    fn blocked_run_matches_pointwise_run_for_any_lane_count() {
-        let grid = Grid::with_seed((0..29u64).collect(), 77);
-        let pointwise = run(&grid, &SweepOptions::with_jobs(1), mix_job);
-        for lanes in [1, 3, 8, 64] {
-            for jobs in [1, 4] {
-                let blocked = run_blocked(
-                    &grid,
-                    &SweepOptions::with_jobs(jobs),
-                    lanes,
-                    |ctxs, points| {
-                        ctxs.iter()
-                            .zip(points)
-                            .map(|(ctx, p)| mix_job(ctx, p))
-                            .collect()
-                    },
-                );
-                assert_eq!(
-                    blocked.results, pointwise.results,
-                    "lanes = {lanes}, jobs = {jobs}"
-                );
-                assert_eq!(blocked.summary.points, 29);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_run_hands_out_per_point_seeds_and_indices() {
-        let grid = Grid::with_seed(vec![0u8; 10], 5);
-        let out = run_blocked(&grid, &SweepOptions::with_jobs(1), 4, |ctxs, points| {
-            assert!(points.len() <= 4);
-            ctxs.iter().map(|ctx| (ctx.index, ctx.seed)).collect()
-        });
-        for (i, &(index, seed)) in out.results.iter().enumerate() {
-            assert_eq!(index, i);
-            assert_eq!(seed, grid.seed_of(i));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "blocked job returned")]
-    fn blocked_job_must_return_one_result_per_point() {
-        let grid = Grid::new(vec![0u8; 4]);
-        let _ = run_blocked(&grid, &SweepOptions::with_jobs(1), 2, |_, _| vec![0u8; 1]);
-    }
-
-    #[test]
-    fn fold_blocked_folds_in_grid_order_for_any_lanes_and_jobs() {
-        let grid = Grid::with_seed((0..53u64).collect(), 9);
-        // An order-sensitive fold: any reordering changes the chain.
-        let chain = |acc: &mut u64, v: u64| *acc = acc.rotate_left(7) ^ v;
-        let mut want = 0u64;
-        for (i, p) in grid.points().iter().enumerate() {
-            let ctx = JobCtx {
-                index: i,
-                seed: grid.seed_of(i),
-                worker: 0,
-            };
-            chain(&mut want, mix_job(&ctx, p));
-        }
-        for lanes in [1, 4, 16, 64] {
-            for jobs in [1, 3] {
-                let mut got = 0u64;
-                let summary = fold_blocked(
-                    &grid,
-                    &SweepOptions::with_jobs(jobs),
-                    lanes,
-                    &mut got,
-                    |ctxs, points, out| {
-                        out.extend(ctxs.iter().zip(points).map(|(ctx, p)| mix_job(ctx, p)));
-                    },
-                    chain,
-                );
-                assert_eq!(got, want, "lanes = {lanes}, jobs = {jobs}");
-                assert_eq!(summary.points, 53);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_run_over_an_empty_grid_is_empty() {
-        let grid: Grid<u64> = Grid::new(Vec::new());
-        let out = run_blocked(&grid, &SweepOptions::default(), 8, |_, _| Vec::<u64>::new());
-        assert!(out.results.is_empty());
-        assert_eq!(out.summary.points, 0);
     }
 
     #[test]

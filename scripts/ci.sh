@@ -92,7 +92,7 @@ echo "==> 512-bit codegen: the native release shmoo is built on zmm registers"
 # a target feature rustc does not list (every build warns about it).
 # On an AVX-512 host the lane kernels in the release shmoo binary must
 # then run on zmm registers. A few zmm instructions appear even without
-# the flag (58 on a 2-vCPU AVX-512 Xeon, against 11,006 with it), so the
+# the flag (58 on a 2-vCPU AVX-512 Xeon, against 32,183 with it), so the
 # gate is a floor well between the two rather than "any zmm at all".
 # Skipped where objdump or AVX-512 is missing.
 if command -v objdump >/dev/null 2>&1 && grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
@@ -327,5 +327,19 @@ grep -q '"crosscheck_agrees":1' "$shmoo_json" || {
     echo "shmoo cross-check did not agree with brute force" >&2
     exit 1
 }
+# The sampler's worker split and lane width change no digit: a serial
+# run at the default width and a two-worker 8-lane run print the same
+# surface and cross-check. Line 1 names the worker count, so the comparison starts
+# at line 2.
+quick_serial="target/ci_shmoo_quick_jobs1.txt"
+quick_split="target/ci_shmoo_quick_jobs2_lanes8.txt"
+cargo run --offline -q --release -p nvff-bench --bin shmoo -- --quick --jobs 1 >"$quick_serial"
+cargo run --offline -q --release -p nvff-bench --bin shmoo -- --quick --jobs 2 --lanes 8 \
+    >"$quick_split"
+if ! cmp <(tail -n +2 "$quick_serial") <(tail -n +2 "$quick_split"); then
+    echo "shmoo --quick differs between --jobs 1 and --jobs 2 --lanes 8" >&2
+    diff "$quick_serial" "$quick_split" >&2 || true
+    exit 1
+fi
 
 echo "==> tier-1 gate passed"
