@@ -13,8 +13,8 @@
 //!   GND-pre-charge while `P̄C·R̄_en`. Fewer independent transitions is
 //!   where the read-energy saving of Table II comes from.
 //!
-//! Every generator panics on windows that collide; [`check_timing`]
-//! rejects such a [`Timing`] up front.
+//! Every generator panics on windows that collide; `check_timing`
+//! rejects such a `Timing` up front.
 
 use spice::SourceWaveform;
 use units::{Time, Voltage};

@@ -3,7 +3,7 @@
 //! [`spice::Circuit`].
 //!
 //! Each helper names its devices and internal nodes below the name it
-//! is given, joined with [`join_path`] (`T1` → `T1.MN`, `T1.MP`), so
+//! is given, joined with `join_path` (`T1` → `T1.MN`, `T1.MP`), so
 //! the generator's flat word keeps one unambiguous dotted namespace.
 
 use spice::{Circuit, NodeId, SpiceError, Technology};

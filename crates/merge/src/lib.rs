@@ -6,9 +6,9 @@
 //! "script executed over the DEF file":
 //!
 //! 1. [`candidates`](pairing::candidates) finds every flip-flop pair
-//!    within the distance threshold (one query per flip-flop on a
-//!    bucket grid that stores only occupied buckets, linear in design
-//!    size);
+//!    within the distance threshold, in one sweep over the flip-flops
+//!    sorted by row, then x (the order the placer hands them over in),
+//!    which scans each row and the rows within reach of it;
 //! 2. a pairing strategy ([`pairing::Strategy`]) selects a disjoint set
 //!    of pairs — closest-first greedy (the baseline), or the
 //!    degree-aware variant that prefers isolated flip-flops first and
@@ -134,6 +134,31 @@ mod tests {
             plan_into(&placed, &options, &mut reused);
             assert_eq!(reused, plan(&placed, &options), "{name}");
             assert_eq!(reused.total_flip_flops(), placed.flip_flops().count());
+        }
+    }
+
+    /// The placer hands every Table III design's flip-flops to
+    /// `plan_into` sorted by `y`, then `x`, at the measured flow's
+    /// 40k-gate cap and uncapped, so the candidate sweep's sort is one
+    /// linear pass and its pairs need no re-sort.
+    #[test]
+    fn table3_designs_arrive_sorted_by_row_then_x() {
+        let mut plan = MergePlan::default();
+        for spec in benchmarks::Benchmark::ALL {
+            for max_gates in [40_000, usize::MAX] {
+                let n = benchmarks::generate_scaled(spec, max_gates);
+                let placed = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+                plan_into(&placed, &MergeOptions::default(), &mut plan);
+                assert!(
+                    plan.points().is_sorted_by(|p, q| p
+                        .y
+                        .total_cmp(&q.y)
+                        .then(p.x.total_cmp(&q.x))
+                        .is_le()),
+                    "{} at cap {max_gates}",
+                    spec.name
+                );
+            }
         }
     }
 }

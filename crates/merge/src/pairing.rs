@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use place::GridIndex;
 use units::Length;
 
 /// A flip-flop location in micrometres (left-bottom corner, as DEF
@@ -129,7 +128,14 @@ impl MergePlan {
 }
 
 /// All flip-flop pairs within `threshold` (inclusive), with their
-/// distances, by `a` then `b` ascending.
+/// distances, by `a` then `b` ascending. A NaN or negative threshold
+/// finds nothing, and a point with a non-finite coordinate pairs with
+/// nothing.
+///
+/// # Panics
+///
+/// Panics if the threshold is infinite, or if there are more than
+/// `u32::MAX` points.
 #[must_use]
 pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair> {
     let mut out = Vec::new();
@@ -137,19 +143,94 @@ pub fn candidates(points: &[FlipFlopPoint], threshold: Length) -> Vec<MergedPair
     out
 }
 
-/// [`candidates`] into `out` (cleared first).
+/// [`candidates`] into `out` (cleared first), by one sweep over the
+/// points sorted by `(y, x)`: each run of bit-equal `y` is a row, and
+/// each point is tested against the points after it in its own row
+/// while `Δx ≤ reach`, then against each later row while `Δy ≤ reach`,
+/// from a per-row cursor that only moves right. `reach` bounds `|Δx|`
+/// and `|Δy|` of every pair the exact test keeps, so the sweep only
+/// narrows the pairs that test sees. A NaN coordinate compares false,
+/// so it neither ends a scan nor moves a cursor: it costs extra tests,
+/// never a pair. The placer's flip-flops arrive sorted, which makes the
+/// sort one linear pass and the pairs come out in `(a, b)` order; other
+/// input is re-sorted at the end.
 fn candidates_into(points: &[FlipFlopPoint], threshold: Length, out: &mut Vec<MergedPair>) {
     out.clear();
     let t = threshold.micro_meters();
-    let coords: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
-    let index = GridIndex::new(&coords, t.max(1e-3));
-    let mut near = Vec::new();
-    for (a, &(x, y)) in coords.iter().enumerate() {
-        index.within_radius_into(a, t, &mut near);
-        for &b in near.iter().filter(|&&b| b > a) {
-            let d = ((coords[b].0 - x).powi(2) + (coords[b].1 - y).powi(2)).sqrt();
-            out.push(MergedPair { a, b, distance: d });
+    if t.is_nan() || t < 0.0 {
+        return;
+    }
+    assert!(t.is_finite(), "merge threshold {t} µm is not finite");
+    let limit = t * t + 1e-18;
+    // A kept pair has fl(Δx²) ≤ fl(Δx² + Δy²) ≤ limit, and so has
+    // |Δx| ≤ reach, the correctly rounded root: the next double d above
+    // it exceeds √limit by at least half its ulp u, so d² exceeds limit
+    // by more than u·√limit, which is more than half an ulp of limit,
+    // and fl(d²) > limit. The same holds for |Δy|.
+    let reach = limit.sqrt();
+
+    let count = u32::try_from(points.len()).expect("at most u32::MAX flip-flops");
+    let mut order: Vec<u32> = (0..count).collect();
+    order.sort_by(|&i, &j| {
+        let (p, q) = (&points[i as usize], &points[j as usize]);
+        p.y.total_cmp(&q.y).then(p.x.total_cmp(&q.x))
+    });
+    // The coordinates in sweep order.
+    let xy: Vec<(f64, f64)> = order
+        .iter()
+        .map(|&i| (points[i as usize].x, points[i as usize].y))
+        .collect();
+    // Row starts in `xy`, closed by its length.
+    let mut rows: Vec<usize> = (0..xy.len())
+        .filter(|&k| k == 0 || xy[k].1.to_bits() != xy[k - 1].1.to_bits())
+        .collect();
+    rows.push(xy.len());
+
+    // Tests point k against points from..to of a row, left to right,
+    // until they lie more than `reach` to its right, and keeps the pairs
+    // within the limit. A difference only changes sign when its operands
+    // swap, so `d2` has the same bits whichever point has the lower
+    // index.
+    let mut scan = |k: usize, from: usize, to: usize| {
+        let p = xy[k];
+        for (j, q) in (from..to).zip(&xy[from..to]) {
+            if q.0 - p.0 > reach {
+                break;
+            }
+            let d2 = (q.0 - p.0).powi(2) + (q.1 - p.1).powi(2);
+            if d2 <= limit {
+                let (a, b) = (order[k] as usize, order[j] as usize);
+                out.push(MergedPair {
+                    a: a.min(b),
+                    b: a.max(b),
+                    distance: d2.sqrt(),
+                });
+            }
         }
+    };
+    let mut cursors: Vec<usize> = Vec::new();
+    for (r, row) in rows.windows(2).enumerate() {
+        let (start, end) = (row[0], row[1]);
+        let y = xy[start].1;
+        cursors.clear();
+        cursors.extend(
+            rows[r + 1..rows.len() - 1]
+                .iter()
+                .take_while(|&&s| xy[s].1 - y <= reach),
+        );
+        for k in start..end {
+            scan(k, k + 1, end);
+            let x = xy[k].0;
+            for (cursor, &row_end) in cursors.iter_mut().zip(&rows[r + 2..]) {
+                while *cursor < row_end && x - xy[*cursor].0 > reach {
+                    *cursor += 1;
+                }
+                scan(k, *cursor, row_end);
+            }
+        }
+    }
+    if !order.is_sorted() {
+        out.sort_unstable_by_key(|p| (p.a, p.b));
     }
 }
 
@@ -243,6 +324,35 @@ mod tests {
         Length::from_micro_meters(v)
     }
 
+    /// `(a, b, distance bits)` of every candidate.
+    fn found(coords: &[(f64, f64)], t: f64) -> Vec<(usize, usize, u64)> {
+        candidates(&points(coords), um(t))
+            .iter()
+            .map(|p| (p.a, p.b, p.distance.to_bits()))
+            .collect()
+    }
+
+    /// Every pair within `t` by a scan of all pairs, with the exact
+    /// test and distance formula `candidates` promises.
+    fn brute(coords: &[(f64, f64)], t: f64) -> Vec<(usize, usize, u64)> {
+        let limit = t * t + 1e-18;
+        let mut out = Vec::new();
+        for a in 0..coords.len() {
+            for b in a + 1..coords.len() {
+                let d2 = (coords[b].0 - coords[a].0).powi(2) + (coords[b].1 - coords[a].1).powi(2);
+                if d2 <= limit {
+                    out.push((a, b, d2.sqrt().to_bits()));
+                }
+            }
+        }
+        out
+    }
+
+    /// `(a, b)` of every candidate.
+    fn pair_ids(coords: &[(f64, f64)], t: f64) -> Vec<(usize, usize)> {
+        found(coords, t).iter().map(|&(a, b, _)| (a, b)).collect()
+    }
+
     #[test]
     fn candidates_respect_the_threshold() {
         let pts = points(&[(0.0, 0.0), (2.0, 0.0), (10.0, 0.0)]);
@@ -254,9 +364,10 @@ mod tests {
 
     /// `candidates` against a scan of every pair: the same pairs in
     /// `(a, b)` order with the same distance bits. The points sit on
-    /// bucket borders (multiples of the threshold), pairs lie exactly
-    /// at the threshold, coordinates go negative, two points coincide
-    /// and one pair lies a metre from the rest.
+    /// multiples of the threshold, pairs lie exactly at the threshold,
+    /// rows lie two apart within the threshold, coordinates go
+    /// negative, two points coincide and one pair lies a metre from the
+    /// rest.
     #[test]
     fn candidates_match_brute_force() {
         let mut coords = Vec::new();
@@ -272,25 +383,242 @@ mod tests {
             (1e6, -1e6),
             (1e6 + 1.5, -1e6),
         ]);
-        let pts = points(&coords);
         for t in [1.5, 0.5, 3.35, 0.0] {
-            let limit = t * t + 1e-18;
-            let mut brute = Vec::new();
-            for a in 0..coords.len() {
-                for b in a + 1..coords.len() {
-                    let d2 =
-                        (coords[b].0 - coords[a].0).powi(2) + (coords[b].1 - coords[a].1).powi(2);
-                    if d2 <= limit {
-                        brute.push((a, b, d2.sqrt().to_bits()));
-                    }
-                }
-            }
-            let found: Vec<(usize, usize, u64)> = candidates(&pts, um(t))
+            let found = found(&coords, t);
+            assert!(!found.is_empty(), "threshold {t}");
+            assert_eq!(found, brute(&coords, t), "threshold {t}");
+        }
+    }
+
+    /// Scattered integer points at a threshold spanning many rows.
+    #[test]
+    fn candidates_match_brute_force_on_scattered_points() {
+        let coords: Vec<(f64, f64)> = (0..500)
+            .map(|k| (f64::from((k * 37) % 101), f64::from((k * 61) % 97)))
+            .collect();
+        assert_eq!(found(&coords, 13.0), brute(&coords, 13.0));
+    }
+
+    /// One buffer reused across thresholds spanning a few rows: each
+    /// call clears what the last left (and a stale pair put in first)
+    /// and leaves exactly the brute-force pairs.
+    #[test]
+    fn a_reused_buffer_matches_brute_force_and_clears() {
+        let coords: Vec<(f64, f64)> = (0..200)
+            .map(|k| (f64::from((k * 13) % 37), f64::from((k * 7) % 29)))
+            .collect();
+        let pts = points(&coords);
+        let mut out = vec![MergedPair {
+            a: usize::MAX,
+            b: usize::MAX,
+            distance: f64::NAN,
+        }];
+        for t in [3.0, 1.0, 5.0, 0.0, 3.0] {
+            candidates_into(&pts, um(t), &mut out);
+            let got: Vec<_> = out
                 .iter()
                 .map(|p| (p.a, p.b, p.distance.to_bits()))
                 .collect();
-            assert!(!found.is_empty(), "threshold {t}");
-            assert_eq!(found, brute, "threshold {t}");
+            assert_eq!(got, brute(&coords, t), "threshold {t}");
+        }
+    }
+
+    /// Points a hair either side of multiples of the threshold, and on
+    /// them, find their neighbours across those lines.
+    #[test]
+    fn candidates_cross_multiples_of_the_threshold() {
+        let coords = [(0.9, 0.0), (1.1, 0.0), (5.0, 5.0)];
+        assert_eq!(pair_ids(&coords, 0.5), vec![(0, 1)]);
+        assert_eq!(found(&coords, 0.5), brute(&coords, 0.5));
+    }
+
+    #[test]
+    fn the_threshold_is_inclusive() {
+        assert_eq!(pair_ids(&[(0.0, 0.0), (2.0, 0.0)], 2.0), vec![(0, 1)]);
+        // Exact 3-4-5 pairs: distance 5 = the threshold.
+        let diagonal = [(-3.0, -4.0), (0.0, 0.0), (3.0, 4.0), (3.0, 4.0)];
+        assert_eq!(
+            pair_ids(&diagonal, 5.0),
+            vec![(0, 1), (1, 2), (1, 3), (2, 3)]
+        );
+    }
+
+    #[test]
+    fn an_empty_set_has_no_candidates() {
+        assert!(candidates(&[], um(3.35)).is_empty());
+    }
+
+    /// A grid on multiples of the threshold, with negative coordinates,
+    /// duplicates and points a hair off the grid lines, at the
+    /// threshold and at half of it.
+    #[test]
+    fn candidates_match_brute_force_on_negatives_and_duplicates() {
+        let mut coords = Vec::new();
+        for i in -4..=4 {
+            for j in -3..=3 {
+                coords.push((f64::from(i) * 2.5, f64::from(j) * 2.5));
+            }
+        }
+        coords.extend([
+            (0.0, 0.0),
+            (0.0, 0.0),
+            (-5.0, -5.0),
+            (-2.0, -1.0),
+            (1.0, 3.0),
+            (-0.000_1, 7.5),
+            (9.999_9, -7.5),
+            (-10.0, -7.5),
+        ]);
+        for t in [2.5, 1.25] {
+            assert_eq!(found(&coords, t), brute(&coords, t), "threshold {t}");
+        }
+    }
+
+    /// A pair a metre apart from the rest (10⁶ µm, as a parsed DEF may
+    /// hold) pairs only with its neighbour.
+    #[test]
+    fn far_apart_points_pair_only_with_their_neighbours() {
+        let coords = [(0.0, 0.0), (1e6, -1e6), (1e6 + 1.0, -1e6), (-1e6, 1e6)];
+        assert_eq!(pair_ids(&coords, 3.35), vec![(1, 2)]);
+    }
+
+    #[test]
+    fn zero_negative_and_nan_thresholds() {
+        let coords = [(0.0, 0.0), (0.0, 0.0), (1e-4, 0.0)];
+        assert_eq!(pair_ids(&coords, 0.0), vec![(0, 1)]);
+        assert!(pair_ids(&coords, -1.0).is_empty());
+        assert!(pair_ids(&coords, -1e-4).is_empty());
+        assert!(pair_ids(&coords, f64::NAN).is_empty());
+        // At zero threshold, points a hair apart in x pair.
+        assert_eq!(
+            pair_ids(&[(1.0 - 1e-12, 0.0), (1.0, 0.0)], 0.0),
+            vec![(0, 1)]
+        );
+        // And a hair apart in y, which puts them in different rows.
+        let rows = [(0.0, 1e-12), (0.0, 0.0), (5.0, 0.0)];
+        assert_eq!(found(&rows, 0.0), brute(&rows, 0.0));
+        assert_eq!(pair_ids(&rows, 0.0), vec![(0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn an_infinite_threshold_panics() {
+        let _ = candidates(&points(&[(0.0, 0.0)]), um(f64::INFINITY));
+    }
+
+    /// A point with a NaN or infinite coordinate pairs with nothing, and
+    /// its finite neighbours in the same row and the rows around it
+    /// still pair with each other.
+    #[test]
+    fn non_finite_points_pair_with_nothing() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let coords = [
+            (-nan, 0.0),
+            (0.0, 0.0),
+            (nan, 0.0),
+            (0.5, 0.0),
+            (-inf, 1.0),
+            (0.2, 1.0),
+            (inf, 1.0),
+            (0.0, nan),
+            (0.0, -nan),
+            (0.0, inf),
+            (0.0, -inf),
+            (inf, inf),
+            (-nan, 2.0),
+            (0.1, 2.0),
+        ];
+        let finite: Vec<usize> = (0..coords.len())
+            .filter(|&i| coords[i].0.is_finite() && coords[i].1.is_finite())
+            .collect();
+        let only_finite: Vec<(f64, f64)> = finite.iter().map(|&i| coords[i]).collect();
+        let expected: Vec<(usize, usize, u64)> = brute(&only_finite, 3.35)
+            .into_iter()
+            .map(|(a, b, d)| (finite[a], finite[b], d))
+            .collect();
+        assert_eq!(expected.len(), 6);
+        assert_eq!(found(&coords, 3.35), expected);
+    }
+
+    /// The sweep's reach, the rounded root of the limit, bounds every
+    /// offset the exact test keeps: the next double above the root
+    /// squares to more than the limit. Checked at the thresholds the
+    /// flow and its ablations use, around powers of two and over a
+    /// spread of limits from 1e-18 to 1e12 µm².
+    #[test]
+    fn the_rounded_root_bounds_every_kept_offset() {
+        let mut limits: Vec<f64> = [0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 3.35, 3.4, 5.0, 13.0]
+            .iter()
+            .map(|t| t * t + 1e-18)
+            .collect();
+        for e in -60..40 {
+            let p = 2f64.powi(e);
+            limits.extend([p.next_down(), p, p.next_up()]);
+        }
+        let mut state = 7;
+        for _ in 0..100_000 {
+            let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            limits.push(10f64.powf(-18.0 + 30.0 * u));
+        }
+        for limit in limits {
+            let above = limit.sqrt().next_up();
+            assert!(above * above > limit, "limit {limit:e}");
+        }
+    }
+
+    /// SplitMix64, for a reproducible shuffle.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A placed design's flip-flops, listed reversed and shuffled, give
+    /// the same pairs under the new indices, in `(a, b)` order, with the
+    /// same distance bits.
+    #[test]
+    fn permuted_points_give_the_permuted_pairs() {
+        use netlist::{benchmarks, CellLibrary};
+        use place::{placer, PlacerOptions};
+
+        let n = benchmarks::generate(benchmarks::by_name("s38584").unwrap());
+        let placed = placer::place(&n, &CellLibrary::n40(), &PlacerOptions::default());
+        let sorted: Vec<FlipFlopPoint> =
+            crate::plan(&placed, &crate::MergeOptions::default()).points;
+        let t = um(3.35);
+        let reference = candidates(&sorted, t);
+        assert!(reference.len() > 500, "{} candidates", reference.len());
+
+        let reversed: Vec<usize> = (0..sorted.len()).rev().collect();
+        let mut shuffled: Vec<usize> = (0..sorted.len()).collect();
+        let mut state = 0x5eed;
+        for i in (1..shuffled.len()).rev() {
+            let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
+            shuffled.swap(i, j);
+        }
+        for (name, order) in [("reversed", reversed), ("shuffled", shuffled)] {
+            // Point k of the permuted list is point order[k] of the sorted one.
+            let permuted: Vec<FlipFlopPoint> = order.iter().map(|&i| sorted[i]).collect();
+            let mut new_index = vec![0; order.len()];
+            for (k, &i) in order.iter().enumerate() {
+                new_index[i] = k;
+            }
+            let mut expected: Vec<(usize, usize, u64)> = reference
+                .iter()
+                .map(|p| {
+                    let (a, b) = (new_index[p.a], new_index[p.b]);
+                    (a.min(b), a.max(b), p.distance.to_bits())
+                })
+                .collect();
+            expected.sort_unstable();
+            let got: Vec<(usize, usize, u64)> = candidates(&permuted, t)
+                .iter()
+                .map(|p| (p.a, p.b, p.distance.to_bits()))
+                .collect();
+            assert_eq!(got, expected, "{name}");
         }
     }
 

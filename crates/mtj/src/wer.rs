@@ -393,7 +393,7 @@ impl Default for WerGridOptions {
 }
 
 /// Monte-Carlo WER over a `(current, pulse)` grid, fanned out over a
-/// [`sweep`](::sweep) worker pool with the lane-batched kernel inside each
+/// [`mod@sweep`] worker pool with the lane-batched kernel inside each
 /// worker (lanes × workers composed).
 ///
 /// Each grid point runs its `trials` stochastic writes with per-trial

@@ -6,13 +6,18 @@
 //! count. The adaptive tilt search keeps a candidate list, its scores
 //! and one common batch of innovations: a fixed number of allocations,
 //! however many pilot samples it draws. A counting global allocator
-//! pins both.
+//! pins both. It counts only the allocations of the thread that runs
+//! the measured call, inside the measured window, so the test harness's
+//! own threads cannot land in a count; the test checks that the
+//! measured calls stay on that thread, and that a thread they spawned
+//! would still show in the count.
 //!
 //! The mtj *library* forbids `unsafe`; this integration test is a
 //! separate crate, and the allocator shim below is the one place unsafe
 //! is warranted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mtj::rare::{self, Estimator, TailEnv, TailOptions, Tilt, TiltSearch};
@@ -22,9 +27,18 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the measured window only. A
+    /// const-initialised `Cell` needs no lazy set-up and no destructor,
+    /// so reading it inside the allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -36,15 +50,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and counts the allocations it makes on this thread.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.set(true);
     let out = f();
+    MEASURING.set(false);
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 
-// One test function only: the counter is process-global, and a single
-// test keeps the harness from running other allocating threads
-// concurrently with the measured sections.
+// One test function only: the counter is shared, so two tests measuring
+// at once would add into each other's windows.
 #[test]
 fn serial_campaigns_do_not_allocate_and_the_tilt_search_allocates_a_fixed_count() {
     let params = MtjParams::date2018();
@@ -62,6 +78,11 @@ fn serial_campaigns_do_not_allocate_and_the_tilt_search_allocates_a_fixed_count(
         ..TailOptions::default()
     };
 
+    // A worker thread started inside a window cannot hide its work from
+    // the per-thread count: spawning it allocates on this thread.
+    let (spawn_allocs, ()) = count_allocs(|| std::thread::spawn(|| ()).join().expect("worker"));
+    assert!(spawn_allocs >= 1, "a spawned thread went uncounted");
+
     // Warm up: settles any lazy one-time allocation.
     let _ = rare::accumulate_tilted(&env, pulse, tilt, &opts(100, 0, Estimator::Smooth));
 
@@ -76,6 +97,7 @@ fn serial_campaigns_do_not_allocate_and_the_tilt_search_allocates_a_fixed_count(
                     "{estimator:?}, lanes {lanes}, {samples} samples: {allocs} allocations"
                 );
                 assert_eq!(summary.points, samples);
+                assert_eq!(summary.workers, 1, "the campaign left the calling thread");
                 assert_eq!(acc.estimate(0.99).samples, samples as u64);
             }
         }

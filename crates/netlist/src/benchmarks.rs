@@ -18,7 +18,7 @@
 //!
 //! Every name is a static prefix plus decimal digits (`pi7`, `q3_1`,
 //! `n42`, `U42`, …), a pure function of the module plan. The netlist
-//! therefore keeps only that plan ([`GeneratedNames`]) and writes each
+//! therefore keeps only that plan (`GeneratedNames`) and writes each
 //! name list, without `core::fmt`, into a buffer sized up front, the
 //! first time something reads it.
 

@@ -12,11 +12,11 @@
 //!   once) and packs them into rows in snake order; half-perimeter
 //!   wirelength ([`PlacedDesign::hpwl`]) measures the result;
 //! * [`def`] writes and parses the (subset of the) Design Exchange
-//!   Format the paper's merge script operates on;
-//! * `spatial` offers bucket-grid radius queries ([`GridIndex`]: only
-//!   occupied buckets are stored, and a query reaches its neighbouring
-//!   buckets through precomputed entry runs, with no search or
-//!   hashing) used to find neighbouring flip-flops.
+//!   Format the paper's merge script operates on.
+//!
+//! The placer hands its flip-flops over sorted by row, then x
+//! ([`PlacedDesign::flip_flop_indices`]), which lets the merge flow
+//! find neighbouring flip-flops in one sweep.
 //!
 //! # Examples
 //!
@@ -36,7 +36,5 @@
 pub mod def;
 mod floorplan;
 pub mod placer;
-mod spatial;
 
 pub use placer::{PlacedDesign, PlacerOptions};
-pub use spatial::GridIndex;

@@ -97,7 +97,9 @@ impl PlacedDesign {
     }
 
     /// Indices in [`PlacedDesign::cells`] of the flip-flops, ascending
-    /// (recorded by the placer; no scan of the cells).
+    /// (recorded by the placer; no scan of the cells). Cells are packed
+    /// row by row, each row left to right, so the flip-flops come in
+    /// `y`, then `x` order.
     #[must_use]
     pub fn flip_flop_indices(&self) -> &[usize] {
         &self.flip_flops

@@ -870,6 +870,39 @@ mod tests {
         }
     }
 
+    /// A worker's metrics memo answers only the circuit it holds: one
+    /// variant at two corners, then under two values of one override,
+    /// each handled twice by a one-worker service (a miss, then a cache
+    /// hit), must give the body of a direct library characterization of
+    /// that very circuit, rendered through the same function.
+    #[test]
+    fn one_worker_answers_each_circuit_with_its_own_metrics() {
+        let service = CharacterizeService::new(&ServiceOptions {
+            workers: 1,
+            ..ServiceOptions::default()
+        });
+        for body in [
+            r#"{"variant":"standard","corner":"TT/typical"}"#,
+            r#"{"variant":"standard","corner":"SS/worst"}"#,
+            r#"{"variant":"standard","overrides":{"sizing.output_load_ff":2}}"#,
+            r#"{"variant":"standard","overrides":{"sizing.output_load_ff":4}}"#,
+        ] {
+            let request = CharacterizeRequest::parse(body).unwrap();
+            let metrics = request
+                .variant
+                .instantiate(request.resolve_config().unwrap())
+                .characterize()
+                .unwrap();
+            let expected = render_response(&request, &metrics);
+            for cache_status in ["miss", "hit"] {
+                let response = service.handle(body);
+                assert_eq!(response.status, 200, "{body}: {}", response.body);
+                assert_eq!(response.cache_status, Some(cache_status), "{body}");
+                assert_eq!(*response.body, expected, "{body} ({cache_status})");
+            }
+        }
+    }
+
     #[test]
     fn responses_render_deterministically_and_filter_by_kind() {
         let request = CharacterizeRequest::parse(r#"{"variant":"standard"}"#).unwrap();

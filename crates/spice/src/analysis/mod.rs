@@ -34,7 +34,7 @@
 //!   held in the workspace instead of cloned per step;
 //! * [`session`](SimulationSession) — ties a circuit to its plan and
 //!   workspace, and accumulates [`SolverStats`];
-//! * [`reference`] — the original per-call engine, frozen as a
+//! * [`mod@reference`] — the original per-call engine, frozen as a
 //!   correctness oracle.
 //!
 //! The free functions below ([`op`], [`transient`],
@@ -214,7 +214,7 @@ impl OpResult {
     }
 
     /// Solver work spent producing this operating point (zeroed for
-    /// results from the [`reference`] engine).
+    /// results from the [`mod@reference`] engine).
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
         self.stats

@@ -9,7 +9,7 @@
 //! so it can serve as a **correctness oracle**: the equivalence tests
 //! check the session engine produces bit-for-bit identical waveforms.
 //!
-//! Results carry zeroed [`SolverStats`](super::SolverStats); only the
+//! Results carry zeroed [`SolverStats`]; only the
 //! session engine counts work. New code should use the session engine
 //! (or the free functions in [`super`], which wrap it).
 

@@ -7,12 +7,16 @@
 //! `caps.clone()` is gone. This test pins that down with a counting
 //! global allocator: the allocations of a warmed-up run must be bounded
 //! by result-recording (which grows amortized), not by solver work.
+//! The allocator counts only the allocations of the thread that runs
+//! the measured call, inside the measured window, so the test harness's
+//! own threads cannot land in a count.
 //!
 //! The spice *library* forbids `unsafe`; this integration test is a
 //! separate crate, and the allocator shim below is the one place unsafe
 //! is warranted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use spice::{Circuit, SimulationSession, SourceWaveform, Technology, TransientOptions};
@@ -22,9 +26,18 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the measured window only. A
+    /// const-initialised `Cell` needs no lazy set-up and no destructor,
+    /// so reading it inside the allocator never allocates.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -36,9 +49,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and counts the allocations it makes on this thread.
 fn count_allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.set(true);
     f();
+    MEASURING.set(false);
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
@@ -92,9 +108,8 @@ fn inverter() -> Circuit {
     ckt
 }
 
-// One test function only: the counter is process-global, and a single
-// test keeps the harness from running other allocating threads
-// concurrently with the measured sections.
+// One test function only: the counter is shared, so two tests measuring
+// at once would add into each other's windows.
 #[test]
 fn warmed_up_session_does_not_allocate_per_iteration_or_per_step() {
     let mut session = SimulationSession::new(inverter());

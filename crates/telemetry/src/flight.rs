@@ -54,19 +54,19 @@ pub const POSTMORTEM_SCHEMA: &str = "nvff-postmortem/1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// One Newton iteration; value = largest damped update |Δx| [V].
+    /// One Newton iteration; value = largest damped update |Δx| (V).
     NewtonDelta = 0,
-    /// One rung of the gmin recovery ladder; value = gmin [S].
+    /// One rung of the gmin recovery ladder; value = gmin (S).
     GminRung = 1,
     /// One rung of the source-stepping ladder; value = source scale.
     SourceRung = 2,
     /// A converged transient step rejected by the LTE controller;
     /// value = error ratio (estimated LTE over tolerance).
     LteReject = 3,
-    /// An accepted transient step; value = dt [s].
+    /// An accepted transient step; value = dt (s).
     StepAccept = 4,
     /// A transient step halved after Newton non-convergence;
-    /// value = the dt that failed [s].
+    /// value = the dt that failed (s).
     StepHalve = 5,
     /// The sparse engine re-pivoted after pivot decay; value = LU
     /// nonzeros after the re-pivot.
@@ -297,7 +297,7 @@ pub struct Postmortem<'a> {
     pub analysis: &'a str,
     /// Human-readable error text.
     pub error: &'a str,
-    /// Simulated time at failure [s].
+    /// Simulated time at failure (s).
     pub time_s: f64,
     /// Solver work counters at failure, as name/value pairs.
     pub stats: &'a [(&'static str, u64)],

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, lints, and the full test suite.
+# Tier-1 gate: formatting, lints, docs, and the full test suite.
 #
 # Offline-safe by construction — every cargo invocation passes
 # --offline, so the script never reaches for the network. All
@@ -36,6 +36,13 @@ if [ "$run_clippy" -eq 1 ]; then
     fi
 fi
 
+echo "==> cargo doc (workspace, rustdoc warnings denied)"
+# Broken, ambiguous or redundant intra-doc links and public docs that
+# link private items fail here. RUSTDOCFLAGS reaches rustdoc only, so
+# the rustc warning about the config's prefer-256-bit target feature
+# stays a warning.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+
 echo "==> cargo test (workspace)"
 # Property suites run on a pinned stream: a CI failure log then names
 # the exact case stream, reproducible locally with the same seed.
@@ -59,8 +66,8 @@ echo "==> ISA independence: table2, table3, table3 --full, fig9, ablations and s
 # Table III's measured flow (generate, place, merge at the 40k-gate
 # cap, and uncapped with --full, whose b18 and b19 are the largest
 # netlists the repository builds) and its replay, for the merge
-# ablations (threshold sweep and degree-aware pairing on the same
-# spatial index), for fig9 (which reads the generated names back through
+# ablations (threshold sweep and degree-aware pairing over the same
+# candidate sweep), for fig9 (which reads the generated names back through
 # the merge transform), and for the rare-event shmoo, whose tilted-draw
 # and brute-force kernels run the same libm-free lane passes. RUSTFLAGS
 # replaces the config's rustflags; the separate target dir keeps the
