@@ -4,33 +4,49 @@
 //! * read-margin vs. TMR sweep and the minimum resolvable TMR;
 //! * read-disturb check (no MTJ may flip during a restore);
 //! * write-error-rate vs. pulse width, with the pulse for a 10⁻⁹ WER,
-//!   cross-checked by a parallel Monte-Carlo campaign;
+//!   cross-checked by a parallel Monte-Carlo campaign: the
+//!   variation-aware brute force of `mtj::rare` at zero variation;
 //! * retention and latch function across temperature.
 //!
-//! Usage: `margins [--jobs <N>] [--lanes <L>] [--checkpoint <path>]`.
-//! `--jobs` sets the Monte-Carlo worker count (`0`/absent = auto, `1` =
-//! serial); `--lanes` sets the SIMD lane count of the batched WER
-//! kernel (`0`/absent = auto, `1` = the scalar reference kernel);
-//! `--checkpoint` persists completed WER grid points to the given file,
-//! so an interrupted campaign resumes — bit-identically — where it
-//! stopped. Printed figures are identical for every mode.
+//! Usage: `margins [--jobs <N>]`. `--jobs` sets the Monte-Carlo worker
+//! count (`0`/absent = auto, `1` = serial); the printed figures are
+//! identical for every value.
 
 use cells::{margin, LatchConfig, ProposedLatch};
-use mtj::{wer, MtjParams, SwitchingModel, ThermalModel};
+use mtj::rare::{self, TailEnv};
+use mtj::wer::{self, WerEstimate};
+use mtj::{MtjParams, SwitchingModel, ThermalModel, VariationModel};
 use units::{Current, Temperature, Time};
 
-/// Extracts the `--checkpoint <path>` argument, if present.
-fn checkpoint_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--checkpoint" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(path) = a.strip_prefix("--checkpoint=") {
-            return Some(std::path::PathBuf::from(path));
-        }
-    }
-    None
+/// Series-path write drive of the WER sections, µA.
+const DRIVE_MICRO_AMPS: f64 = 63.0;
+
+/// Pulse widths of the WER sweep, ns; the cross-check runs the first
+/// four.
+const PULSES_NS: [f64; 6] = [2.0, 3.0, 5.0, 8.0, 12.0, 20.0];
+
+/// Stochastic writes per cross-check pulse.
+const TRIALS: usize = 2000;
+
+/// Failure counts of [`TRIALS`] stochastic writes of the nominal device
+/// at each of the first four sweep pulses, over `jobs` workers. The
+/// writes run on the variation-aware brute force with every σ at zero,
+/// so each trial steps the nominal device's switch probability; the
+/// counts are identical for every `jobs` value.
+fn wer_cross_check(
+    nominal: &MtjParams,
+    jobs: usize,
+) -> Result<Vec<WerEstimate>, Box<dyn std::error::Error>> {
+    let env = TailEnv::new(
+        nominal,
+        VariationModel::new(0.0, 0.0, 0.0)?,
+        Current::from_micro_amps(DRIVE_MICRO_AMPS),
+    );
+    let pulses: Vec<Time> = PULSES_NS[..4]
+        .iter()
+        .map(|&ns| Time::from_nano_seconds(ns))
+        .collect();
+    Ok(rare::varied_wer_grid(&env, &pulses, TRIALS, 2018, jobs).0)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -79,8 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("WRITE ERROR RATE vs PULSE (series-path drive ≈ 63 µA)");
     let nominal = MtjParams::date2018();
     let model = SwitchingModel::new(&nominal);
-    let drive = Current::from_micro_amps(63.0);
-    let pulses: Vec<Time> = [2.0, 3.0, 5.0, 8.0, 12.0, 20.0]
+    let drive = Current::from_micro_amps(DRIVE_MICRO_AMPS);
+    let pulses: Vec<Time> = PULSES_NS
         .iter()
         .map(|&ns| Time::from_nano_seconds(ns))
         .collect();
@@ -98,64 +114,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Monte-Carlo WER cross-check ----------------------------------
-    // Empirical failure counts over the same (current, pulse) grid,
-    // fanned out over a sweep pool. Counter-based per-point seeding
-    // makes the counts identical for every --jobs value, and identical
-    // again when resumed from a --checkpoint file.
-    let jobs = nvff_bench::jobs_from_args();
-    let lanes = nvff_bench::lanes_from_args();
-    let trials = 2000;
-    let mc_seed = 2018u64;
-    let points: Vec<(Current, Time)> = pulses[..4].iter().map(|&p| (drive, p)).collect();
-    println!("MONTE-CARLO WER CROSS-CHECK ({trials} stochastic writes per pulse)");
-    let failures: Vec<u64> = if let Some(path) = checkpoint_path_from_args() {
-        let description = format!(
-            "margins-wer drive={drive} pulses={} trials={trials} seed={mc_seed}",
-            points.len()
-        );
-        let grid = sweep::Grid::with_seed(points.clone(), mc_seed);
-        let policy = sweep::CheckpointPolicy::new(&path, sweep::fingerprint(&description));
-        let opts = sweep::SweepOptions {
-            jobs,
-            span_label: "margins.wer_point",
-            ..sweep::SweepOptions::default()
-        };
-        let outcome = sweep::run_checkpointed(
-            &grid,
-            &opts,
-            &policy,
-            |_| (),
-            |(), ctx, &(current, pulse)| {
-                mtj::lanes::count_write_failures_batched(
-                    &nominal, current, pulse, trials, ctx.seed, lanes,
-                ) as u64
-            },
-            None,
-        )?;
-        eprintln!(
-            "checkpoint {}: {} of {} points restored",
-            path.display(),
-            outcome.summary.resumed,
-            outcome.summary.points
-        );
-        outcome.results
-    } else {
-        let opts = wer::WerGridOptions {
-            trials,
-            seed: mc_seed,
-            jobs,
-            lanes,
-        };
-        let (estimates, _) = wer::monte_carlo_wer_grid(&nominal, &points, &opts);
-        estimates.iter().map(|e| e.failures as u64).collect()
-    };
-    for (&(_, pulse), &fails) in points.iter().zip(&failures) {
-        let empirical = fails as f64 / trials as f64;
-        let analytic = wer::write_error_rate(&model, drive, pulse);
+    // Empirical failure counts at the first four pulses, fanned out
+    // over a sweep pool. Counter-based per-point seeding makes the
+    // counts identical for every --jobs value.
+    println!("MONTE-CARLO WER CROSS-CHECK ({TRIALS} stochastic writes per pulse)");
+    for estimate in wer_cross_check(&nominal, nvff_bench::jobs_from_args())? {
+        let analytic = wer::write_error_rate(&model, drive, estimate.pulse);
         println!(
-            "  pulse {:>6}: empirical {:>9.2e} ({fails:>4} failures)   analytic {:>9.2e}",
-            pulse.to_string(),
-            empirical,
+            "  pulse {:>6}: empirical {:>9.2e} ({:>4} failures)   analytic {:>9.2e}",
+            estimate.pulse.to_string(),
+            estimate.wer(),
+            estimate.failures,
             analytic,
         );
     }
@@ -183,4 +152,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each of the cross-check's four counts has a 99 % Wilson interval
+    /// that contains the closed-form WER at its pulse: the count passes
+    /// a two-sided score test against the closed form at the 1 % level.
+    #[test]
+    fn cross_check_counts_agree_with_the_closed_form() {
+        let nominal = MtjParams::date2018();
+        let model = SwitchingModel::new(&nominal);
+        let estimates = wer_cross_check(&nominal, 1).expect("zero σ is valid");
+        // At 2,000 writes the intervals are too wide to see a 3 % drive
+        // error or the default variation, so the counts are pinned too.
+        let failures: Vec<usize> = estimates.iter().map(|e| e.failures).collect();
+        assert_eq!(failures, [893, 605, 310, 70]);
+        for estimate in estimates {
+            assert_eq!(estimate.trials, TRIALS);
+            let analytic = wer::write_error_rate(&model, estimate.current, estimate.pulse);
+            let ci = estimate.confidence_interval(0.99);
+            assert!(
+                ci.contains(analytic),
+                "pulse {}: {} failures, 99 % interval [{}, {}] misses {analytic}",
+                estimate.pulse,
+                estimate.failures,
+                ci.lo,
+                ci.hi
+            );
+        }
+    }
 }

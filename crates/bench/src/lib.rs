@@ -71,10 +71,10 @@ pub fn jobs_from_args() -> usize {
 }
 
 /// Extracts the `--lanes <L>` argument from the process command line —
-/// the SIMD lane count of the lane-batched Monte-Carlo kernels.
-/// Returns `0` (auto: the built-in default width) when
-/// absent; `--lanes 1` selects the scalar reference kernel. The lane
-/// count never changes results, only throughput.
+/// the SIMD lane count of the importance sampler's lane kernel
+/// (`shmoo`). Returns `0` (auto: the built-in default width) when
+/// absent; `--lanes 1` runs its one-lane (scalar) path. The lane count
+/// never changes results, only throughput.
 ///
 /// # Examples
 ///

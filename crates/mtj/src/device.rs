@@ -3,14 +3,14 @@
 //! [`Mtj`] is the object a transient circuit simulation steps: it holds the
 //! current magnetisation state, exposes the (bias-dependent) resistance the
 //! solver needs, and integrates switching progress under the time-varying
-//! current the solver computes. Deterministic integration is used by
-//! default — the fraction of a reversal completed accumulates as
-//! `∫ dt / τ(I(t))` — which reproduces the mean-time behaviour exactly for
-//! piecewise-constant currents and is what a corner analysis wants.
-//! Stochastic writes (per-step Bernoulli trials at rate `1/τ`) are available
-//! for Monte-Carlo disturb studies via [`Mtj::advance_stochastic`].
+//! current the solver computes. Integration is deterministic — the
+//! fraction of a reversal completed accumulates as `∫ dt / τ(I(t))` —
+//! which reproduces the mean-time behaviour exactly for piecewise-constant
+//! currents and is what a corner analysis wants. Stochastic writes
+//! (per-step Bernoulli trials at rate `1/τ`) are the brute-force kernel of
+//! [`crate::rare`], which steps a device's switch probability directly
+//! rather than an [`Mtj`].
 
-use rand::{Rng, RngExt};
 use units::{Current, Resistance, Time, Voltage};
 
 use crate::params::MtjParams;
@@ -102,21 +102,9 @@ impl Mtj {
     /// switching model.
     #[must_use]
     pub fn new(params: MtjParams, initial: MtjState, polarity: WritePolarity) -> Self {
-        let model = SwitchingModel::new(&params);
-        Self::with_model(params, model, initial, polarity)
-    }
-
-    /// Creates a device with an explicitly calibrated switching model.
-    #[must_use]
-    pub(crate) fn with_model(
-        params: MtjParams,
-        model: SwitchingModel,
-        initial: MtjState,
-        polarity: WritePolarity,
-    ) -> Self {
         Self {
+            model: SwitchingModel::new(&params),
             params,
-            model,
             polarity,
             state: initial,
             progress: 0.0,
@@ -190,33 +178,6 @@ impl Mtj {
         }
     }
 
-    /// Advances the dynamics by `dt` with a stochastic reversal decision:
-    /// the step switches with probability `1 − exp(−dt/τ(I))`.
-    ///
-    /// Use for write-error-rate and read-disturb Monte-Carlo studies.
-    /// Returns `true` if the state reversed during this step.
-    pub(crate) fn advance_stochastic<R: Rng + ?Sized>(
-        &mut self,
-        current: Current,
-        dt: Time,
-        rng: &mut R,
-    ) -> bool {
-        let Some(target) = self.polarity.target_state(current) else {
-            return false;
-        };
-        if target == self.state {
-            return false;
-        }
-        let p = self.model.switch_probability(current, dt);
-        if rng.random::<f64>() < p {
-            self.state = target;
-            self.relax();
-            true
-        } else {
-            false
-        }
-    }
-
     fn relax(&mut self) {
         self.progress = 0.0;
         self.pending_target = None;
@@ -226,8 +187,6 @@ impl Mtj {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn device(initial: MtjState) -> (MtjParams, Mtj) {
         let params = MtjParams::date2018();
@@ -318,46 +277,6 @@ mod tests {
             mtj.resistance(Voltage::ZERO),
             params.resistance_antiparallel()
         );
-    }
-
-    #[test]
-    fn stochastic_write_converges_to_certainty() {
-        let (params, _) = device(MtjState::Parallel);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut switched = 0;
-        let trials = 200;
-        for _ in 0..trials {
-            let mut mtj = Mtj::new(params.clone(), MtjState::Parallel, WritePolarity::default());
-            // 10 ns at nominal current: ~5τ, nearly certain.
-            for _ in 0..1000 {
-                if mtj.advance_stochastic(
-                    params.nominal_write_current(),
-                    Time::from_pico_seconds(10.0),
-                    &mut rng,
-                ) {
-                    break;
-                }
-            }
-            if mtj.state() == MtjState::AntiParallel {
-                switched += 1;
-            }
-        }
-        assert!(switched > trials * 95 / 100, "{switched}/{trials}");
-    }
-
-    #[test]
-    fn stochastic_read_disturb_is_rare() {
-        let (params, _) = device(MtjState::Parallel);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut mtj = Mtj::new(params, MtjState::Parallel, WritePolarity::default());
-        for _ in 0..10_000 {
-            mtj.advance_stochastic(
-                Current::from_micro_amps(10.0),
-                Time::from_pico_seconds(100.0),
-                &mut rng,
-            );
-        }
-        assert_eq!(mtj.state(), MtjState::Parallel);
     }
 
     #[test]

@@ -1,44 +1,37 @@
-//! Lane-batched (SIMD structure-of-arrays) Monte-Carlo WER kernel.
+//! Lane-batched (SIMD structure-of-arrays) brute-force WER kernel.
 //!
-//! Every trial of a WER campaign runs the *same* computation — step a
-//! `Parallel` device toward `AntiParallel` with a per-step Bernoulli
-//! draw — over a private counter-seeded RNG stream. That independence
-//! is what this module exploits: `LANES` trials advance in lockstep
-//! through one branch-free hot loop over structure-of-arrays xoshiro
-//! state ([`rand::rngs::StdRngLanes`]), one block of random words per
-//! step, against a switch threshold hoisted out of the loop (the scalar
-//! path re-derives `exp(−dt/τ)` every step — the dominant cost).
+//! Every trial of a brute-force WER campaign runs the *same*
+//! computation: draw a device from the variation measure (three
+//! Box–Muller normals), then step it from `Parallel` toward
+//! `AntiParallel` with one Bernoulli draw per step, all over a private
+//! counter-seeded RNG stream. That independence is what this module
+//! exploits: `L` trials advance in lockstep through one branch-free hot
+//! loop over structure-of-arrays xoshiro state
+//! ([`rand::rngs::StdRngLanes`]), one block of random words per step,
+//! each lane against its device's exact integer switch threshold.
+//!
+//! **Device draws:** the devices of the next `L` trials are drawn
+//! together (six uniform rounds of a separate bank, the transform and
+//! the per-point switching kernel of [`crate::rare`] as passes over the
+//! lanes), and a refilled stepping lane takes over its trial's stream
+//! where the device draw left it. At zero variation every lane's
+//! threshold is the nominal device's, which is how `margins` checks the
+//! closed-form WER.
 //!
 //! **Retirement and refill:** a lane whose trial resolves (switched, or
-//! pulse exhausted) is immediately reseeded with the next trial's
-//! counter seed; when no trials remain the lane idles, its discarded
-//! draws harmless because every trial's stream starts from its own
-//! seed. The failure count is therefore **bit-identical to the scalar
-//! reference** [`crate::wer::count_write_failures`] for every lane
+//! pulse exhausted) is immediately dealt the next trial; when no trials
+//! remain the lane idles, its discarded draws harmless because every
+//! trial's stream starts from its own seed. The failure count is
+//! therefore **bit-identical to stepping each trial on the scalar
+//! path** ([`crate::rare`]'s `varied_trial_fails`) for every lane
 //! count — the property the workspace-root differential suite
 //! `tests/simd_mc.rs` pins for every supported lane count × worker count.
-//!
-//! **Variation-aware brute force:** [`count_varied_write_failures_batched`]
-//! runs the rare-event cross-check the same way, with one device per
-//! trial. A trial's device comes from three Box–Muller normals; the
-//! devices of the next `L` trials are drawn together (six uniform
-//! rounds of a separate bank, the transform and the per-point switching
-//! kernel of [`crate::rare`] as passes over the lanes) into exact
-//! integer thresholds, and a refilled stepping lane takes over its
-//! trial's stream where the device draw left it. The lockstep loop then
-//! compares each lane's draw against its own threshold. The count is
-//! bit-identical to stepping each trial on the scalar path.
 
 use rand::rngs::StdRngLanes;
-use units::{Current, Time};
+use units::Time;
 
-use crate::device::WritePolarity;
-use crate::params::MtjParams;
 use crate::rare::{varied_trial_fails, PointKernel, TailEnv};
-use crate::resistance::MtjState;
-use crate::switching::SwitchingModel;
 use crate::variation::standard_normal_lanes;
-use crate::wer::trial_step_plan;
 
 /// Lane widths the runtime dispatcher accepts.
 pub const SUPPORTED_LANE_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -81,76 +74,7 @@ pub fn resolve_lanes(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Counts stochastic write failures with the lane-batched kernel —
-/// bit-identical to [`crate::wer::count_write_failures`]`(params,
-/// current, pulse, trials, seed)` for every `lanes` value.
-///
-/// `lanes` is resolved by [`resolve_lanes`]; `1` selects the scalar
-/// reference kernel itself.
-#[must_use]
-pub fn count_write_failures_batched(
-    params: &MtjParams,
-    current: Current,
-    pulse: Time,
-    trials: usize,
-    seed: u64,
-    lanes: usize,
-) -> usize {
-    match resolve_lanes(lanes) {
-        2 => count_write_failures_lanes::<2>(params, current, pulse, trials, seed),
-        4 => count_write_failures_lanes::<4>(params, current, pulse, trials, seed),
-        8 => count_write_failures_lanes::<8>(params, current, pulse, trials, seed),
-        16 => count_write_failures_lanes::<16>(params, current, pulse, trials, seed),
-        32 => count_write_failures_lanes::<32>(params, current, pulse, trials, seed),
-        64 => count_write_failures_lanes::<64>(params, current, pulse, trials, seed),
-        _ => crate::wer::count_write_failures(params, current, pulse, trials, seed),
-    }
-}
-
-/// The const-generic lane kernel behind [`count_write_failures_batched`]:
-/// every trial drives the same device, so every lane steps against one
-/// threshold, and a trial's stream starts at its counter seed.
-///
-/// # Panics
-///
-/// Panics if `LANES` is 0 or exceeds 64 (lane masks are `u64`).
-#[must_use]
-fn count_write_failures_lanes<const LANES: usize>(
-    params: &MtjParams,
-    current: Current,
-    pulse: Time,
-    trials: usize,
-    seed: u64,
-) -> usize {
-    // Mirror the scalar trial's preamble: a Parallel device written
-    // toward AntiParallel. A drive that exerts no torque toward the
-    // reversal fails every trial without consuming a draw.
-    let polarity = WritePolarity::PositiveSetsAntiParallel;
-    if polarity.target_state(current) != Some(MtjState::AntiParallel) {
-        return trials;
-    }
-    let (steps, step) = trial_step_plan(pulse);
-    if steps == 0 {
-        return trials;
-    }
-    // The hoist: the scalar path computes this same probability from
-    // the same inputs once per step per trial; one evaluation serves
-    // the whole grid point and the comparison stays bitwise identical.
-    let model = SwitchingModel::new(params);
-    let switch_threshold = switch_threshold(model.switch_probability(current, step));
-    let mut next_trial = 0usize;
-    step_trials::<LANES>(steps, |lane, rngs, threshold| {
-        if next_trial == trials {
-            return false;
-        }
-        rngs.seed_lane(lane, sweep::point_seed(seed, next_trial as u64));
-        threshold[lane] = switch_threshold;
-        next_trial += 1;
-        true
-    })
-}
-
-/// The lockstep stepping loop of both lane kernels. Trials are dealt to
+/// The lockstep stepping loop of the lane kernel. Trials are dealt to
 /// lanes in campaign order by `deal(lane, rngs, threshold)`, which
 /// positions the lane's stream at its trial's first step draw and sets
 /// its integer switch threshold, or returns `false` once no trial is
@@ -359,65 +283,9 @@ fn count_varied_write_failures_lanes<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::MtjParams;
     use crate::rare;
-    use crate::wer::count_write_failures;
-
-    fn setup() -> (MtjParams, SwitchingModel) {
-        let p = MtjParams::date2018();
-        let m = SwitchingModel::new(&p);
-        (p, m)
-    }
-
-    #[test]
-    fn every_lane_width_matches_the_scalar_kernel() {
-        let (p, m) = setup();
-        let i = p.nominal_write_current();
-        for k in 1u32..=4 {
-            let pulse = m.mean_switching_time(i) * (0.5 * f64::from(k));
-            let scalar = count_write_failures(&p, i, pulse, 333, 40 + u64::from(k));
-            for lanes in SUPPORTED_LANE_COUNTS {
-                let batched =
-                    count_write_failures_batched(&p, i, pulse, 333, 40 + u64::from(k), lanes);
-                assert_eq!(batched, scalar, "lanes = {lanes}, pulse = {pulse}");
-            }
-        }
-    }
-
-    #[test]
-    fn trial_counts_smaller_than_the_lane_width_still_match() {
-        let (p, m) = setup();
-        let i = p.nominal_write_current();
-        let pulse = m.mean_switching_time(i);
-        for trials in [0, 1, 2, 7, 31, 32, 33] {
-            let scalar = count_write_failures(&p, i, pulse, trials, 5);
-            assert_eq!(
-                count_write_failures_lanes::<32>(&p, i, pulse, trials, 5),
-                scalar,
-                "trials = {trials}"
-            );
-        }
-    }
-
-    #[test]
-    fn torqueless_drives_fail_every_trial() {
-        let (p, _) = setup();
-        let pulse = Time::from_nano_seconds(2.0);
-        for lanes in [1, 8] {
-            assert_eq!(
-                count_write_failures_batched(&p, Current::ZERO, pulse, 50, 9, lanes),
-                50
-            );
-            assert_eq!(
-                count_write_failures_batched(&p, -p.nominal_write_current(), pulse, 50, 9, lanes),
-                50
-            );
-        }
-        // A zero-length pulse gives switching no chance at all.
-        assert_eq!(
-            count_write_failures_lanes::<8>(&p, p.nominal_write_current(), Time::ZERO, 50, 9),
-            50
-        );
-    }
+    use units::Current;
 
     fn tail_env() -> TailEnv {
         let p = MtjParams::date2018();
@@ -446,6 +314,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn trial_outcomes_are_independent_of_campaign_size() {
+        // Counter seeding: shrinking the campaign must not change the
+        // trials that remain.
+        let e = tail_env();
+        let pulse = e.reference_model().mean_switching_time(e.current());
+        let kernel = PointKernel::new(&e, pulse);
+        let long = count_varied_write_failures_batched(&e, pulse, 500, 23, 0);
+        let short = count_varied_write_failures_batched(&e, pulse, 200, 23, 0);
+        let tail = (200..500)
+            .filter(|&t| varied_trial_fails(&kernel, sweep::point_seed(23, t as u64)))
+            .count();
+        assert_eq!(long, short + tail);
     }
 
     #[test]

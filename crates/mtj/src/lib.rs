@@ -28,10 +28,12 @@
 //!   circuit simulator steps;
 //! * `variation` / [`montecarlo`] — ±3σ process variation on RA, TMR and
 //!   switching current, matching the paper's corner methodology;
-//! * [`wer`] / [`lanes`] — stochastic write-error-rate kernels: a
-//!   counter-seeded scalar reference and a lane-batched
-//!   structure-of-arrays engine returning bit-identical counts at SIMD
-//!   throughput.
+//! * [`wer`] — closed-form write error rates and the step plan of a
+//!   stochastic write trial;
+//! * [`rare`] / [`lanes`] — the importance-sampled WER tail and the
+//!   brute-force write-trial kernel, counter-seeded per trial and run
+//!   on structure-of-arrays lanes with bit-identical counts at every
+//!   lane width.
 //!
 //! # Examples
 //!

@@ -1472,6 +1472,43 @@ mod tests {
         }
     }
 
+    /// At zero variation the per-point kernel's device is the nominal
+    /// one: for every normal draw its per-step switch probability is the
+    /// self-calibrated model's, to the rounding of the libm-free `exp`.
+    /// That is what lets `margins` check the closed-form WER on this
+    /// kernel.
+    ///
+    /// Both sides compute `p = 1 − e^{−x}`, and their `exp`s may differ
+    /// in the last bit. The subtraction turns that into a relative gap
+    /// in `p` of up to an ulp of 1 over `p` (1.6e-15 at `p ≈ 0.07` on
+    /// this grid), so the gap is measured against the per-step survival
+    /// `1 − p`, which keeps the `exp`'s own relative accuracy.
+    #[test]
+    fn zero_variation_kernel_steps_the_nominal_device() {
+        let p = MtjParams::date2018();
+        let model = SwitchingModel::new(&p);
+        let zero = VariationModel::new(0.0, 0.0, 0.0).expect("zero σ is valid");
+        let mut worst = 0.0f64;
+        for drive_ua in (40..=150).step_by(5) {
+            let drive = Current::from_micro_amps(f64::from(drive_ua));
+            let kernel_env = TailEnv::new(&p, zero, drive);
+            for pulse_ns in [0.05, 0.1, 0.3, 1.0, 2.0, 3.0, 5.0, 8.0, 20.0, 50.0] {
+                let pulse = Time::from_nano_seconds(pulse_ns);
+                let (steps, step) = wer::trial_step_plan(pulse);
+                let kernel = PointKernel::new(&kernel_env, pulse);
+                assert!(!kernel.certain_failure);
+                assert_eq!(kernel.steps as usize, steps);
+                let expected = model.switch_probability(drive, step);
+                assert!(expected > 0.0 && expected < 1.0, "{drive} {pulse}");
+                for z in [-3.0, 0.0, 2.5] {
+                    let gap = (kernel.switch_probability(z) - expected).abs() / (1.0 - expected);
+                    worst = worst.max(gap);
+                }
+            }
+        }
+        assert!(worst <= 1e-15, "worst relative gap {worst:e}");
+    }
+
     #[test]
     fn normal_quantile_hits_tabulated_values() {
         assert!(normal_quantile(0.5).abs() < 1e-12);

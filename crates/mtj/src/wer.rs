@@ -7,22 +7,16 @@
 //! as a function of pulse width and drive, and the inverse problem of
 //! choosing a pulse for a target error rate.
 //!
-//! The Monte-Carlo kernel is **counter-seeded per trial**: trial `t` of
-//! a campaign draws from a private `StdRng` seeded by
-//! [`sweep::point_seed`]`(seed, t)`, and every trial integrates a
-//! deterministic **integer** number of steps ([`trial_step_plan`]).
-//! Together these make any trial computable independently of every
-//! other — which is what lets the lane-batched engine in
-//! [`crate::lanes`] run trials in lockstep and still return results
-//! bit-identical to this scalar path.
+//! The stochastic write trial these closed forms are checked against
+//! takes the integer number of steps fixed by [`trial_step_plan`] and
+//! draws one uniform per step against the device's switch probability. It runs in
+//! one kernel, the variation-aware brute force of [`crate::rare`] (lane
+//! form in [`crate::lanes`]); at zero variation it is the nominal
+//! device's trial, and its counts come back as [`WerEstimate`]s with
+//! Wilson intervals.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use units::{Current, Time};
 
-use crate::device::{Mtj, WritePolarity};
-use crate::params::MtjParams;
-use crate::resistance::MtjState;
 use crate::switching::SwitchingModel;
 
 /// Probability that a single device fails to reverse under `current`
@@ -128,7 +122,8 @@ pub fn trial_step_plan(pulse: Time) -> (usize, Time) {
 /// guards applied (a torque-less drive or a zero-step pulse fails with
 /// certainty).
 ///
-/// This is the Rao–Blackwellized ("smooth") form of [`write_trial`]: it
+/// This is the Rao–Blackwellized ("smooth") form of the stepped trial
+/// (one uniform per step, as [`crate::rare`]'s brute force runs it): it
 /// returns the trial's failure probability instead of a Bernoulli draw.
 /// It matches the stepped trial's distribution exactly —
 /// `(1 − p_step)^steps = exp(−steps·step/τ)` — where
@@ -143,6 +138,8 @@ pub(crate) fn trial_failure_probability(
     current: Current,
     pulse: Time,
 ) -> f64 {
+    use crate::device::WritePolarity;
+    use crate::resistance::MtjState;
     if WritePolarity::PositiveSetsAntiParallel.target_state(current) != Some(MtjState::AntiParallel)
     {
         return 1.0;
@@ -153,103 +150,6 @@ pub(crate) fn trial_failure_probability(
     }
     let per_step = 1.0 - model.switch_probability(current, step);
     per_step.powi(i32::try_from(steps).unwrap_or(i32::MAX))
-}
-
-/// Outcome of one stochastic write trial — see [`write_trial`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteTrial {
-    /// Whether the free layer was still un-reversed when the pulse
-    /// ended.
-    pub failed: bool,
-    /// RNG draws the trial consumed: one per executed step, zero when
-    /// the drive exerts no switching torque.
-    pub draws: usize,
-}
-
-/// Runs one stochastic write trial — a `Parallel` device driven toward
-/// `AntiParallel` for `pulse` — stepping per [`trial_step_plan`] and
-/// drawing one uniform per step from `rng` until the device reverses
-/// or the pulse ends.
-///
-/// This is the scalar reference the lane-batched kernel
-/// ([`crate::lanes`]) is differentially tested against; it is public so
-/// property tests can pin its draw accounting directly.
-pub fn write_trial<R: Rng + ?Sized>(
-    params: &MtjParams,
-    current: Current,
-    pulse: Time,
-    rng: &mut R,
-) -> WriteTrial {
-    write_trial_with_model(params, SwitchingModel::new(params), current, pulse, rng)
-}
-
-/// [`write_trial`] with an explicit switching model instead of the
-/// self-calibrated `SwitchingModel::new(params)`.
-///
-/// Variation studies need this: a Monte-Carlo sample must be stepped
-/// under a **reference-calibrated** model
-/// ([`SwitchingModel::with_reference`]) or the per-sample recalibration
-/// cancels the very `Ic` excursion being sampled. The draw pattern is
-/// identical to [`write_trial`].
-pub(crate) fn write_trial_with_model<R: Rng + ?Sized>(
-    params: &MtjParams,
-    model: SwitchingModel,
-    current: Current,
-    pulse: Time,
-    rng: &mut R,
-) -> WriteTrial {
-    let mut device = Mtj::with_model(
-        params.clone(),
-        model,
-        MtjState::Parallel,
-        WritePolarity::PositiveSetsAntiParallel,
-    );
-    if device.polarity().target_state(current) != Some(MtjState::AntiParallel) {
-        // Zero or reverse drive exerts no torque toward a reversal:
-        // the trial fails without consuming a draw.
-        return WriteTrial {
-            failed: true,
-            draws: 0,
-        };
-    }
-    let (steps, step) = trial_step_plan(pulse);
-    let mut draws = 0usize;
-    for _ in 0..steps {
-        draws += 1;
-        if device.advance_stochastic(current, step, rng) {
-            break;
-        }
-    }
-    WriteTrial {
-        failed: device.state() == MtjState::Parallel,
-        draws,
-    }
-}
-
-/// Counts stochastic write failures over `trials` attempted writes —
-/// the scalar reference kernel.
-///
-/// Trial `t` draws from a private `StdRng` seeded by
-/// [`sweep::point_seed`]`(seed, t)`, so any trial's outcome is
-/// independent of every other trial and of the batching strategy:
-/// [`crate::lanes::count_write_failures_batched`] returns bit-identical
-/// counts for every lane count.
-#[must_use]
-pub fn count_write_failures(
-    params: &MtjParams,
-    current: Current,
-    pulse: Time,
-    trials: usize,
-    seed: u64,
-) -> usize {
-    let mut failures = 0usize;
-    for t in 0..trials {
-        let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, t as u64));
-        if write_trial(params, current, pulse, &mut rng).failed {
-            failures += 1;
-        }
-    }
-    failures
 }
 
 /// One Monte-Carlo WER estimate at a `(current, pulse)` grid point.
@@ -366,81 +266,6 @@ impl ConfidenceInterval {
     }
 }
 
-/// Options for [`monte_carlo_wer_grid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WerGridOptions {
-    /// Attempted writes per grid point.
-    pub trials: usize,
-    /// Base seed of the campaign.
-    pub seed: u64,
-    /// Worker count (`0` = auto, `1` = serial on the calling thread).
-    pub jobs: usize,
-    /// SIMD lane count of the batched kernel (`0` = the built-in
-    /// [`crate::lanes::DEFAULT_LANES`], `1` = the scalar reference kernel).
-    /// Results are bit-identical for every value.
-    pub lanes: usize,
-}
-
-impl Default for WerGridOptions {
-    fn default() -> Self {
-        Self {
-            trials: 1000,
-            seed: 0,
-            jobs: 0,
-            lanes: 0,
-        }
-    }
-}
-
-/// Monte-Carlo WER over a `(current, pulse)` grid, fanned out over a
-/// [`mod@sweep`] worker pool with the lane-batched kernel inside each
-/// worker (lanes × workers composed).
-///
-/// Each grid point runs its `trials` stochastic writes with per-trial
-/// counter-derived seeds rooted at the point's [`sweep::point_seed`],
-/// so the returned estimates are **bit-identical for every
-/// `jobs` value and every `lanes` value**. Results come back in grid
-/// order alongside the pool's [`sweep::RunSummary`].
-///
-/// # Examples
-///
-/// ```
-/// use mtj::{wer, MtjParams};
-/// use units::{Current, Time};
-///
-/// let p = MtjParams::date2018();
-/// let points = vec![
-///     (p.nominal_write_current(), Time::from_nano_seconds(2.0)),
-///     (p.nominal_write_current(), Time::from_nano_seconds(6.0)),
-/// ];
-/// let opts = wer::WerGridOptions { trials: 200, seed: 17, jobs: 2, lanes: 0 };
-/// let (estimates, _) = wer::monte_carlo_wer_grid(&p, &points, &opts);
-/// assert!(estimates[1].wer() <= estimates[0].wer());
-/// ```
-pub fn monte_carlo_wer_grid(
-    params: &MtjParams,
-    points: &[(Current, Time)],
-    opts: &WerGridOptions,
-) -> (Vec<WerEstimate>, sweep::RunSummary) {
-    let grid = sweep::Grid::with_seed(points.to_vec(), opts.seed);
-    let pool = sweep::SweepOptions {
-        jobs: opts.jobs,
-        span_label: "mtj.wer_point",
-        ..sweep::SweepOptions::default()
-    };
-    let trials = opts.trials;
-    let lanes = opts.lanes;
-    let outcome = sweep::run(&grid, &pool, |ctx, &(current, pulse)| WerEstimate {
-        current,
-        pulse,
-        trials,
-        failures: crate::lanes::count_write_failures_batched(
-            params, current, pulse, trials, ctx.seed, lanes,
-        ),
-    });
-    (outcome.results, outcome.summary)
-}
-
 /// One row of a WER-vs-pulse characterization sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WerPoint {
@@ -468,6 +293,7 @@ pub fn sweep(model: &SwitchingModel, current: Current, pulses: &[Time]) -> Vec<W
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::MtjParams;
 
     fn setup() -> (MtjParams, SwitchingModel) {
         let p = MtjParams::date2018();
@@ -577,88 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn write_trial_accounts_its_draws() {
-        let (p, _) = setup();
-        let i = p.nominal_write_current();
-        // A far-sub-critical drive (τ astronomically long): the trial
-        // runs — and draws on — all 64 steps, then fails.
-        let mut rng = StdRng::seed_from_u64(3);
-        let trial = write_trial(
-            &p,
-            Current::from_micro_amps(1.0),
-            Time::from_nano_seconds(2.0),
-            &mut rng,
-        );
-        assert!(trial.failed);
-        assert_eq!(trial.draws, TRIAL_STEPS);
-        // Zero drive exerts no torque: failure with zero draws.
-        let mut rng = StdRng::seed_from_u64(3);
-        let trial = write_trial(&p, Current::ZERO, Time::from_nano_seconds(2.0), &mut rng);
-        assert!(trial.failed);
-        assert_eq!(trial.draws, 0);
-        // Reverse drive stabilises Parallel: same.
-        let mut rng = StdRng::seed_from_u64(3);
-        let trial = write_trial(&p, -i, Time::from_nano_seconds(2.0), &mut rng);
-        assert!(trial.failed);
-        assert_eq!(trial.draws, 0);
-    }
-
-    #[test]
-    fn monte_carlo_agrees_with_analytic() {
-        let (p, m) = setup();
-        let i = p.nominal_write_current();
-        let pulse = m.mean_switching_time(i); // WER = e⁻¹ ≈ 0.368
-        let empirical = count_write_failures(&p, i, pulse, 2000, 17) as f64 / 2000.0;
-        let analytic = write_error_rate(&m, i, pulse);
-        assert!(
-            (empirical - analytic).abs() < 0.04,
-            "empirical {empirical} vs analytic {analytic}"
-        );
-    }
-
-    #[test]
-    fn trial_outcomes_are_independent_of_campaign_size() {
-        // Counter seeding: shrinking the campaign must not change the
-        // trials that remain.
-        let (p, m) = setup();
-        let i = p.nominal_write_current();
-        let pulse = m.mean_switching_time(i);
-        let long = count_write_failures(&p, i, pulse, 500, 23);
-        let short = count_write_failures(&p, i, pulse, 200, 23);
-        let tail: usize = (200..500)
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(sweep::point_seed(23, t as u64));
-                usize::from(write_trial(&p, i, pulse, &mut rng).failed)
-            })
-            .sum();
-        assert_eq!(long, short + tail);
-    }
-
-    #[test]
-    fn wer_grid_is_bit_identical_across_worker_counts() {
-        let (p, m) = setup();
-        let i = p.nominal_write_current();
-        let points: Vec<(Current, Time)> = (1..=6)
-            .map(|k| (i, m.mean_switching_time(i) * f64::from(k) * 0.5))
-            .collect();
-        let opts = |jobs| WerGridOptions {
-            trials: 150,
-            seed: 23,
-            jobs,
-            lanes: 0,
-        };
-        let (serial, _) = monte_carlo_wer_grid(&p, &points, &opts(1));
-        for jobs in [2, 4] {
-            let (parallel, summary) = monte_carlo_wer_grid(&p, &points, &opts(jobs));
-            assert_eq!(parallel, serial, "jobs = {jobs}");
-            assert_eq!(summary.points, 6);
-        }
-        // Estimates come back in grid order; over the 2.5τ span the
-        // decay dominates the 150-trial sampling noise.
-        assert!(serial[5].wer() < serial[0].wer());
-    }
-
-    #[test]
     fn wer_estimate_divides_failures_by_trials() {
         let (p, _) = setup();
         let est = WerEstimate {
@@ -722,21 +466,6 @@ mod tests {
         assert_eq!(trial_failure_probability(&m, Current::ZERO, pulse), 1.0);
         assert_eq!(trial_failure_probability(&m, -i, pulse), 1.0);
         assert_eq!(trial_failure_probability(&m, i, Time::ZERO), 1.0);
-    }
-
-    #[test]
-    fn write_trial_with_model_generalizes_write_trial() {
-        let (p, m) = setup();
-        let i = p.nominal_write_current();
-        let pulse = Time::from_nano_seconds(2.0);
-        for seed in 0..50 {
-            let mut a = StdRng::seed_from_u64(seed);
-            let mut b = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                write_trial(&p, i, pulse, &mut a),
-                write_trial_with_model(&p, m.clone(), i, pulse, &mut b)
-            );
-        }
     }
 
     #[test]

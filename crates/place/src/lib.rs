@@ -9,7 +9,8 @@
 //!   footprints at a target utilization;
 //! * [`placer`] orders cells by connectivity-driven cluster growth
 //!   (a BFS over the net hypergraph that reads each net's pin list
-//!   once) and packs them into rows in snake order; half-perimeter
+//!   once) and packs them into rows in that order, each left to right
+//!   with odd rows right-aligned; half-perimeter
 //!   wirelength ([`PlacedDesign::hpwl`]) measures the result;
 //! * [`def`] writes and parses the (subset of the) Design Exchange
 //!   Format the paper's merge script operates on.

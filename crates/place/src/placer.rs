@@ -1,5 +1,5 @@
-//! The placement engine: cluster-growth ordering and snake-order row
-//! packing.
+//! The placement engine: cluster-growth ordering and row packing
+//! (every row left to right, odd rows right-aligned).
 //!
 //! Both run on the netlist's 32-bit handles: the BFS walks the
 //! netlist's `u32` net → instance CSR ([`Netlist::net_pins_into`])
@@ -156,7 +156,8 @@ pub struct PlaceBuffers {
 }
 
 /// Places a netlist: plans the floorplan, orders cells by cluster
-/// growth and packs rows in snake order. The die grows by whole rows
+/// growth and packs them into rows in that order, each row left to
+/// right with odd rows right-aligned. The die grows by whole rows
 /// when packing needs more rows than planned (at utilization near 1,
 /// end-of-row waste can need one or more extra rows).
 #[must_use]
@@ -251,7 +252,7 @@ fn cluster_growth_order(netlist: &Netlist, buffers: &mut PlaceBuffers) {
     order.truncate(tail);
 }
 
-/// Packs ordered cells into `out`'s rows boustrophedon-style, growing
+/// Packs ordered cells into `out`'s rows, each left to right, growing
 /// the floorplan's row count if the cells need more rows than it
 /// planned, and records each flip-flop's cell index as it goes. A cell
 /// is pushed with its row when it joins the open row; closing the row
@@ -276,9 +277,9 @@ fn pack_rows(
 
     let mut close = |row: usize, used_sites: usize, row_cells: &mut [PlacedCell]| {
         floorplan.grow_rows(row + 1);
-        // Even rows fill left→right, odd rows right→left (snake), which
-        // keeps order-adjacent cells physically adjacent across row
-        // boundaries.
+        // Every row is laid left to right in order. Even rows start at
+        // the left edge; odd rows are right-aligned, so a short row's
+        // end-of-row gap sits at its left end.
         let mut site = if row.is_multiple_of(2) {
             0usize
         } else {

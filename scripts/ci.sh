@@ -57,7 +57,7 @@ echo "==> perfbench: build and test the benchmark against the library API"
 # gate; --locked keeps its lock file unchanged.
 cargo test --release --offline --locked -q --manifest-path perfbench/Cargo.toml
 
-echo "==> ISA independence: table2, table3, table3 --full, fig9, ablations and shmoo --quick, x86-64 baseline build vs native build"
+echo "==> ISA independence: table2, table3, table3 --full, fig9, ablations, shmoo --quick and margins, x86-64 baseline build vs native build"
 # .cargo/config.toml builds for the host CPU and lets the autovectorizer
 # turn the batched MOSFET kernel into SIMD. The kernel is IEEE f64
 # arithmetic without FP contraction or libm calls, so a build for the
@@ -68,8 +68,10 @@ echo "==> ISA independence: table2, table3, table3 --full, fig9, ablations and s
 # netlists the repository builds) and its replay, for the merge
 # ablations (threshold sweep and degree-aware pairing over the same
 # candidate sweep), for fig9 (which reads the generated names back through
-# the merge transform), and for the rare-event shmoo, whose tilted-draw
-# and brute-force kernels run the same libm-free lane passes. RUSTFLAGS
+# the merge transform), for the rare-event shmoo, whose tilted-draw
+# and brute-force kernels run the same libm-free lane passes, and for
+# margins, whose WER cross-check runs that brute force at zero
+# variation. RUSTFLAGS
 # replaces the config's rustflags; the separate target dir keeps the
 # two builds apart.
 isa_check() {
@@ -93,6 +95,20 @@ isa_check table3 --full
 isa_check fig9
 isa_check ablations
 isa_check shmoo --quick
+isa_check margins
+
+echo "==> margins: the WER cross-check is the same at --jobs 1 and --jobs 2"
+# The brute-force counts must not depend on the worker split. margins
+# prints no worker count, so the whole output is compared.
+margins_serial="target/ci_margins_jobs1.txt"
+margins_split="target/ci_margins_jobs2.txt"
+cargo run --offline -q --release -p nvff-bench --bin margins -- --jobs 1 >"$margins_serial"
+cargo run --offline -q --release -p nvff-bench --bin margins -- --jobs 2 >"$margins_split"
+if ! cmp -s "$margins_serial" "$margins_split"; then
+    echo "margins differs between --jobs 1 and --jobs 2" >&2
+    diff "$margins_serial" "$margins_split" >&2 || true
+    exit 1
+fi
 
 echo "==> 512-bit codegen: the native release shmoo is built on zmm registers"
 # .cargo/config.toml asks for full-width vectors with -prefer-256-bit,

@@ -2,42 +2,12 @@
 //! stack: the same grid must produce bit-identical results — and
 //! identical aggregated solver accounting — for every worker count.
 
-use mtj::{montecarlo, wer, MtjParams, MtjSample, VariationModel};
+use mtj::rare::{self, TailEnv};
+use mtj::{lanes, montecarlo, wer, MtjParams, MtjSample, VariationModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spintronic_ff::prelude::*;
-use units::{Current, Temperature, Time};
-
-/// The tentpole guarantee: a Monte-Carlo WER grid returns bit-identical
-/// estimates at `--jobs` 1, 4 and 8, and the aggregated trial counts
-/// match the grid arithmetic exactly.
-#[test]
-fn wer_grid_is_bit_identical_at_jobs_1_4_8() {
-    let params = MtjParams::date2018();
-    let model = mtj::SwitchingModel::new(&params);
-    let drive = params.nominal_write_current();
-    let tau = model.mean_switching_time(drive);
-    let points: Vec<(Current, Time)> = (1..=8).map(|k| (drive, tau * f64::from(k))).collect();
-    let trials = 120;
-
-    let opts = |jobs| wer::WerGridOptions {
-        trials,
-        seed: 99,
-        jobs,
-        lanes: 0,
-    };
-    let (serial, serial_summary) = wer::monte_carlo_wer_grid(&params, &points, &opts(1));
-    assert_eq!(serial_summary.workers, 1);
-    for jobs in [4, 8] {
-        let (parallel, summary) = wer::monte_carlo_wer_grid(&params, &points, &opts(jobs));
-        assert_eq!(parallel, serial, "jobs = {jobs}");
-        assert_eq!(summary.points, points.len());
-        // Aggregated sample counts are exact, not approximate: every
-        // point ran all its trials exactly once.
-        let total_trials: usize = parallel.iter().map(|e| e.trials).sum();
-        assert_eq!(total_trials, points.len() * trials);
-    }
-}
+use units::{Temperature, Time};
 
 /// Monte-Carlo device sampling: every worker count equals a hand-written
 /// serial walk draw-for-draw, because draw `i` owns the counter seed
@@ -151,14 +121,14 @@ fn solver_stats_fold_is_order_independent() {
 }
 
 /// A checkpointed WER campaign resumes bit-identically mid-grid, over
-/// the real stochastic-write workload.
+/// the real stochastic-write workload: the variation-aware brute force.
 #[test]
 fn checkpointed_wer_campaign_resumes_bit_identically() {
     let params = MtjParams::date2018();
-    let model = mtj::SwitchingModel::new(&params);
     let drive = params.nominal_write_current();
-    let tau = model.mean_switching_time(drive);
-    let points: Vec<(Current, Time)> = (1..=6).map(|k| (drive, tau * f64::from(k))).collect();
+    let env = TailEnv::new(&params, VariationModel::default(), drive);
+    let tau = env.reference_model().mean_switching_time(drive);
+    let pulses: Vec<Time> = (1..=6).map(|k| tau * f64::from(k)).collect();
     let trials = 60;
     let seed = 7u64;
 
@@ -167,10 +137,10 @@ fn checkpointed_wer_campaign_resumes_bit_identically() {
     let path = dir.join("wer.ckpt.json");
     let _ = std::fs::remove_file(&path);
 
-    let job = |(): &mut (), ctx: &sweep::JobCtx, &(current, pulse): &(Current, Time)| {
-        wer::count_write_failures(&params, current, pulse, trials, ctx.seed) as u64
+    let job = |(): &mut (), ctx: &sweep::JobCtx, &pulse: &Time| {
+        lanes::count_varied_write_failures_batched(&env, pulse, trials, ctx.seed, 0) as u64
     };
-    let grid = sweep::Grid::with_seed(points.clone(), seed);
+    let grid = sweep::Grid::with_seed(pulses.clone(), seed);
     let policy = sweep::CheckpointPolicy {
         path: path.clone(),
         every: 1,
@@ -187,13 +157,7 @@ fn checkpointed_wer_campaign_resumes_bit_identically() {
     )
     .expect("full run");
     // The uncheckpointed engine agrees with the checkpointed one.
-    let direct_opts = wer::WerGridOptions {
-        trials,
-        seed,
-        jobs: 1,
-        lanes: 0,
-    };
-    let (direct, _) = wer::monte_carlo_wer_grid(&params, &points, &direct_opts);
+    let (direct, _) = rare::varied_wer_grid(&env, &pulses, trials, seed, 1);
     let direct_failures: Vec<u64> = direct.iter().map(|e| e.failures as u64).collect();
     assert_eq!(full.results, direct_failures);
 
@@ -208,7 +172,7 @@ fn checkpointed_wer_campaign_resumes_bit_identically() {
     )
     .expect("resume");
     assert_eq!(resumed.results, full.results);
-    assert_eq!(resumed.summary.resumed, points.len());
+    assert_eq!(resumed.summary.resumed, pulses.len());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -218,7 +182,7 @@ fn checkpointed_wer_campaign_resumes_bit_identically() {
 /// round-trip exactly through the `nvff-sweep-checkpoint/1` cells.
 #[test]
 fn interrupted_tail_surface_resumes_bit_identically() {
-    use mtj::rare::{self, SurfaceAxes, TailOptions};
+    use mtj::rare::{SurfaceAxes, TailOptions};
     use telemetry::JsonValue;
 
     let nominal = MtjParams::date2018();
